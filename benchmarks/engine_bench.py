@@ -24,6 +24,7 @@ WORKLOADS = {
         "[residual('conj1_f', n=n, k=3) for n in range(-3, 9)]"
     ),
     "qfib(40)**3": "from qfib.sequences import qfib; qfib(40)**3",
+    "qfib(60)**2": "from qfib.sequences import qfib; qfib(60)**2",
 }
 
 CODE = """

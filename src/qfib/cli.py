@@ -256,6 +256,8 @@ def _cmd_verify(args) -> int:
 
 
 def _golden_lines(name: str) -> list[str] | None:
+    """Non-blank lines of a packaged golden file, or None if it is missing
+    (callers report that as a mismatch)."""
     path = resources.files("qfib").joinpath(f"golden/{name}")
     try:
         text = path.read_text()
@@ -283,7 +285,9 @@ def _cmd_tables(args) -> int:
         rows = {str(k): table[k].to_canonical_string() for k in table}
         lines = [rows[str(k)] for k in range(1, max_k + 1)]
         golden = _golden_lines("det_table.txt")
-        if golden:
+        if golden is None:
+            mismatches.append("det-table: golden file det_table.txt missing")
+        else:
             want = dict(line.split("\t", 1) for line in golden)
             for k in range(1, max_k + 1):
                 exp = want.get(str(k))
@@ -310,7 +314,9 @@ def _cmd_tables(args) -> int:
                 lines.append(" | ".join(row))
         if not at:
             golden = _golden_lines("fibonomial_triangle.txt")
-            if golden:
+            if golden is None:
+                mismatches.append("triangle: golden file fibonomial_triangle.txt missing")
+            else:
                 want: dict[tuple[int, int], str] = {}
                 for line in golden:
                     n, k, text = line.split("\t", 2)

@@ -18,9 +18,19 @@ total, and parse() accepts terms in any order.
 Large products go through a Kronecker-substitution fast path: terms are
 grouped into blocks sharing (ex, es, ez), each block's q-coefficients are
 packed into one big integer with a rigorously chosen limb width, and block
-products become single bigint multiplications.  Setting QFIB_NO_FAST=1 in
-the environment forces the plain dict paths everywhere (the test suite
-checks both paths agree).
+products become single bigint multiplications.  Packing and unpacking go
+through one bytes conversion per block (balanced digits via a bias), so
+they cost time linear in the block width.  A square (a * a, as built by
+__pow__) multiplies each unordered block pair once and doubles the
+off-diagonal products.
+
+Large exact divisions run the same blocked long division on the values at
+q = 2^L, widening L on failure.  The quotient is returned without forming
+quot * b when a coefficient bound proves quot * b - a, which vanishes at
+q = 2^L, is zero (see _quotient_certified); otherwise the product is
+checked, and the plain division is the last resort.  Setting
+QFIB_NO_FAST=1 in the environment forces the plain dict paths everywhere
+(the test suite checks both paths agree).
 """
 
 from __future__ import annotations
@@ -136,13 +146,15 @@ class Poly:
 
     def __init__(self, terms: dict | int | None = None):
         """Build from {(ex, es, eq, ez): coeff} (zero coefficients dropped)
-        or from a plain int constant."""
+        or from a plain int constant.  Coefficients must be ints."""
         d: dict[int, int] = {}
         if isinstance(terms, int):
             if terms:
                 d[_ZKEY] = terms
         elif terms:
             for exps, c in terms.items():
+                if isinstance(c, bool) or not isinstance(c, int):
+                    raise TypeError(f"coefficient must be an int: {c!r}")
                 if not c:
                     continue
                 ex, es, eq, ez = (_check_exp(e) for e in exps)
@@ -205,16 +217,14 @@ class Poly:
             if not self._t:
                 r = ((0, 0),) * 5
             else:
-                lo = [_EXP_LIMIT * 8] * 5
-                hi = [-_EXP_LIMIT * 8] * 5
-                for k in self._t:
-                    ex, es, eq, ez = _unpack(k)
-                    for i, e in enumerate((ex, es, eq, ez, ex + es + eq + ez)):
-                        if e < lo[i]:
-                            lo[i] = e
-                        if e > hi[i]:
-                            hi[i] = e
-                r = tuple(zip(lo, hi))
+                keys = list(self._t)
+                r = []
+                for sh in (_SH_EX, _SH_ES, _SH_EQ, _SH_EZ):
+                    f = [(k >> sh) & _MASK for k in keys]
+                    r.append((min(f) - _BIAS, max(f) - _BIAS))
+                # total degree is the top key field: the extreme keys hold it
+                r.append(((min(keys) >> _SH_T) - _TBIAS, (max(keys) >> _SH_T) - _TBIAS))
+                r = tuple(r)
             self._ranges = r
         return r
 
@@ -615,16 +625,24 @@ def _block_map(p: Poly):
     bm = p._blocks
     if bm is not None:
         return bm
+    # one pass: base key -> [qmin, qmax, [(eq, c), ...]]
     grouped: dict[int, list] = {}
+    get = grouped.get
     for k, c in p._t.items():
         eq = ((k >> _SH_EQ) & _MASK) - _BIAS
         base = k - eq * _QSTEP
-        grouped.setdefault(base, []).append((eq, c))
+        g = get(base)
+        if g is None:
+            grouped[base] = [eq, eq, [(eq, c)]]
+        else:
+            if eq < g[0]:
+                g[0] = eq
+            elif eq > g[1]:
+                g[1] = eq
+            g[2].append((eq, c))
     bm = {}
     width_total = 0
-    for base, lst in grouped.items():
-        qmin = min(e for e, _ in lst)
-        qmax = max(e for e, _ in lst)
+    for base, (qmin, qmax, lst) in grouped.items():
         width = qmax - qmin + 1
         width_total += width
         coeffs = [0] * width
@@ -638,29 +656,40 @@ def _block_map(p: Poly):
 
 
 def _pack_coeffs(coeffs: list[int], L: int) -> int:
-    if coeffs and min(coeffs) >= 0:
-        nb = L // 8
+    """sum(c_i * 2^(L*i)) for |c_i| < 2^L; L must be a multiple of 8.
+
+    Signed blocks are packed as two unsigned byte strings (positive parts,
+    negative parts) and joined by one subtraction, so the cost is linear in
+    the block width."""
+    nb = L // 8
+    if not coeffs or min(coeffs) >= 0:
         return int.from_bytes(
             b"".join(c.to_bytes(nb, "little") for c in coeffs), "little"
         )
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc << L) + c
-    return acc
+    zero = bytes(nb)
+    pos = b"".join(c.to_bytes(nb, "little") if c > 0 else zero for c in coeffs)
+    neg = b"".join((-c).to_bytes(nb, "little") if c < 0 else zero for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _unpack_signed(acc: int, L: int) -> list[int]:
-    """Balanced base-2^L digits of acc (digits in [-2^(L-1), 2^(L-1)))."""
-    digits = []
-    full = 1 << L
-    half = full >> 1
-    mask = full - 1
-    while acc:
-        d = acc & mask
-        if d >= half:
-            d -= full
-        digits.append(d)
-        acc = (acc - d) >> L
+    """Balanced base-2^L digits of acc (digits in [-2^(L-1), 2^(L-1)), no
+    trailing zeros); L must be a multiple of 8.
+
+    Adding 2^(L-1) to every digit position turns the balanced digits into
+    plain unsigned ones, which one to_bytes call exposes; subtracting the
+    bias from each sliced digit restores them."""
+    nb = L // 8
+    n = acc.bit_length() // L + 2  # n balanced digits cover |acc| < 2^(L*(n-1))
+    bias = int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
+    raw = (acc + bias).to_bytes(n * nb, "little")
+    half = 1 << (L - 1)
+    digits = [
+        int.from_bytes(raw[i : i + nb], "little") - half
+        for i in range(0, n * nb, nb)
+    ]
+    while digits and not digits[-1]:
+        digits.pop()
     return digits
 
 
@@ -673,25 +702,33 @@ def _mul_blocked(a: Poly, b: Poly) -> Poly | None:
     bmax, _ = b._coeff_stats()
     bound = amax * bmax * min(len(a._t), len(b._t))
     L = (bound.bit_length() + 9) & ~7
-    apacked = [(base, off, _pack_coeffs(cs, L)) for base, (off, cs) in ba.items()]
-    bpacked = [(base, off, _pack_coeffs(cs, L)) for base, (off, cs) in bb.items()]
-    if len(apacked) > len(bpacked):
-        apacked, bpacked = bpacked, apacked
+    if len(ba) > len(bb):
+        ba, bb = bb, ba
+    apacked = [(base - _ZKEY, off, _pack_coeffs(cs, L)) for base, (off, cs) in ba.items()]
     acc: dict[int, list] = {}
-    for base_a, off_a, int_a in apacked:
-        shift_a = base_a - _ZKEY
-        for base_b, off_b, int_b in bpacked:
-            base = shift_a + base_b
-            off = off_a + off_b
-            prod = int_a * int_b
-            cur = acc.get(base)
-            if cur is None:
-                acc[base] = [off, prod]
-            elif cur[0] <= off:
-                cur[1] += prod << ((off - cur[0]) * L)
-            else:
-                cur[1] = prod + (cur[1] << ((cur[0] - off) * L))
-                cur[0] = off
+    get = acc.get
+
+    def add(base: int, off: int, prod: int) -> None:
+        cur = get(base)
+        if cur is None:
+            acc[base] = [off, prod]
+        elif cur[0] <= off:
+            cur[1] += prod << ((off - cur[0]) * L)
+        else:
+            cur[1] = prod + (cur[1] << ((cur[0] - off) * L))
+            cur[0] = off
+
+    if a is b:
+        # squaring: each unordered block pair once, off-diagonal pairs doubled
+        for i, (sa, off_a, int_a) in enumerate(apacked):
+            add(sa + sa + _ZKEY, off_a + off_a, int_a * int_a)
+            for sb, off_b, int_b in apacked[i + 1 :]:
+                add(sa + sb + _ZKEY, off_a + off_b, (int_a * int_b) << 1)
+    else:
+        bpacked = [(base, off, _pack_coeffs(cs, L)) for base, (off, cs) in bb.items()]
+        for sa, off_a, int_a in apacked:
+            for base_b, off_b, int_b in bpacked:
+                add(sa + base_b, off_a + off_b, int_a * int_b)
     out: dict[int, int] = {}
     for base, (off, big) in acc.items():
         for i, d in enumerate(_unpack_signed(big, L)):
@@ -704,6 +741,23 @@ class _RetryDivision(Exception):
     pass
 
 
+def _quotient_certified(qmax: int, bmax: int, n: int, amax: int, L: int) -> bool:
+    """True when a quotient found by _div_blocked_at at limb width L is
+    proven exact without forming quot*b.
+
+    _div_blocked_at does exact integer arithmetic on the values at q = 2^L,
+    so each (ex, es, ez) block of D = quot*b - a, a Laurent polynomial in q,
+    vanishes at q = 2^L.  A nonzero integer polynomial D with root
+    beta = 2^L (clear negative powers of q first) has a coefficient of
+    magnitude >= beta: write D = (t - beta)*g with g integral (t - beta is
+    monic) and let g_j be the lowest nonzero coefficient of g; then
+    D_j = -beta*g_j.
+    Every coefficient of D is at most qmax*bmax*n + amax in magnitude, where
+    n = min(len(quot), len(b)) bounds the products summed into one term of
+    quot*b; below 2^L that forces D = 0."""
+    return qmax * bmax * n + amax < 1 << L
+
+
 def _div_blocked(a: Poly, b: Poly) -> Poly | None:
     ba = _block_map(a)
     bb = _block_map(b)
@@ -711,13 +765,18 @@ def _div_blocked(a: Poly, b: Poly) -> Poly | None:
         return None
     amax, _ = a._coeff_stats()
     bmax, _ = b._coeff_stats()
-    L0 = ((amax.bit_length() + bmax.bit_length() + 40) + 7) & ~7
+    # first width: room for a's and b's coefficients (_pack_coeffs needs
+    # |c| < 2^L) plus len(a) bits; on Bareiss steps the quotients fit and
+    # _quotient_certified holds at once, and wider widths are retries
+    L0 = (max(amax, bmax).bit_length() + len(a._t).bit_length() + 2 + 7) & ~7
     for L in (L0, 2 * L0, 4 * L0):
         try:
             quot = _div_blocked_at(a, ba, bb, L)
         except _RetryDivision:
             continue
-        if quot * b == a:
+        qmax, _ = quot._coeff_stats()
+        n = min(len(quot._t), len(b._t))
+        if _quotient_certified(qmax, bmax, n, amax, L) or quot * b == a:
             return quot
     return None  # caller falls back to the naive path
 

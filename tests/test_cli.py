@@ -280,6 +280,19 @@ def test_tables_golden_mismatch_reported(capsys, monkeypatch):
     assert "golden mismatch" in out
 
 
+def test_tables_missing_golden_file_is_a_mismatch(capsys, monkeypatch):
+    from qfib import cli
+
+    real = cli._golden_lines
+    monkeypatch.setattr(cli, "_golden_lines", lambda name: real("no_such_" + name))
+    code, out, _ = run(capsys, "tables", "det-table", "--max-k", "2")
+    assert code == EXIT_VERIFY_FAIL
+    assert "golden file det_table.txt missing" in out
+    code, out, _ = run(capsys, "tables", "fibonomial-triangle", "--rows", "3")
+    assert code == EXIT_VERIFY_FAIL
+    assert "golden file fibonomial_triangle.txt missing" in out
+
+
 def test_tables_triangle_budget(capsys):
     code, _, _ = run(capsys, "tables", "fibonomial-triangle", "--rows", "13")
     assert code == EXIT_OVER_BUDGET

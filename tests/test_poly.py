@@ -19,10 +19,15 @@ from qfib.poly import (
     exact_div,
     monomial,
     parse,
+    _block_map,
     _div_blocked,
+    _div_blocked_at,
     _div_naive,
     _mul_blocked,
     _mul_naive,
+    _pack_coeffs,
+    _quotient_certified,
+    _unpack_signed,
 )
 
 
@@ -165,6 +170,13 @@ def test_int_coercion_and_equality():
     assert 3 * X == X + X + X
     assert (X - X) == 0
     assert X != Q
+
+
+def test_non_int_coefficients_rejected():
+    for bad in (1.5, 2.0, Fraction(1, 2), "3", True):
+        with pytest.raises(TypeError):
+            Poly({(0, 0, 0, 0): bad})
+    assert Poly({(0, 0, 0, 0): 3, (1, 0, 0, 0): 0}) == Poly(3)
 
 
 def test_exponent_limit_guard():
@@ -316,8 +328,6 @@ def test_exact_div_laurent_divisor_ordinary_quotient():
 
 def test_q_sparse_polys_fall_back_to_naive():
     # huge q gaps make dense packing wasteful; the fast paths must decline
-    from qfib.poly import _block_map
-
     rng = random.Random(59)
     d = {(i % 3, 0, i * 900, 0): rng.randint(1, 9) for i in range(60)}
     a = Poly(d)
@@ -335,5 +345,109 @@ def test_exact_div_dispatch_large_dividend():
     prod = quot * den
     assert len(prod) > 400
     assert exact_div(prod, den) == quot
+    for bump in (ONE, Q**5 * S**3, -(X**2) * Q):
+        with pytest.raises(NotDivisible):
+            exact_div(prod + bump, den)
+
+
+# ------------------------------------------------- blocked-engine kernels
+
+
+def _strip(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def test_pack_unpack_roundtrip_at_digit_extremes():
+    rng = random.Random(61)
+    for L in (8, 16, 24, 64, 136):
+        lo, hi = -(1 << (L - 1)), (1 << (L - 1)) - 1
+        blocks = [
+            [lo],
+            [hi],
+            [lo, hi, lo, hi],
+            [hi, lo, 0, 0, lo],
+            [-1, lo, 1],  # 2^(2L-1) - 1: the top digit needs the carry
+            [1, hi, -1],
+            [lo] * 9,
+            [-1] * 7,
+            [0, 0, hi, 0],
+            [rng.randint(lo, -1) for _ in range(40)],
+            [rng.randint(lo, hi) for _ in range(60)],
+            [rng.choice((lo, hi, 0, -1, 1)) for _ in range(50)],
+            [rng.randint(0, hi) for _ in range(30)],
+        ]
+        for cs in blocks:
+            packed = _pack_coeffs(cs, L)
+            assert packed == sum(c << (L * i) for i, c in enumerate(cs))
+            assert _unpack_signed(packed, L) == _strip(cs)
+    assert _unpack_signed(0, 16) == []
+
+
+def test_pack_coeffs_full_limb_magnitudes():
+    # the packer accepts |c| < 2^L, wider than the balanced digit range
+    for L in (8, 32):
+        top = (1 << L) - 1
+        for cs in ([top, -top, top], [-top, 0, -top], [top] * 4):
+            assert _pack_coeffs(cs, L) == sum(c << (L * i) for i, c in enumerate(cs))
+
+
+def test_blocked_square_matches_naive():
+    rng = random.Random(67)
+    for _ in range(40):
+        a = rand_poly(rng, rng.randint(50, 120), exp_lo=-4, exp_hi=8, cmax=10**6)
+        want = _mul_naive(a._t, a._t)
+        assert _mul_blocked(a, a) == want
+        assert a**2 == want
+    # all-negative coefficients in a single block
+    b = Poly({(0, 0, e, 0): -(e + 1) for e in range(80)})
+    assert _mul_blocked(b, b) == _mul_naive(b._t, b._t)
+
+
+def test_quotient_certificate_rejects_equality():
+    L = 16
+    # qmax*bmax*n + amax equal to 2^L must not certify; one less must
+    assert not _quotient_certified(1 << 7, 1 << 7, 2, 1 << 15, L)
+    assert _quotient_certified(1 << 7, 1 << 7, 2, (1 << 15) - 1, L)
+    assert not _quotient_certified(1, 1, 1, (1 << L) - 1, L)
+    assert _quotient_certified(1, 1, 1, (1 << L) - 2, L)
+
+
+def test_quotient_certificate_bound_is_tight():
+    # a = b - (2^L - q): the error D = quot*b - a = 2^L - q is nonzero but
+    # vanishes at q = 2^L, so the blocked division at width L returns the
+    # wrong quotient 1, and qmax*bmax*n + amax is exactly 2^L
+    L = 16
+    b = X + 1
+    a = b - (Poly(1 << L) - Q)
+    got = _div_blocked_at(a, _block_map(a), _block_map(b), L)
+    assert got == ONE and got * b != a
+    amax = max(abs(c) for _, c in a.terms())
+    assert 1 * 1 * 1 + amax == 1 << L
+    assert not _quotient_certified(1, 1, min(len(got), len(b)), amax, L)
     with pytest.raises(NotDivisible):
-        exact_div(prod + ONE, den)
+        _div_blocked(a, b)
+
+
+def test_blocked_div_widens_when_quotient_outgrows_dividend(monkeypatch):
+    import qfib.poly as poly
+
+    # (1 - q^30)^10 / (1 - q)^10 = (1 + q + ... + q^29)^10: the dividend's
+    # coefficients fit in 8 bits, the quotient's need 43
+    b = (ONE - Q) ** 10 * (X + S)
+    a = (ONE - Q**30) ** 10 * (X + S)
+    widths = []
+    real = poly._div_blocked_at
+
+    def spy(a_, ba, bb, L):
+        widths.append(L)
+        return real(a_, ba, bb, L)
+
+    monkeypatch.setattr(poly, "_div_blocked_at", spy)
+    got = _div_blocked(a, b)
+    assert len(widths) >= 2
+    assert got == _div_naive(a, b)
+    assert got * b == a
+
