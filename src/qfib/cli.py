@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
@@ -29,22 +28,6 @@ DET_TABLE_DEFAULT_MAX_K = 4
 DET_TABLE_SLOW_MAX_K = 5
 TRIANGLE_MAX_ROWS = 12
 HOGGATT_MAX_N = 6
-
-
-@dataclass
-class RunConfig:
-    """A verify invocation: which identities over which parameter ranges."""
-
-    command: str
-    ids: list
-    ranges: dict = field(default_factory=dict)
-    max_k: int | None = None
-    max_ell: int | None = None
-    fit: bool = False
-    fit_ok: bool = False
-    workers: int = 1
-    format: str = "text"
-    out: str | None = None
 
 
 class _UsageError(Exception):
@@ -145,7 +128,7 @@ def _coeff_value(kind: str, params: list[int], shift: int, ell: int):
             e = ell
         else:
             raise _UsageError("coeff fibonomial-ell needs: k j ell")
-        return qcomb.fibonomial_ell(k, j, e)
+        return qcomb.fibonomial(k, j, e)
     if kind == "fac":
         if len(params) != 1:
             raise _UsageError("coeff fac needs: n (plus --shift/--ell)")
@@ -197,8 +180,17 @@ def _report_text(report: harness.VerificationReport) -> str:
     return "\n".join(lines)
 
 
-def run_verify(config: RunConfig) -> tuple[harness.VerificationReport, str]:
-    ids = list(config.ids)
+def run_verify(args) -> tuple[harness.VerificationReport, str]:
+    """Sweep the identities a parsed `verify` command names; return the
+    report and its text in the requested format."""
+    ranges = {}
+    for name in ("n", "k", "ell", "m", "N"):
+        raw = getattr(args, f"range_{name}")
+        if raw is not None:
+            ranges[name] = _parse_range(raw)
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    ids = list(args.ids)
     if ids == ["all"]:
         ids = list(harness.CATALOG)
     for id in ids:
@@ -210,19 +202,17 @@ def run_verify(config: RunConfig) -> tuple[harness.VerificationReport, str]:
         overrides = {}
         for p in entry.params:
             spec = entry.grid_spec[p]
-            if p in config.ranges:
-                spec = config.ranges[p]
+            if p in ranges:
+                spec = ranges[p]
             if p == "k":
-                spec = _clip(spec, config.max_k)
+                spec = _clip(spec, args.max_k)
             elif p == "ell":
-                spec = _clip(spec, config.max_ell)
+                spec = _clip(spec, args.max_ell)
             overrides[p] = spec
-        rep = harness.sweep(
-            [id], overrides=overrides, fit=config.fit, workers=config.workers
-        )
+        rep = harness.sweep([id], overrides=overrides, fit=args.fit, workers=args.jobs)
         report_cells.extend(rep.cells)
     report = harness.VerificationReport(report_cells)
-    if config.format == "json":
+    if args.format == "json":
         text = json.dumps(report.to_json_dict("verify"), indent=2, sort_keys=True)
     else:
         text = _report_text(report)
@@ -230,24 +220,7 @@ def run_verify(config: RunConfig) -> tuple[harness.VerificationReport, str]:
 
 
 def _cmd_verify(args) -> int:
-    ranges = {}
-    for name in ("n", "k", "ell", "m", "N"):
-        raw = getattr(args, f"range_{name}")
-        if raw is not None:
-            ranges[name] = _parse_range(raw)
-    config = RunConfig(
-        command="verify",
-        ids=args.ids,
-        ranges=ranges,
-        max_k=args.max_k,
-        max_ell=args.max_ell,
-        fit=args.fit,
-        fit_ok=args.fit_ok,
-        workers=args.jobs,
-        format=args.format,
-        out=args.out,
-    )
-    report, text = run_verify(config)
+    report, text = run_verify(args)
     _emit(text, args.out)
     return EXIT_OK if report.all_pass(fit_ok=args.fit_ok) else EXIT_VERIFY_FAIL
 
@@ -291,7 +264,9 @@ def _cmd_tables(args) -> int:
             want = dict(line.split("\t", 1) for line in golden)
             for k in range(1, max_k + 1):
                 exp = want.get(str(k))
-                if exp is not None and exp != rows[str(k)]:
+                if exp is None:
+                    mismatches.append(f"det-table k={k}: golden row missing")
+                elif exp != rows[str(k)]:
                     mismatches.append(f"det-table k={k}: golden mismatch")
     elif kind == "fibonomial-triangle":
         rows_n = args.rows

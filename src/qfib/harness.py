@@ -8,10 +8,19 @@ of the *other* denominators, and the common numerator is multiplied back in
 only when the sum is nonzero (when the sum vanishes the product does too,
 so the returned residual is the fully cleared form either way).
 
-Determinant identities also expose their two sides (determinant side,
-closed-form side) so the monomial fitter can recover a correction factor
-when a closed form's prefactor is in doubt; entries flagged fit_default attempt
-the fit automatically whenever a sweep enables fitting.
+Two-sided identities (the determinant families and Euler-Cassini) are
+registered by their sides alone, e.g. (determinant side, closed-form side);
+their residual is lhs - rhs.  A sweep builds the two sides once per cell and,
+when the residual is nonzero, hands the same pair to the monomial fitter,
+which recovers a correction factor when a closed form's prefactor is in
+doubt; entries flagged fit_default attempt the fit even when the sweep
+does not ask for fitting.
+
+Each family has one builder.  A classical or ell = 1 identity that the
+paper states separately (conj1_f, conj3, det_power_classical) is a binding
+of its stride-ell family at ell = 1; the hand-simplified special cases
+(q_cassini, det_sq_q, conj4_k1, ...) keep their own closed forms, so each
+is an independent check of its family's general closed form.
 
 All prefactor exponents that are written with fractional bases are
 accumulated as exact rationals and asserted integral before any monomial is
@@ -21,21 +30,16 @@ rounding.
 
 from __future__ import annotations
 
+import os
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
 from .matrices import PolyMatrix
 from .poly import ONE, Poly, ZERO, monomial
-from .qcomb import (
-    Fac,
-    binom_product,
-    fac,
-    fibonomial,
-    qfibonomial_ell_parts,
-    qfibonomial_parts,
-)
+from .qcomb import Fac, _prod, binom_product, fac, fibonomial, qfibonomial_parts
 from .sequences import TruncatedSeries, fib, gf_truncated, lucas, qfib, transform_T
 
 __all__ = [
@@ -80,13 +84,6 @@ def _int_exp(value: Fraction) -> int:
     return value.numerator
 
 
-def _prod(polys) -> Poly:
-    total = ONE
-    for p in polys:
-        total = total * p
-    return total
-
-
 def _cleared_sum(num: Poly, dens: list[Poly], coeffs: list[Poly], tails: list[Poly]) -> Poly:
     """sum_j coeffs[j] * (num / dens[j]) * tails[j], multiplied through by
     prod(dens); the common numerator is folded in only when needed."""
@@ -127,27 +124,13 @@ def squares_classical(n: int) -> Poly:
     return Poly(vals[0] ** 2 - 2 * vals[1] ** 2 - 2 * vals[2] ** 2 + vals[3] ** 2)
 
 
-def _conj1_terms(n: int, k: int) -> tuple[Poly, list[Poly], list[Poly], list[Poly]]:
-    if k < 1:
-        raise BadParams("conj1_f needs k >= 1")
-    kk = k + 1
-    num, _ = qfibonomial_parts(kk, 0)
-    dens = [qfibonomial_parts(kk, j)[1] for j in range(kk + 1)]
-    coeffs = []
-    tails = []
-    for j in range(kk + 1):
-        qexp = _int_exp(Fraction(j * (j - 1) * (2 * j - 1), 6))
-        coeffs.append(
-            monomial(_sign(j * (j + 1) // 2), es=j * (j - 1) // 2, eq=qexp)
-        )
-        tails.append(qfib(n - j, shift=j) ** k)
-    return num, dens, coeffs, tails
-
-
 def conj1_f(n: int, k: int) -> Poly:
     """Power recurrence for q-Fibonacci polynomials with shifted arguments
-    f(n-j, x, q^j s)^k and q-fibonomial coefficients, denominators cleared."""
-    return _cleared_sum(*_conj1_terms(n, k))
+    f(n-j, x, q^j s)^k and q-fibonomial coefficients, denominators cleared:
+    the ell = 1 case of conj2."""
+    if k < 1:
+        raise BadParams("conj1_f needs k >= 1")
+    return conj2(n, k, 1)
 
 
 def conj1_fibo(n: int, k: int) -> Poly:
@@ -156,16 +139,11 @@ def conj1_fibo(n: int, k: int) -> Poly:
     return transform_T(conj1_f(n, k), n)
 
 
-def euler_cassini(n: int, k: int) -> Poly:
+def _euler_cassini_sides(n: int, k: int) -> tuple[Poly, Poly]:
     """q-Euler-Cassini: f(k-1,qs) f(n+k,s) - f(k,s) f(n+k-1,qs)
-    - (-1)^k q^C(k,2) s^(k-1) f(n, q^k s)."""
+    = (-1)^k q^C(k,2) s^(k-1) f(n, q^k s)."""
     if k < 1:
         raise BadParams("euler_cassini needs k >= 1")
-    lhs, rhs = _euler_cassini_sides(n, k)
-    return lhs - rhs
-
-
-def _euler_cassini_sides(n: int, k: int) -> tuple[Poly, Poly]:
     lhs = qfib(k - 1, shift=1) * qfib(n + k) - qfib(k) * qfib(n + k - 1, shift=1)
     rhs = monomial(_sign(k), es=k - 1, eq=k * (k - 1) // 2) * qfib(n, shift=k)
     return lhs, rhs
@@ -182,12 +160,14 @@ def basis_decomp(n: int, k: int) -> Poly:
     )
 
 
-def _conj2_terms(n: int, k: int, ell: int):
+def conj2(n: int, k: int, ell: int) -> Poly:
+    """Stride-ell power recurrence on the subsequence f(ell*n), with
+    stride-ell q-fibonomial coefficients; denominators cleared."""
     if k < 1 or ell < 1:
         raise BadParams("conj2 needs k >= 1 and ell >= 1")
     kk = k + 1
-    num, _ = qfibonomial_ell_parts(kk, 0, ell)
-    dens = [qfibonomial_ell_parts(kk, j, ell)[1] for j in range(kk + 1)]
+    num, _ = qfibonomial_parts(kk, 0, ell)
+    dens = [qfibonomial_parts(kk, j, ell)[1] for j in range(kk + 1)]
     coeffs = []
     tails = []
     for j in range(kk + 1):
@@ -195,13 +175,7 @@ def _conj2_terms(n: int, k: int, ell: int):
         qexp = _int_exp(Fraction(ell * cj2 * ((4 * j + 1) * ell - 3), 6))
         coeffs.append(monomial(_sign(j + ell * cj2), es=ell * cj2, eq=qexp))
         tails.append(qfib(ell * (n - j), shift=ell * j) ** k)
-    return num, dens, coeffs, tails
-
-
-def conj2(n: int, k: int, ell: int) -> Poly:
-    """Stride-ell power recurrence on the subsequence f(ell*n), with
-    stride-ell q-fibonomial coefficients; denominators cleared."""
-    return _cleared_sum(*_conj2_terms(n, k, ell))
+    return _cleared_sum(num, dens, coeffs, tails)
 
 
 def _threeterm_ell_terms(n: int, ell: int) -> tuple[Poly, Poly, Poly]:
@@ -239,6 +213,8 @@ def threeterm_classical(n: int, ell: int) -> Poly:
 
 
 def _gen_cassini_sides(N: int, m: int, ell: int) -> tuple[Poly, Poly]:
+    """Generalized two-row Cassini determinant for strided, shifted
+    q-Fibonacci values and its closed form."""
     if ell < 1 or m < 0:
         raise BadParams("gen_cassini needs ell >= 1 and m >= 0")
     det = PolyMatrix(
@@ -252,13 +228,6 @@ def _gen_cassini_sides(N: int, m: int, ell: int) -> tuple[Poly, Poly]:
         N, shift=(m + 1) * ell
     )
     return det, closed
-
-
-def gen_cassini(N: int, m: int, ell: int) -> Poly:
-    """Generalized two-row Cassini determinant for strided, shifted
-    q-Fibonacci values minus its closed form."""
-    det, closed = _gen_cassini_sides(N, m, ell)
-    return det - closed
 
 
 def gf_limit(k: int, s_order: int = 8, q_order: int = 12) -> TruncatedSeries:
@@ -304,98 +273,56 @@ def conj2_k2(n: int, ell: int) -> Poly:
     return t0 + t1 + t2 + t3
 
 
+def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
+    """det(f(ell(n+i-j), q^(ell j) s)^k) over 0 <= i, j <= k, or
+    det(F(ell(n+i-j))^k) when classical."""
+
+    def entry(i, j):
+        m = ell * (n + i - j)
+        return (fib(m) if classical else qfib(m, shift=ell * j)) ** k
+
+    return PolyMatrix([[entry(i, j) for j in range(k + 1)] for i in range(k + 1)]).det()
+
+
 def _cassini_classical_sides(n: int) -> tuple[Poly, Poly]:
-    det = PolyMatrix([[fib(n), fib(n - 1)], [fib(n + 1), fib(n)]]).det()
-    return det, monomial(_sign(n - 1), es=n - 1)
-
-
-def cassini_classical(n: int) -> Poly:
     """Cassini with the s generalization: det = (-1)^(n-1) s^(n-1)."""
-    det, closed = _cassini_classical_sides(n)
-    return det - closed
+    return _power_det(n, 1, classical=True), monomial(_sign(n - 1), es=n - 1)
 
 
 def _det_power_classical_sides(n: int, k: int) -> tuple[Poly, Poly]:
+    """det(F(n+i-j)^k) and its product closed form: det_classical_ell at
+    ell = 1."""
     if k < 1:
         raise BadParams("det_power_classical needs k >= 1")
-    det = PolyMatrix(
-        [[fib(n + i - j) ** k for j in range(k + 1)] for i in range(k + 1)]
-    ).det()
-    ck2 = k * (k + 1) // 2
-    closed = monomial(
-        _sign(ck2 * (n - k)) * binom_product(k),
-        es=ck2 * (n - k) + 2 * comb(k + 1, 3),
-    ) * _prod(Fac(k - j) ** 2 for j in range(k))
-    return det, closed
-
-
-def det_power_classical(n: int, k: int) -> Poly:
-    """det(F(n+i-j)^k) minus its product closed form."""
-    det, closed = _det_power_classical_sides(n, k)
-    return det - closed
+    return _det_classical_ell_sides(n, k, 1)
 
 
 def _q_cassini_sides(n: int) -> tuple[Poly, Poly]:
-    det = PolyMatrix(
-        [[qfib(n), qfib(n - 1, shift=1)], [qfib(n + 1), qfib(n, shift=1)]]
-    ).det()
-    return det, monomial(_sign(n - 1), es=n - 1, eq=n * (n - 1) // 2)
-
-
-def q_cassini(n: int) -> Poly:
     """q-Cassini: d(n, s) = (-1)^(n-1) q^C(n,2) s^(n-1)."""
-    det, closed = _q_cassini_sides(n)
-    return det - closed
+    return _power_det(n, 1), monomial(_sign(n - 1), es=n - 1, eq=n * (n - 1) // 2)
 
 
 def _det_sq_q_sides(n: int) -> tuple[Poly, Poly]:
-    det = PolyMatrix(
-        [[qfib(n + i - j, shift=j) ** 2 for j in range(3)] for i in range(3)]
-    ).det()
-    qexp = _int_exp(Fraction((n + 1) * (3 * n - 4), 2))
-    closed = monomial(2 * _sign(n), ex=2, es=3 * n - 4, eq=qexp)
-    return det, closed
-
-
-def det_sq_q(n: int) -> Poly:
-    """3x3 determinant of squared shifted q-Fibonacci values minus
+    """3x3 determinant of squared shifted q-Fibonacci values and
     2 (-1)^n x^2 s^(3n-4) q^((n+1)(3n-4)/2)."""
-    det, closed = _det_sq_q_sides(n)
-    return det - closed
+    det = _power_det(n, 2)
+    qexp = _int_exp(Fraction((n + 1) * (3 * n - 4), 2))
+    return det, monomial(2 * _sign(n), ex=2, es=3 * n - 4, eq=qexp)
 
 
 def _conj3_sides(n: int, k: int) -> tuple[Poly, Poly]:
+    """det(f(n+i-j, q^j s)^k) and the conjectured product closed form:
+    conj4 at ell = 1."""
     if k < 1:
         raise BadParams("conj3 needs k >= 1")
-    det = PolyMatrix(
-        [[qfib(n + i - j, shift=j) ** k for j in range(k + 1)] for i in range(k + 1)]
-    ).det()
-    ck2 = k * (k + 1) // 2
-    e = ck2 * (n - k) + 2 * comb(k + 1, 3)
-    qexp = _int_exp(Fraction((n + k - 1) * e, 2))
-    closed = (
-        monomial(_sign(ck2 * (n - k)) * binom_product(k), es=e, eq=qexp)
-        * _prod(fac(k - j, shift=j) for j in range(k))
-        * _prod(fac(k - j, shift=n + j) for j in range(k))
-    )
-    return det, closed
-
-
-def conj3(n: int, k: int) -> Poly:
-    """det(f(n+i-j, q^j s)^k) minus the conjectured product closed form."""
-    det, closed = _conj3_sides(n, k)
-    return det - closed
+    return _conj4_sides(n, k, 1)
 
 
 def _conj4_sides(n: int, k: int, ell: int) -> tuple[Poly, Poly]:
+    """Stride-ell version of the shifted power determinant identity."""
     if k < 1 or ell < 1:
         raise BadParams("conj4 needs k >= 1 and ell >= 1")
-    det = PolyMatrix(
-        [
-            [qfib(ell * (n + i - j), shift=ell * j) ** k for j in range(k + 1)]
-            for i in range(k + 1)
-        ]
-    ).det()
+    det = _power_det(n, k, ell)
     ck2 = k * (k + 1) // 2
     e = ck2 * (n - k) + 2 * comb(k + 1, 3)
     qexp = _int_exp(Fraction((ell * (n + k) - 1) * ell * e, 2))
@@ -407,42 +334,22 @@ def _conj4_sides(n: int, k: int, ell: int) -> tuple[Poly, Poly]:
     return det, closed
 
 
-def conj4(n: int, k: int, ell: int) -> Poly:
-    """Stride-ell version of the shifted power determinant identity."""
-    det, closed = _conj4_sides(n, k, ell)
-    return det - closed
-
-
 def _conj4_k1_sides(n: int, ell: int) -> tuple[Poly, Poly]:
+    """Simplest stride-ell determinant case (k = 1)."""
     if ell < 1:
         raise BadParams("conj4_k1 needs ell >= 1")
-    det = PolyMatrix(
-        [
-            [qfib(n * ell), qfib((n - 1) * ell, shift=ell)],
-            [qfib((n + 1) * ell), qfib(n * ell, shift=ell)],
-        ]
-    ).det()
+    det = _power_det(n, 1, ell)
     e = (n - 1) * ell
     qexp = _int_exp(Fraction((ell * (n + 1) - 1) * e, 2))
     closed = monomial(_sign(e), es=e, eq=qexp) * qfib(ell) * qfib(ell, shift=n * ell)
     return det, closed
 
 
-def conj4_k1(n: int, ell: int) -> Poly:
-    """Simplest stride-ell determinant case (k = 1)."""
-    det, closed = _conj4_k1_sides(n, ell)
-    return det - closed
-
-
 def _conj4_k2_sides(n: int, ell: int) -> tuple[Poly, Poly]:
+    """The 3x3 stride-ell squared determinant case (k = 2)."""
     if ell < 1:
         raise BadParams("conj4_k2 needs ell >= 1")
-    det = PolyMatrix(
-        [
-            [qfib(ell * (n + i - j), shift=ell * j) ** 2 for j in range(3)]
-            for i in range(3)
-        ]
-    ).det()
+    det = _power_det(n, 2, ell)
     e = ell * (3 * n - 4)
     qexp = _int_exp(Fraction((ell * (n + 2) - 1) * e, 2))
     closed = (
@@ -457,21 +364,11 @@ def _conj4_k2_sides(n: int, ell: int) -> tuple[Poly, Poly]:
     return det, closed
 
 
-def conj4_k2(n: int, ell: int) -> Poly:
-    """The 3x3 stride-ell squared determinant case (k = 2)."""
-    det, closed = _conj4_k2_sides(n, ell)
-    return det - closed
-
-
 def _det_classical_ell_sides(n: int, k: int, ell: int) -> tuple[Poly, Poly]:
+    """q = 1 stride-ell power determinant and its closed form."""
     if k < 1 or ell < 1:
         raise BadParams("det_classical_ell needs k >= 1 and ell >= 1")
-    det = PolyMatrix(
-        [
-            [fib(ell * (n + i - j)) ** k for j in range(k + 1)]
-            for i in range(k + 1)
-        ]
-    ).det()
+    det = _power_det(n, k, ell, classical=True)
     ck2 = k * (k + 1) // 2
     e = ck2 * (n - k) + 2 * comb(k + 1, 3)
     closed = monomial(
@@ -480,23 +377,12 @@ def _det_classical_ell_sides(n: int, k: int, ell: int) -> tuple[Poly, Poly]:
     return det, closed
 
 
-def det_classical_ell(n: int, k: int, ell: int) -> Poly:
-    """q = 1 stride-ell power determinant minus its closed form."""
-    det, closed = _det_classical_ell_sides(n, k, ell)
-    return det - closed
-
-
 def det_table(max_k: int) -> dict[int, Poly]:
     """The shifted power determinants det(f(k+i-j, q^j s)^k) at n = k,
     keyed by k = 1..max_k."""
     if max_k < 1:
         raise BadParams("det_table needs max_k >= 1")
-    out = {}
-    for k in range(1, max_k + 1):
-        out[k] = PolyMatrix(
-            [[qfib(k + i - j, shift=j) ** k for j in range(k + 1)] for i in range(k + 1)]
-        ).det()
-    return out
+    return {k: _power_det(k, k) for k in range(1, max_k + 1)}
 
 
 # --------------------------------------------------------------------------
@@ -552,10 +438,10 @@ def fit_monomial_correction(lhs: Poly, rhs: Poly) -> MonomialCorrection:
 class IdentityEntry:
     id: str
     params: tuple[str, ...]
-    builder: object
+    builder: Callable  # residual; derived as lhs - rhs when sides is set
     grid_spec: dict
-    valid: object = None
-    sides: object = None
+    valid: Callable | None = None
+    sides: Callable | None = None
     fit_default: bool = False
     summary: str = ""
 
@@ -574,7 +460,19 @@ class IdentityEntry:
         return cells
 
 
-def _entry(id, params, builder, grid, valid=None, sides=None, fit_default=False, summary=""):
+def _residual_of(sides):
+    """The residual builder lhs - rhs of a two-sided identity."""
+
+    def builder(**params):
+        lhs, rhs = sides(**params)
+        return lhs - rhs
+
+    return builder
+
+
+def _entry(id, params, grid, builder=None, valid=None, sides=None, fit_default=False, summary=""):
+    if builder is None:
+        builder = _residual_of(sides)
     return IdentityEntry(id, params, builder, grid, valid, sides, fit_default, summary)
 
 
@@ -584,36 +482,35 @@ CATALOG: dict[str, IdentityEntry] = {
         _entry(
             "power_rec_classical",
             ("k", "n"),
-            power_rec_classical,
             {"k": (1, 4), "n": (3, 12)},
+            builder=power_rec_classical,
             valid=lambda k, n: n >= k + 2,
             summary="power recurrence for F(n)^k",
         ),
         _entry(
             "squares_classical",
             ("n",),
-            squares_classical,
             {"n": (3, 30)},
+            builder=squares_classical,
             summary="Fibonacci squares recurrence at x=s=1",
         ),
         _entry(
             "conj1_f",
             ("k", "n"),
-            conj1_f,
             {"k": (2, 3), "n": (-3, 8)},
+            builder=conj1_f,
             summary="q power recurrence, shifted arguments",
         ),
         _entry(
             "conj1_fibo",
             ("k", "n"),
-            conj1_fibo,
             {"k": (2, 3), "n": (-3, 8)},
+            builder=conj1_fibo,
             summary="q power recurrence, plain arguments (transform image)",
         ),
         _entry(
             "euler_cassini",
             ("k", "n"),
-            euler_cassini,
             {"k": (1, 6), "n": (-4, 8)},
             sides=_euler_cassini_sides,
             summary="q-Euler-Cassini two-product identity",
@@ -621,35 +518,34 @@ CATALOG: dict[str, IdentityEntry] = {
         _entry(
             "basis_decomp",
             ("k", "n"),
-            basis_decomp,
             {"k": (1, 6), "n": (-4, 8)},
+            builder=basis_decomp,
             summary="f(n-k, q^k s) in the f(n), f(n-1, qs) basis",
         ),
         _entry(
             "conj2",
             ("k", "ell", "n"),
-            conj2,
             {"k": (1, 2), "ell": (1, 3), "n": (3, 7)},
+            builder=conj2,
             summary="stride-ell q power recurrence",
         ),
         _entry(
             "threeterm_ell",
             ("ell", "n"),
-            threeterm_ell,
             {"ell": (1, 4), "n": (3, 8)},
+            builder=threeterm_ell,
             summary="three-term recurrence for f(ell n)",
         ),
         _entry(
             "threeterm_classical",
             ("ell", "n"),
-            threeterm_classical,
             {"ell": (1, 4), "n": (3, 8)},
+            builder=threeterm_classical,
             summary="classical three-term recurrence for F(ell n)",
         ),
         _entry(
             "gen_cassini",
             ("N", "ell", "m"),
-            gen_cassini,
             {"N": (-3, 6), "ell": (1, 3), "m": (0, 3)},
             sides=_gen_cassini_sides,
             summary="generalized strided Cassini determinant",
@@ -657,21 +553,20 @@ CATALOG: dict[str, IdentityEntry] = {
         _entry(
             "gf_limit",
             ("k",),
-            gf_limit,
             {"k": (1, 4)},
+            builder=gf_limit,
             summary="limit Euler-Cassini identity for F(s) mod (s^8, q^12)",
         ),
         _entry(
             "conj2_k2",
             ("ell", "n"),
-            conj2_k2,
             {"ell": (1, 3), "n": (4, 7)},
+            builder=conj2_k2,
             summary="k=2 case of the stride-ell power recurrence",
         ),
         _entry(
             "cassini_classical",
             ("n",),
-            cassini_classical,
             {"n": (1, 10)},
             sides=_cassini_classical_sides,
             summary="Cassini determinant with s generalization",
@@ -679,7 +574,6 @@ CATALOG: dict[str, IdentityEntry] = {
         _entry(
             "det_power_classical",
             ("k", "n"),
-            det_power_classical,
             {"k": (1, 2), "n": (1, 6)},
             valid=lambda k, n: n >= k,
             sides=_det_power_classical_sides,
@@ -688,7 +582,6 @@ CATALOG: dict[str, IdentityEntry] = {
         _entry(
             "q_cassini",
             ("n",),
-            q_cassini,
             {"n": (1, 12)},
             sides=_q_cassini_sides,
             summary="q-Cassini determinant",
@@ -696,7 +589,6 @@ CATALOG: dict[str, IdentityEntry] = {
         _entry(
             "det_sq_q",
             ("n",),
-            det_sq_q,
             {"n": (2, 8)},
             sides=_det_sq_q_sides,
             summary="3x3 squared q determinant closed form",
@@ -704,7 +596,6 @@ CATALOG: dict[str, IdentityEntry] = {
         _entry(
             "conj3",
             ("k", "n"),
-            conj3,
             {"k": (1, 2), "n": (1, 6)},
             valid=lambda k, n: n >= k,
             sides=_conj3_sides,
@@ -714,7 +605,6 @@ CATALOG: dict[str, IdentityEntry] = {
         _entry(
             "conj4",
             ("ell", "k", "n"),
-            conj4,
             {"ell": (1, 2), "k": (1, 2), "n": (1, 5)},
             valid=lambda ell, k, n: n >= k,
             sides=_conj4_sides,
@@ -724,7 +614,6 @@ CATALOG: dict[str, IdentityEntry] = {
         _entry(
             "conj4_k1",
             ("ell", "n"),
-            conj4_k1,
             {"ell": (1, 3), "n": (1, 6)},
             sides=_conj4_k1_sides,
             summary="stride-ell determinant, k=1 case",
@@ -732,7 +621,6 @@ CATALOG: dict[str, IdentityEntry] = {
         _entry(
             "conj4_k2",
             ("ell", "n"),
-            conj4_k2,
             {"ell": (1, 2), "n": (2, 5)},
             sides=_conj4_k2_sides,
             summary="stride-ell determinant, k=2 case",
@@ -740,7 +628,6 @@ CATALOG: dict[str, IdentityEntry] = {
         _entry(
             "det_classical_ell",
             ("ell", "k", "n"),
-            det_classical_ell,
             {"ell": (1, 2), "k": (1, 2), "n": (1, 5)},
             valid=lambda ell, k, n: n >= k,
             sides=_det_classical_ell_sides,
@@ -851,8 +738,13 @@ def _run_cell(task) -> CellResult:
     id, params, fit = task
     entry = CATALOG[id]
     start = time.perf_counter()
+    pair = None
     try:
-        value = entry.builder(**params)
+        if entry.sides is None:
+            value = entry.builder(**params)
+        else:
+            pair = entry.sides(**params)
+            value = pair[0] - pair[1]
         ok = value.is_zero()
     except Exception as exc:  # failures are report content, not exceptions
         ms = (time.perf_counter() - start) * 1000.0
@@ -860,10 +752,9 @@ def _run_cell(task) -> CellResult:
     if ok:
         ms = (time.perf_counter() - start) * 1000.0
         return CellResult(id, params, "pass", ms=round(ms, 3))
-    if fit and entry.sides is not None:
+    if fit and pair is not None:
         try:
-            lhs, rhs = entry.sides(**params)
-            corr = fit_monomial_correction(lhs, rhs)
+            corr = fit_monomial_correction(*pair)
             ms = (time.perf_counter() - start) * 1000.0
             return CellResult(
                 id, params, "fitted", correction=str(corr), ms=round(ms, 3)
@@ -897,7 +788,9 @@ def sweep(
         for params in entry.cells(overrides):
             tasks.append((id, params, use_fit))
     tasks.sort(key=lambda t: (t[0], tuple(sorted(t[1].items()))))
-    if workers > 1 and len(tasks) > 1:
+    # a fork-started pool forks all its workers on the first submit
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

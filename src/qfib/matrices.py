@@ -19,10 +19,10 @@ from .qcomb import fibonomial
 
 __all__ = [
     "PolyMatrix",
-    "QuadVector",
     "EntryUsesZ",
     "AlphaComponentNonzero",
     "hoggatt",
+    "matvec",
     "prodinger_eigvec",
     "verify_prodinger",
     "root_product_residual",
@@ -182,32 +182,8 @@ def hoggatt(n: int) -> PolyMatrix:
     return PolyMatrix(entries)
 
 
-class QuadVector:
-    """Column vector of extension-ring elements."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = list(entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> QuadElem:
-        return self.entries[i]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuadVector):
-            return NotImplemented
-        return self.entries == other.entries
-
-    __hash__ = None
-
-    def scale(self, factor: QuadElem) -> "QuadVector":
-        return QuadVector([factor * e for e in self.entries])
-
-
-def matvec(m: PolyMatrix, v: QuadVector) -> QuadVector:
+def matvec(m: PolyMatrix, v: list[QuadElem]) -> list[QuadElem]:
+    """m v for a column vector v of extension-ring elements."""
     if m.cols != len(v):
         raise ValueError("dimension mismatch")
     out = []
@@ -217,10 +193,10 @@ def matvec(m: PolyMatrix, v: QuadVector) -> QuadVector:
             if m[i, j]:
                 acc = acc + v[j] * m[i, j]
         out.append(acc)
-    return QuadVector(out)
+    return out
 
 
-def prodinger_eigvec(n: int, j: int) -> QuadVector:
+def prodinger_eigvec(n: int, j: int) -> list[QuadElem]:
     """Eigenvector u(n, j) of the Hoggatt matrix for the eigenvalue
     alpha^(j-1) beta^(n-j): component i is
     sum_k (-s)^(i-k) C(i-1, k-1) C(n-i, j-k) alpha^(2k-i-1)."""
@@ -236,14 +212,14 @@ def prodinger_eigvec(n: int, j: int) -> QuadVector:
             coeff = monomial(c if (i - k) % 2 == 0 else -c, es=i - k)
             acc = acc + alpha_pow(2 * k - i - 1) * coeff
         comps.append(acc)
-    return QuadVector(comps)
+    return comps
 
 
 def verify_prodinger(n: int, j: int) -> bool:
     """Check a(n) u(n,j) = alpha^(j-1) beta^(n-j) u(n,j) exactly."""
     u = prodinger_eigvec(n, j)
     lam = alpha_pow(j - 1) * alpha_pow(n - j).conj()
-    return matvec(hoggatt(n), u) == u.scale(lam)
+    return matvec(hoggatt(n), u) == [lam * e for e in u]
 
 
 def root_product_residual(k: int) -> Poly:

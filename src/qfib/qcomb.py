@@ -1,17 +1,18 @@
 """q-binomials, fibonomial coefficients, and factorial-type products.
 
-Fibonomial coefficients are ratios of Fibonacci-polynomial products; the
-classical variants are always exactly divisible and are returned as
-polynomials.  The q variants (with shifted s arguments in the denominator)
-are not guaranteed polynomial, so each comes with a *_parts function
-returning the (numerator, denominator) pair; the reduced accessor returns a
-Poly when exact division succeeds and the pair otherwise.  The verification
-harness always works with the cleared-denominator forms.
+Fibonomial coefficients are ratios of Fibonacci-polynomial products.  Each
+kind has one function whose trailing ell argument (default 1) selects the
+stride-ell variant on the subsequence F(ell*i) or f(ell*i); there are no
+separate *_ell functions.  The classical fibonomial is always exactly
+divisible and is returned as a polynomial.  The q-fibonomial (with shifted s
+arguments in the denominator) is not guaranteed polynomial, so
+qfibonomial_parts returns the (numerator, denominator) pair and qfibonomial
+returns a Poly when exact division succeeds and the pair otherwise.  The
+verification harness always works with the cleared-denominator forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .poly import ONE, NotDivisible, Poly, Z, monomial
@@ -21,16 +22,11 @@ __all__ = [
     "qbinom",
     "qbinom_theorem_residual",
     "fibonomial",
-    "fibonomial_ell",
     "qfibonomial",
     "qfibonomial_parts",
-    "qfibonomial_ell",
-    "qfibonomial_ell_parts",
-    "qfibonomial_fibo_parts",
     "fac",
     "Fac",
     "binom_product",
-    "FibonomialSpec",
 ]
 
 _QBINOM_CACHE: dict[tuple[int, int], Poly] = {}
@@ -74,82 +70,41 @@ def _prod(factors) -> Poly:
     return total
 
 
-def fibonomial(n: int, k: int) -> Poly:
-    """Classical fibonomial prod_{i<k} F(n-i) / prod_{i<=k} F(i); always a
-    polynomial in x and s."""
+def fibonomial(n: int, k: int, ell: int = 1) -> Poly:
+    """Fibonomial prod_{i<k} F((n-i) ell) / prod_{i<=k} F(i ell); always a
+    polynomial in x and s.  ell = 1 is the classical fibonomial."""
+    if ell < 1:
+        raise ValueError("fibonomial needs ell >= 1")
     if not 0 <= k <= n:
         raise ValueError("fibonomial needs 0 <= k <= n")
-    num = _prod(fib(n - i) for i in range(k))
-    den = _prod(fib(i) for i in range(1, k + 1))
+    num = _prod(fib((n - i) * ell) for i in range(k))
+    den = _prod(fib(i * ell) for i in range(1, k + 1))
     return num.exact_div(den)
 
 
-def fibonomial_ell(k: int, j: int, ell: int) -> Poly:
-    """Stride-ell fibonomial prod_{i<j} F((k-i)ell) / prod_{i<=j} F(i*ell)."""
+def qfibonomial_parts(k: int, j: int, ell: int = 1) -> tuple[Poly, Poly]:
+    """Numerator/denominator of the q-fibonomial with shifted denominators,
+    on the subsequence f(ell*i): prod_{i<=k} f(ell i) over
+    prod_{i<=j} f(ell i, q^(ell(j-i)) s) * prod_{i<=k-j} f(ell i, q^(ell j) s)."""
     if ell < 1:
-        raise ValueError("fibonomial_ell needs ell >= 1")
-    if not 0 <= j <= k:
-        raise ValueError("fibonomial_ell needs 0 <= j <= k")
-    num = _prod(fib((k - i) * ell) for i in range(j))
-    den = _prod(fib(i * ell) for i in range(1, j + 1))
-    return num.exact_div(den)
-
-
-def qfibonomial_parts(k: int, j: int) -> tuple[Poly, Poly]:
-    """Numerator/denominator of the q-fibonomial with shifted denominators:
-    prod_{i<=k} f(i) over prod_{i<=j} f(i, q^(j-i) s) * prod_{i<=k-j} f(i, q^j s)."""
+        raise ValueError("qfibonomial needs ell >= 1")
     if not 0 <= j <= k:
         raise ValueError("qfibonomial needs 0 <= j <= k")
-    num = _prod(qfib(i) for i in range(1, k + 1))
-    den = _prod(qfib(i, shift=j - i) for i in range(1, j + 1)) * _prod(
-        qfib(i, shift=j) for i in range(1, k - j + 1)
+    num = _prod(qfib(ell * i) for i in range(1, k + 1))
+    den = _prod(qfib(ell * i, shift=ell * (j - i)) for i in range(1, j + 1)) * _prod(
+        qfib(ell * i, shift=ell * j) for i in range(1, k - j + 1)
     )
     return num, den
 
 
-def qfibonomial(k: int, j: int):
+def qfibonomial(k: int, j: int, ell: int = 1):
     """Reduced q-fibonomial: a Poly when the quotient is exact, else the
     (numerator, denominator) pair."""
-    num, den = qfibonomial_parts(k, j)
+    num, den = qfibonomial_parts(k, j, ell)
     try:
         return num.exact_div(den)
     except NotDivisible:
         return num, den
-
-
-def qfibonomial_ell_parts(m: int, j: int, ell: int) -> tuple[Poly, Poly]:
-    """Stride-ell analogue of qfibonomial_parts, on the subsequence f(ell*i)."""
-    if ell < 1:
-        raise ValueError("qfibonomial_ell needs ell >= 1")
-    if not 0 <= j <= m:
-        raise ValueError("qfibonomial_ell needs 0 <= j <= m")
-    num = _prod(qfib(ell * i) for i in range(1, m + 1))
-    den = _prod(qfib(ell * i, shift=ell * (j - i)) for i in range(1, j + 1)) * _prod(
-        qfib(ell * i, shift=ell * j) for i in range(1, m - j + 1)
-    )
-    return num, den
-
-
-def qfibonomial_ell(m: int, j: int, ell: int):
-    num, den = qfibonomial_ell_parts(m, j, ell)
-    try:
-        return num.exact_div(den)
-    except NotDivisible:
-        return num, den
-
-
-def qfibonomial_fibo_parts(k: int, j: int, n: int) -> tuple[Poly, Poly]:
-    """The n-shifted fibonomial variant obtained from qfibonomial by
-    q -> 1/q, s -> q^(n-1) s:
-    prod_{i<=k} f(i, q^(n-i) s) over
-    prod_{i<=j} f(i, q^(n-j) s) * prod_{i<=k-j} f(i, q^(n-i-j) s)."""
-    if not 0 <= j <= k:
-        raise ValueError("qfibonomial_fibo needs 0 <= j <= k")
-    num = _prod(qfib(i, shift=n - i) for i in range(1, k + 1))
-    den = _prod(qfib(i, shift=n - j) for i in range(1, j + 1)) * _prod(
-        qfib(i, shift=n - i - j) for i in range(1, k - j + 1)
-    )
-    return num, den
 
 
 def fac(n: int, shift: int = 0, ell: int = 1) -> Poly:
@@ -174,37 +129,3 @@ def binom_product(k: int) -> int:
     for j in range(k + 1):
         total *= comb(k, j)
     return total
-
-
-@dataclass(frozen=True)
-class FibonomialSpec:
-    """A fibonomial coefficient request: which variant and its parameters.
-
-    variants: classical (n, k); q-conj1 (k, j); fibo-conj1 (k, j, n);
-    classical-ell (k, j, ell); q-ell (k, j, ell).
-    """
-
-    variant: str
-    n: int = 0
-    k: int = 0
-    j: int = 0
-    ell: int = 1
-
-    def value(self):
-        """Poly for the always-polynomial variants; Poly-or-(num, den) pair
-        for the q variants."""
-        if self.variant == "classical":
-            return fibonomial(self.n, self.k)
-        if self.variant == "q-conj1":
-            return qfibonomial(self.k, self.j)
-        if self.variant == "fibo-conj1":
-            num, den = qfibonomial_fibo_parts(self.k, self.j, self.n)
-            try:
-                return num.exact_div(den)
-            except NotDivisible:
-                return num, den
-        if self.variant == "classical-ell":
-            return fibonomial_ell(self.k, self.j, self.ell)
-        if self.variant == "q-ell":
-            return qfibonomial_ell(self.k, self.j, self.ell)
-        raise ValueError(f"unknown fibonomial variant {self.variant!r}")

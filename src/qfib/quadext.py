@@ -14,11 +14,6 @@ from .poly import ONE, Poly, S, X, ZERO, monomial
 __all__ = [
     "QuadElem",
     "ALPHA",
-    "qe_add",
-    "qe_mul",
-    "qe_neg",
-    "conj",
-    "trace",
     "alpha_pow",
 ]
 
@@ -108,26 +103,6 @@ class QuadElem:
 ALPHA = QuadElem(ZERO, ONE)
 # alpha^-1 = (alpha - x)/s, from alpha*(alpha - x) = s
 _ALPHA_INV = QuadElem(monomial(-1, ex=1, es=-1), monomial(1, es=-1))
-
-
-def qe_add(a: QuadElem, b: QuadElem) -> QuadElem:
-    return a + b
-
-
-def qe_mul(a: QuadElem, b: QuadElem) -> QuadElem:
-    return a * b
-
-
-def qe_neg(a: QuadElem) -> QuadElem:
-    return -a
-
-
-def conj(a: QuadElem) -> QuadElem:
-    return a.conj()
-
-
-def trace(a: QuadElem) -> Poly:
-    return a.trace()
 
 
 def alpha_pow(n: int) -> QuadElem:

@@ -209,6 +209,13 @@ def test_verify_jobs_flag(capsys):
     assert out.splitlines()[-1] == "cells=4 pass=4 fail=0 fitted=0"
 
 
+def test_verify_jobs_must_be_positive(capsys):
+    for jobs in ("--jobs=0", "--jobs=-2"):
+        code, out, err = run(capsys, "verify", "q_cassini", "--n", "1..2", jobs)
+        assert code == EXIT_USAGE, jobs
+        assert "--jobs" in err and out == ""
+
+
 def test_verify_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(
@@ -291,6 +298,17 @@ def test_tables_missing_golden_file_is_a_mismatch(capsys, monkeypatch):
     code, out, _ = run(capsys, "tables", "fibonomial-triangle", "--rows", "3")
     assert code == EXIT_VERIFY_FAIL
     assert "golden file fibonomial_triangle.txt missing" in out
+
+
+def test_tables_det_table_missing_row_is_a_mismatch(capsys, monkeypatch):
+    from qfib import cli
+
+    real = cli._golden_lines("det_table.txt")
+    assert [line.split("\t", 1)[0] for line in real] == ["1", "2", "3", "4", "5"]
+    monkeypatch.setattr(cli, "_golden_lines", lambda name: real[:2])
+    code, out, _ = run(capsys, "tables", "det-table", "--max-k", "3")
+    assert code == EXIT_VERIFY_FAIL
+    assert out.splitlines()[-1] == "det-table k=3: golden row missing"
 
 
 def test_tables_triangle_budget(capsys):

@@ -90,17 +90,6 @@ def test_conj1_fibo_is_transform_image():
             )
 
 
-def test_conj2_ell1_reproduces_conj1_term_for_term():
-    for k in (1, 2):
-        for n in (3, 5):
-            n1, d1, c1, t1 = harness._conj1_terms(n, k)
-            n2, d2, c2, t2 = harness._conj2_terms(n, k, 1)
-            assert n1 == n2
-            assert d1 == d2
-            assert c1 == c2
-            assert t1 == t2
-
-
 def test_conj2_prefactor_exponent_integrality():
     # the ell=1 exponent algebra reduces to j(j-1)(2j-1)/6
     for j in range(0, 6):
@@ -161,6 +150,28 @@ def test_q_cassini_q1_matches_classical_sides():
         cdet, cclosed = sides("cassini_classical", n=n)
         assert qdet.subst_q_one() == cdet
         assert qclosed.subst_q_one() == cclosed
+
+
+def test_special_forms_match_their_general_builders():
+    # each hand-simplified closed form is stated independently of the
+    # general stride-ell one; they must agree on the default grid and beyond
+    def ns(id):
+        return sorted({c["n"] for c in CATALOG[id].cells()} | set(range(-2, 8)))
+
+    for n in ns("q_cassini"):
+        assert sides("q_cassini", n=n) == harness._conj4_sides(n, 1, 1), n
+    for n in ns("det_sq_q"):
+        assert sides("det_sq_q", n=n) == harness._conj4_sides(n, 2, 1), n
+    for n in ns("cassini_classical"):
+        assert sides("cassini_classical", n=n) == harness._det_classical_ell_sides(
+            n, 1, 1
+        ), n
+    for id, k in (("conj4_k1", 1), ("conj4_k2", 2)):
+        lo, hi = CATALOG[id].grid_spec["ell"]
+        for ell in range(lo, hi + 1):
+            for n in ns(id):
+                got = sides(id, n=n, ell=ell)
+                assert got == harness._conj4_sides(n, k, ell), (id, ell, n)
 
 
 def test_conj3_k1_is_q_cassini():
@@ -266,6 +277,70 @@ def test_sweep_workers_match_serial():
         {**c.to_dict(), "ms": 0} for c in rep.cells
     ]
     assert strip(serial) == strip(parallel)
+
+
+def test_sweep_fits_from_the_sides_it_checked(monkeypatch):
+    import dataclasses
+
+    calls = []
+
+    def off_by_q(n):
+        calls.append(n)
+        det, closed = harness._q_cassini_sides(n)
+        return det, closed * Q
+
+    entry = dataclasses.replace(CATALOG["q_cassini"], sides=off_by_q)
+    monkeypatch.setitem(CATALOG, "q_cassini", entry)
+    rep = sweep(["q_cassini"], overrides={"n": (2, 3)}, fit=True)
+    assert [c.status for c in rep.cells] == ["fitted", "fitted"]
+    assert [c.correction for c in rep.cells] == ["+q^-1", "+q^-1"]
+    assert calls == [2, 3]
+    rep = sweep(["q_cassini"], overrides={"n": (2, 2)})
+    assert rep.cells[0].status == "fail"
+    det, closed = harness._q_cassini_sides(2)
+    assert rep.cells[0].residual == str(det - closed * Q)
+
+
+def test_sweep_caps_the_pool(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    few = sweep(["q_cassini"], overrides={"n": (1, 3)}, workers=1000)
+    many = sweep(["q_cassini"], overrides={"n": (1, 12)}, workers=1000)
+    assert sizes == [3, 4]  # capped by the task count, then by the cpu count
+    assert few.all_pass() and many.all_pass()
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    assert sweep(["q_cassini"], overrides={"n": (1, 3)}, workers=1000).all_pass()
+    assert sizes == [3, 4]  # unknown cpu count: serial, no pool
+
+
+def test_every_public_name_resolves():
+    import importlib
+    import pkgutil
+
+    import qfib
+
+    names = ["qfib"] + [f"qfib.{m.name}" for m in pkgutil.iter_modules(qfib.__path__)]
+    for name in names:
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", ()):
+            assert hasattr(module, attr), (name, attr)
 
 
 def test_sweep_unknown_id():

@@ -8,7 +8,6 @@ from qfib.matrices import (
     AlphaComponentNonzero,
     EntryUsesZ,
     PolyMatrix,
-    QuadVector,
     hoggatt,
     matvec,
     prodinger_eigvec,
@@ -128,7 +127,7 @@ def test_prodinger_eigvec_2_1_by_hand():
     assert u[0] == QuadElem(ONE, ZERO)
     assert u[1] == QuadElem(X, -ONE)  # beta
     lam = alpha_pow(0) * alpha_pow(1).conj()  # beta
-    assert matvec(hoggatt(2), u) == u.scale(lam)
+    assert matvec(hoggatt(2), u) == [lam * e for e in u]
 
 
 def test_prodinger_all_small():
@@ -140,8 +139,10 @@ def test_prodinger_all_small():
 
 
 def test_quadvector_basics():
-    v = QuadVector([QuadElem(ONE, ZERO), QuadElem(ZERO, ONE)])
+    # a vector of extension-ring elements is a plain list
+    v = [QuadElem(ONE, ZERO), QuadElem(ZERO, ONE)]
     assert len(v) == 2
+    assert matvec(PolyMatrix.identity(2), v) == v
     with pytest.raises(ValueError):
         matvec(PolyMatrix([[ONE]]), v)
 

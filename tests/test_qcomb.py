@@ -7,17 +7,12 @@ import pytest
 from qfib.poly import ONE, NotDivisible, Poly, Q, S, X, exact_div, monomial, parse
 from qfib.qcomb import (
     Fac,
-    FibonomialSpec,
     binom_product,
     fac,
     fibonomial,
-    fibonomial_ell,
     qbinom,
     qbinom_theorem_residual,
     qfibonomial,
-    qfibonomial_ell,
-    qfibonomial_ell_parts,
-    qfibonomial_fibo_parts,
     qfibonomial_parts,
 )
 from qfib.sequences import fib, qfib, transform_T
@@ -118,21 +113,27 @@ def test_qfibonomial_observed_divisibility():
         exact_div(num, den)
 
 
-def test_qfibonomial_ell_reduces_at_ell_one():
-    for m in range(0, 6):
-        for j in range(0, m + 1):
-            n1, d1 = qfibonomial_ell_parts(m, j, 1)
-            n2, d2 = qfibonomial_parts(m, j)
-            assert n1 == n2 and d1 == d2
-
-
 def test_fibonomial_ell_examples():
-    assert fibonomial_ell(2, 1, 2) == X**2 + 2 * S
+    assert fibonomial(2, 1, 2) == X**2 + 2 * S
     for k in range(0, 6):
-        assert fibonomial_ell(k, k, 2) == ONE
-    for k in range(0, 5):
-        for j in range(0, k + 1):
-            assert fibonomial_ell(k, j, 1) == fibonomial(k, j)
+        assert fibonomial(k, k, 2) == ONE
+
+
+def _product(factors):
+    total = ONE
+    for f in factors:
+        total = total * f
+    return total
+
+
+def fibo_variant_parts(k, j, n):
+    """The n-shifted fibonomial variant: prod_{i<=k} f(i, q^(n-i) s) over
+    prod_{i<=j} f(i, q^(n-j) s) * prod_{i<=k-j} f(i, q^(n-i-j) s)."""
+    num = _product(qfib(i, shift=n - i) for i in range(1, k + 1))
+    den = _product(qfib(i, shift=n - j) for i in range(1, j + 1)) * _product(
+        qfib(i, shift=n - i - j) for i in range(1, k - j + 1)
+    )
+    return num, den
 
 
 def test_fibo_variant_is_transform_of_qfibonomial():
@@ -143,7 +144,7 @@ def test_fibo_variant_is_transform_of_qfibonomial():
             for n in range(0, 5):
                 num, den = qfibonomial_parts(k, j)
                 tnum, tden = transform_T(num, n), transform_T(den, n)
-                fnum, fden = qfibonomial_fibo_parts(k, j, n)
+                fnum, fden = fibo_variant_parts(k, j, n)
                 assert tnum * fden == fnum * tden, (k, j, n)
 
 
@@ -165,18 +166,27 @@ def test_binom_product():
     assert [binom_product(k) for k in range(6)] == [1, 1, 2, 9, 96, 2500]
 
 
-def test_fibonomial_spec_dispatch():
-    assert FibonomialSpec("classical", n=5, k=2).value() == fibonomial(5, 2)
-    assert FibonomialSpec("q-conj1", k=3, j=1).value() == qfibonomial(3, 1)
-    assert FibonomialSpec("classical-ell", k=2, j=1, ell=2).value() == fibonomial_ell(
-        2, 1, 2
-    )
-    assert FibonomialSpec("q-ell", k=2, j=1, ell=2).value() == qfibonomial_ell(2, 1, 2)
-    v = FibonomialSpec("fibo-conj1", k=2, j=1, n=3).value()
-    num, den = qfibonomial_fibo_parts(2, 1, 3)
+def test_ell_argument_dispatch():
+    # ell defaults to the classical / plain q-fibonomial
+    assert fibonomial(5, 2) == fibonomial(5, 2, ell=1)
+    assert fibonomial(5, 2) * fib(1) * fib(2) == fib(5) * fib(4)
+    assert qfibonomial(3, 1) == qfibonomial(3, 1, ell=1) == Q * S + X**2
+    # and selects the stride-ell variant otherwise
+    assert fibonomial(2, 1, ell=2) * fib(2) == fib(4)
+    num, den = qfibonomial_parts(2, 1, ell=2)
+    assert (num, den) == (qfib(2) * qfib(4), qfib(2) * qfib(2, shift=2))
+    v = qfibonomial(2, 1, ell=2)
     if isinstance(v, Poly):
         assert v * den == num
     else:
         assert v == (num, den)
-    with pytest.raises(ValueError):
-        FibonomialSpec("nope").value()
+    num, den = fibo_variant_parts(2, 1, 3)
+    v = exact_div(num, den)
+    assert v * den == num
+    for bad in (
+        lambda: fibonomial(2, 1, ell=0),
+        lambda: qfibonomial(2, 1, ell=0),
+        lambda: qfibonomial_parts(2, 1, ell=-1),
+    ):
+        with pytest.raises(ValueError):
+            bad()

@@ -3,7 +3,7 @@
 import random
 
 from qfib.poly import ONE, Poly, S, X, ZERO, monomial
-from qfib.quadext import ALPHA, QuadElem, alpha_pow, conj, qe_add, qe_mul, trace
+from qfib.quadext import ALPHA, QuadElem, alpha_pow
 from qfib.sequences import fib, lucas
 
 
@@ -20,31 +20,31 @@ def rand_elem(rng):
 
 
 def test_defining_relation():
-    assert qe_mul(ALPHA, ALPHA) == QuadElem(S, X)
+    assert ALPHA * ALPHA == QuadElem(S, X)
 
 
 def test_alpha_times_beta_is_minus_s():
-    beta = conj(ALPHA)
-    assert qe_mul(ALPHA, beta) == QuadElem(-S, ZERO)
+    beta = ALPHA.conj()
+    assert ALPHA * beta == QuadElem(-S, ZERO)
 
 
 def test_alpha_plus_beta_is_x():
-    assert qe_add(ALPHA, conj(ALPHA)) == QuadElem(X, ZERO)
+    assert ALPHA + ALPHA.conj() == QuadElem(X, ZERO)
 
 
 def test_conj_examples():
-    assert conj(ALPHA) == QuadElem(X, -ONE)
+    assert ALPHA.conj() == QuadElem(X, -ONE)
     base = QuadElem(-S, ZERO)
-    assert conj(base) == base
-    assert conj(conj(rand_elem(random.Random(3)))) == rand_elem(random.Random(3))
+    assert base.conj() == base
+    assert rand_elem(random.Random(3)).conj().conj() == rand_elem(random.Random(3))
 
 
 def test_conj_is_ring_homomorphism():
     rng = random.Random(7)
     for _ in range(100):
         a, b = rand_elem(rng), rand_elem(rng)
-        assert conj(qe_mul(a, b)) == qe_mul(conj(a), conj(b))
-        assert conj(qe_add(a, b)) == qe_add(conj(a), conj(b))
+        assert (a * b).conj() == a.conj() * b.conj()
+        assert (a + b).conj() == a.conj() + b.conj()
 
 
 def test_alpha_pow_small():
@@ -64,22 +64,22 @@ def test_alpha_pow_binet_components():
 def test_alpha_pow_group_law():
     for m in range(-4, 5):
         for n in range(-4, 5):
-            assert qe_mul(alpha_pow(m), alpha_pow(n)) == alpha_pow(m + n)
+            assert alpha_pow(m) * alpha_pow(n) == alpha_pow(m + n)
 
 
 def test_trace_is_lucas():
-    assert trace(alpha_pow(0)) == Poly(2)
-    assert trace(alpha_pow(1)) == X
-    assert trace(alpha_pow(2)) == X**2 + 2 * S
+    assert alpha_pow(0).trace() == Poly(2)
+    assert alpha_pow(1).trace() == X
+    assert alpha_pow(2).trace() == X**2 + 2 * S
     for n in range(2, 13):
-        assert trace(alpha_pow(n)) == X * lucas(n - 1) + S * lucas(n - 2)
+        assert alpha_pow(n).trace() == X * lucas(n - 1) + S * lucas(n - 2)
 
 
 def test_z_minus_alpha_times_z_minus_beta():
     from qfib.poly import Z
 
-    beta = conj(ALPHA)
+    beta = ALPHA.conj()
     prod = QuadElem(Z, ZERO) - ALPHA
-    prod = qe_mul(prod, QuadElem(Z, ZERO) - beta)
+    prod = prod * (QuadElem(Z, ZERO) - beta)
     assert prod.v.is_zero()
     assert prod.u == Z**2 - X * Z - S
