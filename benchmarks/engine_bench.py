@@ -25,6 +25,14 @@ WORKLOADS = {
     ),
     "qfib(40)**3": "from qfib.sequences import qfib; qfib(40)**3",
     "qfib(60)**2": "from qfib.sequences import qfib; qfib(60)**2",
+    "verify all --jobs 1": (
+        "import os; from qfib.cli import main;"
+        "main(['verify', 'all', '--jobs', '1', '--out', os.devnull])"
+    ),
+    "verify all --jobs 2": (
+        "import os; from qfib.cli import main;"
+        "main(['verify', 'all', '--jobs', '2', '--out', os.devnull])"
+    ),
 }
 
 CODE = """
@@ -35,8 +43,12 @@ print(f"{{time.perf_counter() - t0:.3f}}")
 """
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def run_one(stmt: str, naive: bool) -> float:
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     env.pop("QFIB_NO_FAST", None)
     if naive:
         env["QFIB_NO_FAST"] = "1"

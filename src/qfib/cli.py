@@ -196,10 +196,10 @@ def run_verify(args) -> tuple[harness.VerificationReport, str]:
     for id in ids:
         if id not in harness.CATALOG:
             raise _UsageError(f"unknown identity {id!r}")
-    report_cells = []
+    overrides = []
     for id in ids:
         entry = harness.CATALOG[id]
-        overrides = {}
+        over = {}
         for p in entry.params:
             spec = entry.grid_spec[p]
             if p in ranges:
@@ -208,10 +208,9 @@ def run_verify(args) -> tuple[harness.VerificationReport, str]:
                 spec = _clip(spec, args.max_k)
             elif p == "ell":
                 spec = _clip(spec, args.max_ell)
-            overrides[p] = spec
-        rep = harness.sweep([id], overrides=overrides, fit=args.fit, workers=args.jobs)
-        report_cells.extend(rep.cells)
-    report = harness.VerificationReport(report_cells)
+            over[p] = spec
+        overrides.append(over)
+    report = harness.sweep(ids, overrides=overrides, fit=args.fit, workers=args.jobs)
     if args.format == "json":
         text = json.dumps(report.to_json_dict("verify"), indent=2, sort_keys=True)
     else:
@@ -296,9 +295,13 @@ def _cmd_tables(args) -> int:
                 for line in golden:
                     n, k, text = line.split("\t", 2)
                     want[(int(n), int(k))] = text
-                for (n, k), text in want.items():
-                    if n <= rows_n and symbolic[n][k] != text:
-                        mismatches.append(f"triangle ({n},{k}): golden mismatch")
+                for n, row in symbolic.items():
+                    for k, text in enumerate(row):
+                        exp = want.get((n, k))
+                        if exp is None:
+                            mismatches.append(f"triangle ({n},{k}): golden row missing")
+                        elif exp != text:
+                            mismatches.append(f"triangle ({n},{k}): golden mismatch")
     elif kind == "hoggatt-charpoly":
         n = args.n
         if n is None:

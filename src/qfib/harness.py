@@ -637,16 +637,20 @@ CATALOG: dict[str, IdentityEntry] = {
 }
 
 
-def residual(id: str, **params):
-    entry = CATALOG.get(id)
-    if entry is None:
-        raise BadParams(f"unknown identity {id!r}")
+def _check_params(entry: IdentityEntry, params: dict) -> None:
     missing = [p for p in entry.params if p not in params]
     extra = [p for p in params if p not in entry.params]
     if missing or extra:
         raise BadParams(
-            f"{id} takes parameters {entry.params}; missing {missing}, extra {extra}"
+            f"{entry.id} takes parameters {entry.params}; missing {missing}, extra {extra}"
         )
+
+
+def residual(id: str, **params):
+    entry = CATALOG.get(id)
+    if entry is None:
+        raise BadParams(f"unknown identity {id!r}")
+    _check_params(entry, params)
     return entry.builder(**params)
 
 
@@ -654,6 +658,7 @@ def sides(id: str, **params):
     entry = CATALOG.get(id)
     if entry is None or entry.sides is None:
         raise BadParams(f"identity {id!r} does not expose sides")
+    _check_params(entry, params)
     return entry.sides(**params)
 
 
@@ -765,36 +770,47 @@ def _run_cell(task) -> CellResult:
     return CellResult(id, params, "fail", residual=_residual_text(value), ms=round(ms, 3))
 
 
+# Chunks per pool worker: enough that the last chunks even out the load,
+# few enough that a worker runs long runs of one identity on warm caches.
+_CHUNKS_PER_WORKER = 16
+
+
 def sweep(
     ids,
-    overrides: dict | None = None,
+    overrides: dict | list | None = None,
     fit: bool = False,
     workers: int = 1,
 ) -> VerificationReport:
     """Evaluate the residual of every grid cell of the named identities.
 
     `overrides` maps a parameter name to an inclusive (lo, hi) range that
-    replaces the entry default.  Cells are ordered by (id, params) and the
-    report is identical for any worker count.
+    replaces the entry default; it is one such dict for every id, or a list
+    holding one dict (or None) per id.  Cells come in the order the ids
+    were given, a repeated id running again, with each id's cells sorted by
+    params; the report is identical for any worker count.  All cells share
+    one process pool, fed contiguous chunks so that each worker runs
+    consecutive cells of an identity on warm sequence caches.
     """
     if isinstance(ids, str):
         ids = [ids]
+    if overrides is None or isinstance(overrides, dict):
+        overrides = [overrides] * len(ids)
     tasks = []
-    for id in ids:
+    for id, over in zip(ids, overrides, strict=True):
         entry = CATALOG.get(id)
         if entry is None:
             raise BadParams(f"unknown identity {id!r}")
         use_fit = fit or entry.fit_default
-        for params in entry.cells(overrides):
-            tasks.append((id, params, use_fit))
-    tasks.sort(key=lambda t: (t[0], tuple(sorted(t[1].items()))))
+        cells = sorted(entry.cells(over), key=lambda params: sorted(params.items()))
+        tasks.extend((id, params, use_fit) for params in cells)
     # a fork-started pool forks all its workers on the first submit
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        chunksize = max(1, len(tasks) // (_CHUNKS_PER_WORKER * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_run_cell, tasks))
+            cells = list(pool.map(_run_cell, tasks, chunksize=chunksize))
     else:
         cells = [_run_cell(t) for t in tasks]
     return VerificationReport(cells)

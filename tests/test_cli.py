@@ -1,11 +1,19 @@
 """CLI surface: output strings, exit codes, JSON schema, golden tables."""
 
 import json
+import re
 
 import pytest
 
 from qfib import qcomb
-from qfib.cli import EXIT_OK, EXIT_OVER_BUDGET, EXIT_USAGE, EXIT_VERIFY_FAIL, main
+from qfib.cli import (
+    EXIT_OK,
+    EXIT_OVER_BUDGET,
+    EXIT_USAGE,
+    EXIT_VERIFY_FAIL,
+    TRIANGLE_MAX_ROWS,
+    main,
+)
 from qfib.harness import REPORT_SCHEMA_VERSION, VerificationReport
 from qfib.poly import parse
 
@@ -216,6 +224,63 @@ def test_verify_jobs_must_be_positive(capsys):
         assert "--jobs" in err and out == ""
 
 
+def test_verify_runs_one_pool_in_the_given_order(capsys, monkeypatch):
+    import concurrent.futures
+
+    from qfib import harness
+
+    pools, maps = [], []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            maps.append((len(tasks), chunksize))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    ids = ["euler_cassini", "basis_decomp", "q_cassini"]
+    code, out, _ = run(capsys, "verify", *ids, "--jobs", "2", "--format", "json")
+    assert code == EXIT_OK
+    cells = json.loads(out)["cells"]
+    assert len(cells) == sum(len(harness.CATALOG[id].cells()) for id in ids)
+    assert pools == [2]
+    [(count, chunksize)] = maps
+    assert count == len(cells)
+    assert 1 < chunksize <= count // 4  # several cells per round trip and per worker
+    order = [c["id"] for c in cells]
+    assert order == sorted(order, key=ids.index)
+
+
+def test_verify_all_report_is_the_same_for_any_jobs(capsys):
+    results = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "verify", "all", "--format", "json", "--jobs", jobs)
+        data = json.loads(out)
+        for cell in data["cells"]:
+            cell["ms"] = 0
+        results.append((code, data))
+    assert results[0] == results[1]
+    assert results[0][0] == EXIT_OK
+
+
+def test_verify_repeated_id_reports_its_cells_twice(capsys):
+    code, out, _ = run(capsys, "verify", "q_cassini", "q_cassini", "--n", "1..3")
+    assert code == EXIT_OK
+    lines = [re.sub(r"\(.* ms\)", "", line) for line in out.splitlines()]
+    assert lines[-1] == "cells=6 pass=6 fail=0 fitted=0"
+    assert lines[:3] == lines[3:6]
+    assert lines[0].startswith("[pass] q_cassini n=1")
+
+
 def test_verify_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(
@@ -309,6 +374,62 @@ def test_tables_det_table_missing_row_is_a_mismatch(capsys, monkeypatch):
     code, out, _ = run(capsys, "tables", "det-table", "--max-k", "3")
     assert code == EXIT_VERIFY_FAIL
     assert out.splitlines()[-1] == "det-table k=3: golden row missing"
+
+
+def test_tables_triangle_missing_row_is_a_mismatch(capsys, monkeypatch):
+    from qfib import cli
+
+    real = cli._golden_lines("fibonomial_triangle.txt")
+    assert real[-1].startswith(f"{TRIANGLE_MAX_ROWS}\t{TRIANGLE_MAX_ROWS}\t")
+    monkeypatch.setattr(cli, "_golden_lines", lambda name: real[:-1])
+    code, out, _ = run(capsys, "tables", "fibonomial-triangle", "--rows", "11")
+    assert code == EXIT_OK
+    code, out, _ = run(capsys, "tables", "fibonomial-triangle", "--rows", "12")
+    assert code == EXIT_VERIFY_FAIL
+    assert out.splitlines()[-1] == "triangle (12,12): golden row missing"
+
+
+def _padd(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _pmul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (ax, as_), ac in a.items():
+        for (bx, bs), bc in b.items():
+            out[(ax + bx, as_ + bs)] = out.get((ax + bx, as_ + bs), 0) + ac * bc
+    return {key: c for key, c in out.items() if c}
+
+
+def test_triangle_golden_matches_the_fibonomial_pascal_recurrence():
+    # {(ex, es): coeff} arithmetic, sharing no code with qcomb.fibonomial:
+    # F(n) = x F(n-1) + s F(n-2), and [n, k] = F(k+1) [n-1, k] + s F(n-k-1) [n-1, k-1]
+    x, s = {(1, 0): 1}, {(0, 1): 1}
+    F = [{}, {(0, 0): 1}]
+    while len(F) <= TRIANGLE_MAX_ROWS:
+        F.append(_padd(_pmul(x, F[-1]), _pmul(s, F[-2])))
+    tri = {}
+    for n in range(TRIANGLE_MAX_ROWS + 1):
+        for k in range(n + 1):
+            if k in (0, n):
+                tri[(n, k)] = {(0, 0): 1}
+            else:
+                tri[(n, k)] = _padd(
+                    _pmul(F[k + 1], tri[(n - 1, k)]),
+                    _pmul(_pmul(s, F[n - k - 1]), tri[(n - 1, k - 1)]),
+                )
+    from qfib import cli
+
+    golden = {}
+    for line in cli._golden_lines("fibonomial_triangle.txt"):
+        n, k, text = line.split("\t")
+        terms = list(parse(text).terms())
+        assert all(eq == ez == 0 for (_, _, eq, ez), _ in terms), line
+        golden[(int(n), int(k))] = {(ex, es): c for (ex, es, _, _), c in terms}
+    assert golden == tri
 
 
 def test_tables_triangle_budget(capsys):

@@ -316,7 +316,7 @@ def test_sweep_caps_the_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -328,6 +328,33 @@ def test_sweep_caps_the_pool(monkeypatch):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
     assert sweep(["q_cassini"], overrides={"n": (1, 3)}, workers=1000).all_pass()
     assert sizes == [3, 4]  # unknown cpu count: serial, no pool
+
+
+def test_sweep_takes_overrides_per_id_in_the_given_order():
+    rep = sweep(
+        ["q_cassini", "euler_cassini", "q_cassini"],
+        overrides=[{"n": (2, 3)}, {"k": (1, 2), "n": (0, 1)}, None],
+    )
+    keys = [(c.id, tuple(sorted(c.params.items()))) for c in rep.cells]
+    default_n = [c["n"] for c in CATALOG["q_cassini"].cells()]
+    assert keys == (
+        [("q_cassini", (("n", n),)) for n in (2, 3)]
+        + [("euler_cassini", (("k", k), ("n", n))) for k in (1, 2) for n in (0, 1)]
+        + [("q_cassini", (("n", n),)) for n in default_n]
+    )
+    assert rep.all_pass()
+    with pytest.raises(ValueError):
+        sweep(["q_cassini"], overrides=[None, None])
+
+
+def test_sides_checks_parameter_names_like_residual():
+    for params in ({"n": 1, "k": 2}, {}):
+        with pytest.raises(BadParams) as from_residual:
+            residual("q_cassini", **params)
+        with pytest.raises(BadParams) as from_sides:
+            sides("q_cassini", **params)
+        assert str(from_sides.value) == str(from_residual.value)
+        assert str(from_sides.value).startswith("q_cassini takes parameters ('n',)")
 
 
 def test_every_public_name_resolves():
