@@ -79,16 +79,39 @@ def _fraction_str(v: Fraction) -> str:
 # ------------------------------------------------------------------- eval
 
 
+def _series_text(p: Poly) -> str:
+    """A series in s and q, one q-polynomial per power of s, lowest first."""
+    rows: dict[int, dict] = {}
+    for (_, es, eq, _), c in p.terms():
+        rows.setdefault(es, {})[(0, 0, eq, 0)] = c
+    chunks = []
+    for k in sorted(rows):
+        qpoly = Poly(rows[k])
+        qs = qpoly.to_canonical_string()
+        if k == 0:
+            chunks.append(qs)
+            continue
+        spow = "s" if k == 1 else f"s^{k}"
+        if len(qpoly) == 1 and not qs.startswith("-"):
+            chunks.append(f"{qs}*{spow}" if qs != "1" else spow)
+        else:
+            chunks.append(f"({qs})*{spow}")
+    return " + ".join(chunks) if chunks else "0"
+
+
 def _cmd_eval(args) -> int:
     kind = args.kind
     if kind == "gf":
-        series = sequences.gf_truncated(args.s_order, args.q_order)
-        _emit(series.to_text(), args.out)
-        return EXIT_OK
-    if args.n is None:
+        if args.n is not None:
+            raise _UsageError("eval gf takes no index n")
+    elif args.n is None:
         raise _UsageError(f"eval {kind} needs an index n")
     if args.shift and kind != "qfib":
         raise _UsageError("--shift only applies to eval qfib")
+    if kind == "gf":
+        series = sequences.gf_truncated(args.s_order, args.q_order)
+        _emit(_series_text(series), args.out)
+        return EXIT_OK
     n = args.n
     if kind == "fib":
         p = sequences.fib(n)
@@ -269,6 +292,8 @@ def _cmd_tables(args) -> int:
                     mismatches.append(f"det-table k={k}: golden mismatch")
     elif kind == "fibonomial-triangle":
         rows_n = args.rows
+        if rows_n < 0:
+            raise _UsageError(f"triangle rows must be >= 0, got {rows_n}")
         if rows_n > TRIANGLE_MAX_ROWS:
             print(
                 f"triangle rows {rows_n} exceeds the desk-scale budget"

@@ -40,7 +40,7 @@ from math import comb
 from .matrices import PolyMatrix
 from .poly import ONE, Poly, ZERO, monomial
 from .qcomb import Fac, _prod, binom_product, fac, fibonomial, qfibonomial_parts
-from .sequences import TruncatedSeries, fib, gf_truncated, lucas, qfib, transform_T
+from .sequences import fib, gf_truncated, lucas, qfib, transform_T, truncate
 
 __all__ = [
     "IdentityEntry",
@@ -230,18 +230,24 @@ def _gen_cassini_sides(N: int, m: int, ell: int) -> tuple[Poly, Poly]:
     return det, closed
 
 
-def gf_limit(k: int, s_order: int = 8, q_order: int = 12) -> TruncatedSeries:
+def gf_limit(k: int, s_order: int = 8, q_order: int = 12) -> Poly:
     """Limit form of the q-Euler-Cassini identity for the x = 1 generating
-    function F(s), checked modulo (s^s_order, q^q_order)."""
+    function F(s), checked modulo (s^s_order, q^q_order).
+
+    One truncation at the end is exact: for k >= 1 every factor has
+    nonnegative s and q exponents, so a term of a product inside the box
+    only comes from terms of the factors inside it, and s -> q^j s with
+    j >= 0 only raises q exponents, so it moves no term into the box."""
     if k < 1:
         raise BadParams("gf_limit needs k >= 1")
     F = gf_truncated(s_order, q_order)
-    first = F.mul_poly(qfib(k - 1, shift=1).subst_x_one())
-    second = F.scale_s(1).mul_poly(qfib(k).subst_x_one())
-    third = F.scale_s(k).mul_poly(
-        monomial(_sign(k), es=k - 1, eq=k * (k - 1) // 2)
+    return truncate(
+        F * qfib(k - 1, shift=1).subst_x_one()
+        - F.subst_s_scale(1) * qfib(k).subst_x_one()
+        - F.subst_s_scale(k) * monomial(_sign(k), es=k - 1, eq=k * (k - 1) // 2),
+        s_order,
+        q_order,
     )
-    return first - second - third
 
 
 def conj2_k2(n: int, ell: int) -> Poly:

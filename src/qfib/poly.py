@@ -142,7 +142,7 @@ def _check_exp(e: int) -> int:
 class Poly:
     """Immutable sparse Laurent polynomial over the integers."""
 
-    __slots__ = ("_t", "_ranges", "_cmax", "_cneg", "_blocks")
+    __slots__ = ("_t", "_ranges", "_cmax", "_blocks")
 
     def __init__(self, terms: dict | int | None = None):
         """Build from {(ex, es, eq, ez): coeff} (zero coefficients dropped)
@@ -167,7 +167,6 @@ class Poly:
         self._t = d
         self._ranges = None
         self._cmax = None
-        self._cneg = None
         self._blocks = None
 
     @classmethod
@@ -176,7 +175,6 @@ class Poly:
         p._t = d
         p._ranges = None
         p._cmax = None
-        p._cneg = None
         p._blocks = None
         return p
 
@@ -228,19 +226,11 @@ class Poly:
             self._ranges = r
         return r
 
-    def _coeff_stats(self) -> tuple[int, bool]:
-        """(max |coeff|, any negative coeff)."""
+    def _coeff_stats(self) -> int:
+        """max |coeff| (1 for the zero polynomial)."""
         if self._cmax is None:
-            cmax, cneg = 1, False
-            for c in self._t.values():
-                if c < 0:
-                    cneg = True
-                    c = -c
-                if c > cmax:
-                    cmax = c
-            self._cmax = cmax
-            self._cneg = cneg
-        return self._cmax, self._cneg
+            self._cmax = max(map(abs, self._t.values()), default=1)
+        return self._cmax
 
     def _guard_mul(self, other: "Poly") -> None:
         ra, rb = self._get_ranges(), other._get_ranges()
@@ -698,8 +688,8 @@ def _mul_blocked(a: Poly, b: Poly) -> Poly | None:
     bb = _block_map(b)
     if ba is False or bb is False:
         return None
-    amax, _ = a._coeff_stats()
-    bmax, _ = b._coeff_stats()
+    amax = a._coeff_stats()
+    bmax = b._coeff_stats()
     bound = amax * bmax * min(len(a._t), len(b._t))
     L = (bound.bit_length() + 9) & ~7
     if len(ba) > len(bb):
@@ -763,8 +753,8 @@ def _div_blocked(a: Poly, b: Poly) -> Poly | None:
     bb = _block_map(b)
     if ba is False or bb is False:
         return None
-    amax, _ = a._coeff_stats()
-    bmax, _ = b._coeff_stats()
+    amax = a._coeff_stats()
+    bmax = b._coeff_stats()
     # first width: room for a's and b's coefficients (_pack_coeffs needs
     # |c| < 2^L) plus len(a) bits; on Bareiss steps the quotients fit and
     # _quotient_certified holds at once, and wider widths are retries
@@ -774,7 +764,7 @@ def _div_blocked(a: Poly, b: Poly) -> Poly | None:
             quot = _div_blocked_at(a, ba, bb, L)
         except _RetryDivision:
             continue
-        qmax, _ = quot._coeff_stats()
+        qmax = quot._coeff_stats()
         n = min(len(quot._t), len(b._t))
         if _quotient_certified(qmax, bmax, n, amax, L) or quot * b == a:
             return quot

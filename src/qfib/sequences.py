@@ -2,33 +2,51 @@
 
 The q-Fibonacci polynomials follow f(n) = x*f(n-1) + q^(n-2)*s*f(n-2) with
 f(0) = 0, f(1) = 1; the index is extended to all integers by running the
-recurrence backward, which introduces Laurent terms in s and q.  Shifted
-variants f(n, x, q^j s) come from the substitution s -> q^j s, and
-transform_T is the q -> 1/q, s -> q^(n-1) s change of variables that maps
-plain-argument identities to shifted-argument ones.
+recurrence backward, which introduces Laurent terms in s and q.  Fibonacci
+and Lucas polynomials follow the same recurrence without the q factor, so
+all three memos are filled by one routine.  Shifted variants
+f(n, x, q^j s) come from the substitution s -> q^j s, and transform_T is
+the q -> 1/q, s -> q^(n-1) s change of variables that maps plain-argument
+identities to shifted-argument ones.
 
-TruncatedSeries holds the x = 1 limit series F(s) = sum_k q^(k^2) s^k /
-((1-q)...(1-q^k)) modulo (s^N, q^M), plus just enough arithmetic to verify
-limit identities at that truncation.
+gf_truncated gives the x = 1 limit series F(s) = sum_k q^(k^2) s^k /
+((1-q)...(1-q^k)) modulo (s^N, q^M) as a Poly; truncate cuts any Poly to
+such a box, so limit identities are checked with ordinary Poly arithmetic.
 """
 
 from __future__ import annotations
 
-from .poly import ONE, Poly, S, X, ZERO, monomial
+from .poly import ONE, Poly, X, ZERO, monomial
 
 __all__ = [
     "SeqCache",
-    "TruncatedSeries",
     "fib",
     "lucas",
     "qfib",
     "qfib_explicit",
     "qfib_neg_closed",
     "transform_T",
+    "truncate",
     "gf_truncated",
 ]
 
-_S_INV = monomial(1, es=-1)
+
+def _extend(memo: dict, n: int, q_step: int) -> Poly:
+    """memo[n], after filling memo forward or backward up to n with
+    g(m) = x*g(m-1) + q^(q_step*(m-2))*s*g(m-2).
+
+    memo holds a contiguous index range that includes 0 and 1."""
+    got = memo.get(n)
+    if got is not None:
+        return got
+    if n > 1:
+        for m in range(max(memo) + 1, n + 1):
+            memo[m] = X * memo[m - 1] + monomial(1, es=1, eq=q_step * (m - 2)) * memo[m - 2]
+    else:
+        for m in range(min(memo) - 1, n - 1, -1):
+            # g(m) = (g(m+2) - x g(m+1)) * q^(-q_step m) * s^(-1)
+            memo[m] = (memo[m + 2] - X * memo[m + 1]) * monomial(1, es=-1, eq=-q_step * m)
+    return memo[n]
 
 
 class SeqCache:
@@ -46,47 +64,15 @@ class SeqCache:
         self._qfib = {0: ZERO, 1: ONE}
 
     def fib(self, n: int) -> Poly:
-        memo = self._fib
-        got = memo.get(n)
-        if got is not None:
-            return got
-        if n > 1:
-            hi = max(k for k in memo if k <= n)
-            for m in range(hi + 1, n + 1):
-                memo[m] = X * memo[m - 1] + S * memo[m - 2]
-        else:
-            lo = min(memo)
-            for m in range(lo - 1, n - 1, -1):
-                # F_m = (F_{m+2} - x F_{m+1}) / s
-                memo[m] = (memo[m + 2] - X * memo[m + 1]) * _S_INV
-        return memo[n]
+        return _extend(self._fib, n, 0)
 
     def lucas(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("lucas is defined for n >= 0")
-        memo = self._lucas
-        got = memo.get(n)
-        if got is not None:
-            return got
-        hi = max(memo)
-        for m in range(hi + 1, n + 1):
-            memo[m] = X * memo[m - 1] + S * memo[m - 2]
-        return memo[n]
+        return _extend(self._lucas, n, 0)
 
     def qfib(self, n: int, shift: int = 0) -> Poly:
-        memo = self._qfib
-        p = memo.get(n)
-        if p is None:
-            if n > 1:
-                hi = max(k for k in memo if k <= n)
-                for m in range(hi + 1, n + 1):
-                    memo[m] = X * memo[m - 1] + monomial(1, es=1, eq=m - 2) * memo[m - 2]
-            else:
-                lo = min(memo)
-                for m in range(lo - 1, n - 1, -1):
-                    # f(m) = (f(m+2) - x f(m+1)) * q^(-m) * s^(-1)
-                    memo[m] = (memo[m + 2] - X * memo[m + 1]) * monomial(1, es=-1, eq=-m)
-            p = memo[n]
+        p = _extend(self._qfib, n, 1)
         return p.subst_s_scale(shift) if shift else p
 
 
@@ -132,153 +118,24 @@ def transform_T(p: Poly, n: int) -> Poly:
     return p.subst_q_invert().subst_s_scale(n - 1)
 
 
-class TruncatedSeries:
-    """Element of Z[q][[s]] modulo (s^N, q^M), held as dense rows.
-
-    rows[k][m] is the coefficient of s^k q^m; all stored q exponents lie in
-    [0, M).
-    """
-
-    __slots__ = ("order_s", "order_q", "rows")
-
-    def __init__(self, order_s: int, order_q: int, rows=None):
-        if order_s < 1 or order_q < 1:
-            raise ValueError("series orders must be >= 1")
-        self.order_s = order_s
-        self.order_q = order_q
-        if rows is None:
-            rows = tuple((0,) * order_q for _ in range(order_s))
-        else:
-            rows = tuple(tuple(r) for r in rows)
-            if len(rows) != order_s or any(len(r) != order_q for r in rows):
-                raise ValueError("rows do not match the stated orders")
-        self.rows = rows
-
-    def _compat(self, other: "TruncatedSeries"):
-        if self.order_s != other.order_s or self.order_q != other.order_q:
-            raise ValueError("truncation orders differ")
-
-    def is_zero(self) -> bool:
-        return all(not c for row in self.rows for c in row)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (
-            self.order_s == other.order_s
-            and self.order_q == other.order_q
-            and self.rows == other.rows
-        )
-
-    __hash__ = None
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._compat(other)
-        return TruncatedSeries(
-            self.order_s,
-            self.order_q,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.order_s, self.order_q, [[-c for c in r] for r in self.rows]
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
-
-    def mul_poly(self, p: Poly) -> "TruncatedSeries":
-        """Multiply by a polynomial in s and q with nonnegative exponents."""
-        N, M = self.order_s, self.order_q
-        out = [[0] * M for _ in range(N)]
-        for (ex, es, eq, ez), c in p.terms():
-            if ex or ez:
-                raise ValueError("series multiplier must not involve x or z")
-            if es < 0 or eq < 0:
-                raise ValueError("series multiplier must not be Laurent")
-            if es >= N:
-                continue
-            for k in range(N - es):
-                row = self.rows[k]
-                orow = out[k + es]
-                for m in range(M - eq):
-                    if row[m]:
-                        orow[m + eq] += c * row[m]
-        return TruncatedSeries(N, M, out)
-
-    def scale_s(self, j: int) -> "TruncatedSeries":
-        """s -> q^j s: the s^k row picks up a factor q^(j*k)."""
-        if j < 0:
-            raise ValueError("scale_s needs j >= 0")
-        N, M = self.order_s, self.order_q
-        out = [[0] * M for _ in range(N)]
-        for k in range(N):
-            off = j * k
-            if off >= M:
-                break
-            row = self.rows[k]
-            orow = out[k]
-            for m in range(M - off):
-                orow[m + off] = row[m]
-        return TruncatedSeries(N, M, out)
-
-    @classmethod
-    def from_poly(cls, p: Poly, order_s: int, order_q: int) -> "TruncatedSeries":
-        out = [[0] * order_q for _ in range(order_s)]
-        for (ex, es, eq, ez), c in p.terms():
-            if ex or ez:
-                raise ValueError("series polynomial must not involve x or z")
-            if es < 0 or eq < 0:
-                raise ValueError("series polynomial must not be Laurent")
-            if es < order_s and eq < order_q:
-                out[es][eq] += c
-        return cls(order_s, order_q, out)
-
-    def to_text(self) -> str:
-        chunks = []
-        for k, row in enumerate(self.rows):
-            qpoly = Poly({(0, 0, m, 0): c for m, c in enumerate(row) if c})
-            if qpoly.is_zero():
-                continue
-            qs = qpoly.to_canonical_string()
-            if k == 0:
-                chunks.append(qs)
-                continue
-            spow = "s" if k == 1 else f"s^{k}"
-            if len(qpoly) == 1 and not qs.startswith("-"):
-                chunks.append(f"{qs}*{spow}" if qs != "1" else spow)
-            else:
-                chunks.append(f"({qs})*{spow}")
-        return " + ".join(chunks) if chunks else "0"
-
-    __str__ = to_text
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries(s^{self.order_s}, q^{self.order_q}: {self})"
+def truncate(p: Poly, order_s: int, order_q: int) -> Poly:
+    """The terms of p whose s exponent is below order_s and whose q exponent
+    is below order_q."""
+    return Poly({e: c for e, c in p.terms() if e[1] < order_s and e[2] < order_q})
 
 
-def gf_truncated(order_s: int, order_q: int) -> TruncatedSeries:
+def gf_truncated(order_s: int, order_q: int) -> Poly:
     """F(s) = sum_k q^(k^2)/((1-q)...(1-q^k)) s^k mod (s^N, q^M)."""
     N, M = order_s, order_q
     if N < 1 or M < 1:
         raise ValueError("series orders must be >= 1")
-    rows = []
+    terms = {}
     inv = [0] * M  # running expansion of prod_{i<=k} 1/(1-q^i)
     inv[0] = 1
     for k in range(N):
         if k:
             for j in range(k, M):
                 inv[j] += inv[j - k]
-        row = [0] * M
-        ksq = k * k
-        for j in range(M - ksq if ksq < M else 0):
-            row[j + ksq] = inv[j]
-        rows.append(row)
-    return TruncatedSeries(N, M, rows)
+        for j in range(M - k * k):
+            terms[(0, k, j + k * k, 0)] = inv[j]
+    return Poly(terms)

@@ -16,11 +16,11 @@ from qfib.poly import ONE, Poly, Q, S, X, Z, ZERO, monomial, parse
 from qfib.qcomb import binom_product, fibonomial
 from qfib.quadext import alpha_pow
 from qfib.sequences import (
-    TruncatedSeries,
     fib,
     gf_truncated,
     qfib,
     transform_T,
+    truncate,
 )
 
 
@@ -262,7 +262,7 @@ def test_criterion_10_generating_function():
         assert residual("gf_limit", k=k).is_zero(), k
     g = gf_truncated(8, 12)
     for n in (16, 18, 20):
-        assert TruncatedSeries.from_poly(qfib(n).subst_x_one(), 8, 12) == g, n
+        assert truncate(qfib(n).subst_x_one(), 8, 12) == g, n
     _report(10, "gf limit identity mod (s^8, q^12) and series agreement", t0, 10)
 
 

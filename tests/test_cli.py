@@ -12,6 +12,7 @@ from qfib.cli import (
     EXIT_USAGE,
     EXIT_VERIFY_FAIL,
     TRIANGLE_MAX_ROWS,
+    _series_text,
     main,
 )
 from qfib.harness import REPORT_SCHEMA_VERSION, VerificationReport
@@ -61,6 +62,24 @@ def test_eval_lucas(capsys):
 def test_eval_gf(capsys):
     code, out, _ = run(capsys, "eval", "gf", "--s-order", "2", "--q-order", "4")
     assert (code, out) == (EXIT_OK, "1 + (q + q^2 + q^3)*s")
+
+
+def test_eval_gf_rejects_shift(capsys):
+    code, out, err = run(capsys, "eval", "gf", "--shift", "3")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "--shift only applies to eval qfib" in err
+
+
+def test_eval_gf_rejects_index(capsys):
+    code, out, err = run(capsys, "eval", "gf", "7")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "takes no index" in err
+
+
+def test_series_text_groups_by_s_power():
+    p = parse("-1 - q*s + s^2 + 2*q*s^3 + q^2*s^3 + 5*q^4*s^5")
+    assert _series_text(p) == "-1 + (-q)*s + s^2 + (2*q + q^2)*s^3 + 5*q^4*s^5"
+    assert _series_text(parse("0")) == "0"
 
 
 def test_eval_missing_index_usage_error(capsys):
@@ -435,6 +454,12 @@ def test_triangle_golden_matches_the_fibonomial_pascal_recurrence():
 def test_tables_triangle_budget(capsys):
     code, _, _ = run(capsys, "tables", "fibonomial-triangle", "--rows", "13")
     assert code == EXIT_OVER_BUDGET
+
+
+def test_tables_triangle_negative_rows_usage_error(capsys):
+    code, out, err = run(capsys, "tables", "fibonomial-triangle", "--rows", "-1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "rows must be >= 0" in err
 
 
 def test_tables_hoggatt_charpoly(capsys):

@@ -2,10 +2,10 @@
 
 import pytest
 
+from qfib.cli import _series_text
 from qfib.poly import ONE, Poly, Q, S, X, ZERO, monomial, parse
 from qfib.sequences import (
     SeqCache,
-    TruncatedSeries,
     fib,
     gf_truncated,
     lucas,
@@ -13,6 +13,7 @@ from qfib.sequences import (
     qfib_explicit,
     qfib_neg_closed,
     transform_T,
+    truncate,
 )
 
 # first values: 0, 1, x, x^2+s, x^3+2sx, x^4+3sx^2+s^2
@@ -112,49 +113,68 @@ def test_seqcache_is_pure():
     assert fresh.qfib(9) == qfib(9)
     assert fresh.fib(-5) == fib(-5)
     assert fresh.qfib(5, shift=2) == qfib(5).subst_s_scale(2)
+    # every memo is filled from its two seeds alone, in either direction first
+    for first, second in ((-6, 11), (11, -6)):
+        fresh = SeqCache()
+        assert fresh.fib(first) == fib(first)
+        assert fresh.fib(second) == fib(second)
+        assert fresh.qfib(first) == qfib(first)
+        assert fresh.qfib(second, shift=1) == qfib(second, shift=1)
+        for memo in (fresh._fib, fresh._qfib):
+            assert sorted(memo) == list(range(-6, 12))
+        for n in range(-4, 12):
+            assert fresh._fib[n] == X * fresh._fib[n - 1] + S * fresh._fib[n - 2]
+            assert fresh._qfib[n] == (
+                X * fresh._qfib[n - 1] + monomial(1, es=1, eq=n - 2) * fresh._qfib[n - 2]
+            )
+    fresh = SeqCache()
+    assert fresh.lucas(11) == lucas(11)
+    assert sorted(fresh._lucas) == list(range(12))
+    with pytest.raises(ValueError):
+        fresh.lucas(-1)
+    assert sorted(fresh._lucas) == list(range(12))
 
 
 # -------------------------------------------------------------- gf series
 
 
+def _coeff(p, es, eq):
+    return dict(p.terms()).get((0, es, eq, 0), 0)
+
+
 def test_gf_first_column_is_one():
-    ts = gf_truncated(1, 9)
-    assert ts.rows[0][0] == 1
-    assert all(c == 0 for c in ts.rows[0][1:])
+    assert gf_truncated(1, 9) == ONE
 
 
 def test_gf_2_4():
     ts = gf_truncated(2, 4)
-    assert ts.rows[0] == (1, 0, 0, 0)
-    assert ts.rows[1] == (0, 1, 1, 1)
-    assert ts.to_text() == "1 + (q + q^2 + q^3)*s"
+    assert ts == parse("1 + q*s + q^2*s + q^3*s")
+    assert _series_text(ts) == "1 + (q + q^2 + q^3)*s"
 
 
 def test_gf_agrees_with_qfib_truncation():
     g = gf_truncated(8, 12)
     for n in (16, 17, 20, 24):
-        trunc = TruncatedSeries.from_poly(qfib(n).subst_x_one(), 8, 12)
-        assert trunc == g, n
+        assert truncate(qfib(n).subst_x_one(), 8, 12) == g, n
 
 
 def test_series_arithmetic():
     g = gf_truncated(4, 6)
     assert (g - g).is_zero()
-    scaled = g.scale_s(1)
+    scaled = truncate(g.subst_s_scale(1), 4, 6)
     # F(qs): the s^k coefficient gains q^k
-    assert scaled.rows[1][2] == g.rows[1][1]
-    shifted = g.mul_poly(S * Q)
-    assert shifted.rows[1][1] == g.rows[0][0]
-    with pytest.raises(ValueError):
-        g.mul_poly(X)
-    with pytest.raises(ValueError):
-        g.mul_poly(monomial(1, es=-1))
-    with pytest.raises(ValueError):
-        g.scale_s(-1)
+    assert _coeff(scaled, 1, 2) == _coeff(g, 1, 1)
+    shifted = truncate(g * (S * Q), 4, 6)
+    assert _coeff(shifted, 1, 1) == _coeff(g, 0, 0)
+    # truncate bounds only the s and q exponents from above
+    laurent = monomial(3, ex=2, es=-1, eq=-2, ez=1)
+    assert truncate(laurent, 0, 0) == laurent
+    assert truncate(S + Q, 1, 2) == Q
+    assert truncate(S + Q, 2, 1) == S
 
 
 def test_series_orders_validate():
     with pytest.raises(ValueError):
         gf_truncated(0, 5)
     with pytest.raises(ValueError):
-        TruncatedSeries(2, 2, [[1, 2]])
+        gf_truncated(5, 0)
