@@ -1,8 +1,9 @@
 """Command-line front end: eval | coeff | verify | tables.
 
 Exit codes: 0 all pass, 1 verification failure, 2 usage error, 3 budget
-exceeded.  Ranges are inclusive "a..b" (a single "a" works too); negative
-bounds must be attached with '=', e.g. --n=-2..6.  Polynomial output uses
+exceeded, 4 internal error (an exact division that left a remainder).
+Ranges are inclusive "a..b" (a single "a" works too); negative bounds must
+be attached with '=', e.g. --n=-2..6.  Polynomial output uses
 the canonical grammar, bit-exact, so reports are stable regression inputs.
 """
 
@@ -16,12 +17,13 @@ from importlib import resources
 
 from . import harness, qcomb, sequences
 from .matrices import hoggatt
-from .poly import Poly
+from .poly import NotDivisible, Poly
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_OVER_BUDGET = 3
+EXIT_INTERNAL = 4
 
 # desk-scale bounds for the tables subcommand
 DET_TABLE_DEFAULT_MAX_K = 4
@@ -108,8 +110,13 @@ def _cmd_eval(args) -> int:
         raise _UsageError(f"eval {kind} needs an index n")
     if args.shift and kind != "qfib":
         raise _UsageError("--shift only applies to eval qfib")
+    for flag, value in (("--s-order", args.s_order), ("--q-order", args.q_order)):
+        if value is not None and kind != "gf":
+            raise _UsageError(f"{flag} only applies to eval gf")
     if kind == "gf":
-        series = sequences.gf_truncated(args.s_order, args.q_order)
+        s_order = 8 if args.s_order is None else args.s_order
+        q_order = 12 if args.q_order is None else args.q_order
+        series = sequences.gf_truncated(s_order, q_order)
         _emit(_series_text(series), args.out)
         return EXIT_OK
     n = args.n
@@ -365,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("n", type=int, nargs="?", help="sequence index")
     p_eval.add_argument("--shift", type=int, default=0, help="apply s -> q^shift s")
-    p_eval.add_argument("--s-order", type=int, default=8, dest="s_order")
-    p_eval.add_argument("--q-order", type=int, default=12, dest="q_order")
+    p_eval.add_argument("--s-order", type=int, dest="s_order", help="gf only; default 8")
+    p_eval.add_argument("--q-order", type=int, dest="q_order", help="gf only; default 12")
     p_eval.add_argument("--out")
     p_eval.set_defaults(func=_cmd_eval)
 
@@ -427,6 +434,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NotDivisible as exc:  # a broken exact division is a bug, not a usage error
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

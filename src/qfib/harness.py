@@ -16,6 +16,12 @@ which recovers a correction factor when a closed form's prefactor is in
 doubt; entries flagged fit_default attempt the fit even when the sweep
 does not ask for fitting.
 
+All power determinants det(f(ell(n+i-j), q^(ell j) s)^k), q-analogue and
+classical, share _power_det, which condenses them level by level with the
+Desnanot-Jacobi identity and hands the explicit matrix to Bareiss
+(PolyMatrix.det) only when a central minor vanishes; gen_cassini's 2 x 2
+determinant goes to Bareiss directly.
+
 Each family has one builder.  A classical or ell = 1 identity that the
 paper states separately (conj1_f, conj3, det_power_classical) is a binding
 of its stride-ell family at ell = 1; the hand-simplified special cases
@@ -37,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .matrices import PolyMatrix
+from .matrices import PolyMatrix, laurent_exact_div
 from .poly import ONE, Poly, ZERO, monomial
 from .qcomb import Fac, _prod, binom_product, fac, fibonomial, qfibonomial_parts
 from .sequences import fib, gf_truncated, lucas, qfib, transform_T, truncate
@@ -281,7 +287,41 @@ def conj2_k2(n: int, ell: int) -> Poly:
 
 def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
     """det(f(ell(n+i-j), q^(ell j) s)^k) over 0 <= i, j <= k, or
-    det(F(ell(n+i-j))^k) when classical."""
+    det(F(ell(n+i-j))^k) when classical, by Desnanot-Jacobi condensation.
+
+    Let D_r(m) be the leading r x r minor of this matrix at n = m.  The
+    minor on rows a.., columns b.. is sigma^b D_r(m + a - b), where sigma is
+    s -> q^ell s (the identity when classical), so the Desnanot-Jacobi
+    identity on the (r+1) x (r+1) leading block reads
+        D_{r+1}(m) = (D_r(m) sigma D_r(m) - sigma D_r(m-1) D_r(m+1))
+                     / sigma D_{r-1}(m),
+    starting from D_0 = 1 and D_1(m) = g(ell m)^k.  Level r covers
+    m = n-k-1+r..n+k+1-r; the levels are built bottom-up, keeping only the
+    current one and the central minors of the one below.  When one of those
+    is zero (g(0) = 0 inside the window) the explicit matrix goes to
+    Bareiss instead.
+    """
+    g = fib if classical else qfib
+
+    def sigma(p: Poly) -> Poly:
+        return p if classical else p.subst_s_scale(ell)
+
+    level = [g(ell * m) ** k for m in range(n - k, n + k + 1)]
+    divisors = None  # sigma D_{r-1}(m) over the window of level r + 1
+    while len(level) > 1:
+        if divisors is not None and not all(divisors):
+            return _power_det_bareiss(n, k, ell, classical)
+        level_s = [sigma(d) for d in level]
+        nxt = []
+        for i in range(len(level) - 2):
+            num = level[i + 1] * level_s[i + 1] - level_s[i] * level[i + 2]
+            nxt.append(num if divisors is None else laurent_exact_div(num, divisors[i]))
+        level, divisors = nxt, level_s[2:-2]
+    return level[0]
+
+
+def _power_det_bareiss(n: int, k: int, ell: int, classical: bool) -> Poly:
+    """The power determinant of _power_det by Bareiss on the explicit matrix."""
 
     def entry(i, j):
         m = ell * (n + i - j)

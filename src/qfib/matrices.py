@@ -5,8 +5,14 @@ is exact by the Sylvester minor identity.  Because exact_div insists on
 ordinary (non-Laurent) quotients, det() first factors a signed monomial out
 of each row so the working entries are ordinary polynomials, and multiplies
 the monomials back at the end — Laurent-entry matrices (negative sequence
-indices) then eliminate cleanly.  det_cofactor is the independent oracle
-kept for cross-checking small dimensions.
+indices) then eliminate cleanly.  laurent_exact_div applies the same
+stripping to a single exact division of Laurent polynomials.  det_cofactor
+is the independent oracle kept for cross-checking small dimensions.
+
+Bareiss computes the general determinants (gen_cassini, charpoly).  The
+power determinants of the harness are computed there by Desnanot-Jacobi
+condensation, which falls back to det() when a central minor vanishes;
+det() stays their test oracle.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from .qcomb import fibonomial
 
 __all__ = [
     "PolyMatrix",
+    "laurent_exact_div",
     "EntryUsesZ",
     "AlphaComponentNonzero",
     "hoggatt",
@@ -98,10 +105,7 @@ class PolyMatrix:
             live = [e for e in row if e]
             if not live:
                 return ZERO
-            mins = [
-                min(e.exponent_range(v)[0] for e in live)
-                for v in ("x", "s", "q", "z")
-            ]
+            mins = _low_exponents(live)
             if any(mins):
                 strip = monomial(1, *(-m for m in mins))
                 row = [e * strip for e in row]
@@ -150,6 +154,33 @@ class PolyMatrix:
             for i in range(n)
         ]
         return PolyMatrix(zi_minus).det()
+
+
+def _low_exponents(polys) -> list[int]:
+    """Per-variable least exponent over nonzero polys: the exponents of the
+    largest monomial that divides all of them in the Laurent ring."""
+    return [min(p.exponent_range(v)[0] for p in polys) for v in ("x", "s", "q", "z")]
+
+
+def laurent_exact_div(a: Poly, b: Poly) -> Poly:
+    """a / b for Laurent polynomials whose quotient is exact.
+
+    exact_div insists on an ordinary quotient, so, as det() does row by
+    row, each operand is first divided by its least monomial; the quotient
+    of the stripped operands is then ordinary, and the ratio of the two
+    monomials is multiplied back.  A remainder still raises NotDivisible."""
+    if not a:
+        return a.exact_div(b)
+    ma = _low_exponents([a])
+    mb = _low_exponents([b])
+    if any(ma):
+        a = a * monomial(1, *(-m for m in ma))
+    if any(mb):
+        b = b * monomial(1, *(-m for m in mb))
+    quot = a.exact_div(b)
+    if ma != mb:
+        quot = quot * monomial(1, *(i - j for i, j in zip(ma, mb)))
+    return quot
 
 
 def _cofactor(rows) -> Poly:

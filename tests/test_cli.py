@@ -5,8 +5,9 @@ import re
 
 import pytest
 
-from qfib import qcomb
+from qfib import harness, qcomb, sequences
 from qfib.cli import (
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_OVER_BUDGET,
     EXIT_USAGE,
@@ -16,7 +17,7 @@ from qfib.cli import (
     main,
 )
 from qfib.harness import REPORT_SCHEMA_VERSION, VerificationReport
-from qfib.poly import parse
+from qfib.poly import NotDivisible, parse
 
 
 def run(capsys, *argv):
@@ -74,6 +75,18 @@ def test_eval_gf_rejects_index(capsys):
     code, out, err = run(capsys, "eval", "gf", "7")
     assert (code, out) == (EXIT_USAGE, "")
     assert "takes no index" in err
+
+
+@pytest.mark.parametrize("flag", ["--s-order", "--q-order"])
+def test_eval_order_flags_only_apply_to_gf(capsys, flag):
+    code, out, err = run(capsys, "eval", "fib", "3", flag, "0")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"{flag} only applies to eval gf" in err
+
+
+def test_eval_gf_default_orders(capsys):
+    code, out, _ = run(capsys, "eval", "gf")
+    assert (code, out) == (EXIT_OK, _series_text(sequences.gf_truncated(8, 12)))
 
 
 def test_series_text_groups_by_s_power():
@@ -476,3 +489,19 @@ def test_eval_out_file(tmp_path, capsys):
     code, out, _ = run(capsys, "eval", "qfib", "5", "--out", str(target))
     assert code == EXIT_OK
     assert target.read_text().strip() == "x^4 + q*s*x^2 + q^2*s*x^2 + q^3*s*x^2 + q^4*s^2"
+
+
+def test_broken_exact_division_is_an_internal_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise NotDivisible("nonzero remainder")
+
+    monkeypatch.setattr(harness, "_power_det", broken)
+    code, out, err = run(capsys, "tables", "det-table", "--max-k", "2")
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err.startswith("internal error: nonzero remainder")
+    # inside a sweep the same fault stays report content: a failed cell
+    code, out, _ = run(capsys, "verify", "q_cassini", "--n", "2", "--format", "json")
+    assert code == EXIT_VERIFY_FAIL
+    (cell,) = json.loads(out)["cells"]
+    assert cell["status"] == "fail"
+    assert cell["residual"] == "error: nonzero remainder"

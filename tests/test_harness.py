@@ -19,6 +19,7 @@ from qfib.harness import (
     sides,
     sweep,
 )
+from qfib.matrices import PolyMatrix
 from qfib.poly import Poly, Q, S, X, monomial, parse
 from qfib.qcomb import binom_product
 from qfib.sequences import fib, qfib, transform_T
@@ -196,6 +197,41 @@ def test_bad_params_is_error():
 
 
 # ---------------------------------------------------------------- det table
+
+
+@pytest.mark.parametrize(
+    "k, n, classical, fallback",
+    [
+        (2, 0, True, True),
+        (3, 1, True, True),
+        (3, -1, True, True),
+        (2, 0, False, True),
+        (2, 1, True, False),
+        (3, 2, True, False),
+        (3, 2, False, False),
+    ],
+)
+def test_power_det_falls_back_to_bareiss_on_a_zero_central_minor(
+    monkeypatch, k, n, classical, fallback
+):
+    # one level of the condensation divides by g(m)^k for m = n-k+2..n+k-2,
+    # and g(0) = 0 for g = fib and g = qfib
+    calls = []
+    bareiss = harness._power_det_bareiss
+
+    def spy(*args):
+        calls.append(args)
+        return bareiss(*args)
+
+    monkeypatch.setattr(harness, "_power_det_bareiss", spy)
+    det = harness._power_det(n, k, classical=classical)
+    assert calls == ([(n, k, 1, classical)] if fallback else [])
+
+    def entry(i, j):
+        return fib(n + i - j) ** k if classical else qfib(n + i - j, shift=j) ** k
+
+    explicit = PolyMatrix([[entry(i, j) for j in range(k + 1)] for i in range(k + 1)])
+    assert det == explicit.det_cofactor()
 
 
 def test_det_table_known_factorizations():

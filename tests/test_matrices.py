@@ -9,12 +9,13 @@ from qfib.matrices import (
     EntryUsesZ,
     PolyMatrix,
     hoggatt,
+    laurent_exact_div,
     matvec,
     prodinger_eigvec,
     root_product_residual,
     verify_prodinger,
 )
-from qfib.poly import ONE, Poly, Q, S, X, Z, ZERO, monomial
+from qfib.poly import ONE, NotDivisible, Poly, Q, S, X, Z, ZERO, monomial
 from qfib.qcomb import fibonomial
 from qfib.quadext import QuadElem, alpha_pow
 from qfib.sequences import qfib
@@ -71,6 +72,20 @@ def test_det_laurent_entries():
             [[qfib(base + i - j, shift=j) for j in range(3)] for i in range(3)]
         )
         assert m.det() == m.det_cofactor(), base
+
+
+def test_laurent_exact_div_strips_each_operand():
+    b = qfib(-3, shift=1)
+    a = qfib(-4) * b
+    with pytest.raises(NotDivisible):
+        a.exact_div(b)  # the quotient qfib(-4) is Laurent
+    assert laurent_exact_div(a, b) == qfib(-4)
+    assert laurent_exact_div(a * monomial(1, ex=2, es=-5), b * S) == qfib(-4) * monomial(
+        1, ex=2, es=-6
+    )
+    assert laurent_exact_div(ZERO, b) == ZERO
+    with pytest.raises(NotDivisible):
+        laurent_exact_div(a + ONE, b)
 
 
 def test_det_zero_row_and_pivot_search():
