@@ -1,7 +1,8 @@
 """Command-line front end: eval | coeff | verify | tables.
 
 Exit codes: 0 all pass, 1 verification failure, 2 usage error, 3 budget
-exceeded, 4 internal error (an exact division that left a remainder).
+exceeded (a desk-scale bound, or an exponent that arithmetic pushed past the
+supported range), 4 internal error (an exact division that left a remainder).
 Ranges are inclusive "a..b" (a single "a" works too); negative bounds must
 be attached with '=', e.g. --n=-2..6.  Polynomial output uses
 the canonical grammar, bit-exact, so reports are stable regression inputs.
@@ -17,7 +18,7 @@ from importlib import resources
 
 from . import harness, qcomb, sequences
 from .matrices import hoggatt
-from .poly import NotDivisible, Poly
+from .poly import _TOT_GUARD, _VAR_GUARD, NotDivisible, Poly
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -437,6 +438,13 @@ def main(argv=None) -> int:
     except NotDivisible as exc:  # a broken exact division is a bug, not a usage error
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except OverflowError as exc:  # valid input whose arithmetic outgrows the exponent fields
+        print(
+            f"error: {exc} (|exponent| <= {_VAR_GUARD} per variable,"
+            f" <= {_TOT_GUARD} in total degree)",
+            file=sys.stderr,
+        )
+        return EXIT_OVER_BUDGET
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -299,22 +299,23 @@ def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
     m = n-k-1+r..n+k+1-r; the levels are built bottom-up, keeping only the
     current one and the central minors of the one below.  When one of those
     is zero (g(0) = 0 inside the window) the explicit matrix goes to
-    Bareiss instead.
+    Bareiss instead.  The central product D_r(m) sigma D_r(m) is the twisted
+    square D_r(m).mul_s_scaled(ell), which multiplies each pair of its
+    blocks once (a plain square when classical); the cross product and the
+    divisor use the sigma images.
     """
     g = fib if classical else qfib
-
-    def sigma(p: Poly) -> Poly:
-        return p if classical else p.subst_s_scale(ell)
+    twist = 0 if classical else ell  # sigma is s -> q^twist s
 
     level = [g(ell * m) ** k for m in range(n - k, n + k + 1)]
     divisors = None  # sigma D_{r-1}(m) over the window of level r + 1
     while len(level) > 1:
         if divisors is not None and not all(divisors):
             return _power_det_bareiss(n, k, ell, classical)
-        level_s = [sigma(d) for d in level]
+        level_s = [d.subst_s_scale(twist) for d in level]
         nxt = []
         for i in range(len(level) - 2):
-            num = level[i + 1] * level_s[i + 1] - level_s[i] * level[i + 2]
+            num = level[i + 1].mul_s_scaled(twist) - level_s[i] * level[i + 2]
             nxt.append(num if divisors is None else laurent_exact_div(num, divisors[i]))
         level, divisors = nxt, level_s[2:-2]
     return level[0]

@@ -20,9 +20,11 @@ grouped into blocks sharing (ex, es, ez), each block's q-coefficients are
 packed into one big integer with a rigorously chosen limb width, and block
 products become single bigint multiplications.  Packing and unpacking go
 through one bytes conversion per block (balanced digits via a bias), so
-they cost time linear in the block width.  A square (a * a, as built by
-__pow__) multiplies each unordered block pair once and doubles the
-off-diagonal products.
+they cost time linear in the block width.  A twisted square
+a * a.subst_s_scale(m) (mul_s_scaled) multiplies each unordered block pair
+once: s -> q^m s only moves each block's q offset, so the product of two
+blocks is added at both of its offsets, once doubled when they coincide.  A
+square (a * a, as built by __pow__) is its m = 0 case.
 
 Large exact divisions run the same blocked long division on the values at
 q = 2^L, widening L on failure.  The quotient is returned without forming
@@ -306,6 +308,17 @@ class Poly:
         return _mul_naive(a, b)
 
     __rmul__ = __mul__
+
+    def mul_s_scaled(self, m: int) -> "Poly":
+        """self * self.subst_s_scale(m), computing each product of two blocks
+        once (the twisted square; m = 0 is the plain square)."""
+        image = self.subst_s_scale(m)
+        if _FAST and len(self._t) ** 2 > 2048:
+            self._guard_mul(image)
+            out = _mul_blocked(self, self, m)
+            if out is not None:
+                return out
+        return self * image
 
     def __pow__(self, e: int) -> "Poly":
         if not isinstance(e, int) or e < 0:
@@ -683,7 +696,9 @@ def _unpack_signed(acc: int, L: int) -> list[int]:
     return digits
 
 
-def _mul_blocked(a: Poly, b: Poly) -> Poly | None:
+def _mul_blocked(a: Poly, b: Poly, twist: int = 0) -> Poly | None:
+    """a * b by block products, or a * a.subst_s_scale(twist) when b is a
+    (twist is only read then); None if an operand is too q-sparse to pack."""
     ba = _block_map(a)
     bb = _block_map(b)
     if ba is False or bb is False:
@@ -709,11 +724,23 @@ def _mul_blocked(a: Poly, b: Poly) -> Poly | None:
             cur[0] = off
 
     if a is b:
-        # squaring: each unordered block pair once, off-diagonal pairs doubled
-        for i, (sa, off_a, int_a) in enumerate(apacked):
-            add(sa + sa + _ZKEY, off_a + off_a, int_a * int_a)
-            for sb, off_b, int_b in apacked[i + 1 :]:
-                add(sa + sb + _ZKEY, off_a + off_b, (int_a * int_b) << 1)
+        # each unordered block pair once.  s -> q^twist s moves a block's q
+        # offset by twist * es, so A_i * A_j lands at off_i + tw_j and at
+        # tw_i + off_j: one doubled add when those agree (always at twist 0)
+        packed = [
+            (sa, off, off + twist * _unpack(sa + _ZKEY)[1], big) for sa, off, big in apacked
+        ]
+        for i, (sa, off_a, tw_a, int_a) in enumerate(packed):
+            add(sa + sa + _ZKEY, off_a + tw_a, int_a * int_a)
+            for sb, off_b, tw_b, int_b in packed[i + 1 :]:
+                prod = int_a * int_b
+                o1 = off_a + tw_b
+                o2 = tw_a + off_b
+                if o1 == o2:
+                    add(sa + sb + _ZKEY, o1, prod << 1)
+                else:
+                    add(sa + sb + _ZKEY, o1, prod)
+                    add(sa + sb + _ZKEY, o2, prod)
     else:
         bpacked = [(base, off, _pack_coeffs(cs, L)) for base, (off, cs) in bb.items()]
         for sa, off_a, int_a in apacked:

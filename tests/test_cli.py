@@ -17,7 +17,7 @@ from qfib.cli import (
     main,
 )
 from qfib.harness import REPORT_SCHEMA_VERSION, VerificationReport
-from qfib.poly import NotDivisible, parse
+from qfib.poly import NotDivisible, monomial, parse
 
 
 def run(capsys, *argv):
@@ -505,3 +505,29 @@ def test_broken_exact_division_is_an_internal_error(capsys, monkeypatch):
     (cell,) = json.loads(out)["cells"]
     assert cell["status"] == "fail"
     assert cell["residual"] == "error: nonzero remainder"
+
+
+def test_exponent_overflow_is_over_budget(capsys, monkeypatch):
+    code, out, err = run(capsys, "eval", "qfib", "9", "--shift", "1100000")
+    assert (code, out) == (EXIT_OVER_BUDGET, "")
+    assert err == (
+        "error: substitution exponent exceeds supported range"
+        " (|exponent| <= 4194304 per variable, <= 67108864 in total degree)\n"
+    )
+    # an input exponent past its own limit stays a usage error
+    monkeypatch.setattr(sequences, "qfib", lambda n, shift=0: monomial(1, es=1 << 21))
+    code, _, err = run(capsys, "eval", "qfib", "9")
+    assert code == EXIT_USAGE
+    assert err.startswith("error: exponent out of supported range")
+
+
+def test_exponent_overflow_inside_a_sweep_is_a_failed_cell(capsys, monkeypatch):
+    def overflowing(*args, **kwargs):
+        return monomial(1, es=1 << 20) ** 8
+
+    monkeypatch.setattr(harness, "_power_det", overflowing)
+    code, out, _ = run(capsys, "verify", "q_cassini", "--n", "2", "--format", "json")
+    assert code == EXIT_VERIFY_FAIL
+    (cell,) = json.loads(out)["cells"]
+    assert cell["status"] == "fail"
+    assert cell["residual"] == "error: product exponent exceeds supported range"
