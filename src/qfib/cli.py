@@ -67,6 +67,28 @@ def _parse_at(text: str) -> dict:
     return values
 
 
+# the options each kind reads; any other option the user gives is a usage error
+_READS = {
+    "eval": {"qfib": ("--shift",), "gf": ("--s-order", "--q-order")},
+    "coeff": {"fibonomial-ell": ("--ell",), "fac": ("--shift", "--ell")},
+    "tables": {
+        "det-table": ("--max-k", "--allow-slow"),
+        "fibonomial-triangle": ("--rows", "--at"),
+        "hoggatt-charpoly": ("n",),
+    },
+}
+
+
+def _reject_unread(command: str, kind: str, given: dict) -> None:
+    """A usage error for each option in given (flag -> value, None when the
+    user left it out) that `command kind` does not read."""
+    reads = _READS[command]
+    for flag, value in given.items():
+        if value is not None and flag not in reads.get(kind, ()):
+            users = " and ".join(k for k, flags in reads.items() if flag in flags)
+            raise _UsageError(f"{flag} only applies to {command} {users}")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -109,11 +131,9 @@ def _cmd_eval(args) -> int:
             raise _UsageError("eval gf takes no index n")
     elif args.n is None:
         raise _UsageError(f"eval {kind} needs an index n")
-    if args.shift and kind != "qfib":
-        raise _UsageError("--shift only applies to eval qfib")
-    for flag, value in (("--s-order", args.s_order), ("--q-order", args.q_order)):
-        if value is not None and kind != "gf":
-            raise _UsageError(f"{flag} only applies to eval gf")
+    # --shift 0 is the default, so it counts as left out
+    given = {"--shift": args.shift or None, "--s-order": args.s_order, "--q-order": args.q_order}
+    _reject_unread("eval", kind, given)
     if kind == "gf":
         s_order = 8 if args.s_order is None else args.s_order
         q_order = 12 if args.q_order is None else args.q_order
@@ -138,7 +158,8 @@ def _cmd_eval(args) -> int:
 # ------------------------------------------------------------------ coeff
 
 
-def _coeff_value(kind: str, params: list[int], shift: int, ell: int):
+def _coeff_value(kind: str, params: list[int], shift: int | None, ell: int | None):
+    _reject_unread("coeff", kind, {"--shift": shift, "--ell": ell})
     if kind == "qbinom":
         if len(params) != 2:
             raise _UsageError("coeff qbinom needs: n k")
@@ -153,17 +174,22 @@ def _coeff_value(kind: str, params: list[int], shift: int, ell: int):
         return qcomb.qfibonomial(*params)
     if kind == "fibonomial-ell":
         if len(params) == 3:
+            if ell is not None:
+                raise _UsageError(
+                    "--ell only applies to coeff fibonomial-ell without its ell parameter"
+                )
             k, j, e = params
         elif len(params) == 2:
             k, j = params
-            e = ell
+            e = 1 if ell is None else ell
         else:
             raise _UsageError("coeff fibonomial-ell needs: k j ell")
         return qcomb.fibonomial(k, j, e)
     if kind == "fac":
         if len(params) != 1:
             raise _UsageError("coeff fac needs: n (plus --shift/--ell)")
-        return qcomb.fac(params[0], shift=shift, ell=ell)
+        shift = 0 if shift is None else shift
+        return qcomb.fac(params[0], shift=shift, ell=1 if ell is None else ell)
     raise _UsageError(f"unknown coeff kind {kind!r}")  # pragma: no cover
 
 
@@ -271,10 +297,18 @@ def _golden_lines(name: str) -> list[str] | None:
 
 def _cmd_tables(args) -> int:
     kind = args.kind
+    given = {
+        "n": args.n,
+        "--max-k": args.max_k,
+        "--allow-slow": args.allow_slow,
+        "--rows": args.rows,
+        "--at": args.at,
+    }
+    _reject_unread("tables", kind, given)
     lines: list[str] = []
     mismatches: list[str] = []
     if kind == "det-table":
-        max_k = args.max_k
+        max_k = 3 if args.max_k is None else args.max_k
         if max_k > DET_TABLE_SLOW_MAX_K or (
             max_k > DET_TABLE_DEFAULT_MAX_K and not args.allow_slow
         ):
@@ -299,7 +333,7 @@ def _cmd_tables(args) -> int:
                 elif exp != rows[str(k)]:
                     mismatches.append(f"det-table k={k}: golden mismatch")
     elif kind == "fibonomial-triangle":
-        rows_n = args.rows
+        rows_n = 5 if args.rows is None else args.rows
         if rows_n < 0:
             raise _UsageError(f"triangle rows must be >= 0, got {rows_n}")
         if rows_n > TRIANGLE_MAX_ROWS:
@@ -384,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["qbinom", "fibonomial", "qfibonomial", "fibonomial-ell", "fac"],
     )
     p_coeff.add_argument("params", type=int, nargs="*")
-    p_coeff.add_argument("--shift", type=int, default=0)
-    p_coeff.add_argument("--ell", type=int, default=1)
+    p_coeff.add_argument("--shift", type=int, help="fac only; default 0")
+    p_coeff.add_argument("--ell", type=int, help="fac and fibonomial-ell only; default 1")
     p_coeff.add_argument("--at", help="evaluate, e.g. --at x=1,s=1")
     p_coeff.add_argument("--out")
     p_coeff.set_defaults(func=_cmd_coeff)
@@ -414,12 +448,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument(
         "kind", choices=["det-table", "fibonomial-triangle", "hoggatt-charpoly"]
     )
-    p_tables.add_argument("n", type=int, nargs="?")
-    p_tables.add_argument("--max-k", type=int, default=3, dest="max_k")
-    p_tables.add_argument("--rows", type=int, default=5)
-    p_tables.add_argument("--at")
+    p_tables.add_argument("n", type=int, nargs="?", help="hoggatt-charpoly only")
+    p_tables.add_argument("--max-k", type=int, dest="max_k", help="det-table only; default 3")
+    p_tables.add_argument("--rows", type=int, help="fibonomial-triangle only; default 5")
+    p_tables.add_argument("--at", help="fibonomial-triangle only")
     p_tables.add_argument(
-        "--allow-slow", action="store_true", help="permit the k = 5 determinant"
+        "--allow-slow",
+        action="store_true",
+        default=None,
+        help="det-table only; permit the k = 5 determinant",
     )
     p_tables.add_argument("--out")
     p_tables.set_defaults(func=_cmd_tables)

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .matrices import PolyMatrix, laurent_exact_div
+from .matrices import PolyMatrix
 from .poly import ONE, Poly, ZERO, monomial
 from .qcomb import Fac, _prod, binom_product, fac, fibonomial, qfibonomial_parts
 from .sequences import fib, gf_truncated, lucas, qfib, transform_T, truncate
@@ -316,7 +316,7 @@ def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
         nxt = []
         for i in range(len(level) - 2):
             num = level[i + 1].mul_s_scaled(twist) - level_s[i] * level[i + 2]
-            nxt.append(num if divisors is None else laurent_exact_div(num, divisors[i]))
+            nxt.append(num if divisors is None else num.exact_div(divisors[i]))
         level, divisors = nxt, level_s[2:-2]
     return level[0]
 

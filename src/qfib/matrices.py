@@ -1,13 +1,10 @@
 """Dense matrices over the polynomial ring.
 
 det() runs fraction-free (Bareiss) elimination; every division it performs
-is exact by the Sylvester minor identity.  Because exact_div insists on
-ordinary (non-Laurent) quotients, det() first factors a signed monomial out
-of each row so the working entries are ordinary polynomials, and multiplies
-the monomials back at the end — Laurent-entry matrices (negative sequence
-indices) then eliminate cleanly.  laurent_exact_div applies the same
-stripping to a single exact division of Laurent polynomials.  det_cofactor
-is the independent oracle kept for cross-checking small dimensions.
+is exact by the Sylvester minor identity, in the Laurent ring that
+exact_div works in, so Laurent entries (negative sequence indices) need no
+special care.  det_cofactor is the independent oracle kept for
+cross-checking small dimensions.
 
 Bareiss computes the general determinants (gen_cassini, charpoly).  The
 power determinants of the harness are computed there by Desnanot-Jacobi
@@ -25,7 +22,6 @@ from .qcomb import fibonomial
 
 __all__ = [
     "PolyMatrix",
-    "laurent_exact_div",
     "EntryUsesZ",
     "AlphaComponentNonzero",
     "hoggatt",
@@ -94,26 +90,7 @@ class PolyMatrix:
         """Exact determinant by fraction-free elimination."""
         self._require_square()
         n = self.rows
-        if n == 1:
-            return self._e[0][0]
-        if n == 2:
-            (a, b), (c, d) = self._e
-            return a * d - b * c
-        work = []
-        corr = [0, 0, 0, 0]  # accumulated per-variable row monomial exponents
-        for row in self._e:
-            live = [e for e in row if e]
-            if not live:
-                return ZERO
-            mins = _low_exponents(live)
-            if any(mins):
-                strip = monomial(1, *(-m for m in mins))
-                row = [e * strip for e in row]
-                for i, m in enumerate(mins):
-                    corr[i] += m
-            else:
-                row = list(row)
-            work.append(row)
+        work = [list(row) for row in self._e]
         sign = 1
         prev = ONE
         for col in range(n - 1):
@@ -134,7 +111,7 @@ class PolyMatrix:
                     row_i[j] = num.exact_div(prev)
                 row_i[col] = ZERO
             prev = piv
-        return work[n - 1][n - 1] * monomial(sign, *corr)
+        return work[n - 1][n - 1] * sign
 
     def det_cofactor(self) -> Poly:
         """Cofactor-expansion determinant; the small-dimension oracle."""
@@ -154,33 +131,6 @@ class PolyMatrix:
             for i in range(n)
         ]
         return PolyMatrix(zi_minus).det()
-
-
-def _low_exponents(polys) -> list[int]:
-    """Per-variable least exponent over nonzero polys: the exponents of the
-    largest monomial that divides all of them in the Laurent ring."""
-    return [min(p.exponent_range(v)[0] for p in polys) for v in ("x", "s", "q", "z")]
-
-
-def laurent_exact_div(a: Poly, b: Poly) -> Poly:
-    """a / b for Laurent polynomials whose quotient is exact.
-
-    exact_div insists on an ordinary quotient, so, as det() does row by
-    row, each operand is first divided by its least monomial; the quotient
-    of the stripped operands is then ordinary, and the ratio of the two
-    monomials is multiplied back.  A remainder still raises NotDivisible."""
-    if not a:
-        return a.exact_div(b)
-    ma = _low_exponents([a])
-    mb = _low_exponents([b])
-    if any(ma):
-        a = a * monomial(1, *(-m for m in ma))
-    if any(mb):
-        b = b * monomial(1, *(-m for m in mb))
-    quot = a.exact_div(b)
-    if ma != mb:
-        quot = quot * monomial(1, *(i - j for i, j in zip(ma, mb)))
-    return quot
 
 
 def _cofactor(rows) -> Poly:

@@ -26,13 +26,17 @@ once: s -> q^m s only moves each block's q offset, so the product of two
 blocks is added at both of its offsets, once doubled when they coincide.  A
 square (a * a, as built by __pow__) is its m = 0 case.
 
-Large exact divisions run the same blocked long division on the values at
-q = 2^L, widening L on failure.  The quotient is returned without forming
-quot * b when a coefficient bound proves quot * b - a, which vanishes at
-q = 2^L, is zero (see _quotient_certified); otherwise the product is
-checked, and the plain division is the last resort.  Setting
-QFIB_NO_FAST=1 in the environment forces the plain dict paths everywhere
-(the test suite checks both paths agree).
+Exact division works in the Laurent ring.  Least exponents add under
+products, so no term of an exact quotient a / b lies below low(a) - low(b)
+per variable; the kernels refuse a quotient term under that floor, which
+also ends the descent on inputs that do not divide.  Large exact divisions
+run the same blocked long division on the values at q = 2^L, widening L on
+failure.  The quotient is returned without forming quot * b when a
+coefficient bound proves quot * b - a, which vanishes at q = 2^L, is zero
+(see _quotient_certified); otherwise the product is checked, and the plain
+division is the last resort.  Setting QFIB_NO_FAST=1 in the environment
+forces the plain dict paths everywhere (the test suite checks both paths
+agree).
 """
 
 from __future__ import annotations
@@ -234,13 +238,6 @@ class Poly:
             self._cmax = max(map(abs, self._t.values()), default=1)
         return self._cmax
 
-    def _guard_mul(self, other: "Poly") -> None:
-        ra, rb = self._get_ranges(), other._get_ranges()
-        for i in range(5):
-            guard = _TOT_GUARD if i == 4 else _VAR_GUARD
-            if abs(ra[i][0] + rb[i][0]) > guard or abs(ra[i][1] + rb[i][1]) > guard:
-                raise OverflowError("product exponent exceeds supported range")
-
     # ------------------------------------------------------------ arithmetic
 
     def __neg__(self) -> "Poly":
@@ -294,7 +291,7 @@ class Poly:
         a, b = self._t, other._t
         if not a or not b:
             return ZERO
-        self._guard_mul(other)
+        _guard(self._get_ranges(), other._get_ranges(), 1, "product")
         if len(a) == 1:
             (ka, ca), = a.items()
             return Poly._raw({ka + kb - _ZKEY: ca * cb for kb, cb in b.items()})
@@ -311,14 +308,14 @@ class Poly:
 
     def mul_s_scaled(self, m: int) -> "Poly":
         """self * self.subst_s_scale(m), computing each product of two blocks
-        once (the twisted square; m = 0 is the plain square)."""
-        image = self.subst_s_scale(m)
-        if _FAST and len(self._t) ** 2 > 2048:
-            self._guard_mul(image)
-            out = _mul_blocked(self, self, m)
-            if out is not None:
-                return out
-        return self * image
+        once (the twisted square; m = 0 is the plain square).  The blocked
+        path never builds the image: the product guard reads its exponent
+        ranges off the block map."""
+        if _FAST and len(self._t) ** 2 > 2048 and _block_map(self):
+            self._guard_s_scale(m)
+            _guard(self._get_ranges(), _s_scaled_ranges(self, m), 1, "product")
+            return _mul_blocked(self, self, m)
+        return self * self.subst_s_scale(m)
 
     def __pow__(self, e: int) -> "Poly":
         if not isinstance(e, int) or e < 0:
@@ -337,20 +334,25 @@ class Poly:
 
     def subst_s_scale(self, m: int) -> "Poly":
         """s -> q^m s: every term's q exponent grows by m times its s exponent."""
-        if not isinstance(m, int):
-            raise ValueError("shift must be an int")
+        self._guard_s_scale(m)
         if m == 0 or not self._t:
             return self
-        (slo, shi) = self._get_ranges()[1]
-        (qlo, qhi) = self._get_ranges()[2]
-        for corner in (qlo + m * slo, qlo + m * shi, qhi + m * slo, qhi + m * shi):
-            if abs(corner) > _VAR_GUARD:
-                raise OverflowError("substitution exponent exceeds supported range")
         out = {}
         for k, c in self._t.items():
             es = ((k >> _SH_ES) & _MASK) - _BIAS
             out[k + (m * es) * _QSTEP] = c
         return Poly._raw(out)
+
+    def _guard_s_scale(self, m: int) -> None:
+        """ValueError unless m is an int; OverflowError when s -> q^m s could
+        push a q exponent past _VAR_GUARD (at a corner of the s, q box)."""
+        if not isinstance(m, int):
+            raise ValueError("shift must be an int")
+        if m:
+            (slo, shi), (qlo, qhi) = self._get_ranges()[1:3]
+            for corner in (qlo + m * slo, qlo + m * shi, qhi + m * slo, qhi + m * shi):
+                if abs(corner) > _VAR_GUARD:
+                    raise OverflowError("substitution exponent exceeds supported range")
 
     def subst_q_invert(self) -> "Poly":
         """q -> 1/q: negate every q exponent."""
@@ -407,13 +409,16 @@ class Poly:
     # -------------------------------------------------------------- division
 
     def exact_div(self, b: "Poly") -> "Poly":
-        """Return q with self = q*b, by ordered long division; the quotient
-        must be an ordinary polynomial (no negative exponents) or
-        NotDivisible is raised."""
+        """Return the Laurent polynomial q with self = q*b, by ordered long
+        division, or raise NotDivisible.  Least exponents add under
+        products, so each term of q has exponents >= low(self) - low(b) per
+        variable, and the kernels refuse any quotient term below that."""
         if not isinstance(b, Poly) or not b._t:
             raise ZeroDivisionError("exact_div by the zero polynomial")
         if not self._t:
             return ZERO
+        # an exact quotient spans (low(self) - low(b), high(self) - high(b))
+        _guard(self._get_ranges(), b._get_ranges(), -1, "quotient")
         if len(b) == 1:
             return _div_monomial(self, b)
         if _FAST and len(self._t) > 400:
@@ -560,6 +565,22 @@ class _Parser:
 # --------------------------------------------------------- plain arithmetic
 
 
+def _guard(ra, rb, sign: int, what: str) -> None:
+    """OverflowError unless ra + sign*rb, taken range by range (x, s, q, z,
+    total degree), lies inside the guards: the exponent ranges of a product
+    (sign 1) or of an exact quotient (sign -1)."""
+    for i in range(5):
+        guard = _TOT_GUARD if i == 4 else _VAR_GUARD
+        if abs(ra[i][0] + sign * rb[i][0]) > guard or abs(ra[i][1] + sign * rb[i][1]) > guard:
+            raise OverflowError(f"{what} exponent exceeds supported range")
+
+
+def _div_floor(a: Poly, b: Poly) -> list[int]:
+    """Per-variable least exponent (x, s, q, z) of the exact quotient a / b."""
+    ra, rb = a._get_ranges(), b._get_ranges()
+    return [ra[i][0] - rb[i][0] for i in range(4)]
+
+
 def _mul_naive(a: dict, b: dict) -> Poly:
     if len(a) > len(b):
         a, b = b, a
@@ -577,11 +598,9 @@ def _mul_naive(a: dict, b: dict) -> Poly:
 
 def _div_monomial(a: Poly, b: Poly) -> Poly:
     (kb, cb), = b._t.items()
-    exb = _unpack(kb)
     out = {}
     for k, c in a._t.items():
-        exs = _unpack(k)
-        if any(ea < eb for ea, eb in zip(exs, exb)) or c % cb:
+        if c % cb:
             raise NotDivisible("remainder in monomial division")
         out[k - kb + _ZKEY] = c // cb
     return Poly._raw(out)
@@ -591,7 +610,8 @@ def _div_naive(a: Poly, b: Poly) -> Poly:
     bt = b._t
     kb = max(bt)
     cb = bt[kb]
-    exb = _unpack(kb)
+    # a term of the remainder at or above lim leads a quotient term >= floor
+    lim = [e + f for e, f in zip(_unpack(kb), _div_floor(a, b))]
     bitems = [(k, c) for k, c in bt.items() if k != kb]
     r = dict(a._t)
     quot: dict[int, int] = {}
@@ -599,7 +619,7 @@ def _div_naive(a: Poly, b: Poly) -> Poly:
     while r:
         kr = max(r)
         cr = r[kr]
-        if any(ea < eb for ea, eb in zip(_unpack(kr), exb)) or cr % cb:
+        if any(e < f for e, f in zip(_unpack(kr), lim)) or cr % cb:
             raise NotDivisible("nonzero remainder")
         cq = cr // cb
         kq = kr - kb + _ZKEY
@@ -656,6 +676,21 @@ def _block_map(p: Poly):
         bm = False  # hopelessly q-sparse; dense packing would thrash
     p._blocks = bm
     return bm
+
+
+def _s_scaled_ranges(p: Poly, m: int):
+    """p.subst_s_scale(m)'s exponent ranges off p's block map: s -> q^m s
+    moves the q exponents, and so the total degrees, of an (ex, es, ez)
+    block by m*es."""
+    q, tot = [], []
+    for base, (off, cs) in _block_map(p).items():
+        lo = off + m * _unpack(base)[1]
+        hi = lo + len(cs) - 1
+        t = (base >> _SH_T) - _TBIAS  # ex + es + ez
+        q += (lo, hi)
+        tot += (lo + t, hi + t)
+    rx, rs, _, rz, _ = p._get_ranges()
+    return (rx, rs, (min(q), max(q)), rz, (min(tot), max(tot)))
 
 
 def _pack_coeffs(coeffs: list[int], L: int) -> int:
@@ -776,9 +811,7 @@ def _quotient_certified(qmax: int, bmax: int, n: int, amax: int, L: int) -> bool
 
 
 def _div_blocked(a: Poly, b: Poly) -> Poly | None:
-    ba = _block_map(a)
-    bb = _block_map(b)
-    if ba is False or bb is False:
+    if _block_map(a) is False or _block_map(b) is False:
         return None
     amax = a._coeff_stats()
     bmax = b._coeff_stats()
@@ -788,7 +821,7 @@ def _div_blocked(a: Poly, b: Poly) -> Poly | None:
     L0 = (max(amax, bmax).bit_length() + len(a._t).bit_length() + 2 + 7) & ~7
     for L in (L0, 2 * L0, 4 * L0):
         try:
-            quot = _div_blocked_at(a, ba, bb, L)
+            quot = _div_blocked_at(a, b, L)
         except _RetryDivision:
             continue
         qmax = quot._coeff_stats()
@@ -798,16 +831,19 @@ def _div_blocked(a: Poly, b: Poly) -> Poly | None:
     return None  # caller falls back to the naive path
 
 
-def _div_blocked_at(a: Poly, ba: dict, bb: dict, L: int) -> Poly:
+def _div_blocked_at(a: Poly, b: Poly, L: int) -> Poly:
     bpacked = {
-        base: (off, _pack_coeffs(cs, L)) for base, (off, cs) in bb.items()
+        base: (off, _pack_coeffs(cs, L)) for base, (off, cs) in _block_map(b).items()
     }
     kb = max(bpacked)
     off_b, int_b = bpacked[kb]
-    exb = _unpack(kb)
+    floor = _div_floor(a, b)
+    # block bases carry eq = 0, so q's floor is checked digit by digit
+    lim = [e + f for e, f in zip(_unpack(kb), floor)]
+    lim[2] = 0
     rest_b = [(base, off, big) for base, (off, big) in bpacked.items() if base != kb]
     r: dict[int, list] = {
-        base: [off, _pack_coeffs(cs, L)] for base, (off, cs) in ba.items()
+        base: [off, _pack_coeffs(cs, L)] for base, (off, cs) in _block_map(a).items()
     }
     out: dict[int, int] = {}
     while r:
@@ -815,7 +851,7 @@ def _div_blocked_at(a: Poly, ba: dict, bb: dict, L: int) -> Poly:
         off_r, int_r = r.pop(kr)
         if not int_r:
             continue
-        if any(ea < eb for ea, eb in zip(_unpack(kr), exb)):
+        if any(e < f for e, f in zip(_unpack(kr), lim)):
             raise NotDivisible("nonzero remainder")
         qt, rem = divmod(int_r, int_b)
         if rem:
@@ -825,7 +861,7 @@ def _div_blocked_at(a: Poly, ba: dict, bb: dict, L: int) -> Poly:
         for i, d in enumerate(_unpack_signed(qt, L)):
             if not d:
                 continue
-            if t_off + i < 0:
+            if t_off + i < floor[2]:
                 raise _RetryDivision
             out[t_base + (t_off + i) * _QSTEP] = d
         shift_t = t_base - _ZKEY

@@ -162,6 +162,33 @@ def test_coeff_bad_at(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["qfibonomial", "3", "1", "--ell", "2"],
+            "--ell only applies to coeff fibonomial-ell and fac",
+        ),
+        (["qbinom", "4", "2", "--shift", "3"], "--shift only applies to coeff fac"),
+        (["fibonomial", "4", "2", "--shift", "0"], "--shift only applies to coeff fac"),
+        (
+            ["fibonomial-ell", "3", "1", "2", "--ell", "5"],
+            "--ell only applies to coeff fibonomial-ell without its ell parameter",
+        ),
+    ],
+    ids=["qfibonomial-ell", "qbinom-shift", "fibonomial-shift-0", "fibonomial-ell-twice"],
+)
+def test_coeff_option_the_kind_does_not_read_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, "coeff", *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert message in err
+
+
+def test_coeff_fibonomial_ell_from_the_option(capsys):
+    code, out, _ = run(capsys, "coeff", "fibonomial-ell", "2", "1", "--ell", "2")
+    assert (code, out) == (EXIT_OK, "x^2 + 2*s")
+
+
 # ------------------------------------------------------------------ verify
 
 
@@ -482,6 +509,32 @@ def test_tables_hoggatt_charpoly(capsys):
     assert code == EXIT_OVER_BUDGET
     code, _, _ = run(capsys, "tables", "hoggatt-charpoly")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["det-table", "7", "--at", "x=1,s=1", "--rows", "9"],
+            "n only applies to tables hoggatt-charpoly",
+        ),
+        (["det-table", "--rows", "9"], "--rows only applies to tables fibonomial-triangle"),
+        (
+            ["hoggatt-charpoly", "2", "--at", "x=1,s=1", "--allow-slow"],
+            "--allow-slow only applies to tables det-table",
+        ),
+        (
+            ["hoggatt-charpoly", "2", "--at", "x=1,s=1"],
+            "--at only applies to tables fibonomial-triangle",
+        ),
+        (["fibonomial-triangle", "--max-k", "3"], "--max-k only applies to tables det-table"),
+    ],
+    ids=["det-table-n", "det-table-rows", "hoggatt-allow-slow", "hoggatt-at", "triangle-max-k"],
+)
+def test_tables_option_the_kind_does_not_read_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, "tables", *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert message in err
 
 
 def test_eval_out_file(tmp_path, capsys):

@@ -9,7 +9,6 @@ from qfib.matrices import (
     EntryUsesZ,
     PolyMatrix,
     hoggatt,
-    laurent_exact_div,
     matvec,
     prodinger_eigvec,
     root_product_residual,
@@ -74,18 +73,16 @@ def test_det_laurent_entries():
         assert m.det() == m.det_cofactor(), base
 
 
-def test_laurent_exact_div_strips_each_operand():
+def test_exact_div_of_laurent_operands():
     b = qfib(-3, shift=1)
     a = qfib(-4) * b
-    with pytest.raises(NotDivisible):
-        a.exact_div(b)  # the quotient qfib(-4) is Laurent
-    assert laurent_exact_div(a, b) == qfib(-4)
-    assert laurent_exact_div(a * monomial(1, ex=2, es=-5), b * S) == qfib(-4) * monomial(
+    assert a.exact_div(b) == qfib(-4)  # a Laurent quotient
+    assert (a * monomial(1, ex=2, es=-5)).exact_div(b * S) == qfib(-4) * monomial(
         1, ex=2, es=-6
     )
-    assert laurent_exact_div(ZERO, b) == ZERO
+    assert ZERO.exact_div(b) == ZERO
     with pytest.raises(NotDivisible):
-        laurent_exact_div(a + ONE, b)
+        (a + ONE).exact_div(b)
 
 
 def test_det_zero_row_and_pivot_search():

@@ -1,20 +1,37 @@
 """Hypothesis property tests: the parse/print round trip on Laurent
 polynomials, the two facts that let gf_limit truncate once, at the end, the
-twisted square against the plain product, Bareiss against cofactor
-expansion on Laurent entries, and the condensation engine of the power
-determinants against Bareiss.
+twisted square against the plain product, exact division of Laurent
+polynomials on each kernel, Bareiss against cofactor expansion on Laurent
+entries, and the condensation engine of the power determinants against
+Bareiss.  Plain tests beside them pin the exponent guards of the twisted
+square and of exact division at _VAR_GUARD.
 
 Every test runs derandomized and without an example database, so the suite
 stays deterministic; conftest.py keeps Hypothesis's other storage out of
 the working tree.
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfib.harness import _power_det
 from qfib.matrices import PolyMatrix
-from qfib.poly import ZERO, Poly, _block_map, parse
+from qfib.poly import (
+    _VAR_GUARD,
+    ONE,
+    ZERO,
+    NotDivisible,
+    Poly,
+    X,
+    _block_map,
+    _div_blocked,
+    _div_naive,
+    monomial,
+    parse,
+)
 from qfib.sequences import fib, qfib, truncate
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None)
@@ -88,6 +105,84 @@ def test_twisted_square_of_a_q_sparse_poly_takes_the_plain_product():
     assert _block_map(a) is False
     for m in range(-3, 4):
         assert a.mul_s_scaled(m) == a * a.subst_s_scale(m)
+
+
+def _s_only_poly(q_hi):
+    """54 terms, all with es = 1, in nine (ex, ez) blocks of q exponents
+    q_hi - 5..q_hi: the blocked path, and s -> q^m s moves every q exponent
+    by exactly m."""
+    return Poly(
+        {(ex, 1, q_hi - i, ez): i + 1 for ex in range(3) for ez in range(3) for i in range(6)}
+    )
+
+
+def test_twisted_square_guards_the_image_and_the_product_at_the_exponent_limit():
+    # q_hi = -5: the image's top q exponent q_hi + m is the largest, so the
+    # image's own guard decides; it sits at the limit at m = _VAR_GUARD + 5
+    a = _s_only_poly(-5)
+    assert len(a) ** 2 > 2048 and _block_map(a)
+    assert a.mul_s_scaled(_VAR_GUARD + 5) == a * a.subst_s_scale(_VAR_GUARD + 5)
+    with pytest.raises(OverflowError):
+        a.mul_s_scaled(_VAR_GUARD + 6)
+    # q_hi = 1: the product's top q exponent 2 * q_hi + m is the largest
+    b = _s_only_poly(1)
+    assert b.mul_s_scaled(_VAR_GUARD - 2) == b * b.subst_s_scale(_VAR_GUARD - 2)
+    with pytest.raises(OverflowError):
+        b.mul_s_scaled(_VAR_GUARD - 1)
+
+
+_LOWS = [e for e in range(-6, 7) if e]
+_DIV_COEFFS = [-3, -2, -1, 1, 2, 3, (1 << 40) + 1, -(1 << 40)]
+
+
+def _laurent_factor(rng, nterms, widths):
+    """nterms terms, exponents spread over widths[i] values of variable i,
+    then shifted so that the least exponent of every variable is a nonzero
+    value in -6..6."""
+    terms = {}
+    while len(terms) < nterms:
+        terms[tuple(rng.randrange(w) for w in widths)] = rng.choice(_DIV_COEFFS)
+    p = Poly(terms)
+    return p * monomial(1, *(rng.choice(_LOWS) - p.exponent_range(v)[0] for v in "xsqz"))
+
+
+def _bump(rng, p):
+    """One term near p's exponent box, added to p."""
+    exps = [rng.randint(lo - 1, hi + 1) for lo, hi in map(p.exponent_range, "xsqz")]
+    return p + monomial(rng.choice([-1, 1, 2]), *exps)
+
+
+@settings(_SETTINGS, max_examples=40)
+@given(st.integers(0, 2**32 - 1).map(random.Random))  # a seed: far fewer draws
+def test_exact_div_returns_laurent_quotients_on_every_kernel(rng):
+    # a one-term divisor (monomial kernel), a few terms (naive kernel), and a
+    # dividend of more than 400 terms last (blocked kernel; a bumped dividend
+    # there can take the retry and the fallback to the naive kernel)
+    monomial_case = (_laurent_factor(rng, 8, (3, 3, 4, 3)), _laurent_factor(rng, 1, (1,) * 4))
+    small_case = (_laurent_factor(rng, 8, (3, 3, 4, 3)), _laurent_factor(rng, 3, (3, 3, 3, 3)))
+    large_case = (_laurent_factor(rng, 70, (3, 3, 12, 3)), _laurent_factor(rng, 12, (3, 3, 6, 3)))
+    for quot, b in (monomial_case, small_case, large_case):
+        prod = quot * b
+        assert prod.exact_div(b) == quot
+        if len(b) > 1:  # a monomial divides every bumped dividend
+            assert _div_naive(prod, b) == quot
+            with pytest.raises(NotDivisible):
+                _bump(rng, prod).exact_div(b)
+    assert len(prod) > 400
+    assert _div_blocked(prod, b) == quot
+
+
+def test_exact_div_guards_the_quotient_exponents():
+    top = X**_VAR_GUARD
+    a = top + top * monomial(1, ex=-1)  # x^G + x^(G-1)
+    # the quotient x^G sits at the guard
+    assert a.exact_div(monomial(1, ex=-1) + ONE) == top
+    assert (top * monomial(1, ex=-1)).exact_div(monomial(1, ex=-1)) == top
+    # x^(G+1) is past it, on the naive and on the monomial kernel
+    with pytest.raises(OverflowError):
+        a.exact_div(monomial(1, ex=-1) + monomial(1, ex=-2))
+    with pytest.raises(OverflowError):
+        top.exact_div(monomial(1, ex=-1))
 
 
 def _zero_pivot(rows):
