@@ -131,8 +131,7 @@ def _cmd_eval(args) -> int:
             raise _UsageError("eval gf takes no index n")
     elif args.n is None:
         raise _UsageError(f"eval {kind} needs an index n")
-    # --shift 0 is the default, so it counts as left out
-    given = {"--shift": args.shift or None, "--s-order": args.s_order, "--q-order": args.q_order}
+    given = {"--shift": args.shift, "--s-order": args.s_order, "--q-order": args.q_order}
     _reject_unread("eval", kind, given)
     if kind == "gf":
         s_order = 8 if args.s_order is None else args.s_order
@@ -146,7 +145,7 @@ def _cmd_eval(args) -> int:
     elif kind == "lucas":
         p = sequences.lucas(n)
     elif kind == "qfib":
-        p = sequences.qfib(n, shift=args.shift)
+        p = sequences.qfib(n, shift=0 if args.shift is None else args.shift)
     elif kind == "qfib-neg-closed":
         p = sequences.qfib_neg_closed(n)
     else:  # pragma: no cover - argparse restricts choices
@@ -406,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         "kind", choices=["fib", "lucas", "qfib", "qfib-neg-closed", "gf"]
     )
     p_eval.add_argument("n", type=int, nargs="?", help="sequence index")
-    p_eval.add_argument("--shift", type=int, default=0, help="apply s -> q^shift s")
+    p_eval.add_argument("--shift", type=int, help="qfib only: apply s -> q^shift s; default 0")
     p_eval.add_argument("--s-order", type=int, dest="s_order", help="gf only; default 8")
     p_eval.add_argument("--q-order", type=int, dest="q_order", help="gf only; default 12")
     p_eval.add_argument("--out")

@@ -50,6 +50,15 @@ def test_eval_qfib_shift(capsys):
     assert (code, out) == (EXIT_OK, "x^2 + q^2*s")
 
 
+def test_eval_shift_zero_is_read_by_qfib_only(capsys):
+    code, out, _ = run(capsys, "eval", "qfib", "5", "--shift", "0")
+    assert (code, out) == (EXIT_OK, run(capsys, "eval", "qfib", "5")[1])
+    for shift in ("0", "1"):
+        code, out, err = run(capsys, "eval", "fib", "3", "--shift", shift)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--shift only applies to eval qfib" in err
+
+
 def test_eval_neg_closed(capsys):
     code, out, _ = run(capsys, "eval", "qfib-neg-closed", "2")
     assert (code, out) == (EXIT_OK, "-q^3*s^-2*x")

@@ -1,7 +1,9 @@
 """Core polynomial ring: worked examples, properties, engine equivalence."""
 
 import random
+import sys
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -24,7 +26,9 @@ from qfib.poly import (
     _div_blocked_at,
     _div_naive,
     _mul_blocked,
+    _mul_bound,
     _mul_naive,
+    _mul_packed,
     _pack_coeffs,
     _quotient_certified,
     _unpack_signed,
@@ -404,6 +408,136 @@ def test_blocked_square_matches_naive():
     # all-negative coefficients in a single block
     b = Poly({(0, 0, e, 0): -(e + 1) for e in range(80)})
     assert _mul_blocked(b, b) == _mul_naive(b._t, b._t)
+
+
+def _squares(n):
+    """Positive ints whose squares sum to n >= 1, largest first, greedily."""
+    out = []
+    while n:
+        out.append(isqrt(n))
+        n -= out[-1] ** 2
+    return out
+
+
+def _reversal_pair(norm2):
+    """(a, b) with b the q-reversal of a and |a|_2^2 = norm2, so that the
+    centre coefficient of a * b is norm2, the Cauchy-Schwarz bound itself."""
+    cs = _squares(norm2)
+    a = Poly({(1, 2, i, 0): c for i, c in enumerate(cs)})
+    b = Poly({(1, 2, len(cs) - 1 - i, 0): c for i, c in enumerate(cs)})
+    assert _mul_bound(a, b) == norm2
+    return a, b
+
+
+def test_blocked_mul_at_the_limb_boundary():
+    # a largest coefficient of 2^(L-1) - 1 is the top balanced digit of an
+    # L-bit limb; one more needs the next limb width
+    for L in (16, 24, 64, 136):
+        for norm2 in ((1 << (L - 1)) - 1, 1 << (L - 1)):
+            a, b = _reversal_pair(norm2)
+            for x in (a, -a):
+                got = _mul_blocked(x, b)
+                assert got == _mul_naive(x._t, b._t)
+                assert max(abs(c) for _, c in got.terms()) == norm2
+
+
+# ------------------------------------------------- packed-engine kernels
+
+
+def test_packed_mul_at_the_digit_boundary():
+    # a largest coefficient of 5*10^(D-1) - 1 is the top balanced digit of
+    # a D-digit chunk; one more needs a digit more
+    for D in (1, 2, 5, 20, 60):
+        half = 5 * 10 ** (D - 1)
+        for norm2 in (half - 1, half):
+            a, b = _reversal_pair(norm2)
+            for x in (a, -a):
+                got = _mul_packed(x, b)
+                assert got == _mul_naive(x._t, b._t)
+                assert max(abs(c) for _, c in got.terms()) == norm2
+
+
+def test_packed_square_at_the_bound():
+    # a = c*(1 + q + ... + q^9)*(x^2/s + x^3) is its own q-reversal up to a
+    # power of q: the centre of its x^5/s block is |a|_2^2 = 20*c^2, the bound
+    for c in (1, -7, 10**30 + 1):
+        a = Poly({(2 + i, i - 1, e, 0): c for i in (0, 1) for e in range(-4, 6)})
+        assert _mul_bound(a, a) == 20 * c * c
+        for twist in range(-3, 4):
+            want = _mul_naive(a._t, a.subst_s_scale(twist)._t)
+            assert _mul_packed(a, a, twist) == want
+        assert max(abs(v) for _, v in _mul_packed(a, a).terms()) == 20 * c * c
+
+
+def test_packed_mul_at_the_widest_digit():
+    # 2 * bound just below 10^640 packs, even under the least int/str digit
+    # limit the interpreter accepts; just above, the kernel declines
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit:
+        limit = sys.get_int_max_str_digits()
+        set_limit(640)
+    try:
+        c = isqrt(10**640 // 4 - 1)
+        a = Poly({(0, 0, 0, 0): c, (0, 0, 1, 0): c})
+        assert len(str(2 * _mul_bound(a, a))) == 640
+        assert _mul_packed(a, a) == _mul_naive(a._t, a._t)
+        b = a * 2
+        assert _mul_packed(b, b) is None
+    finally:
+        if set_limit:
+            set_limit(limit)
+
+
+def test_packed_mul_declines_what_it_cannot_pack(monkeypatch):
+    import qfib.poly as poly
+
+    # every product above 2048 term pairs tries the packed kernel first
+    monkeypatch.setattr(poly, "_PACKED_PAIRS", 0)
+    line = Poly({(2 - 2 * es, es, eq, 0): 1 + eq for es in range(3) for eq in range(20)})
+    assert _mul_packed(line, line) == _mul_naive(line._t, line._t)
+    # two blocks on one s exponent: not an s-line
+    not_line = line + Poly({(5, 1, 0, 0): 1})
+    assert _mul_packed(not_line, line) is None
+    assert _mul_packed(line, not_line) is None
+    assert _mul_packed(not_line, not_line, 1) is None
+    assert not_line.mul_s_scaled(1) == not_line * not_line.subst_s_scale(1)
+    # s-lines with ex = es and ex = es^2: the products at es sum 2,
+    # (es 0) * (es 2) and (es 1) * (es 1), land on x^4 and x^2
+    ex_es = Poly({(es, es, eq, 0): 1 for es in range(3) for eq in range(20)})
+    ex_es2 = Poly({(es * es, es, eq, 0): 1 for es in range(3) for eq in range(20)})
+    assert _mul_packed(ex_es, ex_es) == _mul_naive(ex_es._t, ex_es._t)
+    assert _mul_packed(ex_es2, ex_es2) is None
+    assert _mul_packed(ex_es, ex_es2) is None
+    assert ex_es * ex_es2 == _mul_naive(ex_es._t, ex_es2._t)
+    # a 100-wide block at es 0 forces a stride of 100, and a block at es
+    # 1000 then sits 10^5 positions up: mostly gaps
+    spread = Poly({(0, 0, eq, 0): 1 for eq in range(100)}) + S + S**1000
+    assert _mul_packed(spread, spread) is None
+    assert spread * spread == _mul_naive(spread._t, spread._t)
+
+
+def test_large_power_takes_the_packed_kernel(monkeypatch):
+    import qfib.poly as poly
+    from qfib.sequences import qfib
+
+    results = []
+    real = poly._mul_packed
+
+    def spy(a, b, twist=0):
+        results.append(real(a, b, twist))
+        return results[-1]
+
+    monkeypatch.setattr(poly, "_mul_packed", spy)
+    if poly._FAST:
+        p = qfib(62)
+        square = p**2
+        assert len(results) == 1 and results[0] is not None
+        assert square == _mul_blocked(p, p)
+    else:
+        # the plain engine never packs, whatever the size
+        monkeypatch.setattr(poly, "_PACKED_PAIRS", 0)
+        assert qfib(20) ** 2 == qfib(20) * qfib(20)
+        assert results == []
 
 
 def test_quotient_certificate_rejects_equality():

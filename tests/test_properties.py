@@ -1,10 +1,10 @@
 """Hypothesis property tests: the parse/print round trip on Laurent
 polynomials, the two facts that let gf_limit truncate once, at the end, the
-twisted square against the plain product, exact division of Laurent
-polynomials on each kernel, Bareiss against cofactor expansion on Laurent
-entries, and the condensation engine of the power determinants against
-Bareiss.  Plain tests beside them pin the exponent guards of the twisted
-square and of exact division at _VAR_GUARD.
+twisted square and the packed product of s-lines against the plain product,
+exact division of Laurent polynomials on each kernel, Bareiss against
+cofactor expansion on Laurent entries, and the condensation engine of the
+power determinants against Bareiss.  Plain tests beside them pin the
+exponent guards of the twisted square and of exact division at _VAR_GUARD.
 
 Every test runs derandomized and without an example database, so the suite
 stays deterministic; conftest.py keeps Hypothesis's other storage out of
@@ -29,6 +29,8 @@ from qfib.poly import (
     _block_map,
     _div_blocked,
     _div_naive,
+    _mul_naive,
+    _mul_packed,
     monomial,
     parse,
 )
@@ -129,6 +131,32 @@ def test_twisted_square_guards_the_image_and_the_product_at_the_exponent_limit()
     assert b.mul_s_scaled(_VAR_GUARD - 2) == b * b.subst_s_scale(_VAR_GUARD - 2)
     with pytest.raises(OverflowError):
         b.mul_s_scaled(_VAR_GUARD - 1)
+
+
+def _s_line_poly(rng, slope, lead):
+    """An s-line: blocks on up to six s exponents in -4..4, the block at es
+    on (ex, ez) = lead + es * slope, so that the blocks of a product with
+    equal es sums share a base.  Each block is a run of 1..12 q exponents
+    from -9..9 on with signed coefficients, small or big, so that products
+    cancel and a product block need not fill the q range the kernel reads."""
+    big = rng.choice([1 << 31, 10**20 + 7, 1 << 70])
+    coeffs = [big, -big, 1 - big, -3, -2, -1, 0, 1, 2, 3]
+    terms = {(lead[0], 0, 0, lead[1]): 1}
+    for es in rng.sample(range(-4, 5), rng.randint(1, 5)):
+        ex, ez = lead[0] + slope[0] * es, lead[1] + slope[1] * es
+        q0 = rng.randint(-9, 9)
+        for eq in range(q0, q0 + rng.randint(1, 12)):
+            terms[(ex, es, eq, ez)] = rng.choice(coeffs)
+    return Poly(terms)
+
+
+@_SETTINGS
+@given(st.randoms(use_true_random=False), st.integers(-3, 3))
+def test_packed_product_matches_the_plain_product(rng, twist):
+    slope = (rng.randint(-2, 2), rng.randint(-1, 1))
+    a, b = (_s_line_poly(rng, slope, (rng.randint(-3, 3), rng.randint(-3, 3))) for _ in "ab")
+    assert _mul_packed(a, b) == _mul_naive(a._t, b._t)
+    assert _mul_packed(a, a, twist) == _mul_naive(a._t, a.subst_s_scale(twist)._t)
 
 
 _LOWS = [e for e in range(-6, 7) if e]
