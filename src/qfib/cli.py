@@ -18,7 +18,7 @@ from importlib import resources
 
 from . import harness, qcomb, sequences
 from .matrices import hoggatt
-from .poly import _TOT_GUARD, _VAR_GUARD, NotDivisible, Poly
+from .poly import _VAR_GUARD, NotDivisible, Poly
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -476,8 +476,7 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except OverflowError as exc:  # valid input whose arithmetic outgrows the exponent fields
         print(
-            f"error: {exc} (|exponent| <= {_VAR_GUARD} per variable,"
-            f" <= {_TOT_GUARD} in total degree)",
+            f"error: {exc} (|exponent| <= {_VAR_GUARD} per variable)",
             file=sys.stderr,
         )
         return EXIT_OVER_BUDGET

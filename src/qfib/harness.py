@@ -312,12 +312,14 @@ def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
     while len(level) > 1:
         if divisors is not None and not all(divisors):
             return _power_det_bareiss(n, k, ell, classical)
-        level_s = [d.subst_s_scale(twist) for d in level]
+        # the cross products read the images of level[:-2], the divisors
+        # of the next level those of level[2:-2]
+        level_s = [d.subst_s_scale(twist) for d in level[:-2]]
         nxt = []
         for i in range(len(level) - 2):
             num = level[i + 1].mul_s_scaled(twist) - level_s[i] * level[i + 2]
             nxt.append(num if divisors is None else num.exact_div(divisors[i]))
-        level, divisors = nxt, level_s[2:-2]
+        level, divisors = nxt, level_s[2:]
     return level[0]
 
 

@@ -3,21 +3,23 @@
 Coefficients are Python ints, so arithmetic never overflows or rounds.
 Exponents may be negative on every variable.  A polynomial is stored as a
 dict mapping a packed monomial key to its coefficient; the packed key is a
-single int whose bit fields hold (total degree, ex, es, eq, ez) with fixed
-offsets, so that
+single int whose bit fields hold (ex, es, eq, ez) with fixed offsets, so
+that
 
   * multiplying monomials is one integer addition (key_a + key_b - _ZKEY),
-  * the natural int order on keys IS the graded-lex order with priority
-    x > s > q > z, which drives leading-term logic in exact division.
+  * the natural int order on keys IS the lex order with priority
+    x > s > q > z, a monomial order, which picks leading terms in exact
+    division.
 
 The *display* order used by to_canonical_string is different (z desc,
 x desc, then s and q ascending) so that characteristic polynomials lead
 with z^n and q-expansions read like q-series; both orders are strict and
 total, and parse() accepts terms in any order.
 
-Large products go through one of two Kronecker-substitution kernels.
-Above 2048 term pairs, _mul_blocked groups terms into blocks sharing
-(ex, es, ez), packs each block's q-coefficients into one big integer with a
+Large products go through one of two Kronecker-substitution kernels,
+which read one list of blocks per polynomial: the terms sharing
+(ex, es, ez), sorted by es and cached.  Above 2048 term pairs,
+_mul_blocked packs each block's q-coefficients into one big integer with a
 rigorously chosen limb width, and turns block products into single bigint
 multiplications.  Packing and unpacking go through one bytes conversion per
 block (balanced digits via a bias), so they cost time linear in the block
@@ -42,12 +44,15 @@ and the Cauchy-Schwarz bound |a|_2 |b|_2.
 
 Exact division works in the Laurent ring.  Least exponents add under
 products, so no term of an exact quotient a / b lies below low(a) - low(b)
-per variable; the kernels refuse a quotient term under that floor, which
-also ends the descent on inputs that do not divide.  Large exact divisions
-run the same blocked long division on the values at q = 2^L, widening L on
-failure.  The quotient is returned without forming quot * b when a
-coefficient bound proves quot * b - a, which vanishes at q = 2^L, is zero
-(see _quotient_certified); otherwise the product is checked, and the plain
+per variable; the kernels refuse a quotient term under that floor.  An
+exact quotient is unique, so any monomial order finds it, and no graded
+order is needed to end the descent on inputs that do not divide: the
+quotient terms fall strictly in lex order while staying above the floor,
+and lex order well-orders that set.  Large exact divisions run the same
+blocked long division on the values at q = 2^L, widening L on failure.
+The quotient is returned without forming quot * b when a coefficient bound
+proves quot * b - a, which vanishes at q = 2^L, is zero (see
+_quotient_certified); otherwise the product is checked, and the plain
 division is the last resort.  Setting QFIB_NO_FAST=1 in the environment
 forces the plain dict paths everywhere (the test suite checks both paths
 agree).
@@ -82,20 +87,16 @@ _FAST = os.environ.get("QFIB_NO_FAST", "") not in ("1", "true", "yes")
 # --------------------------------------------------------------------------
 # monomial packing
 #
-# layout (low to high): ez | eq | es | ex | total, each variable field is
-# _FIELD bits wide with bias _BIAS; the total-degree field is wider since it
-# holds the sum of four exponents.
+# layout (low to high): ez | eq | es | ex, each field _FIELD bits wide with
+# bias _BIAS.
 
 _FIELD = 24
 _BIAS = 1 << 23
-_TFIELD = 28
-_TBIAS = 1 << 27
 
 _SH_EZ = 0
 _SH_EQ = _FIELD
 _SH_ES = 2 * _FIELD
 _SH_EX = 3 * _FIELD
-_SH_T = 4 * _FIELD
 
 _MASK = (1 << _FIELD) - 1
 
@@ -103,13 +104,11 @@ _MASK = (1 << _FIELD) - 1
 # (much larger) field capacity so packed arithmetic can never alias.
 _EXP_LIMIT = 1 << 20
 _VAR_GUARD = 1 << 22
-_TOT_GUARD = 1 << 26
 
 
 def _pack(ex: int, es: int, eq: int, ez: int) -> int:
     return (
-        ((ex + es + eq + ez + _TBIAS) << _SH_T)
-        | ((ex + _BIAS) << _SH_EX)
+        ((ex + _BIAS) << _SH_EX)
         | ((es + _BIAS) << _SH_ES)
         | ((eq + _BIAS) << _SH_EQ)
         | (ez + _BIAS)
@@ -126,10 +125,9 @@ def _unpack(key: int) -> tuple[int, int, int, int]:
 
 
 _ZKEY = _pack(0, 0, 0, 0)
-# adding n*_QSTEP to a key raises the q exponent by n (and fixes up the
-# total-degree field); same idea for x.
-_QSTEP = (1 << _SH_EQ) + (1 << _SH_T)
-_XSTEP = (1 << _SH_EX) + (1 << _SH_T)
+# adding n*_QSTEP to a key raises the q exponent by n; same idea for x.
+_QSTEP = 1 << _SH_EQ
+_XSTEP = 1 << _SH_EX
 
 _VARS = ("x", "s", "q", "z")
 
@@ -237,15 +235,14 @@ class Poly:
         r = self._ranges
         if r is None:
             if not self._t:
-                r = ((0, 0),) * 5
+                r = ((0, 0),) * 4
             else:
                 keys = list(self._t)
-                r = []
-                for sh in (_SH_EX, _SH_ES, _SH_EQ, _SH_EZ):
+                # x is the top key field: the extreme keys hold its range
+                r = [((min(keys) >> _SH_EX) - _BIAS, (max(keys) >> _SH_EX) - _BIAS)]
+                for sh in (_SH_ES, _SH_EQ, _SH_EZ):
                     f = [(k >> sh) & _MASK for k in keys]
                     r.append((min(f) - _BIAS, max(f) - _BIAS))
-                # total degree is the top key field: the extreme keys hold it
-                r.append(((min(keys) >> _SH_T) - _TBIAS, (max(keys) >> _SH_T) - _TBIAS))
                 r = tuple(r)
             self._ranges = r
         return r
@@ -334,7 +331,7 @@ class Poly:
         """self * self.subst_s_scale(m), computing each product of two blocks
         once (the twisted square; m = 0 is the plain square).  The blocked
         path never builds the image: the product guard reads its exponent
-        ranges off the block map."""
+        ranges off the block list."""
         if _FAST and len(self._t) ** 2 > 2048 and _block_map(self):
             self._guard_s_scale(m)
             _guard(self._get_ranges(), _s_scaled_ranges(self, m), 1, "product")
@@ -344,14 +341,18 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial powers require a nonnegative int")
-        result = ONE
+        if not e:
+            return ONE
+        # start from the first factor: ONE * factor would copy its terms
         base = self
-        while e:
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        result = base
+        while e := e >> 1:
+            base = base * base
             if e & 1:
                 result = result * base
-            e >>= 1
-            if e:
-                base = base * base
         return result
 
     # ---------------------------------------------------------- substitution
@@ -583,19 +584,19 @@ class _Parser:
             break
         if not saw_factor:
             self._fail("empty term")
-        return coeff, _pack(exps["x"], exps["s"], exps["q"], exps["z"])
+        # a term's factors may repeat a variable: check what they add up to
+        return coeff, _pack(*(_check_exp(exps[v]) for v in _VARS))
 
 
 # --------------------------------------------------------- plain arithmetic
 
 
 def _guard(ra, rb, sign: int, what: str) -> None:
-    """OverflowError unless ra + sign*rb, taken range by range (x, s, q, z,
-    total degree), lies inside the guards: the exponent ranges of a product
-    (sign 1) or of an exact quotient (sign -1)."""
-    for i in range(5):
-        guard = _TOT_GUARD if i == 4 else _VAR_GUARD
-        if abs(ra[i][0] + sign * rb[i][0]) > guard or abs(ra[i][1] + sign * rb[i][1]) > guard:
+    """OverflowError unless ra + sign*rb, taken range by range (x, s, q, z),
+    lies inside _VAR_GUARD: the exponent ranges of a product (sign 1) or of
+    an exact quotient (sign -1)."""
+    for (alo, ahi), (blo, bhi) in zip(ra, rb):
+        if abs(alo + sign * blo) > _VAR_GUARD or abs(ahi + sign * bhi) > _VAR_GUARD:
             raise OverflowError(f"{what} exponent exceeds supported range")
 
 
@@ -669,9 +670,12 @@ def _div_naive(a: Poly, b: Poly) -> Poly:
 
 
 def _block_map(p: Poly):
-    bm = p._blocks
-    if bm is not None:
-        return bm
+    """p's blocks [(es, base, lo, coeffs)] sorted by es, cached: base is the
+    block's key at q^0, coeffs its dense q coefficients from q^lo on.
+    False when p is too q-sparse to pack."""
+    bl = p._blocks
+    if bl is not None:
+        return bl
     # one pass: base key -> [qmin, qmax, [(eq, c), ...]]
     grouped: dict[int, list] = {}
     get = grouped.get
@@ -687,34 +691,33 @@ def _block_map(p: Poly):
             elif eq > g[1]:
                 g[1] = eq
             g[2].append((eq, c))
-    bm = {}
-    width_total = 0
-    for base, (qmin, qmax, lst) in grouped.items():
-        width = qmax - qmin + 1
-        width_total += width
-        coeffs = [0] * width
-        for e, c in lst:
-            coeffs[e - qmin] = c
-        bm[base] = (qmin, coeffs)
-    if width_total > 64 * len(p._t) + 4096:
-        bm = False  # hopelessly q-sparse; dense packing would thrash
-    p._blocks = bm
-    return bm
+    if sum(hi - lo + 1 for lo, hi, _ in grouped.values()) > 64 * len(p._t) + 4096:
+        bl = False  # hopelessly q-sparse; dense packing would thrash
+    else:
+        bl = []
+        for base, (lo, hi, lst) in grouped.items():
+            coeffs = [0] * (hi - lo + 1)
+            for e, c in lst:
+                coeffs[e - lo] = c
+            bl.append((((base >> _SH_ES) & _MASK) - _BIAS, base, lo, coeffs))
+        bl.sort()
+    p._blocks = bl
+    return bl
+
+
+def _twisted(blocks: list, twist: int) -> list:
+    """The block list of p.subst_s_scale(twist) from p's: s -> q^twist s
+    moves a block's least q exponent by twist * es and keeps the es order."""
+    if not twist:
+        return blocks
+    return [(es, base, lo + twist * es, cs) for es, base, lo, cs in blocks]
 
 
 def _s_scaled_ranges(p: Poly, m: int):
-    """p.subst_s_scale(m)'s exponent ranges off p's block map: s -> q^m s
-    moves the q exponents, and so the total degrees, of an (ex, es, ez)
-    block by m*es."""
-    q, tot = [], []
-    for base, (off, cs) in _block_map(p).items():
-        lo = off + m * _unpack(base)[1]
-        hi = lo + len(cs) - 1
-        t = (base >> _SH_T) - _TBIAS  # ex + es + ez
-        q += (lo, hi)
-        tot += (lo + t, hi + t)
-    rx, rs, _, rz, _ = p._get_ranges()
-    return (rx, rs, (min(q), max(q)), rz, (min(tot), max(tot)))
+    """p.subst_s_scale(m)'s exponent ranges off p's block list."""
+    q = [e for _, _, lo, cs in _twisted(_block_map(p), m) for e in (lo, lo + len(cs) - 1)]
+    rx, rs, _, rz = p._get_ranges()
+    return (rx, rs, (min(q), max(q)), rz)
 
 
 def _pack_coeffs(coeffs: list[int], L: int) -> int:
@@ -788,51 +791,52 @@ def _mul_blocked(a: Poly, b: Poly, twist: int = 0) -> Poly | None:
         return None
     # balanced digits hold |c| <= bound < 2^bits <= 2^(L-1)
     L = (_mul_bound(a, b).bit_length() + 8) & ~7
-    if len(ba) > len(bb):
-        ba, bb = bb, ba
-    apacked = [(base - _ZKEY, off, _pack_coeffs(cs, L)) for base, (off, cs) in ba.items()]
     acc: dict[int, list] = {}
-    get = acc.get
-
-    def add(base: int, off: int, prod: int) -> None:
-        cur = get(base)
-        if cur is None:
-            acc[base] = [off, prod]
-        elif cur[0] <= off:
-            cur[1] += prod << ((off - cur[0]) * L)
-        else:
-            cur[1] = prod + (cur[1] << ((cur[0] - off) * L))
-            cur[0] = off
-
     if a is b:
         # each unordered block pair once.  s -> q^twist s moves a block's q
         # offset by twist * es, so A_i * A_j lands at off_i + tw_j and at
         # tw_i + off_j: one doubled add when those agree (always at twist 0)
         packed = [
-            (sa, off, off + twist * _unpack(sa + _ZKEY)[1], big) for sa, off, big in apacked
+            (base - _ZKEY, lo, lo + twist * es, _pack_coeffs(cs, L)) for es, base, lo, cs in ba
         ]
         for i, (sa, off_a, tw_a, int_a) in enumerate(packed):
-            add(sa + sa + _ZKEY, off_a + tw_a, int_a * int_a)
+            _add_at(acc, sa + sa + _ZKEY, off_a + tw_a, int_a * int_a, L)
             for sb, off_b, tw_b, int_b in packed[i + 1 :]:
                 prod = int_a * int_b
                 o1 = off_a + tw_b
                 o2 = tw_a + off_b
                 if o1 == o2:
-                    add(sa + sb + _ZKEY, o1, prod << 1)
+                    _add_at(acc, sa + sb + _ZKEY, o1, prod << 1, L)
                 else:
-                    add(sa + sb + _ZKEY, o1, prod)
-                    add(sa + sb + _ZKEY, o2, prod)
+                    _add_at(acc, sa + sb + _ZKEY, o1, prod, L)
+                    _add_at(acc, sa + sb + _ZKEY, o2, prod, L)
     else:
-        bpacked = [(base, off, _pack_coeffs(cs, L)) for base, (off, cs) in bb.items()]
+        if len(ba) > len(bb):
+            ba, bb = bb, ba
+        apacked = [(base - _ZKEY, lo, _pack_coeffs(cs, L)) for _, base, lo, cs in ba]
+        bpacked = [(base, lo, _pack_coeffs(cs, L)) for _, base, lo, cs in bb]
         for sa, off_a, int_a in apacked:
             for base_b, off_b, int_b in bpacked:
-                add(sa + base_b, off_a + off_b, int_a * int_b)
+                _add_at(acc, sa + base_b, off_a + off_b, int_a * int_b, L)
     out: dict[int, int] = {}
     for base, (off, big) in acc.items():
         for i, d in enumerate(_unpack_signed(big, L)):
             if d:
                 out[base + (off + i) * _QSTEP] = d
     return Poly._raw(out)
+
+
+def _add_at(acc: dict, base: int, off: int, value: int, L: int) -> None:
+    """Add value * 2^(L*off) to acc[base], an [off, big int] pair of limb
+    width L whose offset moves down when value starts below it."""
+    cur = acc.get(base)
+    if cur is None:
+        acc[base] = [off, value]
+    elif cur[0] <= off:
+        cur[1] += value << ((off - cur[0]) * L)
+    else:
+        cur[1] = value + (cur[1] << ((cur[0] - off) * L))
+        cur[0] = off
 
 
 # --------------------------------------------------- packed (transform) engine
@@ -853,20 +857,6 @@ _MAX_DIGITS = 640
 _DIGITS_CAP = 10**_MAX_DIGITS
 # exact or an exception: every rounding traps
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
-
-
-def _es_blocks(p: Poly, twist: int = 0) -> list | None:
-    """[(es, base, lo, coeffs)] of p.subst_s_scale(twist)'s blocks by
-    ascending es (lo: the least q exponent), or None unless p is nonzero
-    and packs densely in q."""
-    bm = _block_map(p)
-    if not bm:
-        return None
-    return sorted(
-        (es, base, off + twist * es, cs)
-        for base, (off, cs) in bm.items()
-        for es in (_unpack(base)[1],)
-    )
 
 
 def _stride(ranges: list) -> int:
@@ -927,10 +917,11 @@ def _mul_packed(a: Poly, b: Poly, twist: int = 0) -> Poly | None:
     with equal es sums share a base (so a and b are s-lines), the digit
     width D stays within _MAX_DIGITS and the packed product is not mostly
     gaps."""
-    la = _es_blocks(a)
-    lb = _es_blocks(a, twist) if b is a else _es_blocks(b)
-    if la is None or lb is None:
+    la, lb = _block_map(a), _block_map(b)
+    if not la or not lb:
         return None
+    if b is a:
+        lb = _twisted(la, twist)
     bound = _mul_bound(a, b)
     if 2 * bound >= _DIGITS_CAP:
         return None
@@ -1035,19 +1026,14 @@ def _div_blocked(a: Poly, b: Poly) -> Poly | None:
 
 
 def _div_blocked_at(a: Poly, b: Poly, L: int) -> Poly:
-    bpacked = {
-        base: (off, _pack_coeffs(cs, L)) for base, (off, cs) in _block_map(b).items()
-    }
-    kb = max(bpacked)
-    off_b, int_b = bpacked[kb]
+    bpacked = [(base, lo, _pack_coeffs(cs, L)) for _, base, lo, cs in _block_map(b)]
+    kb, off_b, int_b = max(bpacked)
     floor = _div_floor(a, b)
     # block bases carry eq = 0, so q's floor is checked digit by digit
     lim = [e + f for e, f in zip(_unpack(kb), floor)]
     lim[2] = 0
-    rest_b = [(base, off, big) for base, (off, big) in bpacked.items() if base != kb]
-    r: dict[int, list] = {
-        base: [off, _pack_coeffs(cs, L)] for base, (off, cs) in _block_map(a).items()
-    }
+    rest_b = [blk for blk in bpacked if blk[0] != kb]
+    r = {base: [lo, _pack_coeffs(cs, L)] for _, base, lo, cs in _block_map(a)}
     out: dict[int, int] = {}
     while r:
         kr = max(r)
@@ -1069,21 +1055,7 @@ def _div_blocked_at(a: Poly, b: Poly, L: int) -> Poly:
             out[t_base + (t_off + i) * _QSTEP] = d
         shift_t = t_base - _ZKEY
         for base_b2, off_b2, int_b2 in rest_b:
-            base = shift_t + base_b2
-            off = t_off + off_b2
-            prod = qt * int_b2
-            cur = r.get(base)
-            if cur is None:
-                r[base] = [off, -prod]
-            elif cur[0] <= off:
-                cur[1] -= prod << ((off - cur[0]) * L)
-                if not cur[1]:
-                    del r[base]
-            else:
-                cur[1] = (cur[1] << ((cur[0] - off) * L)) - prod
-                cur[0] = off
-                if not cur[1]:
-                    del r[base]
+            _add_at(r, shift_t + base_b2, t_off + off_b2, -qt * int_b2, L)
     return Poly._raw(out)
 
 

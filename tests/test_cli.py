@@ -574,7 +574,7 @@ def test_exponent_overflow_is_over_budget(capsys, monkeypatch):
     assert (code, out) == (EXIT_OVER_BUDGET, "")
     assert err == (
         "error: substitution exponent exceeds supported range"
-        " (|exponent| <= 4194304 per variable, <= 67108864 in total degree)\n"
+        " (|exponent| <= 4194304 per variable)\n"
     )
     # an input exponent past its own limit stays a usage error
     monkeypatch.setattr(sequences, "qfib", lambda n, shift=0: monomial(1, es=1 << 21))

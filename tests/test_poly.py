@@ -192,6 +192,34 @@ def test_exponent_limit_guard():
         big**8
 
 
+def test_parse_checks_each_variables_exponent_summed_over_the_term():
+    # each factor lies inside the input limit, their sum does not: nine
+    # factors would wrap the packed field, two would pass the limit
+    for text in ("*".join(["x^1048576"] * 9), "x^1048576*x", "q^-1048576*s*q^-1"):
+        with pytest.raises(ValueError, match="exponent out of supported range"):
+            parse(text)
+    assert parse("x^1048575*x") == monomial(1, ex=1 << 20)
+    assert parse("x^1048576*x^-1048576*z") == Z
+
+
+def test_pow_starts_from_its_first_factor(monkeypatch):
+    p = X + S * Q
+    mul = Poly.__mul__
+    sizes = []
+
+    def counted(a, b):
+        sizes.append((len(a), len(b)))
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    assert p**1 is p and sizes == []
+    assert p**2 == mul(p, p) and sizes == [(2, 2)]
+    sizes.clear()
+    assert p**6 == mul(mul(p, p), mul(mul(p, p), mul(p, p)))
+    assert sizes == [(2, 2), (3, 3), (3, 5)]
+    assert p**0 == ONE
+
+
 # --------------------------------------------------------------- properties
 
 

@@ -3,8 +3,9 @@ polynomials, the two facts that let gf_limit truncate once, at the end, the
 twisted square and the packed product of s-lines against the plain product,
 exact division of Laurent polynomials on each kernel, Bareiss against
 cofactor expansion on Laurent entries, and the condensation engine of the
-power determinants against Bareiss.  Plain tests beside them pin the
-exponent guards of the twisted square and of exact division at _VAR_GUARD.
+power determinants against Bareiss.  Products and s -> q^m s are checked
+exactly at the exponent guard _VAR_GUARD and one step past it; plain tests
+beside them pin the guards of the twisted square and of exact division.
 
 Every test runs derandomized and without an example database, so the suite
 stays deterministic; conftest.py keeps Hypothesis's other storage out of
@@ -211,6 +212,77 @@ def test_exact_div_guards_the_quotient_exponents():
         a.exact_div(monomial(1, ex=-1) + monomial(1, ex=-2))
     with pytest.raises(OverflowError):
         top.exact_div(monomial(1, ex=-1))
+
+
+def _power(i, e):
+    """The monomial with exponent e on variable i (x, s, q, z), built by
+    powering, since an input exponent stops at _EXP_LIMIT."""
+    unit = [0, 0, 0, 0]
+    unit[i] = 1 if e > 0 else -1
+    return monomial(1, *unit) ** abs(e)
+
+
+def _insert(i, e, exps):
+    """exps with e inserted as the exponent of variable i."""
+    return exps[:i] + (e,) + exps[i:]
+
+
+small = st.integers(-9, 9)
+coeffs = st.integers(-99, 99).filter(bool)
+
+
+def _rests(width):
+    """1..3 terms whose exponents on `width` variables lie in -9..9."""
+    return st.dictionaries(st.tuples(*[small] * width), coeffs, min_size=1, max_size=3)
+
+
+@_SETTINGS
+@given(
+    st.integers(0, 3),
+    st.sampled_from((1, -1)),
+    st.integers(0, _VAR_GUARD - 1),
+    _rests(3),
+    _rests(3),
+    st.booleans(),
+)
+def test_products_reach_the_exponent_guard_and_stop_one_step_past(i, sign, t, ra, rb, wide):
+    """Every term of a * b sits at sign * _VAR_GUARD on variable i and keeps
+    its other exponents, so a carry into a neighbouring field would show;
+    one step further raises.  wide multiplies both factors by a run of 48
+    powers of another variable, taking the product off the naive kernel."""
+    rest_a = Poly({_insert(i, 0, e): c for e, c in ra.items()})
+    rest_b = Poly({_insert(i, 0, e): c for e, c in rb.items()})
+    if wide:
+        run = sum(_power(1 if i == 2 else 2, j) for j in range(48))
+        rest_a, rest_b = rest_a * run, rest_b * run
+    a = _power(i, sign * t) * rest_a
+    b = _power(i, sign * (_VAR_GUARD - t)) * rest_b
+    top = sign * _VAR_GUARD
+    want = {_insert(i, top, e[:i] + e[i + 1 :]): c for e, c in (rest_a * rest_b).terms()}
+    assert dict((a * b).terms()) == want
+    with pytest.raises(OverflowError):
+        _power(i, sign * (t + 1)) * rest_a * b
+
+
+@_SETTINGS
+@given(
+    st.sampled_from((1, -1)),
+    st.sampled_from((-3, -2, -1, 1, 2, 3)),
+    st.integers(0, _VAR_GUARD // 3),
+    _rests(2),
+)
+def test_s_scaling_reaches_the_exponent_guard_and_stops_one_step_past(sign, es, u, rest):
+    """s -> q^m s takes every q exponent to sign * _VAR_GUARD and keeps the
+    other exponents; one more step of m raises."""
+    step = sign if es > 0 else -sign  # step * es = sign * |es|
+    m = u * step
+    terms = {(ex, es, 0, ez): c for (ex, ez), c in rest.items()}
+    p = _power(2, sign * (_VAR_GUARD - u * abs(es))) * Poly(terms)
+    got = dict(p.subst_s_scale(m).terms())
+    top = sign * _VAR_GUARD
+    assert got == {(ex, es, top, ez): c for (ex, _, _, ez), c in terms.items()}
+    with pytest.raises(OverflowError):
+        p.subst_s_scale(m + step)
 
 
 def _zero_pivot(rows):
