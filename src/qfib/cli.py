@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -25,6 +26,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_OVER_BUDGET = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a command killed by SIGPIPE
 
 # desk-scale bounds for the tables subcommand
 DET_TABLE_DEFAULT_MAX_K = 4
@@ -89,12 +91,20 @@ def _reject_unread(command: str, kind: str, given: dict) -> None:
             raise _UsageError(f"{flag} only applies to {command} {users}")
 
 
+class _StdoutClosed(Exception):
+    """The reader of standard output went away (a closed pipe)."""
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+        except BrokenPipeError:
+            raise _StdoutClosed from None
 
 
 def _fraction_str(v: Fraction) -> str:
@@ -468,6 +478,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _StdoutClosed:
+        # as the Python docs advise: point stdout at devnull, so the flush at
+        # exit cannot raise again, and exit without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -691,8 +691,8 @@ def _block_map(p: Poly):
             elif eq > g[1]:
                 g[1] = eq
             g[2].append((eq, c))
-    if sum(hi - lo + 1 for lo, hi, _ in grouped.values()) > 64 * len(p._t) + 4096:
-        bl = False  # hopelessly q-sparse; dense packing would thrash
+    if not _dense_enough(sum(hi - lo + 1 for lo, hi, _ in grouped.values()), len(p._t)):
+        bl = False
     else:
         bl = []
         for base, (lo, hi, lst) in grouped.items():
@@ -703,6 +703,28 @@ def _block_map(p: Poly):
         bl.sort()
     p._blocks = bl
     return bl
+
+
+def _dense_enough(width: int, terms: int) -> bool:
+    """Whether blocks of total width `width` holding `terms` terms are worth
+    packing densely; a hopelessly q-sparse polynomial would thrash."""
+    return width <= 64 * terms + 4096
+
+
+def _from_blocks(blocks: list) -> Poly:
+    """The Poly whose _block_map is `blocks`, cached on it: [(es, base, lo,
+    coeffs)] sorted by es, no block empty, and each block's first and last
+    coefficients nonzero (as _block_map builds them)."""
+    out: dict[int, int] = {}
+    width = 0
+    for _, base, lo, cs in blocks:
+        width += len(cs)
+        first = base + lo * _QSTEP
+        keys = range(first, first + len(cs) * _QSTEP, _QSTEP)
+        out.update({key: c for key, c in zip(keys, cs) if c})
+    p = Poly._raw(out)
+    p._blocks = blocks if _dense_enough(width, len(out)) else False
+    return p
 
 
 def _twisted(blocks: list, twist: int) -> list:

@@ -9,6 +9,19 @@ f(n, x, q^j s) come from the substitution s -> q^j s, and transform_T is
 the q -> 1/q, s -> q^(n-1) s change of variables that maps plain-argument
 identities to shifted-argument ones.
 
+The forward fill (n >= 2) runs on packed q-blocks.  A memo entry is one big
+int per (ex, es, ez) block: the block's q coefficients in limbs of L bits, as
+poly._pack_coeffs lays them out.  One step of the recurrence is then one
+shift-and-add per block: x* moves a block's base key, q^(m-2)*s* moves its
+q offset and its s exponent.  L is sized so no coefficient reaches a limb
+boundary: the l1 norms of the fill's two seeds, grown by
+|g(m)|_1 <= |g(m-1)|_1 + |g(m-2)|_1, bound every coefficient of the fill.
+Each entry keeps its own L, and a seed packed narrower than a later fill
+needs is repacked.  An entry becomes a Poly, with its block list cached for
+the product kernels, only when it is read.  Under QFIB_NO_FAST=1 the
+forward fill is the plain dict recurrence, the oracle the tests compare
+with; the backward fill (negative indices) always works on Polys.
+
 gf_truncated gives the x = 1 limit series F(s) = sum_k q^(k^2) s^k /
 ((1-q)...(1-q^k)) modulo (s^N, q^M) as a Poly; truncate cuts any Poly to
 such a box, so limit identities are checked with ordinary Poly arithmetic.
@@ -16,7 +29,25 @@ such a box, so limit identities are checked with ordinary Poly arithmetic.
 
 from __future__ import annotations
 
-from .poly import ONE, Poly, X, ZERO, monomial
+from .poly import (
+    _BIAS,
+    _FAST,
+    _MASK,
+    _QSTEP,
+    _SH_EQ,
+    _SH_ES,
+    _XSTEP,
+    ONE,
+    Poly,
+    X,
+    ZERO,
+    _add_at,
+    _check_exp,
+    _from_blocks,
+    _pack_coeffs,
+    _unpack_signed,
+    monomial,
+)
 
 __all__ = [
     "SeqCache",
@@ -30,23 +61,111 @@ __all__ = [
     "gf_truncated",
 ]
 
+# adding _SSTEP to a monomial key raises its s exponent by one
+_SSTEP = 1 << _SH_ES
+
+
+class _Packed:
+    """A forward memo entry as packed q-blocks: blocks maps each block's base
+    key (its key at q^0) to [least q exponent, packed coefficients] at limb
+    width L, and norm bounds its l1 norm.  The Poly is built on first read.
+    Nothing mutates blocks once the entry is stored."""
+
+    __slots__ = ("blocks", "L", "norm", "_poly")
+
+    def __init__(self, blocks: dict, L: int, norm: int):
+        self.blocks = blocks
+        self.L = L
+        self.norm = norm
+        self._poly = None
+
+    def poly(self) -> Poly:
+        p = self._poly
+        if p is None:
+            bl = []
+            for base, (lo, big) in self.blocks.items():
+                cs = _unpack_signed(big, self.L)  # no trailing zeros
+                if not cs:
+                    continue
+                i = 0
+                while not cs[i]:
+                    i += 1
+                bl.append((((base >> _SH_ES) & _MASK) - _BIAS, base, lo + i, cs[i:] if i else cs))
+            bl.sort()
+            p = self._poly = _from_blocks(bl)
+        return p
+
+    def at_width(self, L: int) -> dict:
+        """blocks packed at limb width L >= self.L."""
+        if L == self.L:
+            return self.blocks
+        return {
+            base: [lo, _pack_coeffs(_unpack_signed(big, self.L), L)]
+            for base, (lo, big) in self.blocks.items()
+        }
+
+
+def _limb_width(bound: int) -> int:
+    """The least multiple of 8 bits whose balanced digits, in
+    [-2^(L-1), 2^(L-1)), hold every integer of magnitude <= bound."""
+    return (bound.bit_length() + 8) & ~7
+
+
+def _seed_blocks(g, L: int) -> dict:
+    """A memo entry's blocks at limb width L (a Poly seed is small)."""
+    if isinstance(g, _Packed):
+        return g.at_width(L)
+    acc: dict = {}
+    for k, c in g._t.items():
+        eq = ((k >> _SH_EQ) & _MASK) - _BIAS
+        _add_at(acc, k - eq * _QSTEP, eq, c, L)
+    return acc
+
+
+def _norm(g) -> int:
+    """A memo entry's l1 norm: exact for a Poly, the fill's bound for a
+    _Packed entry (exact too when no coefficient cancelled)."""
+    return g.norm if isinstance(g, _Packed) else sum(map(abs, g._t.values()))
+
+
+def _fill_packed(memo: dict, n: int, q_step: int) -> None:
+    """memo[top + 1 .. n] as _Packed entries of one limb width, from memo's
+    two top entries by g(m) = x*g(m-1) + q^(q_step*(m-2))*s*g(m-2)."""
+    _check_exp(q_step * (n - 2))  # the dict loop's largest q step
+    top = max(memo)
+    norms = [_norm(memo[top - 1]), _norm(memo[top])]
+    for _ in range(top, n):
+        norms.append(norms[-1] + norms[-2])
+    L = _limb_width(norms[-1])
+    older, newer = (_seed_blocks(memo[m], L) for m in (top - 1, top))
+    for m, norm in zip(range(top + 1, n + 1), norms[2:]):
+        acc = {base + _XSTEP: [lo, big] for base, (lo, big) in newer.items()}
+        shift = q_step * (m - 2)
+        for base, (lo, big) in older.items():
+            _add_at(acc, base + _SSTEP, lo + shift, big, L)
+        memo[m] = _Packed(acc, L, norm)
+        older, newer = newer, acc
+
 
 def _extend(memo: dict, n: int, q_step: int) -> Poly:
-    """memo[n], after filling memo forward or backward up to n with
+    """memo[n] as a Poly, after filling memo forward or backward up to n with
     g(m) = x*g(m-1) + q^(q_step*(m-2))*s*g(m-2).
 
-    memo holds a contiguous index range that includes 0 and 1."""
+    memo holds a contiguous index range that includes 0 and 1; entries at
+    n >= 2 are _Packed on the default engine, the rest are Polys."""
     got = memo.get(n)
-    if got is not None:
-        return got
-    if n > 1:
-        for m in range(max(memo) + 1, n + 1):
-            memo[m] = X * memo[m - 1] + monomial(1, es=1, eq=q_step * (m - 2)) * memo[m - 2]
-    else:
-        for m in range(min(memo) - 1, n - 1, -1):
-            # g(m) = (g(m+2) - x g(m+1)) * q^(-q_step m) * s^(-1)
-            memo[m] = (memo[m + 2] - X * memo[m + 1]) * monomial(1, es=-1, eq=-q_step * m)
-    return memo[n]
+    if got is None:
+        if n > 1 and _FAST:
+            _fill_packed(memo, n, q_step)
+        elif n > 1:
+            for m in range(max(memo) + 1, n + 1):
+                memo[m] = X * memo[m - 1] + monomial(1, es=1, eq=q_step * (m - 2)) * memo[m - 2]
+        else:
+            for m in range(min(memo) - 1, n - 1, -1):
+                # g(m) = (g(m+2) - x g(m+1)) * q^(-q_step m) * s^(-1)
+                memo[m] = (memo[m + 2] - X * memo[m + 1]) * monomial(1, es=-1, eq=-q_step * m)
+        got = memo[n]
+    return got.poly() if isinstance(got, _Packed) else got
 
 
 class SeqCache:
@@ -55,7 +174,10 @@ class SeqCache:
     Entries are only ever written with the value a fresh recomputation
     would produce and Poly values are immutable, so concurrent readers
     (or pool workers holding their own copy) cannot observe anything a
-    pure function would not return.
+    pure function would not return.  Forward entries are stored packed
+    (see the module docstring) and never change once stored; the Poly an
+    accessor returns is built from that packed form alone, so readers that
+    race to build it get equal Polys, and whichever is kept is the value.
     """
 
     def __init__(self):

@@ -1,12 +1,18 @@
 """CLI surface: output strings, exit codes, JSON schema, golden tables."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qfib
 from qfib import harness, qcomb, sequences
 from qfib.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_OVER_BUDGET,
@@ -38,6 +44,25 @@ def test_eval_qfib5(capsys):
 def test_eval_fib4(capsys):
     code, out, _ = run(capsys, "eval", "fib", "4")
     assert (code, out) == (EXIT_OK, "x^3 + 2*s*x")
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # the pipe's read end is closed before the command starts, so its first
+    # write fails with EPIPE, as when `| head -c 60` has read enough
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(qfib.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qfib.cli", "eval", "lucas", "90"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, b"")
 
 
 def test_eval_qfib_negative_index(capsys):

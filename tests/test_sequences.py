@@ -1,11 +1,16 @@
 """Sequence generators: recurrences, closed forms, transform, gf series."""
 
+from math import comb
+
 import pytest
 
 from qfib.cli import _series_text
-from qfib.poly import ONE, Poly, Q, S, X, ZERO, monomial, parse
+from qfib.poly import _FAST, ONE, Poly, Q, S, X, ZERO, _block_map, monomial, parse
 from qfib.sequences import (
     SeqCache,
+    _extend,
+    _limb_width,
+    _Packed,
     fib,
     gf_truncated,
     lucas,
@@ -123,16 +128,126 @@ def test_seqcache_is_pure():
         for memo in (fresh._fib, fresh._qfib):
             assert sorted(memo) == list(range(-6, 12))
         for n in range(-4, 12):
-            assert fresh._fib[n] == X * fresh._fib[n - 1] + S * fresh._fib[n - 2]
-            assert fresh._qfib[n] == (
-                X * fresh._qfib[n - 1] + monomial(1, es=1, eq=n - 2) * fresh._qfib[n - 2]
+            assert fresh.fib(n) == X * fresh.fib(n - 1) + S * fresh.fib(n - 2)
+            assert fresh.qfib(n) == (
+                X * fresh.qfib(n - 1) + monomial(1, es=1, eq=n - 2) * fresh.qfib(n - 2)
             )
+        for memo in (fresh._fib, fresh._qfib):
+            assert sorted(memo) == list(range(-6, 12))
     fresh = SeqCache()
     assert fresh.lucas(11) == lucas(11)
     assert sorted(fresh._lucas) == list(range(12))
     with pytest.raises(ValueError):
         fresh.lucas(-1)
     assert sorted(fresh._lucas) == list(range(12))
+
+
+# ------------------------------------------- forward fill against oracles
+#
+# The oracles share no code with the fill: q-binomial sums for qfib, plain
+# binomial sums for fib and lucas.
+
+
+def _fib_binomial(n):
+    """sum_k C(n-1-k, k) x^(n-1-2k) s^k."""
+    return Poly({(n - 1 - 2 * k, k, 0, 0): comb(n - 1 - k, k) for k in range((n + 1) // 2)})
+
+
+def _lucas_binomial(n):
+    """sum_k n/(n-k) C(n-k, k) x^(n-2k) s^k, and 2 at n = 0."""
+    if n == 0:
+        return Poly(2)
+    terms = {}
+    for k in range(n // 2 + 1):
+        c, r = divmod(n * comb(n - k, k), n - k)
+        assert r == 0
+        terms[(n - 2 * k, k, 0, 0)] = c
+    return Poly(terms)
+
+
+def _widths(memo):
+    return {e.L for e in memo.values() if isinstance(e, _Packed)}
+
+
+def test_forward_fill_in_steps_matches_oracles():
+    fresh = SeqCache()
+    checked = 0
+    for stop in (20, 45, 90):
+        # one call fills each memo from its previous top to stop
+        fresh.qfib(stop), fresh.fib(stop), fresh.lucas(stop)
+        for n in range(checked, stop + 1):
+            assert fresh.qfib(n) == qfib_explicit(n), n
+            assert fresh.fib(n) == _fib_binomial(n), n
+            assert fresh.lucas(n) == _lucas_binomial(n), n
+        checked = stop + 1
+    if _FAST:
+        # the coefficients outgrow the first fills' limbs, so later fills
+        # repacked their seeds wider: one width per fill
+        for memo in (fresh._qfib, fresh._fib, fresh._lucas):
+            assert len(_widths(memo)) == 3
+
+
+def test_forward_fill_one_step_at_a_time():
+    fresh = SeqCache()
+    for n in range(2, 40):
+        assert fresh.qfib(n) == qfib_explicit(n), n
+        assert fresh.lucas(n) == _lucas_binomial(n), n
+
+
+@pytest.mark.parametrize("bits", [7, 8, 15, 16, 63, 64])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_forward_fill_at_the_limb_bound(bits, sign):
+    # seeds (0, c) give c*qfib(n); at n = 2 the only coefficient, c, equals
+    # the l1 bound, and 2^(8j-1) - 1 is the largest balanced digit of a limb
+    c = sign * ((1 << bits) - 1)
+    memo = {0: ZERO, 1: Poly(c)}
+    assert _extend(memo, 2, 1) == c * X
+    if _FAST:
+        assert _widths(memo) == {_limb_width(abs(c))}
+        if bits % 8 == 7:
+            assert abs(c) == (1 << (_limb_width(abs(c)) - 1)) - 1
+    # a second fill repacks the seed at 2 wider
+    assert _extend(memo, 9, 1) == c * qfib(9)
+    for n in range(3, 9):
+        assert _extend(memo, n, 1) == c * qfib(n), n
+
+
+@pytest.mark.parametrize(
+    "seeds",
+    [
+        (X * (ONE + Q), -S),  # g(2) = q*s*x: its block's lowest digit cancels
+        (X, -S),  # g(2) = 0: an empty block
+        (monomial(-3, ex=2, eq=-4) + Q**3, S * Q - X),  # Laurent, signed, two bases per es
+    ],
+)
+def test_forward_fill_signed_seeds(seeds):
+    memo = {0: seeds[0], 1: seeds[1]}
+    want = list(seeds)
+    for m in range(2, 12):
+        want.append(X * want[m - 1] + monomial(1, es=1, eq=m - 2) * want[m - 2])
+    for stop in (2, 5, 11):
+        got = _extend(memo, stop, 1)
+        assert got == want[stop], stop
+        assert _block_map(got) == _block_map(Poly(dict(got.terms())))
+    for m in range(12):
+        assert _extend(memo, m, 1) == want[m], m
+
+
+def test_limb_width_is_least_balanced():
+    for b in range(0, 200):
+        for bound in {(1 << b) - 1, 1 << b}:
+            L = _limb_width(bound)
+            assert L % 8 == 0 and bound < 1 << (L - 1)
+            assert L == 8 or bound >= 1 << (L - 9)
+
+
+def test_read_entry_carries_its_block_list():
+    fresh = SeqCache()
+    for n in (2, 3, 7, 30, 62):
+        for p in (fresh.qfib(n), fresh.fib(n), fresh.lucas(n)):
+            if _FAST:
+                assert p._blocks  # set when the entry was built
+            assert _block_map(p) == _block_map(Poly(dict(p.terms())))
 
 
 # -------------------------------------------------------------- gf series
