@@ -3,11 +3,11 @@
 
 Usage:
     python3 benchmarks/record.py LABEL=CHECKOUT [LABEL=CHECKOUT ...]
-        [--seeds 1,2,...] [--seconds S] [--workloads a,b,...]
     python3 benchmarks/record.py --compare BENCH_old.json BENCH_new.json
 
-Recording runs each checkout's own, unchanged `perfbench/run.py --trace 0`
-for every workload and seed.  With several checkouts the runs alternate
+Recording runs each checkout's own, unchanged `perfbench/run.py --trace 0
+--seconds 5` for every workload BENCHMARK.json lists and every seed in
+SEEDS, one fixed list, so any two records pair their runs seed by seed.  With several checkouts the runs alternate
 between them, seed by seed, and which one goes first alternates too, so a
 drift in host speed falls on both sides.  Each checkout's record goes to
 BENCH_<label>.json at the root of this repository: for every workload, the
@@ -19,7 +19,9 @@ prints (Python, nproc, commit, SHA-256 of src/qfib).
 --compare prints, per workload and end-to-end metric, the two medians, the
 relative change, the bound BENCHMARK.json fixes for it, the old record's
 quartile spread, and how many seeds the new record wins.  It exits 1 when
-a metric is worse by more than its bound or an operation failed, else 0.
+a metric is worse by more than its bound or an operation failed, 2 when
+the two records were taken over different seed lists (their runs do not
+pair), else 0.
 Standard library only.
 """
 
@@ -33,15 +35,15 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_SEEDS = tuple(range(1, 11))
-DEFAULT_SECONDS = 5.0
+SEEDS = list(range(1, 11))
+SECONDS = 5.0
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One run.py run: {"env", "result"} from its first and last lines."""
     proc = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -58,14 +60,14 @@ def summarize(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def record(trees: dict[str, Path], workloads: list[str], seeds: list[int], seconds: float) -> dict:
+def record(trees: dict[str, Path], workloads: list[str]) -> dict:
     runs: dict[str, dict[str, list]] = {label: {w: [] for w in workloads} for label in trees}
     envs: dict[str, dict] = {}
     for w in workloads:
-        for i, seed in enumerate(seeds):
+        for i, seed in enumerate(SEEDS):
             order = list(trees) if i % 2 == 0 else list(trees)[::-1]
             for label in order:
-                got = run_once(trees[label], w, seed, seconds)
+                got = run_once(trees[label], w, seed)
                 envs.setdefault(label, got["env"])
                 runs[label][w].append(got["result"])
                 print(f"{label} {w} seed {seed}: "
@@ -75,7 +77,7 @@ def record(trees: dict[str, Path], workloads: list[str], seeds: list[int], secon
         out[label] = {
             "label": label,
             "env": envs[label],
-            "settings": {"seeds": seeds, "seconds": seconds, "trace": 0},
+            "settings": {"seeds": SEEDS, "seconds": SECONDS, "trace": 0},
             "workloads": {
                 w: {
                     "attempted": sum(r["attempted"] for r in results),
@@ -93,11 +95,17 @@ def record(trees: dict[str, Path], workloads: list[str], seeds: list[int], secon
 
 
 def compare(old: dict, new: dict, bench: dict) -> int:
-    """Print the deltas of new against old; 1 when a bound is broken."""
+    """Print the deltas of new against old; 1 when a bound is broken, 2
+    when the records' seed lists differ."""
+    seeds = old["settings"]["seeds"]
+    if new["settings"]["seeds"] != seeds:
+        print(f"{old['label']} and {new['label']} were taken over different seeds "
+              f"({seeds} / {new['settings']['seeds']}); their runs do not pair",
+              file=sys.stderr)
+        return 2
     bounds = {m["name"]: m for m in bench["end_to_end"]}
     broken = False
-    print(f"{old['label']} -> {new['label']}  "
-          f"(seeds {old['settings']['seeds']} / {new['settings']['seeds']})")
+    print(f"{old['label']} -> {new['label']}  (seeds {seeds})")
     print(f"{'workload':<14}{'metric':<13}{'old':>10}{'new':>10}{'change':>9}"
           f"{'bound':>8}{'old IQR':>9}{'wins':>7}  verdict")
     for w, got in new["workloads"].items():
@@ -126,9 +134,6 @@ def compare(old: dict, new: dict, bench: dict) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="*", metavar="LABEL=CHECKOUT")
-    parser.add_argument("--seeds", default=",".join(map(str, DEFAULT_SEEDS)))
-    parser.add_argument("--seconds", type=float, default=DEFAULT_SECONDS)
-    parser.add_argument("--workloads", help="comma-separated; default: BENCHMARK.json's")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -143,10 +148,8 @@ def main(argv=None) -> int:
         if not sep or not label or not (Path(path) / "perfbench" / "run.py").is_file():
             parser.error(f"{spec!r}: expected LABEL=CHECKOUT with perfbench/run.py inside")
         trees[label] = Path(path).resolve()
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in bench["workloads"]])
-    seeds = [int(s) for s in args.seeds.split(",")]
-    for label, rec in record(trees, workloads, seeds, args.seconds).items():
+    workloads = [w["name"] for w in bench["workloads"]]
+    for label, rec in record(trees, workloads).items():
         path = ROOT / f"BENCH_{label}.json"
         path.write_text(json.dumps(rec, indent=1) + "\n")
         print(f"wrote {path}")

@@ -14,11 +14,12 @@ int per (ex, es, ez) block: the block's q coefficients in limbs of L bits, as
 poly._pack_coeffs lays them out.  One step of the recurrence is then one
 shift-and-add per block: x* moves a block's base key, q^(m-2)*s* moves its
 q offset and its s exponent.  L is sized so no coefficient reaches a limb
-boundary: the l1 norms of the fill's two seeds, grown by
+boundary: the exact l1 norms of the fill's two seeds, grown by
 |g(m)|_1 <= |g(m-1)|_1 + |g(m-2)|_1, bound every coefficient of the fill.
-Each entry keeps its own L, and a seed packed narrower than a later fill
-needs is repacked.  An entry becomes a Poly, with its block list cached for
-the product kernels, only when it is read.  Under QFIB_NO_FAST=1 the
+A fill packs its two seeds afresh from their Polys, so each entry keeps
+its own L and a later, wider fill never reads an older entry's limbs.  An
+entry becomes a Poly, with its block list cached for the product kernels,
+only when it is read.  Under QFIB_NO_FAST=1 the
 forward fill is the plain dict recurrence, the oracle the tests compare
 with; the backward fill (negative indices) always works on Polys.
 
@@ -44,7 +45,6 @@ from .poly import (
     _add_at,
     _check_exp,
     _from_blocks,
-    _pack_coeffs,
     _unpack_signed,
     monomial,
 )
@@ -68,41 +68,34 @@ _SSTEP = 1 << _SH_ES
 class _Packed:
     """A forward memo entry as packed q-blocks: blocks maps each block's base
     key (its key at q^0) to [least q exponent, packed coefficients] at limb
-    width L, and norm bounds its l1 norm.  The Poly is built on first read.
-    Nothing mutates blocks once the entry is stored."""
+    width L.  poly() builds the Poly on first read and keeps it.  Nothing
+    mutates blocks once the entry is stored."""
 
-    __slots__ = ("blocks", "L", "norm", "_poly")
+    __slots__ = ("blocks", "L", "_poly")
 
-    def __init__(self, blocks: dict, L: int, norm: int):
+    def __init__(self, blocks: dict, L: int):
         self.blocks = blocks
         self.L = L
-        self.norm = norm
         self._poly = None
 
-    def poly(self) -> Poly:
-        p = self._poly
-        if p is None:
-            bl = []
-            for base, (lo, big) in self.blocks.items():
-                cs = _unpack_signed(big, self.L)  # no trailing zeros
-                if not cs:
-                    continue
-                i = 0
-                while not cs[i]:
-                    i += 1
-                bl.append((((base >> _SH_ES) & _MASK) - _BIAS, base, lo + i, cs[i:] if i else cs))
-            bl.sort()
-            p = self._poly = _from_blocks(bl)
-        return p
+    def build(self) -> Poly:
+        """The entry as a new Poly, not kept."""
+        bl = []
+        for base, (lo, big) in self.blocks.items():
+            cs = _unpack_signed(big, self.L)  # no trailing zeros
+            if not cs:
+                continue
+            i = 0
+            while not cs[i]:
+                i += 1
+            bl.append((((base >> _SH_ES) & _MASK) - _BIAS, base, lo + i, cs[i:] if i else cs))
+        bl.sort()
+        return _from_blocks(bl)
 
-    def at_width(self, L: int) -> dict:
-        """blocks packed at limb width L >= self.L."""
-        if L == self.L:
-            return self.blocks
-        return {
-            base: [lo, _pack_coeffs(_unpack_signed(big, self.L), L)]
-            for base, (lo, big) in self.blocks.items()
-        }
+    def poly(self) -> Poly:
+        if self._poly is None:
+            self._poly = self.build()
+        return self._poly
 
 
 def _limb_width(bound: int) -> int:
@@ -111,10 +104,8 @@ def _limb_width(bound: int) -> int:
     return (bound.bit_length() + 8) & ~7
 
 
-def _seed_blocks(g, L: int) -> dict:
-    """A memo entry's blocks at limb width L (a Poly seed is small)."""
-    if isinstance(g, _Packed):
-        return g.at_width(L)
+def _seed_blocks(g: Poly, L: int) -> dict:
+    """g's blocks at limb width L."""
     acc: dict = {}
     for k, c in g._t.items():
         eq = ((k >> _SH_EQ) & _MASK) - _BIAS
@@ -122,28 +113,25 @@ def _seed_blocks(g, L: int) -> dict:
     return acc
 
 
-def _norm(g) -> int:
-    """A memo entry's l1 norm: exact for a Poly, the fill's bound for a
-    _Packed entry (exact too when no coefficient cancelled)."""
-    return g.norm if isinstance(g, _Packed) else sum(map(abs, g._t.values()))
-
-
 def _fill_packed(memo: dict, n: int, q_step: int) -> None:
     """memo[top + 1 .. n] as _Packed entries of one limb width, from memo's
     two top entries by g(m) = x*g(m-1) + q^(q_step*(m-2))*s*g(m-2)."""
     _check_exp(q_step * (n - 2))  # the dict loop's largest q step
     top = max(memo)
-    norms = [_norm(memo[top - 1]), _norm(memo[top])]
+    # a _Packed seed's Poly is built for this fill only, not kept
+    seeds = [g if isinstance(g, Poly) else g._poly or g.build()
+             for g in (memo[top - 1], memo[top])]
+    older, newer = (sum(map(abs, g._t.values())) for g in seeds)
     for _ in range(top, n):
-        norms.append(norms[-1] + norms[-2])
-    L = _limb_width(norms[-1])
-    older, newer = (_seed_blocks(memo[m], L) for m in (top - 1, top))
-    for m, norm in zip(range(top + 1, n + 1), norms[2:]):
+        older, newer = newer, older + newer
+    L = _limb_width(newer)
+    older, newer = (_seed_blocks(g, L) for g in seeds)
+    for m in range(top + 1, n + 1):
         acc = {base + _XSTEP: [lo, big] for base, (lo, big) in newer.items()}
         shift = q_step * (m - 2)
         for base, (lo, big) in older.items():
             _add_at(acc, base + _SSTEP, lo + shift, big, L)
-        memo[m] = _Packed(acc, L, norm)
+        memo[m] = _Packed(acc, L)
         older, newer = newer, acc
 
 

@@ -1,0 +1,73 @@
+"""benchmarks/record.py --compare on hand-written records."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("record", ROOT / "benchmarks" / "record.py")
+record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record)
+
+BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
+METRICS = [m["name"] for m in BENCH["end_to_end"]]
+
+
+def make(label, values, seeds=(1, 2, 3, 4), failed=0):
+    """A one-workload record whose every end-to-end metric has `values`."""
+    return {
+        "label": label,
+        "settings": {"seeds": list(seeds), "seconds": record.SECONDS, "trace": 0},
+        "workloads": {
+            "powers": {
+                "attempted": 16 * len(values),
+                "failed": failed,
+                "metrics": {name: {"unit": "s", **record.summarize(list(values))}
+                            for name in METRICS},
+            }
+        },
+    }
+
+
+def rows(out):
+    return [line.split() for line in out.splitlines() if line.startswith("powers")]
+
+
+def test_compare_counts_wins_seed_by_seed(capsys):
+    old = make("old", [1.0, 1.2, 1.1, 1.3])
+    new = make("new", [0.9, 1.25, 1.0, 1.2])
+    assert record.compare(old, new, BENCH) == 0
+    got = rows(capsys.readouterr().out)
+    assert [r[1] for r in got] == METRICS
+    assert all(r[-2] == "3/4" and r[-1] == "better" for r in got)
+
+
+def test_compare_flags_a_broken_bound(capsys):
+    old = make("old", [1.0, 1.0, 1.0, 1.0])
+    new = make("new", [2.0, 2.0, 2.0, 2.0])
+    assert record.compare(old, new, BENCH) == 1
+    assert all(r[-1] == "WORSE" for r in rows(capsys.readouterr().out))
+
+
+def test_compare_flags_failed_operations(capsys):
+    old = make("old", [1.0, 1.0, 1.0, 1.0])
+    new = make("new", [1.0, 1.0, 1.0, 1.0], failed=1)
+    assert record.compare(old, new, BENCH) == 1
+    assert "failed operations: 0 -> 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seeds", [(1, 2, 3, 5), (4, 3, 2, 1), (1, 2, 3)])
+def test_compare_refuses_records_over_other_seeds(capsys, seeds):
+    old = make("old", [1.0, 1.2, 1.1, 1.3])
+    new = make("new", [0.9, 1.25, 1.0, 1.2][: len(seeds)], seeds=seeds)
+    assert record.compare(old, new, BENCH) == 2
+    out, err = capsys.readouterr()
+    assert rows(out) == []
+    assert "different seeds" in err
+
+
+def test_committed_records_share_the_seed_list():
+    for path in sorted(ROOT.glob("BENCH_*.json")):
+        assert json.loads(path.read_text())["settings"]["seeds"] == record.SEEDS, path.name

@@ -182,7 +182,7 @@ def test_forward_fill_in_steps_matches_oracles():
         checked = stop + 1
     if _FAST:
         # the coefficients outgrow the first fills' limbs, so later fills
-        # repacked their seeds wider: one width per fill
+        # packed their seeds wider: one width per fill
         for memo in (fresh._qfib, fresh._fib, fresh._lucas):
             assert len(_widths(memo)) == 3
 
@@ -206,7 +206,7 @@ def test_forward_fill_at_the_limb_bound(bits, sign):
         assert _widths(memo) == {_limb_width(abs(c))}
         if bits % 8 == 7:
             assert abs(c) == (1 << (_limb_width(abs(c)) - 1)) - 1
-    # a second fill repacks the seed at 2 wider
+    # a second fill packs the seed at 2 wider
     assert _extend(memo, 9, 1) == c * qfib(9)
     for n in range(3, 9):
         assert _extend(memo, n, 1) == c * qfib(n), n
