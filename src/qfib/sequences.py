@@ -43,6 +43,8 @@ from .poly import (
     X,
     ZERO,
     _add_at,
+    _block_map,
+    _pack_coeffs,
     _check_exp,
     _from_blocks,
     _unpack_signed,
@@ -105,7 +107,11 @@ def _limb_width(bound: int) -> int:
 
 
 def _seed_blocks(g: Poly, L: int) -> dict:
-    """g's blocks at limb width L."""
+    """g's blocks at limb width L, packed from its block list, or term by
+    term when g is too q-sparse to have one."""
+    bl = _block_map(g)
+    if bl:
+        return {base: [lo, _pack_coeffs(cs, L)] for _, base, lo, cs in bl}
     acc: dict = {}
     for k, c in g._t.items():
         eq = ((k >> _SH_EQ) & _MASK) - _BIAS
