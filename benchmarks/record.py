@@ -14,11 +14,15 @@ BENCH_<label>.json at the root of this repository: for every workload, the
 median and quartiles over seeds of each end-to-end metric (each value being
 run.py's median over its iterations), the per-seed values in seed order,
 the operations attempted and failed, and the environment line run.py
-prints (Python, nproc, commit, SHA-256 of src/qfib).
+prints (Python, nproc, commit, SHA-256 of src/qfib) plus `src_dirty`:
+whether `git status --porcelain -- src` lists changes in the checkout, so
+that the commit does not name the code measured (null outside a git
+checkout, where run.py reports no commit).
 
 --compare prints, per workload and end-to-end metric, the two medians, the
 relative change, the bound BENCHMARK.json fixes for it, the old record's
-quartile spread, and how many seeds the new record wins.  It exits 1 when
+quartile spread, and how many seeds the new record wins, after a warning
+line for each record taken on a modified src/.  It exits 1 when
 a metric is worse by more than its bound or an operation failed, 2 when
 the two records were taken over different seed lists (their runs do not
 pair), else 0.
@@ -53,6 +57,14 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     return {"env": json.loads(lines[0])["env"], "result": json.loads(lines[-1])}
 
 
+def src_dirty(checkout: Path) -> bool | None:
+    """Whether src/ in the checkout differs from its commit; None when the
+    checkout is not a git work tree."""
+    proc = subprocess.run(["git", "-C", str(checkout), "status", "--porcelain", "--", "src"],
+                          capture_output=True, text=True)
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
+
+
 def summarize(values: list[float]) -> dict:
     q1, median, q3 = (
         statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
@@ -68,7 +80,7 @@ def record(trees: dict[str, Path], workloads: list[str]) -> dict:
             order = list(trees) if i % 2 == 0 else list(trees)[::-1]
             for label in order:
                 got = run_once(trees[label], w, seed)
-                envs.setdefault(label, got["env"])
+                envs.setdefault(label, {**got["env"], "src_dirty": src_dirty(trees[label])})
                 runs[label][w].append(got["result"])
                 print(f"{label} {w} seed {seed}: "
                       f"work_s {got['result']['metrics']['work_s']['value']:.3f}", flush=True)
@@ -103,6 +115,11 @@ def compare(old: dict, new: dict, bench: dict) -> int:
               f"({seeds} / {new['settings']['seeds']}); their runs do not pair",
               file=sys.stderr)
         return 2
+    for rec in (old, new):
+        env = rec.get("env", {})
+        if env.get("src_dirty"):
+            print(f"warning: {rec['label']} was recorded on a modified src/; "
+                  f"its commit {env.get('commit')} does not name the code measured")
     bounds = {m["name"]: m for m in bench["end_to_end"]}
     broken = False
     print(f"{old['label']} -> {new['label']}  (seeds {seeds})")

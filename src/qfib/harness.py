@@ -8,6 +8,12 @@ of the *other* denominators, and the common numerator is multiplied back in
 only when the sum is nonzero (when the sum vanishes the product does too,
 so the returned residual is the fully cleared form either way).
 
+The power recurrences (conj2 and its bindings, conj2_k2) keep their
+n-free parts per parameter set: the common numerator and each term's
+cleared weight, coefficient times the other denominators, are built once
+per (k, ell) and memoized, so each cell of a sweep over n builds only its
+tails f(ell(n-j), q^(ell j) s)^k.
+
 Two-sided identities (the determinant families and Euler-Cassini) are
 registered by their sides alone, e.g. (determinant side, closed-form side);
 their residual is lhs - rhs.  A sweep builds the two sides once per cell and,
@@ -90,22 +96,18 @@ def _int_exp(value: Fraction) -> int:
     return value.numerator
 
 
-def _cleared_sum(num: Poly, dens: list[Poly], coeffs: list[Poly], tails: list[Poly]) -> Poly:
-    """sum_j coeffs[j] * (num / dens[j]) * tails[j], multiplied through by
-    prod(dens); the common numerator is folded in only when needed."""
-    m = len(dens)
-    pre = [ONE] * (m + 1)
-    for i in range(m):
-        pre[i + 1] = pre[i] * dens[i]
-    suf = [ONE] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suf[i] = suf[i + 1] * dens[i]
-    total = ZERO
-    for j in range(m):
-        total = total + coeffs[j] * (pre[j] * suf[j + 1]) * tails[j]
-    if total.is_zero():
-        return ZERO
-    return num * total
+# memos of _conj2_weights, keyed by (k, ell), and of _conj2_k2_weights, by ell
+_CONJ2_WEIGHTS: dict[tuple[int, int], tuple[Poly, tuple[Poly, ...]]] = {}
+_CONJ2_K2_WEIGHTS: dict[int, tuple[Poly, ...]] = {}
+
+
+def _weighted_tails(weights, n: int, k: int, ell: int) -> Poly:
+    """sum_j weights[j] * f(ell(n-j), q^(ell j) s)^k."""
+    terms = (w * qfib(ell * (n - j), shift=ell * j) ** k for j, w in enumerate(weights))
+    total = next(terms)
+    for t in terms:
+        total = total + t
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -171,17 +173,38 @@ def conj2(n: int, k: int, ell: int) -> Poly:
     stride-ell q-fibonomial coefficients; denominators cleared."""
     if k < 1 or ell < 1:
         raise BadParams("conj2 needs k >= 1 and ell >= 1")
+    num, weights = _conj2_weights(k, ell)
+    total = _weighted_tails(weights, n, k, ell)
+    if total.is_zero():
+        return ZERO
+    return num * total
+
+
+def _conj2_weights(k: int, ell: int) -> tuple[Poly, tuple[Poly, ...]]:
+    """(num, w), memoized: num is the q-fibonomial numerator common to the
+    k + 2 terms of conj2, and w[j] = coeff_j * prod_{i != j} den_i clears
+    term j, from prefix and suffix products of the denominators."""
+    got = _CONJ2_WEIGHTS.get((k, ell))
+    if got is not None:
+        return got
     kk = k + 1
     num, _ = qfibonomial_parts(kk, 0, ell)
     dens = [qfibonomial_parts(kk, j, ell)[1] for j in range(kk + 1)]
-    coeffs = []
-    tails = []
-    for j in range(kk + 1):
+    m = len(dens)
+    pre = [ONE] * (m + 1)
+    for i in range(m):
+        pre[i + 1] = pre[i] * dens[i]
+    suf = [ONE] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        suf[i] = suf[i + 1] * dens[i]
+    weights = []
+    for j in range(m):
         cj2 = j * (j - 1) // 2
         qexp = _int_exp(Fraction(ell * cj2 * ((4 * j + 1) * ell - 3), 6))
-        coeffs.append(monomial(_sign(j + ell * cj2), es=ell * cj2, eq=qexp))
-        tails.append(qfib(ell * (n - j), shift=ell * j) ** k)
-    return _cleared_sum(num, dens, coeffs, tails)
+        coeff = monomial(_sign(j + ell * cj2), es=ell * cj2, eq=qexp)
+        weights.append(coeff * (pre[j] * suf[j + 1]))
+    got = _CONJ2_WEIGHTS[(k, ell)] = (num, tuple(weights))
+    return got
 
 
 def _threeterm_ell_terms(n: int, ell: int) -> tuple[Poly, Poly, Poly]:
@@ -261,28 +284,26 @@ def conj2_k2(n: int, ell: int) -> Poly:
     product of its three distinct denominators."""
     if ell < 1:
         raise BadParams("conj2_k2 needs ell >= 1")
+    return _weighted_tails(_conj2_k2_weights(ell), n, 2, ell)
+
+
+def _conj2_k2_weights(ell: int) -> tuple[Poly, ...]:
+    """The four n-free weights of conj2_k2, memoized."""
+    got = _CONJ2_K2_WEIGHTS.get(ell)
+    if got is not None:
+        return got
     d1 = qfib(ell, shift=ell)
     d2 = qfib(2 * ell, shift=ell)
     d3 = qfib(ell, shift=2 * ell)
-    t0 = d1 * d2 * d3 * qfib(ell * n) ** 2
-    t1 = -(qfib(3 * ell) * qfib(2 * ell) * d3 * qfib(ell * (n - 1), shift=ell) ** 2)
     q2 = _int_exp(Fraction(ell * (3 * ell - 1), 2))
-    t2 = (
-        monomial(_sign(ell), es=ell, eq=q2)
-        * qfib(3 * ell)
-        * qfib(ell)
-        * d2
-        * qfib(ell * (n - 2), shift=2 * ell) ** 2
-    )
     q3 = _int_exp(Fraction(ell * (13 * ell - 3), 2))
-    t3 = (
-        monomial(_sign(ell - 1), es=3 * ell, eq=q3)
-        * qfib(ell)
-        * qfib(2 * ell)
-        * d1
-        * qfib(ell * (n - 3), shift=3 * ell) ** 2
+    got = _CONJ2_K2_WEIGHTS[ell] = (
+        d1 * d2 * d3,
+        -(qfib(3 * ell) * qfib(2 * ell) * d3),
+        monomial(_sign(ell), es=ell, eq=q2) * qfib(3 * ell) * qfib(ell) * d2,
+        monomial(_sign(ell - 1), es=3 * ell, eq=q3) * qfib(ell) * qfib(2 * ell) * d1,
     )
-    return t0 + t1 + t2 + t3
+    return got
 
 
 def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:

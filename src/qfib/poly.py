@@ -11,6 +11,13 @@ that
     x > s > q > z, a monomial order, which picks leading terms in exact
     division.
 
+Each Poly caches its per-variable exponent ranges.  A product or an
+exact quotient carries them from birth: the guard that checks a product's
+(quotient's) exponents computes them as the sum (difference) of the
+operands' ranges, which is exact because the ring has no zero divisors.
+Sums, differences and substitutions scan their keys for them when first
+asked.
+
 The *display* order used by to_canonical_string is different (z desc,
 x desc, then s and q ascending) so that characteristic polynomials lead
 with z^n and q-expansions read like q-series; both orders are strict and
@@ -191,10 +198,12 @@ class Poly:
         self._blocks = None
 
     @classmethod
-    def _raw(cls, d: dict[int, int]) -> "Poly":
+    def _raw(cls, d: dict[int, int], ranges=None) -> "Poly":
+        """The Poly on the term dict d (taken, not copied), with its exponent
+        ranges when the caller knows them exactly."""
         p = cls.__new__(cls)
         p._t = d
-        p._ranges = None
+        p._ranges = ranges
         p._cmax = None
         p._n2 = None
         p._blocks = None
@@ -262,7 +271,7 @@ class Poly:
     # ------------------------------------------------------------ arithmetic
 
     def __neg__(self) -> "Poly":
-        return Poly._raw({k: -c for k, c in self._t.items()})
+        return Poly._raw({k: -c for k, c in self._t.items()}, self._ranges)
 
     def __add__(self, other) -> "Poly":
         if isinstance(other, int):
@@ -306,24 +315,26 @@ class Poly:
                 return ZERO
             if other == 1:
                 return self
-            return Poly._raw({k: c * other for k, c in self._t.items()})
+            return Poly._raw({k: c * other for k, c in self._t.items()}, self._ranges)
         if not isinstance(other, Poly):
             return NotImplemented
         a, b = self._t, other._t
         if not a or not b:
             return ZERO
-        _guard(self._get_ranges(), other._get_ranges(), 1, "product")
+        r = _guard(self._get_ranges(), other._get_ranges(), 1, "product")
         if len(a) == 1:
             (ka, ca), = a.items()
-            return Poly._raw({ka + kb - _ZKEY: ca * cb for kb, cb in b.items()})
+            return Poly._raw({ka + kb - _ZKEY: ca * cb for kb, cb in b.items()}, r)
         if len(b) == 1:
             (kb, cb), = b.items()
-            return Poly._raw({ka + kb - _ZKEY: ca * cb for ka, ca in a.items()})
+            return Poly._raw({ka + kb - _ZKEY: ca * cb for ka, ca in a.items()}, r)
+        out = None
         if _FAST and len(a) * len(b) > 2048:
             out = _mul_fast(self, other)
-            if out is not None:
-                return out
-        return _mul_naive(a, b)
+        if out is None:
+            out = _mul_naive(a, b)
+        out._ranges = r
+        return out
 
     __rmul__ = __mul__
 
@@ -334,8 +345,10 @@ class Poly:
         ranges off the block list."""
         if _FAST and len(self._t) ** 2 > 2048 and _block_map(self):
             self._guard_s_scale(m)
-            _guard(self._get_ranges(), _s_scaled_ranges(self, m), 1, "product")
-            return _mul_fast(self, self, m)
+            r = _guard(self._get_ranges(), _s_scaled_ranges(self, m), 1, "product")
+            out = _mul_fast(self, self, m)
+            out._ranges = r
+            return out
         return self * self.subst_s_scale(m)
 
     def __pow__(self, e: int) -> "Poly":
@@ -443,14 +456,17 @@ class Poly:
         if not self._t:
             return ZERO
         # an exact quotient spans (low(self) - low(b), high(self) - high(b))
-        _guard(self._get_ranges(), b._get_ranges(), -1, "quotient")
+        r = _guard(self._get_ranges(), b._get_ranges(), -1, "quotient")
         if len(b) == 1:
-            return _div_monomial(self, b)
-        if _FAST and len(self._t) > 400:
-            out = _div_blocked(self, b)
-            if out is not None:
-                return out
-        return _div_naive(self, b)
+            out = _div_monomial(self, b)
+        else:
+            out = None
+            if _FAST and len(self._t) > 400:
+                out = _div_blocked(self, b)
+            if out is None:
+                out = _div_naive(self, b)
+        out._ranges = r
+        return out
 
     # -------------------------------------------------------------- printing
 
@@ -591,13 +607,19 @@ class _Parser:
 # --------------------------------------------------------- plain arithmetic
 
 
-def _guard(ra, rb, sign: int, what: str) -> None:
-    """OverflowError unless ra + sign*rb, taken range by range (x, s, q, z),
-    lies inside _VAR_GUARD: the exponent ranges of a product (sign 1) or of
-    an exact quotient (sign -1)."""
+def _guard(ra, rb, sign: int, what: str) -> tuple:
+    """ra + sign*rb, taken range by range (x, s, q, z): the exponent ranges
+    of a product (sign 1) or of an exact quotient (sign -1).  They are
+    exact, not bounds: the ring has no zero divisors, so the product of the
+    lowest (highest) parts in one variable is nonzero.  OverflowError unless
+    they lie inside _VAR_GUARD."""
+    out = []
     for (alo, ahi), (blo, bhi) in zip(ra, rb):
-        if abs(alo + sign * blo) > _VAR_GUARD or abs(ahi + sign * bhi) > _VAR_GUARD:
+        lo, hi = alo + sign * blo, ahi + sign * bhi
+        if abs(lo) > _VAR_GUARD or abs(hi) > _VAR_GUARD:
             raise OverflowError(f"{what} exponent exceeds supported range")
+        out.append((lo, hi))
+    return tuple(out)
 
 
 def _div_floor(a: Poly, b: Poly) -> list[int]:

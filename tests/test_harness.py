@@ -315,6 +315,45 @@ def test_sweep_workers_match_serial():
     assert strip(serial) == strip(parallel)
 
 
+# each memoized power recurrence: its memo and a cell's key into it
+_WEIGHT_MEMOS = {
+    "conj2": (harness._CONJ2_WEIGHTS, lambda c: (c["k"], c["ell"])),
+    "conj2_k2": (harness._CONJ2_K2_WEIGHTS, lambda c: c["ell"]),
+}
+
+
+@pytest.mark.parametrize("id", sorted(_WEIGHT_MEMOS))
+def test_power_recurrence_weights_match_a_cold_build_per_cell(id):
+    """A sweep over the catalog grid reading the n-free weights from the
+    memo gives what each cell builds with the memo cleared first (tier-1
+    runs this on both engines)."""
+    memo, key = _WEIGHT_MEMOS[id]
+    cells = CATALOG[id].cells()
+    for m, _ in _WEIGHT_MEMOS.values():
+        m.clear()
+    warm = [residual(id, **c) for c in cells]
+    kept = dict(memo)
+    assert len(kept) == len({key(c) for c in cells})
+    for c, got in zip(cells, warm):
+        for m, _ in _WEIGHT_MEMOS.values():
+            m.clear()
+        assert residual(id, **c) == got
+        assert memo[key(c)] == kept[key(c)]
+
+
+def test_a_corrupted_weight_fails_every_cell_of_its_parameters(monkeypatch):
+    num, w = harness._conj2_weights(2, 3)
+    monkeypatch.setitem(harness._CONJ2_WEIGHTS, (2, 3), (num, (w[0] + 1, *w[1:])))
+    w = harness._conj2_k2_weights(2)
+    monkeypatch.setitem(harness._CONJ2_K2_WEIGHTS, 2, (*w[:3], w[3] + 1))
+    rep = sweep(["conj2", "conj2_k2", "conj1_f"])
+    failed = [(c.id, c.params) for c in rep.cells if c.status != "pass"]
+    assert failed == [("conj2", {"k": 2, "ell": 3, "n": n}) for n in range(3, 8)] + [
+        ("conj2_k2", {"ell": 2, "n": n}) for n in range(4, 8)
+    ]
+    assert all(c.residual for c in rep.cells if c.status == "fail")
+
+
 def test_sweep_fits_from_the_sides_it_checked(monkeypatch):
     import dataclasses
 

@@ -1,7 +1,8 @@
 """Hypothesis property tests: the parse/print round trip on Laurent
 polynomials, the two facts that let gf_limit truncate once, at the end, the
 twisted square and the packed product of s-lines against the plain product,
-exact division of Laurent polynomials on each kernel, Bareiss against
+exact division of Laurent polynomials on each kernel, the exponent ranges
+that each product and quotient path stores on its result, Bareiss against
 cofactor expansion on Laurent entries, and the condensation engine of the
 power determinants against Bareiss.  Products and s -> q^m s are checked
 exactly at the exponent guard _VAR_GUARD and one step past it; plain tests
@@ -18,9 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfib import poly
 from qfib.harness import _power_det
 from qfib.matrices import PolyMatrix
 from qfib.poly import (
+    _PACKED_PAIRS,
     _VAR_GUARD,
     ONE,
     ZERO,
@@ -212,6 +215,71 @@ def test_exact_div_guards_the_quotient_exponents():
         a.exact_div(monomial(1, ex=-1) + monomial(1, ex=-2))
     with pytest.raises(OverflowError):
         top.exact_div(monomial(1, ex=-1))
+
+
+def _scanned(p):
+    """p's exponent ranges from a fresh scan of its keys."""
+    return Poly._raw(dict(p._t))._get_ranges()
+
+
+def _assert_carried(*polys):
+    for p in polys:
+        assert p._ranges == _scanned(p)
+
+
+@settings(_SETTINGS, max_examples=40)
+@given(
+    st.integers(0, 2**32 - 1).map(random.Random),
+    laurent_polys.filter(bool),
+    laurent_polys.filter(bool),
+)
+def test_products_and_quotients_carry_exact_exponent_ranges(rng, a, b):
+    """Every product path (monomial, naive, blocked, blocked square, twisted
+    square) and every quotient path (monomial, naive, blocked) stores the
+    ranges it guarded on its result, without a scan; they must be a scan's.
+    A negation or an int multiple carries its operand's ranges."""
+    lead = Poly._raw({max(b._t): b._t[max(b._t)]})
+    _assert_carried(a * b, a * lead, lead * a, -a, a * -3)
+    big_a, big_b = _blocked_poly(rng), _blocked_poly(rng)
+    _assert_carried(big_a * big_b, big_a * big_a, big_a.mul_s_scaled(rng.randint(-3, 3)))
+    for quot, div in (
+        (_laurent_factor(rng, 8, (3, 3, 4, 3)), _laurent_factor(rng, 1, (1,) * 4)),
+        (_laurent_factor(rng, 8, (3, 3, 4, 3)), _laurent_factor(rng, 3, (3, 3, 3, 3))),
+        (_laurent_factor(rng, 70, (3, 3, 12, 3)), _laurent_factor(rng, 12, (3, 3, 6, 3))),
+    ):
+        prod = quot * div
+        _assert_carried(prod.exact_div(div))
+    assert len(prod) > 400
+
+
+def test_packed_qfib_power_carries_exact_exponent_ranges(monkeypatch):
+    results = []
+    real = poly._mul_packed
+
+    def spy(a, b, twist=0):
+        results.append(real(a, b, twist))
+        return results[-1]
+
+    monkeypatch.setattr(poly, "_mul_packed", spy)
+    # base**3 is (base * base) * base; the last product, over 4M term pairs,
+    # is packed on the default engine.  base has negative s exponents.
+    base = qfib(-30)
+    cube = base**3
+    assert len(base) * len(cube) > _PACKED_PAIRS
+    assert [r is not None for r in results] == ([True] if poly._FAST else [])
+    _assert_carried(cube)
+
+
+def test_zero_one_and_operands_returned_as_is_keep_their_ranges():
+    p = qfib(5) * monomial(1, es=-2)
+    for same in (p * 1, 1 * p, p**1, p.subst_s_scale(0)):
+        assert same is p
+    for zero in (p * 0, ZERO * p, p * ZERO, ZERO.exact_div(p), ZERO * ZERO):
+        assert zero is ZERO
+    assert p**0 is ONE
+    assert p._ranges == _scanned(p)
+    assert ZERO._t == {} and ZERO._ranges in (None, _scanned(ZERO))
+    assert ONE == 1 and ONE._ranges in (None, _scanned(ONE))
 
 
 def _power(i, e):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -71,3 +72,26 @@ def test_compare_refuses_records_over_other_seeds(capsys, seeds):
 def test_committed_records_share_the_seed_list():
     for path in sorted(ROOT.glob("BENCH_*.json")):
         assert json.loads(path.read_text())["settings"]["seeds"] == record.SEEDS, path.name
+
+
+def test_compare_warns_about_a_record_of_a_modified_tree(capsys):
+    old = make("old", [1.0, 1.2, 1.1, 1.3])
+    new = make("new", [0.9, 1.25, 1.0, 1.2])
+    old["env"] = {"commit": "abc1234", "src_dirty": False}
+    new["env"] = {"commit": "abc1234", "src_dirty": True}
+    assert record.compare(old, new, BENCH) == 0
+    warnings = [line for line in capsys.readouterr().out.splitlines() if "warning" in line]
+    assert warnings == [
+        "warning: new was recorded on a modified src/; "
+        "its commit abc1234 does not name the code measured"
+    ]
+
+
+def test_src_dirty_reads_git_status_of_src(tmp_path):
+    assert record.src_dirty(tmp_path) is None  # not a git work tree
+    subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+    (tmp_path / "notes.txt").write_text("outside src\n")
+    assert record.src_dirty(tmp_path) is False
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "new.py").write_text("x = 1\n")
+    assert record.src_dirty(tmp_path) is True
