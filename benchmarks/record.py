@@ -25,7 +25,8 @@ quartile spread, and how many seeds the new record wins, after a warning
 line for each record taken on a modified src/.  It exits 1 when
 a metric is worse by more than its bound or an operation failed, 2 when
 the two records were taken over different seed lists (their runs do not
-pair), else 0.
+pair), else 0.  Either mode exits 141 without a traceback when the
+reader of its output closes the pipe, as `qfib` does.
 Standard library only.
 """
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -41,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = list(range(1, 11))
 SECONDS = 5.0
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a command killed by SIGPIPE
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -149,6 +152,17 @@ def compare(old: dict, new: dict, bench: dict) -> int:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+
+
+def _main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="*", metavar="LABEL=CHECKOUT")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))

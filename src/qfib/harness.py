@@ -50,7 +50,7 @@ from fractions import Fraction
 from math import comb
 
 from .matrices import PolyMatrix
-from .poly import ONE, Poly, ZERO, monomial
+from .poly import _FAST, ONE, Poly, ZERO, _condense, monomial
 from .qcomb import Fac, _prod, binom_product, fac, fibonomial, qfibonomial_parts
 from .sequences import fib, gf_truncated, lucas, qfib, transform_T, truncate
 
@@ -320,28 +320,39 @@ def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
     m = n-k-1+r..n+k+1-r; the levels are built bottom-up, keeping only the
     current one and the central minors of the one below.  When one of those
     is zero (g(0) = 0 inside the window) the explicit matrix goes to
-    Bareiss instead.  The central product D_r(m) sigma D_r(m) is the twisted
-    square D_r(m).mul_s_scaled(ell), which multiplies each pair of its
-    blocks once (a plain square when classical); the cross product and the
-    divisor use the sigma images.
+    Bareiss instead.  Each step is a _condense_step.  On the default engine
+    the poly._condense kernel forms, subtracts and divides its numerator on
+    packed q-blocks, and builds no sigma image.  The steps it declines, and
+    every step under QFIB_NO_FAST=1, take the Poly formula, whose central
+    product D_r(m) sigma D_r(m) is the twisted square
+    D_r(m).mul_s_scaled(ell) (a plain square when classical).
     """
     g = fib if classical else qfib
     twist = 0 if classical else ell  # sigma is s -> q^twist s
 
     level = [g(ell * m) ** k for m in range(n - k, n + k + 1)]
-    divisors = None  # sigma D_{r-1}(m) over the window of level r + 1
+    divisors = None  # D_{r-1}(m) over the window of level r + 1
     while len(level) > 1:
         if divisors is not None and not all(divisors):
             return _power_det_bareiss(n, k, ell, classical)
-        # the cross products read the images of level[:-2], the divisors
-        # of the next level those of level[2:-2]
-        level_s = [d.subst_s_scale(twist) for d in level[:-2]]
         nxt = []
         for i in range(len(level) - 2):
-            num = level[i + 1].mul_s_scaled(twist) - level_s[i] * level[i + 2]
-            nxt.append(num if divisors is None else num.exact_div(divisors[i]))
-        level, divisors = nxt, level_s[2:]
+            d = None if divisors is None else divisors[i]
+            nxt.append(_condense_step(level[i + 1], level[i], level[i + 2], d, twist))
+        level, divisors = nxt, level[2:-2]
     return level[0]
+
+
+def _condense_step(c: Poly, a: Poly, b: Poly, d: Poly | None, twist: int) -> Poly:
+    """(c sigma(c) - sigma(a) b) / sigma(d), sigma: s -> q^twist s, or the
+    numerator alone when d is None: the kernel where it takes the step,
+    else the Poly formula."""
+    if _FAST:
+        out = _condense(c, a, b, d, twist)
+        if out is not None:
+            return out
+    num = c.mul_s_scaled(twist) - a.subst_s_scale(twist) * b
+    return num if d is None else num.exact_div(d.subst_s_scale(twist))
 
 
 def _power_det_bareiss(n: int, k: int, ell: int, classical: bool) -> Poly:

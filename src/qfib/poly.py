@@ -25,12 +25,12 @@ total, and parse() accepts terms in any order.
 
 Large products go through one of two Kronecker-substitution kernels,
 which read one list of blocks per polynomial: the terms sharing
-(ex, es, ez), sorted by es and cached.  Above 2048 term pairs,
-_mul_blocked packs each block's q-coefficients into one big integer with a
-rigorously chosen limb width, and turns block products into single bigint
-multiplications.  Packing and unpacking go through one bytes conversion per
-block (balanced digits via a bias), so they cost time linear in the block
-width.  A twisted square a * a.subst_s_scale(m) (mul_s_scaled) multiplies
+(ex, es, ez), sorted by es and cached.  Above _BLOCKED_PAIRS = 2048 term
+pairs, _mul_blocked packs each block's q-coefficients into one big integer
+with a rigorously chosen limb width, and turns block products into single
+bigint multiplications.  Packing and unpacking go through one bytes
+conversion per block (balanced digits via a bias), so they cost time
+linear in the block width.  A twisted square a * a.subst_s_scale(m) (mul_s_scaled) multiplies
 each unordered block pair once: s -> q^m s only moves each block's q
 offset, so the product of two blocks is added at both of its offsets, once
 doubled when they coincide.  A square (a * a, as built by __pow__) is its
@@ -60,9 +60,19 @@ blocked long division on the values at q = 2^L, widening L on failure.
 The quotient is returned without forming quot * b when a coefficient bound
 proves quot * b - a, which vanishes at q = 2^L, is zero (see
 _quotient_certified); otherwise the product is checked, and the plain
-division is the last resort.  Setting QFIB_NO_FAST=1 in the environment
-forces the plain dict paths everywhere (the test suite checks both paths
-agree).
+division is the last resort.
+
+One Desnanot-Jacobi step, (c * sigma(c) - sigma(a) * b) / sigma(d) with
+sigma: s -> q^m s, runs as one kernel, _condense, without unpacking its
+numerator: the twisted square and the negated cross product are added into
+one accumulator of packed q-blocks at a single limb width (a packed
+product's digits block by block), the blocked long division runs in place
+on it against d's twisted block list, and the quotient is built with its
+block list.  No sigma image is built.  The kernel keeps the guards of the
+Poly formula and returns a quotient only under _quotient_certified; it
+declines the steps it cannot take that way, and harness then runs the
+formula.  Setting QFIB_NO_FAST=1 in the environment forces the plain dict
+paths everywhere (the test suite checks both paths agree).
 """
 
 from __future__ import annotations
@@ -329,7 +339,7 @@ class Poly:
             (kb, cb), = b.items()
             return Poly._raw({ka + kb - _ZKEY: ca * cb for ka, ca in a.items()}, r)
         out = None
-        if _FAST and len(a) * len(b) > 2048:
+        if _FAST and len(a) * len(b) > _BLOCKED_PAIRS:
             out = _mul_fast(self, other)
         if out is None:
             out = _mul_naive(a, b)
@@ -343,7 +353,7 @@ class Poly:
         once (the twisted square; m = 0 is the plain square).  The blocked
         path never builds the image: the product guard reads its exponent
         ranges off the block list."""
-        if _FAST and len(self._t) ** 2 > 2048 and _block_map(self):
+        if _FAST and len(self._t) ** 2 > _BLOCKED_PAIRS and _block_map(self):
             self._guard_s_scale(m)
             r = _guard(self._get_ranges(), _s_scaled_ranges(self, m), 1, "product")
             out = _mul_fast(self, self, m)
@@ -690,6 +700,9 @@ def _div_naive(a: Poly, b: Poly) -> Poly:
 # width L bits (L chosen so no accumulated coefficient can reach the limb
 # boundary, making the packing a faithful ring map).
 
+# term pairs len(a) * len(b) above which products take a Kronecker kernel
+_BLOCKED_PAIRS = 2048
+
 
 def _block_map(p: Poly):
     """p's blocks [(es, base, lo, coeffs)] sorted by es, cached: base is the
@@ -741,12 +754,54 @@ def _from_blocks(blocks: list) -> Poly:
     width = 0
     for _, base, lo, cs in blocks:
         width += len(cs)
-        first = base + lo * _QSTEP
-        keys = range(first, first + len(cs) * _QSTEP, _QSTEP)
-        out.update({key: c for key, c in zip(keys, cs) if c})
+        _put_block(out, base, lo, cs)
     p = Poly._raw(out)
     p._blocks = blocks if _dense_enough(width, len(out)) else False
     return p
+
+
+def _put_block(out: dict, base: int, lo: int, cs: list) -> None:
+    """Store the nonzero coefficients cs of q^lo, q^(lo+1), ... at base."""
+    first = base + lo * _QSTEP
+    keys = range(first, first + len(cs) * _QSTEP, _QSTEP)
+    out.update({key: c for key, c in zip(keys, cs) if c})
+
+
+def _block(base: int, off: int, cs: list) -> tuple:
+    """The block (es, base, lo, coeffs) of the nonzero digits cs (no trailing
+    zeros) of q^off, q^(off+1), ... at base, its leading zeros dropped."""
+    i = 0
+    while not cs[i]:
+        i += 1
+    return (((base >> _SH_ES) & _MASK) - _BIAS, base, off + i, cs[i:] if i else cs)
+
+
+def _from_acc(acc: dict, L: int) -> Poly:
+    """The Poly held by an accumulator of packed q-blocks (base -> [off, big]
+    at limb width L, see _add_at) whose coefficients are below 2^(L-1) in
+    magnitude, its block list cached."""
+    bl = []
+    for base, (off, big) in acc.items():
+        cs = _unpack_signed(big, L)
+        if cs:
+            bl.append(_block(base, off, cs))
+    bl.sort()
+    return _from_blocks(bl)
+
+
+def _block_ranges(p: Poly) -> tuple | None:
+    """p's exponent ranges off its cached block list; None without one."""
+    bl = p._blocks
+    if not bl:
+        return ((0, 0),) * 4 if bl == [] else None
+    bases = [base for _, base, _, _ in bl]
+    q = [e for _, _, lo, cs in bl for e in (lo, lo + len(cs) - 1)]
+    return (
+        ((min(bases) >> _SH_EX) - _BIAS, (max(bases) >> _SH_EX) - _BIAS),
+        (bl[0][0], bl[-1][0]),
+        (min(q), max(q)),
+        (min(b & _MASK for b in bases) - _BIAS, max(b & _MASK for b in bases) - _BIAS),
+    )
 
 
 def _twisted(blocks: list, twist: int) -> list:
@@ -829,45 +884,58 @@ def _mul_fast(a: Poly, b: Poly, twist: int = 0) -> Poly | None:
 def _mul_blocked(a: Poly, b: Poly, twist: int = 0) -> Poly | None:
     """a * b by block products, or a * a.subst_s_scale(twist) when b is a
     (twist is only read then); None if an operand is too q-sparse to pack."""
-    ba = _block_map(a)
-    bb = _block_map(b)
-    if ba is False or bb is False:
+    la = _block_map(a)
+    lb = _block_map(b)
+    if la is False or lb is False:
         return None
     # balanced digits hold |c| <= bound < 2^bits <= 2^(L-1)
     L = (_mul_bound(a, b).bit_length() + 8) & ~7
     acc: dict[int, list] = {}
-    if a is b:
-        # each unordered block pair once.  s -> q^twist s moves a block's q
-        # offset by twist * es, so A_i * A_j lands at off_i + tw_j and at
-        # tw_i + off_j: one doubled add when those agree (always at twist 0)
-        packed = [
-            (base - _ZKEY, lo, lo + twist * es, _pack_coeffs(cs, L)) for es, base, lo, cs in ba
-        ]
-        for i, (sa, off_a, tw_a, int_a) in enumerate(packed):
-            _add_at(acc, sa + sa + _ZKEY, off_a + tw_a, int_a * int_a, L)
-            for sb, off_b, tw_b, int_b in packed[i + 1 :]:
-                prod = int_a * int_b
-                o1 = off_a + tw_b
-                o2 = tw_a + off_b
-                if o1 == o2:
-                    _add_at(acc, sa + sb + _ZKEY, o1, prod << 1, L)
-                else:
-                    _add_at(acc, sa + sb + _ZKEY, o1, prod, L)
-                    _add_at(acc, sa + sb + _ZKEY, o2, prod, L)
+    if b is a:
+        _acc_square(acc, la, _twisted(la, twist), L)
     else:
-        if len(ba) > len(bb):
-            ba, bb = bb, ba
-        apacked = [(base - _ZKEY, lo, _pack_coeffs(cs, L)) for _, base, lo, cs in ba]
-        bpacked = [(base, lo, _pack_coeffs(cs, L)) for _, base, lo, cs in bb]
-        for sa, off_a, int_a in apacked:
-            for base_b, off_b, int_b in bpacked:
-                _add_at(acc, sa + base_b, off_a + off_b, int_a * int_b, L)
+        _acc_product(acc, la, lb, L)
     out: dict[int, int] = {}
     for base, (off, big) in acc.items():
-        for i, d in enumerate(_unpack_signed(big, L)):
-            if d:
-                out[base + (off + i) * _QSTEP] = d
+        _put_block(out, base, off, _unpack_signed(big, L))
     return Poly._raw(out)
+
+
+def _acc_square(acc: dict, la: list, lt: list, L: int, sign: int = 1) -> None:
+    """Add sign * p * p.subst_s_scale(m) (sign 1 or -1) to acc at limb
+    width L, given p's block list la and its image lt = _twisted(la, m):
+    each unordered block pair once.  s -> q^m s moves a block's q offset by m * es, so A_i * A_j
+    lands at off_i + tw_j and at tw_i + off_j: one doubled add when those
+    agree (always at m = 0).  Operand coefficients must be below 2^L."""
+    packed = [
+        (base - _ZKEY, lo, tw, _pack_coeffs(cs, L))
+        for (_, base, lo, cs), (_, _, tw, _) in zip(la, lt)
+    ]
+    for i, (sa, off_a, tw_a, int_a) in enumerate(packed):
+        left = int_a if sign > 0 else -int_a
+        _add_at(acc, sa + sa + _ZKEY, off_a + tw_a, left * int_a, L)
+        for sb, off_b, tw_b, int_b in packed[i + 1 :]:
+            prod = left * int_b
+            o1 = off_a + tw_b
+            o2 = tw_a + off_b
+            if o1 == o2:
+                _add_at(acc, sa + sb + _ZKEY, o1, prod << 1, L)
+            else:
+                _add_at(acc, sa + sb + _ZKEY, o1, prod, L)
+                _add_at(acc, sa + sb + _ZKEY, o2, prod, L)
+
+
+def _acc_product(acc: dict, la: list, lb: list, L: int, sign: int = 1) -> None:
+    """Add sign * a * b (sign 1 or -1) to acc at limb width L, given the
+    block lists la and lb of a and b.  Operand coefficients must be below
+    2^L."""
+    if len(la) > len(lb):
+        la, lb = lb, la
+    apacked = [(base - _ZKEY, lo, sign * _pack_coeffs(cs, L)) for _, base, lo, cs in la]
+    bpacked = [(base, lo, _pack_coeffs(cs, L)) for _, base, lo, cs in lb]
+    for sa, off_a, int_a in apacked:
+        for base_b, off_b, int_b in bpacked:
+            _add_at(acc, sa + base_b, off_a + off_b, int_a * int_b, L)
 
 
 def _add_at(acc: dict, base: int, off: int, value: int, L: int) -> None:
@@ -957,16 +1025,29 @@ def _read_digits(text: str, D: int, p: int, w: int) -> list[int]:
 
 def _mul_packed(a: Poly, b: Poly, twist: int = 0) -> Poly | None:
     """a * b, or a * a.subst_s_scale(twist) when b is a (twist is only read
-    then), as one product of Decimals.  None unless the products of blocks
-    with equal es sums share a base (so a and b are s-lines), the digit
-    width D stays within _MAX_DIGITS and the packed product is not mostly
-    gaps."""
+    then), as one product of Decimals; None where _packed_product
+    declines."""
     la, lb = _block_map(a), _block_map(b)
     if not la or not lb:
         return None
-    if b is a:
-        lb = _twisted(la, twist)
-    bound = _mul_bound(a, b)
+    twin = b is a
+    blocks = _packed_product(la, _twisted(la, twist) if twin else lb, _mul_bound(a, b), twin)
+    if blocks is None:
+        return None
+    out: dict[int, int] = {}
+    for base, lo, digits in blocks:
+        _put_block(out, base, lo, digits)
+    return Poly._raw(out)
+
+
+def _packed_product(la: list, lb: list, bound: int, twin: bool):
+    """The blocks (base, lo, digits) of the product of the block lists la
+    and lb, digits the coefficients of q^lo, q^(lo+1), ..., read off one
+    product of Decimals; twin says that lb is _twisted(la, m) for some m.
+    bound bounds the product's coefficients.  None unless the products of
+    blocks with equal es sums share a base (so both are s-lines), the digit
+    width D stays within _MAX_DIGITS and the packed product is not mostly
+    gaps."""
     if 2 * bound >= _DIGITS_CAP:
         return None
     # balanced digits: |c| <= bound < t / 2
@@ -992,11 +1073,11 @@ def _mul_packed(a: Poly, b: Poly, twist: int = 0) -> Poly | None:
     if span > 4 * sum(hi - lo + 1 for _, lo, hi in ranges) + 4096:
         return None  # the blocks lie too far apart to pack densely
     neg_a = any(min(cs) < 0 for *_, cs in la)
-    neg_b = neg_a if b is a else any(min(cs) < 0 for *_, cs in lb)
+    neg_b = neg_a if twin else any(min(cs) < 0 for *_, cs in lb)
     # each transient is dropped before the next, larger one is built: the
     # product's digit string is the largest
     A, low = _dec_pack(la, T, D, neg_a)
-    if twist == 0 and b is a:
+    if lb is la:
         prod = _EXACT.multiply(A, A)
         low *= 2
     else:
@@ -1007,9 +1088,13 @@ def _mul_packed(a: Poly, b: Poly, twist: int = 0) -> Poly | None:
     del A
     text = str(prod)
     del prod
-    out: dict[int, int] = {}
+    return _packed_digits(text, D, T, low, ranges, blocks, neg_a or neg_b)
+
+
+def _packed_digits(text, D, T, low, ranges, blocks, signed):
+    """Yield (base, lo, digits) for each product block of _packed_product
+    from the product's decimal text."""
     half = 5 * 10 ** (D - 1)
-    signed = neg_a or neg_b
     sign = -1 if text[0] == "-" else 1
     carry = 0
     for j, lo, hi in ranges:
@@ -1021,10 +1106,7 @@ def _mul_packed(a: Poly, b: Poly, twist: int = 0) -> Poly | None:
                 v += carry
                 carry = v >= half
                 digits[i] = sign * (v - 2 * half if carry else v)
-        base = blocks[j][0] + lo * _QSTEP
-        keys = range(base, base + len(digits) * _QSTEP, _QSTEP)
-        out.update({key: v for key, v in zip(keys, digits) if v})
-    return Poly._raw(out)
+        yield blocks[j][0], lo, digits
 
 
 class _RetryDivision(Exception):
@@ -1070,15 +1152,25 @@ def _div_blocked(a: Poly, b: Poly) -> Poly | None:
 
 
 def _div_blocked_at(a: Poly, b: Poly, L: int) -> Poly:
-    bpacked = [(base, lo, _pack_coeffs(cs, L)) for _, base, lo, cs in _block_map(b)]
+    r = {base: [lo, _pack_coeffs(cs, L)] for _, base, lo, cs in _block_map(a)}
+    return _from_blocks(_divide_acc(r, _block_map(b), L, _div_floor(a, b)))
+
+
+def _divide_acc(r: dict, lb: list, L: int, floor: list) -> list:
+    """The block list of the quotient of the accumulator r (see _add_at),
+    the values at q = 2^L of a dividend's blocks, by the divisor with block
+    list lb, by blocked long division; r is used up.  floor is the
+    quotient's least exponent per variable (x, s, q, z), or a lower bound
+    on it.  NotDivisible when a remainder block sits below what the floor
+    allows, _RetryDivision when a block does not divide or a quotient digit
+    falls below q's floor (possibly limb aliasing)."""
+    bpacked = [(base, lo, _pack_coeffs(cs, L)) for _, base, lo, cs in lb]
     kb, off_b, int_b = max(bpacked)
-    floor = _div_floor(a, b)
     # block bases carry eq = 0, so q's floor is checked digit by digit
     lim = [e + f for e, f in zip(_unpack(kb), floor)]
     lim[2] = 0
     rest_b = [blk for blk in bpacked if blk[0] != kb]
-    r = {base: [lo, _pack_coeffs(cs, L)] for _, base, lo, cs in _block_map(a)}
-    out: dict[int, int] = {}
+    out = []
     while r:
         kr = max(r)
         off_r, int_r = r.pop(kr)
@@ -1091,16 +1183,97 @@ def _div_blocked_at(a: Poly, b: Poly, L: int) -> Poly:
             raise _RetryDivision  # possibly limb aliasing; retry wider
         t_base = kr - kb + _ZKEY
         t_off = off_r - off_b
-        for i, d in enumerate(_unpack_signed(qt, L)):
-            if not d:
-                continue
-            if t_off + i < floor[2]:
-                raise _RetryDivision
-            out[t_base + (t_off + i) * _QSTEP] = d
+        blk = _block(t_base, t_off, _unpack_signed(qt, L))
+        if blk[2] < floor[2]:
+            raise _RetryDivision
+        out.append(blk)
         shift_t = t_base - _ZKEY
         for base_b2, off_b2, int_b2 in rest_b:
             _add_at(r, shift_t + base_b2, t_off + off_b2, -qt * int_b2, L)
-    return Poly._raw(out)
+    out.sort()
+    return out
+
+
+# --------------------------------------------------------------- condensation
+
+
+def _condense(c: Poly, a: Poly, b: Poly, d: Poly | None, twist: int) -> Poly | None:
+    """(c * sigma(c) - sigma(a) * b) / sigma(d), sigma being s -> q^twist s,
+    or the numerator alone when d is None: one Desnanot-Jacobi step, on
+    packed q-blocks from end to end.
+
+    The twisted square and the negated cross product are added into one
+    accumulator at a single limb width L, sized from the two products'
+    coefficient bounds (and the divisor's coefficients); products above
+    _PACKED_PAIRS add their _mul_packed digits block by block.  The blocked
+    long division then runs on that accumulator against the twisted block
+    list of d, and the quotient is built with its block list.  The product
+    guards raise as the Poly formula's would; the quotient is returned only
+    under _quotient_certified, with the numerator bound as amax.  None,
+    for the caller to take the Poly formula, below the blocked threshold,
+    on a q-sparse operand, where the quotient guard of the two products'
+    ranges fails, on a floor hit or a retry, and on a failed certificate."""
+    nc, na, nb = len(c._t), len(a._t), len(b._t)
+    if nc * nc <= _BLOCKED_PAIRS or na * nb <= _BLOCKED_PAIRS:
+        return None
+    lc, la, lb = _block_map(c), _block_map(a), _block_map(b)
+    ld = None if d is None else _block_map(d)
+    if not (lc and la and lb) or (d is not None and not ld):
+        return None
+    # the guards of c.mul_s_scaled(twist) and a.subst_s_scale(twist) * b
+    c._guard_s_scale(twist)
+    r1 = _guard(c._get_ranges(), _s_scaled_ranges(c, twist), 1, "product")
+    a._guard_s_scale(twist)
+    r2 = _guard(_s_scaled_ranges(a, twist), b._get_ranges(), 1, "product")
+    bound_c, bound_ab = _mul_bound(c, c), _mul_bound(a, b)
+    amax = bound_c + bound_ab
+    L = (amax.bit_length() + 8) & ~7
+    if d is not None:
+        d._guard_s_scale(twist)
+        rd = _s_scaled_ranges(d, twist)
+        # the numerator's ranges lie inside the union of the products'
+        num = [(min(x[0], y[0]), max(x[1], y[1])) for x, y in zip(r1, r2)]
+        try:
+            _guard(num, rd, -1, "quotient")
+        except OverflowError:
+            return None
+        floor = [n[0] - e[0] for n, e in zip(num, rd)]
+        L = max(L, (d._coeff_stats().bit_length() + 8) & ~7)
+    acc: dict[int, list] = {}
+    _acc_mul(acc, lc, _twisted(lc, twist), True, bound_c, nc * nc >> 1, L, 1)
+    _acc_mul(acc, _twisted(la, twist), lb, False, bound_ab, na * nb, L, -1)
+    if d is None:
+        out = _from_acc(acc, L)
+    else:
+        try:
+            out = _from_blocks(_divide_acc(acc, _twisted(ld, twist), L, floor))
+        except (NotDivisible, _RetryDivision):
+            return None
+        n = min(len(out._t), len(d._t))
+        if not _quotient_certified(out._coeff_stats(), d._coeff_stats(), n, amax, L):
+            return None
+    out._ranges = _block_ranges(out)
+    return out
+
+
+def _acc_mul(
+    acc: dict, la: list, lb: list, twin: bool, bound: int, pairs: int, L: int, sign: int
+) -> None:
+    """Add sign (1 or -1) times the product of the block lists la and lb
+    to acc at limb width L, lb being _twisted(la, m) when twin, bound a
+    bound on its coefficients and pairs its term pairs (halved when twin):
+    the packed product's digits above _PACKED_PAIRS pairs where it
+    applies, else the block products."""
+    if pairs > _PACKED_PAIRS:
+        blocks = _packed_product(la, lb, bound, twin)
+        if blocks is not None:
+            for base, lo, digits in blocks:
+                _add_at(acc, base, lo, sign * _pack_coeffs(digits, L), L)
+            return
+    if twin:
+        _acc_square(acc, la, lb, L, sign)
+    else:
+        _acc_product(acc, la, lb, L, sign)
 
 
 # ----------------------------------------------------------------- helpers

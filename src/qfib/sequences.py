@@ -46,8 +46,7 @@ from .poly import (
     _block_map,
     _pack_coeffs,
     _check_exp,
-    _from_blocks,
-    _unpack_signed,
+    _from_acc,
     monomial,
 )
 
@@ -82,17 +81,7 @@ class _Packed:
 
     def build(self) -> Poly:
         """The entry as a new Poly, not kept."""
-        bl = []
-        for base, (lo, big) in self.blocks.items():
-            cs = _unpack_signed(big, self.L)  # no trailing zeros
-            if not cs:
-                continue
-            i = 0
-            while not cs[i]:
-                i += 1
-            bl.append((((base >> _SH_ES) & _MASK) - _BIAS, base, lo + i, cs[i:] if i else cs))
-        bl.sort()
-        return _from_blocks(bl)
+        return _from_acc(self.blocks, self.L)
 
     def poly(self) -> Poly:
         if self._poly is None:

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qfib import harness
+from qfib import harness, poly
 from qfib.harness import (
     CATALOG,
     BadParams,
@@ -232,6 +236,64 @@ def test_power_det_falls_back_to_bareiss_on_a_zero_central_minor(
 
     explicit = PolyMatrix([[entry(i, j) for j in range(k + 1)] for i in range(k + 1)])
     assert det == explicit.det_cofactor()
+
+
+def _spy_condense(monkeypatch):
+    """Record (above the blocked threshold, has a divisor, kernel took the
+    step) for each call harness makes to the condensation kernel."""
+    steps = []
+    real = harness._condense
+
+    def spy(c, a, b, d, twist):
+        out = real(c, a, b, d, twist)
+        big = min(len(c) ** 2, len(a) * len(b)) > poly._BLOCKED_PAIRS
+        steps.append((big, d is not None, out is not None))
+        return out
+
+    monkeypatch.setattr(harness, "_condense", spy)
+    return steps
+
+
+def test_det_table_condenses_every_large_step_in_the_kernel(monkeypatch):
+    steps = _spy_condense(monkeypatch)
+    if poly._FAST:
+        # every step above the threshold runs in the kernel, none falls back
+        table = det_table(6)
+        assert table[3] == det_table(3)[3]
+        large = [took for big, _, took in steps if big]
+        assert len(large) > 50 and all(large)
+        assert not any(took for big, _, took in steps if not big)
+    else:
+        det_table(4)
+        assert steps == []
+
+
+def test_the_dict_engine_never_calls_the_kernel():
+    code = (
+        "from qfib import harness\n"
+        "calls = []\n"
+        "harness._condense = lambda *args: calls.append(args)\n"
+        "harness.det_table(4)\n"
+        "print(harness._FAST, len(calls))\n"
+    )
+    env = dict(os.environ, QFIB_NO_FAST="1", PYTHONPATH=str(Path(harness.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False 0\n")
+
+
+def test_an_uncertified_kernel_quotient_falls_back_to_the_formula(monkeypatch):
+    want = harness._power_det(4, 4)
+    steps = _spy_condense(monkeypatch)
+    monkeypatch.setattr(harness, "_FAST", True)
+    monkeypatch.setattr(poly, "_quotient_certified", lambda *args: False)
+    assert harness._power_det(4, 4) == want
+    # the first level has no divisor, so no certificate: the kernel takes
+    # its large steps; every large step with a divisor falls back
+    large = [(divides, took) for big, divides, took in steps if big]
+    assert (False, True) in large and (True, False) in large
+    assert all(took != divides for divides, took in large)
 
 
 def test_det_table_known_factorizations():

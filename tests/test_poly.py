@@ -544,6 +544,32 @@ def test_packed_mul_declines_what_it_cannot_pack(monkeypatch):
     assert spread * spread == _mul_naive(spread._t, spread._t)
 
 
+@pytest.mark.parametrize("packed", [False, True])
+def test_accumulated_products_match_naive_with_either_sign(monkeypatch, packed):
+    import qfib.poly as poly
+
+    # s-lines with signed coefficients: the products pack when asked to
+    a = Poly({(2 - j, j, e, -1): (e + j) * (-1) ** e for j in range(-1, 3) for e in range(9)})
+    b = Poly({(1 - es, es, eq, 1): 3 - eq for es in range(3) for eq in range(-2, 7)})
+    monkeypatch.setattr(poly, "_PACKED_PAIRS", 0 if packed else 10**18)
+    calls = []
+    real = poly._packed_product
+    monkeypatch.setattr(poly, "_packed_product", lambda *args: calls.append(1) or real(*args))
+    la, lb = _block_map(a), _block_map(b)
+    for sign in (1, -1):
+        for twist in (0, -2):
+            want = _mul_naive(a._t, a.subst_s_scale(twist)._t) * sign
+            acc = {}
+            L = (_mul_bound(a, a).bit_length() + 8) & ~7
+            poly._acc_mul(acc, la, poly._twisted(la, twist), True, _mul_bound(a, a), 1, L, sign)
+            assert poly._from_acc(acc, L) == want
+        acc = {}
+        L = (_mul_bound(a, b).bit_length() + 8) & ~7
+        poly._acc_mul(acc, la, lb, False, _mul_bound(a, b), 1, L, sign)
+        assert poly._from_acc(acc, L) == _mul_naive(a._t, b._t) * sign
+    assert len(calls) == (6 if packed else 0)
+
+
 def test_large_power_takes_the_packed_kernel(monkeypatch):
     import qfib.poly as poly
     from qfib.sequences import qfib

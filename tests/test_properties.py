@@ -396,3 +396,88 @@ def test_condensation_matches_bareiss_on_the_explicit_matrix(cell):
 
     explicit = PolyMatrix([[entry(i, j) for j in range(k + 1)] for i in range(k + 1)])
     assert _power_det(n, k, ell, classical) == explicit.det()
+
+
+def _condense_formula(c, a, b, d, t):
+    """One condensation step by the Poly formula."""
+    num = c.mul_s_scaled(t) - a.subst_s_scale(t) * b
+    return num if d is None else num.exact_div(d.subst_s_scale(t))
+
+
+def _condense_operands(rng, with_divisor):
+    """(c, a, b, d) on signed Laurent s-lines sharing one slope and lead, so
+    that the products of blocks with equal es sums share a base.  With a
+    divisor, c = d*w and a = d*u, so that sigma(d) divides the numerator
+    sigma(d) * (d*w*sigma(w) - sigma(u)*b); d has at least two terms."""
+    slope = (rng.randint(-2, 2), rng.randint(-1, 1))
+    lead = (rng.randint(-3, 3), rng.randint(-3, 3))
+
+    def line():
+        return _s_line_poly(rng, slope, lead)
+
+    b = line() * line()
+    if not with_divisor:
+        return line() * line(), line() * line(), b, None
+    d = line()
+    while len(d) < 2:
+        d = line()
+    return d * line(), d * line(), b, d
+
+
+@settings(_SETTINGS, max_examples=40)
+@given(st.randoms(use_true_random=False), st.integers(-3, 3), st.booleans(), st.booleans())
+def test_condense_kernel_matches_the_formula(rng, twist, with_divisor, packed):
+    """The kernel, forced onto small operands (and onto the packed products
+    when packed), equals the Poly formula computed on the default
+    thresholds, carries exact ranges and caches the block list that
+    _block_map would build."""
+    c, a, b, d = _condense_operands(rng, with_divisor)
+    want = _condense_formula(c, a, b, d, twist)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_BLOCKED_PAIRS", 0)
+        if packed:
+            mp.setattr(poly, "_PACKED_PAIRS", 0)
+        got = poly._condense(c, a, b, d, twist)
+    assert got is not None and got == want
+    _assert_carried(got)
+    assert got._blocks == _block_map(Poly._raw(dict(got._t)))
+
+
+@settings(_SETTINGS, max_examples=20)
+@given(st.randoms(use_true_random=False), st.integers(-3, 3))
+def test_condense_kernel_declines_a_numerator_that_does_not_divide(rng, twist):
+    """With a -> a + 1 and b = sigma(d) v + 1 the numerator is sigma(d) Q - b,
+    which sigma(d), a non-monomial, does not divide: the kernel declines,
+    and the step raises NotDivisible through the formula."""
+    from qfib.harness import _condense_step
+
+    c, a, _, d = _condense_operands(rng, True)
+    b = d.subst_s_scale(twist) * _s_line_poly(rng, (0, 0), (0, 0)) + 1
+    a = a + 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_BLOCKED_PAIRS", 0)
+        assert poly._condense(c, a, b, d, twist) is None
+        with pytest.raises(NotDivisible):
+            _condense_step(c, a, b, d, twist)
+
+
+@settings(_SETTINGS, max_examples=40)
+@given(power_det_cells, st.booleans())
+def test_condensation_with_the_kernel_forced_on_matches_bareiss(cell, packed):
+    """test_condensation_matches_bareiss_on_the_explicit_matrix with every
+    step offered to the kernel, on either engine."""
+    from qfib import harness
+
+    n, k, ell, classical = cell
+
+    def entry(i, j):
+        m = ell * (n + i - j)
+        return fib(m) ** k if classical else qfib(m, shift=ell * j) ** k
+
+    explicit = PolyMatrix([[entry(i, j) for j in range(k + 1)] for i in range(k + 1)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_FAST", True)
+        mp.setattr(poly, "_BLOCKED_PAIRS", 0)
+        if packed:
+            mp.setattr(poly, "_PACKED_PAIRS", 0)
+        assert _power_det(n, k, ell, classical) == explicit.det()

@@ -2,7 +2,9 @@
 
 import importlib.util
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,3 +97,44 @@ def test_src_dirty_reads_git_status_of_src(tmp_path):
     (tmp_path / "src").mkdir()
     (tmp_path / "src" / "new.py").write_text("x = 1\n")
     assert record.src_dirty(tmp_path) is True
+
+
+def _closed_pipe_run(args, cwd):
+    """Run the recorder with its stdout on a pipe whose read end is already
+    closed, as when `| head` has read enough: (exit code, stderr)."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "benchmarks" / "record.py"), *args],
+            stdout=write_end, stderr=subprocess.PIPE, cwd=cwd, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr
+
+
+def test_compare_exits_141_quietly_on_a_closed_pipe(tmp_path):
+    paths = []
+    for label, values in (("old", [1.0, 1.2, 1.1, 1.3]), ("new", [0.9, 1.25, 1.0, 1.2])):
+        paths.append(tmp_path / f"BENCH_{label}.json")
+        paths[-1].write_text(json.dumps(make(label, values)))
+    got = _closed_pipe_run(["--compare", *map(str, paths)], tmp_path)
+    assert got == (record.EXIT_BROKEN_PIPE, b"")
+
+
+def test_recording_exits_141_quietly_on_a_closed_pipe(tmp_path):
+    # a checkout whose run.py prints an env line and a one-metric result at
+    # once: the first progress line meets the closed pipe, before any
+    # record is written
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json\n"
+        "print(json.dumps({'env': {'python': 'test'}}))\n"
+        "print(json.dumps({'attempted': 1, 'failed': 0,\n"
+        "                  'metrics': {'work_s': {'unit': 's', 'value': 1.0}}}))\n"
+    )
+    label = "closed-pipe-test"
+    got = _closed_pipe_run([f"{label}={tmp_path}"], tmp_path)
+    assert got == (record.EXIT_BROKEN_PIPE, b"")
+    assert not (ROOT / f"BENCH_{label}.json").exists()
