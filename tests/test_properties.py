@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfib import poly
+from qfib import harness, poly
 from qfib.harness import _power_det
 from qfib.matrices import PolyMatrix
 from qfib.poly import (
@@ -385,17 +385,20 @@ power_det_cells = st.tuples(
 ).filter(_cheap)
 
 
-@_SETTINGS
-@given(power_det_cells)
-def test_condensation_matches_bareiss_on_the_explicit_matrix(cell):
-    n, k, ell, classical = cell
+def _bareiss_power_det(n, k, ell, classical):
+    """The power determinant of _power_det by Bareiss on the explicit matrix."""
 
     def entry(i, j):
         m = ell * (n + i - j)
         return fib(m) ** k if classical else qfib(m, shift=ell * j) ** k
 
-    explicit = PolyMatrix([[entry(i, j) for j in range(k + 1)] for i in range(k + 1)])
-    assert _power_det(n, k, ell, classical) == explicit.det()
+    return PolyMatrix([[entry(i, j) for j in range(k + 1)] for i in range(k + 1)]).det()
+
+
+@_SETTINGS
+@given(power_det_cells)
+def test_condensation_matches_bareiss_on_the_explicit_matrix(cell):
+    assert _power_det(*cell) == _bareiss_power_det(*cell)
 
 
 def _condense_formula(c, a, b, d, t):
@@ -449,8 +452,6 @@ def test_condense_kernel_declines_a_numerator_that_does_not_divide(rng, twist):
     """With a -> a + 1 and b = sigma(d) v + 1 the numerator is sigma(d) Q - b,
     which sigma(d), a non-monomial, does not divide: the kernel declines,
     and the step raises NotDivisible through the formula."""
-    from qfib.harness import _condense_step
-
     c, a, _, d = _condense_operands(rng, True)
     b = d.subst_s_scale(twist) * _s_line_poly(rng, (0, 0), (0, 0)) + 1
     a = a + 1
@@ -458,7 +459,7 @@ def test_condense_kernel_declines_a_numerator_that_does_not_divide(rng, twist):
         mp.setattr(poly, "_BLOCKED_PAIRS", 0)
         assert poly._condense(c, a, b, d, twist) is None
         with pytest.raises(NotDivisible):
-            _condense_step(c, a, b, d, twist)
+            harness._condense_step(c, a, b, d, twist)
 
 
 @settings(_SETTINGS, max_examples=40)
@@ -466,18 +467,10 @@ def test_condense_kernel_declines_a_numerator_that_does_not_divide(rng, twist):
 def test_condensation_with_the_kernel_forced_on_matches_bareiss(cell, packed):
     """test_condensation_matches_bareiss_on_the_explicit_matrix with every
     step offered to the kernel, on either engine."""
-    from qfib import harness
-
-    n, k, ell, classical = cell
-
-    def entry(i, j):
-        m = ell * (n + i - j)
-        return fib(m) ** k if classical else qfib(m, shift=ell * j) ** k
-
-    explicit = PolyMatrix([[entry(i, j) for j in range(k + 1)] for i in range(k + 1)])
+    want = _bareiss_power_det(*cell)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "_FAST", True)
         mp.setattr(poly, "_BLOCKED_PAIRS", 0)
         if packed:
             mp.setattr(poly, "_PACKED_PAIRS", 0)
-        assert _power_det(n, k, ell, classical) == explicit.det()
+        assert _power_det(*cell) == want
