@@ -24,9 +24,10 @@ does not ask for fitting.
 
 All power determinants det(f(ell(n+i-j), q^(ell j) s)^k), q-analogue and
 classical, share _power_det, which condenses them level by level with the
-Desnanot-Jacobi identity and hands the explicit matrix to Bareiss
-(PolyMatrix.det) only when a central minor vanishes; gen_cassini's 2 x 2
-determinant goes to Bareiss directly.
+Desnanot-Jacobi identity, forking one child for half of each large level,
+and hands the explicit matrix to Bareiss (PolyMatrix.det) only when a
+central minor vanishes; gen_cassini's 2 x 2 determinant goes to Bareiss
+directly.
 
 Each family has one builder.  A classical or ell = 1 identity that the
 paper states separately (conj1_f, conj3, det_power_classical) is a binding
@@ -43,6 +44,7 @@ rounding.
 from __future__ import annotations
 
 import os
+import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -326,6 +328,13 @@ def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
     every step under QFIB_NO_FAST=1, take the Poly formula, whose central
     product D_r(m) sigma D_r(m) is the twisted square
     D_r(m).mul_s_scaled(ell) (a plain square when classical).
+
+    The steps of a level depend only on the level below, and
+    _condense_level runs them: above _FORK_PAIRS term pairs one forked
+    child takes the half of the level that holds its largest step.  A
+    level stays serial under QFIB_NO_FAST=1, without os.fork or a second
+    CPU, beside another thread and inside a multiprocessing worker such
+    as a verify --jobs pool's.
     """
     g = fib if classical else qfib
     twist = 0 if classical else ell  # sigma is s -> q^twist s
@@ -335,12 +344,108 @@ def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
     while len(level) > 1:
         if divisors is not None and not all(divisors):
             return _power_det_bareiss(n, k, ell, classical)
-        nxt = []
-        for i in range(len(level) - 2):
-            d = None if divisors is None else divisors[i]
-            nxt.append(_condense_step(level[i + 1], level[i], level[i + 2], d, twist))
-        level, divisors = nxt, level[2:-2]
+        args = [
+            (level[i + 1], level[i], level[i + 2], None if divisors is None else divisors[i], twist)
+            for i in range(len(level) - 2)
+        ]
+        level, divisors = _condense_level(args), level[2:-2]
     return level[0]
+
+
+# Term pairs of a condensation level, sum(len(c)^2 / 2 + len(a) len(b))
+# over its steps, above which _condense_level forks a child for half of it.
+# On a 2-vCPU host the fork, the child's start and its pickled quotients
+# cost 5-15 ms: levels of 1.3-1.9M pairs ran 0-50% slower forked, levels
+# from 3.4M on 20-50% faster (row 6's 8.4-25M levels 33-47%).  Every level
+# of det_table(5) (0.16-1.9M) and of the catalog (at most 0.1M) stays serial.
+_FORK_PAIRS = 3_000_000
+
+
+def _condense_level(args: list) -> list:
+    """The quotients of a condensation level's steps, each an argument tuple
+    (c, a, b, d, twist) of _condense_step, in window order.
+
+    The steps of a level depend only on the level below, so above
+    _FORK_PAIRS term pairs one forked child runs the half of them that
+    holds the largest step (halves split longest step first) while this
+    process runs the other; the child inherits the level, and sends its
+    quotients, or its first failure, back through a pipe.  The first failure
+    in window order is raised, as a serial run would raise it.  If the child
+    dies without a word, this process runs its half too; no child outlives
+    the call.  Serial on the dict engine, without os.fork or a second core,
+    beside another thread and inside a multiprocessing worker (the verify
+    --jobs pool), whose siblings already hold the cores."""
+    pairs = [len(c._t) ** 2 / 2 + len(a._t) * len(b._t) for c, a, b, _, _ in args]
+    if len(args) < 2 or sum(pairs) <= _FORK_PAIRS or not _may_fork():
+        return [_condense_step(*step) for step in args]
+    halves = ([], [])
+    loads = [0, 0]
+    for i in sorted(range(len(args)), key=pairs.__getitem__, reverse=True):
+        h = loads[1] < loads[0]
+        halves[h].append(i)
+        loads[h] += pairs[i]
+    theirs, mine = sorted(halves[0]), sorted(halves[1])
+
+    import pickle
+
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: report and exit, never return
+        try:
+            os.close(rfd)
+            data = pickle.dumps(_run_steps(args, theirs), pickle.HIGHEST_PROTOCOL)
+            with os.fdopen(wfd, "wb") as fh:
+                fh.write(data)
+        finally:
+            os._exit(0)
+    os.close(wfd)
+    try:
+        out, failed = _run_steps(args, mine)
+        with os.fdopen(rfd, "rb") as fh:
+            rfd = None
+            data = fh.read()
+        os.waitpid(pid, 0)
+        pid = None
+    finally:
+        if pid is not None:
+            from signal import SIGKILL
+
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+        if rfd is not None:
+            os.close(rfd)
+    try:
+        got, their_failed = pickle.loads(data)
+    except Exception:  # no whole payload: the child died before writing it
+        got, their_failed = _run_steps(args, theirs)
+    out.update(got)
+    failures = [f for f in (failed, their_failed) if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return [out[i] for i in range(len(args))]
+
+
+def _may_fork() -> bool:
+    """Whether _condense_level may fork a child for half of a level."""
+    if not _FAST or not hasattr(os, "fork") or (os.cpu_count() or 1) < 2:
+        return False
+    threading = sys.modules.get("threading")  # no threads without it
+    if threading is not None and threading.active_count() > 1:
+        return False
+    mp = sys.modules.get("multiprocessing")
+    return mp is None or mp.parent_process() is None
+
+
+def _run_steps(args: list, which) -> tuple[dict, tuple | None]:
+    """({i: quotient}, None) for the steps `which` of a level, run in
+    order, or ({...}, (i, exception)) for the first that raises."""
+    out = {}
+    for i in which:
+        try:
+            out[i] = _condense_step(*args[i])
+        except Exception as exc:
+            return out, (i, exc)
+    return out, None
 
 
 def _condense_step(c: Poly, a: Poly, b: Poly, d: Poly | None, twist: int) -> Poly:

@@ -69,9 +69,9 @@ one accumulator of packed q-blocks at a single limb width (a packed
 product's digits block by block), the blocked long division runs in place
 on it against d's twisted block list, and the quotient is built with its
 block list.  No sigma image is built.  The kernel keeps the guards of the
-Poly formula and returns a quotient only under _quotient_certified; it
-declines the steps it cannot take that way, and harness then runs the
-formula.  Setting QFIB_NO_FAST=1 in the environment forces the plain dict
+Poly formula and returns a quotient only under _quotient_certified, after
+one rerun at twice the limb width if need be; it declines the steps it
+cannot take that way, and harness then runs the formula.  Setting QFIB_NO_FAST=1 in the environment forces the plain dict
 paths everywhere (the test suite checks both paths agree).
 """
 
@@ -1209,10 +1209,12 @@ def _condense(c: Poly, a: Poly, b: Poly, d: Poly | None, twist: int) -> Poly | N
     long division then runs on that accumulator against the twisted block
     list of d, and the quotient is built with its block list.  The product
     guards raise as the Poly formula's would; the quotient is returned only
-    under _quotient_certified, with the numerator bound as amax.  None,
-    for the caller to take the Poly formula, below the blocked threshold,
-    on a q-sparse operand, where the quotient guard of the two products'
-    ranges fails, on a floor hit or a retry, and on a failed certificate."""
+    under _quotient_certified, with the numerator bound as amax; a retry
+    or a failed certificate at L reruns the accumulation and the division
+    once at 2L.  None, for the caller to take the Poly formula, below the
+    blocked threshold, on a q-sparse operand, where the quotient guard of
+    the two products' ranges fails, on a floor hit, and when the division
+    fails at 2L too."""
     nc, na, nb = len(c._t), len(a._t), len(b._t)
     if nc * nc <= _BLOCKED_PAIRS or na * nb <= _BLOCKED_PAIRS:
         return None
@@ -1239,19 +1241,26 @@ def _condense(c: Poly, a: Poly, b: Poly, d: Poly | None, twist: int) -> Poly | N
             return None
         floor = [n[0] - e[0] for n, e in zip(num, rd)]
         L = max(L, (d._coeff_stats().bit_length() + 8) & ~7)
-    acc: dict[int, list] = {}
-    _acc_mul(acc, lc, _twisted(lc, twist), True, bound_c, nc * nc >> 1, L, 1)
-    _acc_mul(acc, _twisted(la, twist), lb, False, bound_ab, na * nb, L, -1)
-    if d is None:
-        out = _from_acc(acc, L)
-    else:
+    # the numerator needs one width; a division that retries or fails its
+    # certificate at L runs once more at 2L
+    for L in (L,) if d is None else (L, 2 * L):
+        acc: dict[int, list] = {}
+        _acc_mul(acc, lc, _twisted(lc, twist), True, bound_c, nc * nc >> 1, L, 1)
+        _acc_mul(acc, _twisted(la, twist), lb, False, bound_ab, na * nb, L, -1)
+        if d is None:
+            out = _from_acc(acc, L)
+            break
         try:
             out = _from_blocks(_divide_acc(acc, _twisted(ld, twist), L, floor))
-        except (NotDivisible, _RetryDivision):
+        except NotDivisible:
             return None
+        except _RetryDivision:
+            continue
         n = min(len(out._t), len(d._t))
-        if not _quotient_certified(out._coeff_stats(), d._coeff_stats(), n, amax, L):
-            return None
+        if _quotient_certified(out._coeff_stats(), d._coeff_stats(), n, amax, L):
+            break
+    else:
+        return None
     out._ranges = _block_ranges(out)
     return out
 

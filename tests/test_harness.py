@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -255,6 +256,8 @@ def _spy_condense(monkeypatch):
 
 
 def test_det_table_condenses_every_large_step_in_the_kernel(monkeypatch):
+    # the spy sees only the steps this process runs: no level is forked
+    monkeypatch.setattr(harness, "_FORK_PAIRS", math.inf)
     steps = _spy_condense(monkeypatch)
     if poly._FAST:
         # every step above the threshold runs in the kernel, none falls back
@@ -294,6 +297,196 @@ def test_an_uncertified_kernel_quotient_falls_back_to_the_formula(monkeypatch):
     large = [(divides, took) for big, divides, took in steps if big]
     assert (False, True) in large and (True, False) in large
     assert all(took != divides for divides, took in large)
+
+
+# ------------------------------------------------------- forked levels
+
+
+def _spy_fork(monkeypatch, log=None):
+    """Count the os.fork calls (in a list), or append the calling pid to
+    the file `log`, which a forked worker's calls reach too."""
+    calls = []
+    real = os.fork
+
+    def spy():
+        if log is None:
+            calls.append(os.getpid())
+        else:
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+        return real()
+
+    monkeypatch.setattr(os, "fork", spy)
+    return calls
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_FORK_CELLS = [
+    (n, k, ell, classical)
+    for classical in (False, True)
+    for ell in (1, 2, 3)
+    for k in range(1, 5)
+    for n in range(-3, 7)
+    # the q-analogue cells as cheap as test_properties' _cheap, 2 s in all
+    if classical or k * ell * (abs(n) + k) <= 36
+]
+
+
+def test_forked_levels_give_the_serial_determinants(monkeypatch):
+    want = [harness._power_det(*cell) for cell in _FORK_CELLS]
+    monkeypatch.setattr(harness, "_FAST", True)
+    monkeypatch.setattr(harness, "_FORK_PAIRS", 0)
+    forks = _spy_fork(monkeypatch)
+    assert [harness._power_det(*cell) for cell in _FORK_CELLS] == want
+    assert len(forks) > len(_FORK_CELLS)
+    _assert_no_child_left()
+
+
+def _fake_level(monkeypatch, fails):
+    """A level of five steps that _condense_level splits between the two
+    processes: step i returns i, or raises fails[i], in either process."""
+    p = parse("x + s")
+
+    def step(c, a, b, d, i):
+        if i in fails:
+            raise fails[i]("step %d" % i)
+        return i
+
+    monkeypatch.setattr(harness, "_FAST", True)
+    monkeypatch.setattr(harness, "_condense_step", step)
+    return [(p, p, p, None, i) for i in range(5)]
+
+
+@pytest.mark.parametrize(
+    "fails",
+    [
+        {},
+        {0: poly.NotDivisible},
+        {1: OverflowError},
+        {4: poly.NotDivisible},
+        {1: OverflowError, 2: poly.NotDivisible},
+        {0: poly.NotDivisible, 1: OverflowError},
+        {3: OverflowError, 4: poly.NotDivisible},
+    ],
+)
+def test_a_forked_level_raises_the_first_failure_in_window_order(monkeypatch, fails):
+    args = _fake_level(monkeypatch, fails)
+    forks = _spy_fork(monkeypatch)
+    monkeypatch.setattr(harness, "_FORK_PAIRS", 0)
+    if not fails:
+        assert harness._condense_level(args) == list(range(5))
+    else:
+        first = min(fails)
+        with pytest.raises(fails[first], match=f"step {first}"):
+            harness._condense_level(args)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [poly.NotDivisible, OverflowError])
+def test_a_failure_in_the_child_reaches_the_parent_with_its_type(monkeypatch, exc):
+    parent = os.getpid()
+    real = harness._condense_step
+
+    def step(*args):
+        if os.getpid() != parent:
+            raise exc("in the child")
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_FAST", True)
+    monkeypatch.setattr(harness, "_FORK_PAIRS", 0)
+    monkeypatch.setattr(harness, "_condense_step", step)
+    with pytest.raises(exc, match="in the child"):
+        harness._power_det(4, 4)
+    _assert_no_child_left()
+
+
+def test_the_parent_runs_the_half_of_a_child_that_dies_without_a_word(monkeypatch):
+    want = harness._power_det(4, 4)
+    parent = os.getpid()
+    real = harness._run_steps
+
+    def run_steps(args, which):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real(args, which)
+
+    monkeypatch.setattr(harness, "_FAST", True)
+    monkeypatch.setattr(harness, "_FORK_PAIRS", 0)
+    monkeypatch.setattr(harness, "_run_steps", run_steps)
+    forks = _spy_fork(monkeypatch)
+    assert harness._power_det(4, 4) == want
+    assert forks
+    _assert_no_child_left()
+
+
+def test_a_failure_in_the_parent_kills_and_reaps_the_child(monkeypatch):
+    parent = os.getpid()
+
+    def step(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # a child still at work
+
+    monkeypatch.setattr(harness, "_FAST", True)
+    monkeypatch.setattr(harness, "_FORK_PAIRS", 0)
+    monkeypatch.setattr(harness, "_condense_step", step)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        harness._power_det(4, 4)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("case", ["dict engine", "one core", "second thread"])
+def test_no_level_is_forked_where_a_second_process_cannot_help(monkeypatch, case):
+    import threading
+
+    want = harness._power_det(4, 4)
+    monkeypatch.setattr(harness, "_FAST", True)
+    monkeypatch.setattr(harness, "_FORK_PAIRS", 0)
+    forks = _spy_fork(monkeypatch)
+    assert harness._power_det(4, 4) == want and forks  # forked by default
+    forks.clear()
+    if case == "dict engine":  # what QFIB_NO_FAST=1 sets at import
+        monkeypatch.setattr(harness, "_FAST", False)
+    elif case == "one core":
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    done = threading.Event()
+    if case == "second thread":
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+    try:
+        assert harness._power_det(4, 4) == want
+    finally:
+        done.set()
+    assert forks == []
+
+
+def test_no_level_is_forked_inside_a_verify_jobs_worker(monkeypatch, tmp_path):
+    monkeypatch.setattr(harness, "_FAST", True)
+    monkeypatch.setattr(harness, "_FORK_PAIRS", 0)
+    log = tmp_path / "forks"
+    _spy_fork(monkeypatch, log)
+    over = {"n": (3, 4), "k": (3, 4)}
+    # in this process each cell forks its levels
+    serial = sweep(["conj3"], over)
+    assert serial.all_pass() and set(log.read_text().split()) == {str(os.getpid())}
+    log.unlink()
+    # the pool forks its workers from this process, and they fork nothing
+    pooled = sweep(["conj3"], over, workers=2)
+    assert pooled.all_pass() and len(pooled.cells) == len(serial.cells)
+    assert set(log.read_text().split()) == {str(os.getpid())}
+
+
+def test_no_catalog_level_is_forked(monkeypatch):
+    forks = _spy_fork(monkeypatch)
+    report = sweep(sorted(CATALOG))
+    assert report.cells and forks == []
 
 
 def test_det_table_known_factorizations():

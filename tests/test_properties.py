@@ -448,6 +448,29 @@ def test_condense_kernel_matches_the_formula(rng, twist, with_divisor, packed):
 
 @settings(_SETTINGS, max_examples=20)
 @given(st.randoms(use_true_random=False), st.integers(-3, 3))
+def test_condense_kernel_redivides_at_twice_the_width_on_a_failed_certificate(rng, twist):
+    """With _quotient_certified false at the first limb width only, the
+    kernel reruns its accumulation and division at twice that width and
+    returns the formula's quotient instead of declining the step."""
+    c, a, b, d = _condense_operands(rng, True)
+    want = _condense_formula(c, a, b, d, twist)
+    widths = []
+
+    def certified(qmax, bmax, n, amax, L):
+        widths.append(L)
+        return len(widths) > 1 and certify(qmax, bmax, n, amax, L)
+
+    certify = poly._quotient_certified
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_BLOCKED_PAIRS", 0)
+        mp.setattr(poly, "_quotient_certified", certified)
+        got = poly._condense(c, a, b, d, twist)
+    assert got is not None and got == want
+    assert len(widths) == 2 and widths[1] == 2 * widths[0]
+
+
+@settings(_SETTINGS, max_examples=20)
+@given(st.randoms(use_true_random=False), st.integers(-3, 3))
 def test_condense_kernel_declines_a_numerator_that_does_not_divide(rng, twist):
     """With a -> a + 1 and b = sigma(d) v + 1 the numerator is sigma(d) Q - b,
     which sigma(d), a non-monomial, does not divide: the kernel declines,
