@@ -71,8 +71,9 @@ on it against d's twisted block list, and the quotient is built with its
 block list.  No sigma image is built.  The kernel keeps the guards of the
 Poly formula and returns a quotient only under _quotient_certified, after
 one rerun at twice the limb width if need be; it declines the steps it
-cannot take that way, and harness then runs the formula.  Setting QFIB_NO_FAST=1 in the environment forces the plain dict
-paths everywhere (the test suite checks both paths agree).
+cannot take that way, and harness then runs the formula.  Setting
+QFIB_NO_FAST=1 in the environment forces the plain dict paths everywhere
+(the test suite checks both paths agree).
 """
 
 from __future__ import annotations
@@ -1241,8 +1242,6 @@ def _condense(c: Poly, a: Poly, b: Poly, d: Poly | None, twist: int) -> Poly | N
             return None
         floor = [n[0] - e[0] for n, e in zip(num, rd)]
         L = max(L, (d._coeff_stats().bit_length() + 8) & ~7)
-    # the numerator needs one width; a division that retries or fails its
-    # certificate at L runs once more at 2L
     for L in (L,) if d is None else (L, 2 * L):
         acc: dict[int, list] = {}
         _acc_mul(acc, lc, _twisted(lc, twist), True, bound_c, nc * nc >> 1, L, 1)

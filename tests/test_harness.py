@@ -353,7 +353,7 @@ def _fake_level(monkeypatch, fails):
 
     def step(c, a, b, d, i):
         if i in fails:
-            raise fails[i]("step %d" % i)
+            raise fails[i](f"step {i}")
         return i
 
     monkeypatch.setattr(harness, "_FAST", True)
