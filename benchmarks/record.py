@@ -25,8 +25,9 @@ quartile spread, and how many seeds the new record wins, after a warning
 line for each record taken on a modified src/.  It exits 1 when
 a metric is worse by more than its bound or an operation failed, 2 when
 the two records were taken over different seed lists (their runs do not
-pair), else 0.  Either mode exits 141 without a traceback when the
-reader of its output closes the pipe, as `qfib` does.
+pair) or a record is missing, unreadable or not JSON (one line naming the
+file), else 0.  Either mode exits 141 without a traceback when the reader
+of its output closes the pipe, as `qfib` does.
 Standard library only.
 """
 
@@ -169,8 +170,14 @@ def _main(argv) -> int:
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     if args.compare:
-        old, new = (json.loads(Path(p).read_text()) for p in args.compare)
-        return compare(old, new, bench)
+        records = []
+        for path in args.compare:
+            try:
+                records.append(json.loads(Path(path).read_text()))
+            except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8
+                print(f"{path}: not a readable JSON record: {exc}", file=sys.stderr)
+                return 2
+        return compare(*records, bench)
     if not args.trees:
         parser.error("name at least one LABEL=CHECKOUT, or --compare")
     trees = {}

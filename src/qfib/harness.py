@@ -52,7 +52,7 @@ from fractions import Fraction
 from math import comb
 
 from .matrices import PolyMatrix
-from .poly import _FAST, ONE, Poly, ZERO, _condense, monomial
+from .poly import _FAST, ONE, Poly, ZERO, _condense, _sum_products, monomial
 from .qcomb import Fac, _prod, binom_product, fac, fibonomial, qfibonomial_parts
 from .sequences import fib, gf_truncated, lucas, qfib, transform_T, truncate
 
@@ -104,11 +104,21 @@ _CONJ2_K2_WEIGHTS: dict[int, tuple[Poly, ...]] = {}
 
 
 def _weighted_tails(weights, n: int, k: int, ell: int) -> Poly:
-    """sum_j weights[j] * f(ell(n-j), q^(ell j) s)^k."""
-    terms = (w * qfib(ell * (n - j), shift=ell * j) ** k for j, w in enumerate(weights))
-    total = next(terms)
-    for t in terms:
-        total = total + t
+    """sum_j weights[j] * f(ell(n-j), q^(ell j) s)^k.
+
+    On the default engine the poly._sum_products kernel adds every weighted
+    tail into one accumulator of packed q-blocks and unpacks the sum once.
+    Where it declines (no product above the blocked threshold, a q-sparse
+    operand), and under QFIB_NO_FAST=1, the products w * t are added as
+    Polys; the test suite keeps that path as the oracle."""
+    terms = [(w, qfib(ell * (n - j), shift=ell * j) ** k) for j, w in enumerate(weights)]
+    if _FAST:
+        total = _sum_products(terms)
+        if total is not None:
+            return total
+    total = terms[0][0] * terms[0][1]
+    for w, t in terms[1:]:
+        total = total + w * t
     return total
 
 

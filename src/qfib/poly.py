@@ -62,18 +62,26 @@ proves quot * b - a, which vanishes at q = 2^L, is zero (see
 _quotient_certified); otherwise the product is checked, and the plain
 division is the last resort.
 
+Weighted sums of products share one accumulator of packed q-blocks
+(_acc_sum): each signed product is added into it at a single limb width,
+sized from the sum of the products' coefficient bounds, a packed product's
+digits block by block, and nothing is unpacked until the sum is whole.
+_sum_products returns sum a_i * b_i so, with its block list (the power
+recurrences' weighted tails, whose sums cancel to zero, take it), and
+_condense forms a Desnanot-Jacobi numerator in the same accumulator.  Both
+keep the product guards of the Poly formula and decline what they cannot
+take, for the caller to run the formula.
+
 One Desnanot-Jacobi step, (c * sigma(c) - sigma(a) * b) / sigma(d) with
 sigma: s -> q^m s, runs as one kernel, _condense, without unpacking its
-numerator: the twisted square and the negated cross product are added into
-one accumulator of packed q-blocks at a single limb width (a packed
-product's digits block by block), the blocked long division runs in place
-on it against d's twisted block list, and the quotient is built with its
-block list.  No sigma image is built.  The kernel keeps the guards of the
-Poly formula and returns a quotient only under _quotient_certified, after
-one rerun at twice the limb width if need be; it declines the steps it
-cannot take that way, and harness then runs the formula.  Setting
-QFIB_NO_FAST=1 in the environment forces the plain dict paths everywhere
-(the test suite checks both paths agree).
+numerator: the twisted square and the negated cross product go into the
+accumulator, the blocked long division runs in place on it against d's
+twisted block list, and the quotient is built with its block list.  No
+sigma image is built.  A quotient is returned only under
+_quotient_certified, after one rerun at twice the limb width if need be.
+
+Setting QFIB_NO_FAST=1 in the environment forces the plain dict paths
+everywhere (the test suite checks both paths agree).
 """
 
 from __future__ import annotations
@@ -870,6 +878,12 @@ def _mul_bound(a: Poly, b: Poly) -> int:
     )
 
 
+def _limb(bound: int) -> int:
+    """The least limb width, a multiple of 8, whose balanced digits hold
+    every |c| <= bound: bound < 2^bits <= 2^(L-1)."""
+    return (bound.bit_length() + 8) & ~7
+
+
 def _mul_fast(a: Poly, b: Poly, twist: int = 0) -> Poly | None:
     """_mul_packed above _PACKED_PAIRS term pairs where it applies, else
     _mul_blocked (same arguments and result).  A square counts half its
@@ -889,8 +903,7 @@ def _mul_blocked(a: Poly, b: Poly, twist: int = 0) -> Poly | None:
     lb = _block_map(b)
     if la is False or lb is False:
         return None
-    # balanced digits hold |c| <= bound < 2^bits <= 2^(L-1)
-    L = (_mul_bound(a, b).bit_length() + 8) & ~7
+    L = _limb(_mul_bound(a, b))
     acc: dict[int, list] = {}
     if b is a:
         _acc_square(acc, la, _twisted(la, twist), L)
@@ -1195,6 +1208,69 @@ def _divide_acc(r: dict, lb: list, L: int, floor: list) -> list:
     return out
 
 
+# ---------------------------------------------------------- sums of products
+
+
+def _acc_mul(
+    acc: dict, la: list, lb: list, twin: bool, bound: int, pairs: int, L: int, sign: int
+) -> None:
+    """Add sign (1 or -1) times the product of the block lists la and lb
+    to acc at limb width L, lb being _twisted(la, m) when twin, bound a
+    bound on its coefficients and pairs its term pairs (halved when twin):
+    the packed product's digits above _PACKED_PAIRS pairs where it
+    applies, else the block products."""
+    if pairs > _PACKED_PAIRS:
+        blocks = _packed_product(la, lb, bound, twin)
+        if blocks is not None:
+            for base, lo, digits in blocks:
+                _add_at(acc, base, lo, sign * _pack_coeffs(digits, L), L)
+            return
+    if twin:
+        _acc_square(acc, la, lb, L, sign)
+    else:
+        _acc_product(acc, la, lb, L, sign)
+
+
+def _acc_sum(products: list, L: int) -> dict:
+    """A new accumulator (see _add_at) holding the sum of the signed
+    products at limb width L, each given as the arguments
+    (la, lb, twin, bound, pairs, sign) of _acc_mul."""
+    acc: dict[int, list] = {}
+    for la, lb, twin, bound, pairs, sign in products:
+        _acc_mul(acc, la, lb, twin, bound, pairs, L, sign)
+    return acc
+
+
+def _sum_products(terms: list) -> Poly | None:
+    """sum(a * b for a, b in terms), on packed q-blocks: every product is
+    added into one accumulator at a single limb width L, sized from the sum
+    of the products' coefficient bounds, and the sum is unpacked once, its
+    block list cached.  Products above _PACKED_PAIRS add their packed
+    digits block by block (see _acc_mul).  Each product's exponent guard
+    runs first, so an out-of-range exponent raises the OverflowError of
+    a * b.  None, for the caller to add the products as Polys, when no
+    product exceeds _BLOCKED_PAIRS term pairs, an operand is too q-sparse
+    to pack, or the products' q ranges lie too far apart to share blocks."""
+    terms = [(a, b) for a, b in terms if a._t and b._t]  # a * b = 0 unguarded
+    if max((len(a._t) * len(b._t) for a, b in terms), default=0) <= _BLOCKED_PAIRS:
+        return None
+    products, q = [], []
+    for a, b in terms:
+        q.append(_guard(a._get_ranges(), b._get_ranges(), 1, "product")[2])
+        la, lb = _block_map(a), _block_map(b)
+        if la is False or lb is False:
+            return None
+        products.append((la, lb, False, _mul_bound(a, b), len(a._t) * len(b._t), 1))
+    # a block of the accumulator spans the gaps between the products too
+    hull = max(hi for _, hi in q) - min(lo for lo, _ in q) + 1
+    if not _dense_enough(hull, sum(hi - lo + 1 for lo, hi in q)):
+        return None
+    L = _limb(sum(p[3] for p in products))
+    out = _from_acc(_acc_sum(products, L), L)
+    out._ranges = _block_ranges(out)
+    return out
+
+
 # --------------------------------------------------------------- condensation
 
 
@@ -1229,8 +1305,12 @@ def _condense(c: Poly, a: Poly, b: Poly, d: Poly | None, twist: int) -> Poly | N
     a._guard_s_scale(twist)
     r2 = _guard(_s_scaled_ranges(a, twist), b._get_ranges(), 1, "product")
     bound_c, bound_ab = _mul_bound(c, c), _mul_bound(a, b)
+    products = [
+        (lc, _twisted(lc, twist), True, bound_c, nc * nc >> 1, 1),
+        (_twisted(la, twist), lb, False, bound_ab, na * nb, -1),
+    ]
     amax = bound_c + bound_ab
-    L = (amax.bit_length() + 8) & ~7
+    L = _limb(amax)
     if d is not None:
         d._guard_s_scale(twist)
         rd = _s_scaled_ranges(d, twist)
@@ -1241,11 +1321,9 @@ def _condense(c: Poly, a: Poly, b: Poly, d: Poly | None, twist: int) -> Poly | N
         except OverflowError:
             return None
         floor = [n[0] - e[0] for n, e in zip(num, rd)]
-        L = max(L, (d._coeff_stats().bit_length() + 8) & ~7)
+        L = max(L, _limb(d._coeff_stats()))
     for L in (L,) if d is None else (L, 2 * L):
-        acc: dict[int, list] = {}
-        _acc_mul(acc, lc, _twisted(lc, twist), True, bound_c, nc * nc >> 1, L, 1)
-        _acc_mul(acc, _twisted(la, twist), lb, False, bound_ab, na * nb, L, -1)
+        acc = _acc_sum(products, L)
         if d is None:
             out = _from_acc(acc, L)
             break
@@ -1262,26 +1340,6 @@ def _condense(c: Poly, a: Poly, b: Poly, d: Poly | None, twist: int) -> Poly | N
         return None
     out._ranges = _block_ranges(out)
     return out
-
-
-def _acc_mul(
-    acc: dict, la: list, lb: list, twin: bool, bound: int, pairs: int, L: int, sign: int
-) -> None:
-    """Add sign (1 or -1) times the product of the block lists la and lb
-    to acc at limb width L, lb being _twisted(la, m) when twin, bound a
-    bound on its coefficients and pairs its term pairs (halved when twin):
-    the packed product's digits above _PACKED_PAIRS pairs where it
-    applies, else the block products."""
-    if pairs > _PACKED_PAIRS:
-        blocks = _packed_product(la, lb, bound, twin)
-        if blocks is not None:
-            for base, lo, digits in blocks:
-                _add_at(acc, base, lo, sign * _pack_coeffs(digits, L), L)
-            return
-    if twin:
-        _acc_square(acc, la, lb, L, sign)
-    else:
-        _acc_product(acc, la, lb, L, sign)
 
 
 # ----------------------------------------------------------------- helpers

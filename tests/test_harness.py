@@ -276,7 +276,9 @@ def test_the_dict_engine_never_calls_the_kernel():
         "from qfib import harness\n"
         "calls = []\n"
         "harness._condense = lambda *args: calls.append(args)\n"
+        "harness._sum_products = lambda *args: calls.append(args)\n"
         "harness.det_table(4)\n"
+        "harness.sweep(['conj2', 'conj2_k2'], overrides={'n': (6, 7)})\n"
         "print(harness._FAST, len(calls))\n"
     )
     env = dict(os.environ, QFIB_NO_FAST="1", PYTHONPATH=str(Path(harness.__file__).parents[1]))
@@ -607,6 +609,74 @@ def test_a_corrupted_weight_fails_every_cell_of_its_parameters(monkeypatch):
         ("conj2_k2", {"ell": 2, "n": n}) for n in range(4, 8)
     ]
     assert all(c.residual for c in rep.cells if c.status == "fail")
+
+
+def test_large_weighted_tails_take_the_sum_kernel(monkeypatch):
+    calls = []
+    real = harness._sum_products
+
+    def spy(terms):
+        out = real(terms)
+        big = max(len(w) * len(t) for w, t in terms) > poly._BLOCKED_PAIRS
+        calls.append((big, out is not None))
+        return out
+
+    monkeypatch.setattr(harness, "_sum_products", spy)
+    # conj2 with its bindings at ell = 1, and conj2_k2
+    rep = sweep(["conj2", "conj1_f", "conj1_fibo", "conj2_k2"])
+    assert rep.all_pass()
+    if poly._FAST:
+        # one sum per cell; the kernel takes exactly the large ones
+        assert len(calls) == len(rep.cells)
+        assert sum(big for big, _ in calls) > 10
+        assert all(big == took for big, took in calls)
+    else:
+        assert calls == []
+
+
+# the sweep of test_a_corrupted_weight_fails_every_cell_of_its_parameters,
+# cut to the corrupted parameters; prints each cell, then which cells the
+# kernel took
+_CORRUPTED_SWEEP = """
+import json
+from qfib import harness
+num, w = harness._conj2_weights(2, 3)
+harness._CONJ2_WEIGHTS[(2, 3)] = (num, (w[0] + 1, *w[1:]))
+w = harness._conj2_k2_weights(2)
+harness._CONJ2_K2_WEIGHTS[2] = (*w[:3], w[3] + 1)
+kernel = harness._sum_products
+took = []
+
+def spy(terms):
+    took.append(kernel(terms))
+    return took[-1]
+
+harness._sum_products = spy
+rep = harness.sweep(["conj2", "conj2_k2"], [{"k": (2, 2), "ell": (3, 3)}, {"ell": (2, 2)}])
+print(json.dumps([[c.id, c.params, c.status, c.residual] for c in rep.cells]))
+print(json.dumps([out is not None for out in took]))
+"""
+
+
+def test_corrupted_weights_give_byte_identical_residuals_on_both_engines():
+    runs = []
+    for no_fast in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k != "QFIB_NO_FAST"}
+        env["PYTHONPATH"] = str(Path(harness.__file__).parents[1])
+        if no_fast:
+            env["QFIB_NO_FAST"] = no_fast
+        proc = subprocess.run(
+            [sys.executable, "-c", _CORRUPTED_SWEEP],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append([json.loads(line) for line in proc.stdout.splitlines()])
+    (fast, took), (plain, untouched) = runs
+    assert fast == plain and untouched == []
+    failed = [i for i, (_, _, status, residual) in enumerate(fast) if status == "fail"]
+    assert len(failed) == 9 and all(fast[i][3] for i in failed)
+    # the five conj2 cells (k = 2, ell = 3) failed through the kernel
+    assert [took[i] for i in failed if fast[i][0] == "conj2"] == [True] * 5
 
 
 def test_sweep_fits_from_the_sides_it_checked(monkeypatch):

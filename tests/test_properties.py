@@ -3,8 +3,9 @@ polynomials, the two facts that let gf_limit truncate once, at the end, the
 twisted square and the packed product of s-lines against the plain product,
 exact division of Laurent polynomials on each kernel, the exponent ranges
 that each product and quotient path stores on its result, Bareiss against
-cofactor expansion on Laurent entries, and the condensation engine of the
-power determinants against Bareiss.  Products and s -> q^m s are checked
+cofactor expansion on Laurent entries, the condensation engine of the
+power determinants against Bareiss, and the sum-of-products kernel against
+the dict sum at the limb boundaries.  Products and s -> q^m s are checked
 exactly at the exponent guard _VAR_GUARD and one step past it; plain tests
 beside them pin the guards of the twisted square and of exact division.
 
@@ -497,3 +498,104 @@ def test_condensation_with_the_kernel_forced_on_matches_bareiss(cell, packed):
         if packed:
             mp.setattr(poly, "_PACKED_PAIRS", 0)
         assert _power_det(*cell) == want
+
+
+# the balanced digits' bounds at limb widths 8, 16, 24 and 64, one off too
+_LIMB_EDGES = [(1 << (8 * j - 1)) + d for j in (1, 2, 3, 8) for d in (-1, 0, 1)]
+
+
+def _at_limb_edges(rng, p):
+    """p with every coefficient replaced by a signed _LIMB_EDGES value."""
+    return Poly({e: rng.choice((1, -1)) * rng.choice(_LIMB_EDGES) for e, _ in p.terms()})
+
+
+def _sum_terms(rng, n):
+    """n pairs of signed Laurent operands with limb-edge coefficients: the
+    first a pair of s-lines sharing one slope and lead (their product
+    packs), the others an s-line times an operand with two (ex, ez) blocks
+    on some s exponent (the packed product declines, block products run)."""
+    slope = (rng.randint(-2, 2), rng.randint(-1, 1))
+    lead = (rng.randint(-3, 3), rng.randint(-3, 3))
+
+    def line():
+        return _at_limb_edges(rng, _s_line_poly(rng, slope, lead))
+
+    off_line = ONE + monomial(1, ex=1, ez=-1)
+    return [(line(), line())] + [
+        (line(), _at_limb_edges(rng, line() * off_line)) for _ in range(n - 1)
+    ]
+
+
+def _dict_sum(terms):
+    return sum((_mul_naive(a._t, b._t) for a, b in terms), ZERO)
+
+
+def _forced_sum_products(terms, packed=None):
+    """_sum_products on any operand size, each product offered to the
+    packed kernel, whose results are appended to `packed`."""
+    real = poly._packed_product
+
+    def spy(*args):
+        out = real(*args)
+        if packed is not None:
+            packed.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_BLOCKED_PAIRS", 0)
+        mp.setattr(poly, "_PACKED_PAIRS", 0)
+        mp.setattr(poly, "_packed_product", spy)
+        return poly._sum_products(terms)
+
+
+@settings(_SETTINGS, max_examples=60)
+@given(st.randoms(use_true_random=False), st.integers(1, 5), st.booleans())
+def test_sum_products_kernel_matches_the_dict_sum(rng, n, sparse):
+    """_sum_products, forced onto small operands and onto the packed
+    products, equals the dict sum of a * b: the pair of s-lines takes the
+    packed path, the other pairs the block products, the sum carries exact
+    ranges and caches the block list that _block_map would build.  An
+    operand too q-sparse to pack (one term 20000 q steps off its block)
+    makes the kernel decline."""
+    terms = _sum_terms(rng, n)
+    if sparse:
+        i = rng.randrange(n)
+        a, b = terms[i]
+        ex, es, eq, ez = next(iter(a.terms()))[0]
+        terms[i] = (a + monomial(rng.choice(_LIMB_EDGES), ex, es, eq + 20_000, ez), b)
+    want = _dict_sum(terms)
+    packed = []
+    got = _forced_sum_products(terms, packed)
+    if sparse:
+        assert got is None
+        return
+    assert got == want
+    _assert_carried(got)
+    assert got._blocks == _block_map(Poly._raw(dict(got._t)))
+    assert packed[0] is not None and packed[1:] == [None] * (n - 1)
+
+
+def test_sum_products_kernel_returns_zero_for_a_sum_that_cancels():
+    rng = random.Random(7)
+    (a, b), (c, d) = _sum_terms(rng, 2)
+    got = _forced_sum_products([(a, b), (c, d), (-a, b), (c, -d)])
+    assert got == ZERO and got._blocks == [] and got._ranges == _scanned(ZERO)
+
+
+def test_sum_products_kernel_guards_each_product_like_a_times_b():
+    """A sum whose top q exponent is _VAR_GUARD is taken; one step past,
+    the kernel raises the OverflowError of a * b.  Products far apart in q
+    would make mostly empty blocks, and the kernel declines them."""
+    rng = random.Random(11)
+    terms = [(a, b * _power(2, -b.exponent_range("q")[1])) for a, b in _sum_terms(rng, 2)]
+    up = _power(2, _VAR_GUARD - max(a.exponent_range("q")[1] for a, _ in terms))
+    edge = [(a * up, b) for a, b in terms]
+    assert _forced_sum_products(edge) == _dict_sum(edge)
+    assert _forced_sum_products(terms[:1] + edge[1:]) is None
+    past = [(a, b * monomial(1, eq=1)) for a, b in edge]
+    with pytest.raises(OverflowError) as want:
+        for a, b in past:
+            a * b
+    with pytest.raises(OverflowError) as got:
+        _forced_sum_products(past)
+    assert str(got.value) == str(want.value)

@@ -71,6 +71,26 @@ def test_compare_refuses_records_over_other_seeds(capsys, seeds):
     assert "different seeds" in err
 
 
+@pytest.mark.parametrize("bad", ["missing", "directory", "not JSON", "not UTF-8"])
+def test_compare_calls_a_missing_or_unreadable_record_a_usage_error(tmp_path, bad):
+    good = tmp_path / "BENCH_good.json"
+    good.write_text(json.dumps(make("good", [1.0, 1.2, 1.1, 1.3])))
+    path = tmp_path / "BENCH_bad.json"
+    if bad == "directory":
+        path.mkdir()
+    elif bad == "not JSON":
+        path.write_text('{"label": "bad", "settings": ')
+    elif bad == "not UTF-8":
+        path.write_bytes(b"\xff\xfe{}")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "record.py"), "--compare", str(good), str(path)],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{path}: not a readable JSON record")
+
+
 def test_committed_records_share_the_seed_list():
     for path in sorted(ROOT.glob("BENCH_*.json")):
         assert json.loads(path.read_text())["settings"]["seeds"] == record.SEEDS, path.name
