@@ -660,11 +660,9 @@ print(json.dumps([out is not None for out in took]))
 
 def test_corrupted_weights_give_byte_identical_residuals_on_both_engines():
     runs = []
-    for no_fast in (None, "1"):
+    for engine in ({}, {"QFIB_NO_FAST": "1"}):
         env = {k: v for k, v in os.environ.items() if k != "QFIB_NO_FAST"}
-        env["PYTHONPATH"] = str(Path(harness.__file__).parents[1])
-        if no_fast:
-            env["QFIB_NO_FAST"] = no_fast
+        env.update(engine, PYTHONPATH=str(Path(harness.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, "-c", _CORRUPTED_SWEEP],
             env=env, capture_output=True, text=True, timeout=300,
@@ -673,7 +671,7 @@ def test_corrupted_weights_give_byte_identical_residuals_on_both_engines():
         runs.append([json.loads(line) for line in proc.stdout.splitlines()])
     (fast, took), (plain, untouched) = runs
     assert fast == plain and untouched == []
-    failed = [i for i, (_, _, status, residual) in enumerate(fast) if status == "fail"]
+    failed = [i for i, (_, _, status, _) in enumerate(fast) if status == "fail"]
     assert len(failed) == 9 and all(fast[i][3] for i in failed)
     # the five conj2 cells (k = 2, ell = 3) failed through the kernel
     assert [took[i] for i in failed if fast[i][0] == "conj2"] == [True] * 5
