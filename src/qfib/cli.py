@@ -277,6 +277,8 @@ def run_verify(args) -> tuple[harness.VerificationReport, str]:
             over[p] = spec
         overrides.append(over)
     report = harness.sweep(ids, overrides=overrides, fit=args.fit, workers=args.jobs)
+    if not report.cells:  # a run that checks nothing must not pass
+        raise _UsageError(f"these ranges select no cell of {', '.join(ids)}")
     if args.format == "json":
         text = json.dumps(report.to_json_dict("verify"), indent=2, sort_keys=True)
     else:

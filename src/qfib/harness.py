@@ -23,11 +23,12 @@ doubt; entries flagged fit_default attempt the fit even when the sweep
 does not ask for fitting.
 
 All power determinants det(f(ell(n+i-j), q^(ell j) s)^k), q-analogue and
-classical, share _power_det, which condenses them level by level with the
-Desnanot-Jacobi identity, forking one child for half of each large level,
-and hands the explicit matrix to Bareiss (PolyMatrix.det) only when a
-central minor vanishes; gen_cassini's 2 x 2 determinant goes to Bareiss
-directly.
+classical, share _power_det, which builds them from their factorization
+through basis_decomp: a product of 2 x 2 minors of sequence values over a
+monomial.  _power_det_condensed, Desnanot-Jacobi condensation of the
+explicit matrix with Bareiss (PolyMatrix.det) when a central minor
+vanishes, is the tests' oracle for it; gen_cassini's 2 x 2 determinant
+goes to Bareiss directly.
 
 Each family has one builder.  A classical or ell = 1 identity that the
 paper states separately (conj1_f, conj3, det_power_classical) is a binding
@@ -44,7 +45,6 @@ rounding.
 from __future__ import annotations
 
 import os
-import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -320,7 +320,47 @@ def _conj2_k2_weights(ell: int) -> tuple[Poly, ...]:
 
 def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
     """det(f(ell(n+i-j), q^(ell j) s)^k) over 0 <= i, j <= k, or
-    det(F(ell(n+i-j))^k) when classical, by Desnanot-Jacobi condensation.
+    det(F(ell(n+i-j))^k) when classical, from its factorization.
+
+    With A_i = g(ell(n+i)), B_i = g(ell(n+i)-1, qs), alpha_j = g(ell j-1, qs)
+    and beta_j = -g(ell j), basis_decomp at N = ell(n+i), K = ell j reads
+    v(ell j) M_ij^(1/k) = alpha_j A_i + beta_j B_i, where
+    v(m) = (-1)^m q^C(m,2) s^(m-1) (q -> 1 when classical) and g is qfib, or
+    fib when classical.  Expanding the k-th power gives
+    M diag(v(ell j)^k) = P diag(C(k, t)) Q with P_it = A_i^(k-t) B_i^t and
+    Q_tj = alpha_j^(k-t) beta_j^t, two homogeneous Vandermonde matrices, so
+        det M = prod_t C(k, t) prod_{i<i'} (A_i B_i' - A_i' B_i)
+                prod_{j<j'} (alpha_j beta_j' - alpha_j' beta_j)
+                / prod_j v(ell j)^k
+    at every integer n, Laurent n included.  The 2 x 2 minors are computed
+    from the sequence values, not from a closed form, so the result rests
+    only on basis_decomp and det(PQ) = det P det Q.  The minors are
+    multiplied pairwise, so that both operands of each product grow
+    together.  _power_det_condensed computes the same determinant from the
+    explicit matrix; the tests keep it as the oracle.
+    """
+    g = (lambda m, shift=0: fib(m)) if classical else qfib  # at q = 1, qs is s
+    rows = [(g(ell * (n + i)), g(ell * (n + i) - 1, shift=1)) for i in range(k + 1)]
+    cols = [(g(ell * j - 1, shift=1), -g(ell * j)) for j in range(k + 1)]
+    factors = [Poly(binom_product(k))]
+    for pairs in (rows, cols):
+        for i, (a, b) in enumerate(pairs):
+            factors.extend(a * b2 - a2 * b for a2, b2 in pairs[i + 1 :])
+    while len(factors) > 1:
+        odd = factors[-1:] if len(factors) % 2 else []
+        factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + odd
+    marks = [ell * j for j in range(k + 1)]
+    v = monomial(
+        _sign(k * sum(marks)),
+        es=k * sum(m - 1 for m in marks),
+        eq=0 if classical else k * sum(comb(m, 2) for m in marks),
+    )
+    return factors[0].exact_div(v)
+
+
+def _power_det_condensed(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
+    """The determinant of _power_det from the explicit matrix, by
+    Desnanot-Jacobi condensation: the test oracle of _power_det.
 
     Let D_r(m) be the leading r x r minor of this matrix at n = m.  The
     minor on rows a.., columns b.. is sigma^b D_r(m + a - b), where sigma is
@@ -332,19 +372,12 @@ def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
     m = n-k-1+r..n+k+1-r; the levels are built bottom-up, keeping only the
     current one and the central minors of the one below.  When one of those
     is zero (g(0) = 0 inside the window) the explicit matrix goes to
-    Bareiss instead.  Each step is a _condense_step.  On the default engine
-    the poly._condense kernel forms, subtracts and divides its numerator on
-    packed q-blocks, and builds no sigma image.  The steps it declines, and
-    every step under QFIB_NO_FAST=1, take the Poly formula, whose central
-    product D_r(m) sigma D_r(m) is the twisted square
-    D_r(m).mul_s_scaled(ell) (a plain square when classical).
-
-    The steps of a level depend only on the level below, and
-    _condense_level runs them: above _FORK_PAIRS term pairs one forked
-    child takes the half of the level that holds its largest step.  A
-    level stays serial under QFIB_NO_FAST=1, without os.fork or a second
-    CPU, beside another thread and inside a multiprocessing worker such
-    as a verify --jobs pool's.
+    Bareiss instead.  Each step is a _condense_step, run serially.  On the
+    default engine the poly._condense kernel forms, subtracts and divides
+    its numerator on packed q-blocks, and builds no sigma image.  The steps
+    it declines, and every step under QFIB_NO_FAST=1, take the Poly
+    formula, whose central product D_r(m) sigma D_r(m) is the twisted
+    square D_r(m).mul_s_scaled(ell) (a plain square when classical).
     """
     g = fib if classical else qfib
     twist = 0 if classical else ell  # sigma is s -> q^twist s
@@ -358,104 +391,8 @@ def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
             (level[i + 1], level[i], level[i + 2], None if divisors is None else divisors[i], twist)
             for i in range(len(level) - 2)
         ]
-        level, divisors = _condense_level(args), level[2:-2]
+        level, divisors = [_condense_step(*step) for step in args], level[2:-2]
     return level[0]
-
-
-# Term pairs of a condensation level, sum(len(c)^2 / 2 + len(a) len(b))
-# over its steps, above which _condense_level forks a child for half of it.
-# On a 2-vCPU host the fork, the child's start and its pickled quotients
-# cost 5-15 ms: levels of 1.3-1.9M pairs ran 0-50% slower forked, levels
-# from 3.4M on 20-50% faster (row 6's 8.4-25M levels 33-47%).  Every level
-# of det_table(5) (0.16-1.9M) and of the catalog (at most 0.1M) stays serial.
-_FORK_PAIRS = 3_000_000
-
-
-def _condense_level(args: list) -> list:
-    """The quotients of a condensation level's steps, each an argument tuple
-    (c, a, b, d, twist) of _condense_step, in window order.
-
-    The steps of a level depend only on the level below, so above
-    _FORK_PAIRS term pairs one forked child runs the half of them that
-    holds the largest step (halves split longest step first) while this
-    process runs the other; the child inherits the level, and sends its
-    quotients, or its first failure, back through a pipe.  The first failure
-    in window order is raised, as a serial run would raise it.  If the child
-    dies without a word, this process runs its half too; no child outlives
-    the call.  Serial on the dict engine, without os.fork or a second core,
-    beside another thread and inside a multiprocessing worker (the verify
-    --jobs pool), whose siblings already hold the cores."""
-    pairs = [len(c._t) ** 2 / 2 + len(a._t) * len(b._t) for c, a, b, _, _ in args]
-    if len(args) < 2 or sum(pairs) <= _FORK_PAIRS or not _may_fork():
-        return [_condense_step(*step) for step in args]
-    halves = ([], [])
-    loads = [0, 0]
-    for i in sorted(range(len(args)), key=pairs.__getitem__, reverse=True):
-        h = loads[1] < loads[0]
-        halves[h].append(i)
-        loads[h] += pairs[i]
-    theirs, mine = sorted(halves[0]), sorted(halves[1])
-
-    import pickle
-
-    rfd, wfd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child: report and exit, never return
-        try:
-            os.close(rfd)
-            data = pickle.dumps(_run_steps(args, theirs), pickle.HIGHEST_PROTOCOL)
-            with os.fdopen(wfd, "wb") as fh:
-                fh.write(data)
-        finally:
-            os._exit(0)
-    os.close(wfd)
-    try:
-        out, failed = _run_steps(args, mine)
-        with os.fdopen(rfd, "rb") as fh:
-            rfd = None
-            data = fh.read()
-        os.waitpid(pid, 0)
-        pid = None
-    finally:
-        if pid is not None:
-            from signal import SIGKILL
-
-            os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
-        if rfd is not None:
-            os.close(rfd)
-    try:
-        got, their_failed = pickle.loads(data)
-    except Exception:  # no whole payload: the child died before writing it
-        got, their_failed = _run_steps(args, theirs)
-    out.update(got)
-    failures = [f for f in (failed, their_failed) if f is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    return [out[i] for i in range(len(args))]
-
-
-def _may_fork() -> bool:
-    """Whether _condense_level may fork a child for half of a level."""
-    if not _FAST or not hasattr(os, "fork") or (os.cpu_count() or 1) < 2:
-        return False
-    threading = sys.modules.get("threading")  # no threads without it
-    if threading is not None and threading.active_count() > 1:
-        return False
-    mp = sys.modules.get("multiprocessing")
-    return mp is None or mp.parent_process() is None
-
-
-def _run_steps(args: list, which) -> tuple[dict, tuple | None]:
-    """({i: quotient}, None) for the steps `which` of a level, run in
-    order, or ({...}, (i, exception)) for the first that raises."""
-    out = {}
-    for i in which:
-        try:
-            out[i] = _condense_step(*args[i])
-        except Exception as exc:
-            return out, (i, exc)
-    return out, None
 
 
 def _condense_step(c: Poly, a: Poly, b: Poly, d: Poly | None, twist: int) -> Poly:
@@ -471,7 +408,8 @@ def _condense_step(c: Poly, a: Poly, b: Poly, d: Poly | None, twist: int) -> Pol
 
 
 def _power_det_bareiss(n: int, k: int, ell: int, classical: bool) -> Poly:
-    """The power determinant of _power_det by Bareiss on the explicit matrix."""
+    """The power determinant of _power_det by Bareiss on the explicit matrix:
+    _power_det_condensed's fallback when a central minor vanishes."""
 
     def entry(i, j):
         m = ell * (n + i - j)

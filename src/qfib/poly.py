@@ -73,8 +73,9 @@ keep the product guards of the Poly formula and decline what they cannot
 take, for the caller to run the formula.
 
 One Desnanot-Jacobi step, (c * sigma(c) - sigma(a) * b) / sigma(d) with
-sigma: s -> q^m s, runs as one kernel, _condense, without unpacking its
-numerator: the twisted square and the negated cross product go into the
+sigma: s -> q^m s, runs as one kernel, _condense (called by the power
+determinants' condensation oracle, harness._power_det_condensed), without
+unpacking its numerator: the twisted square and the negated cross product go into the
 accumulator, the blocked long division runs in place on it against d's
 twisted block list, and the quotient is built with its block list.  No
 sigma image is built.  A quotient is returned only under

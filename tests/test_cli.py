@@ -296,6 +296,29 @@ def test_verify_bad_range(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv, ids",
+    [
+        (["det_classical_ell", "--n", "0"], "det_classical_ell"),
+        (["conj3", "--n", "0"], "conj3"),
+        (["conj3", "conj4", "--n", "0", "--format", "json"], "conj3, conj4"),
+        (["conj4", "--max-k", "0"], "conj4"),
+    ],
+)
+def test_verify_selecting_no_cell_is_a_usage_error(capsys, argv, ids):
+    # each entry's valid rule (n >= k) drops every cell at n = 0, and
+    # --max-k 0 leaves k no value
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: these ranges select no cell of {ids}\n"
+
+
+def test_verify_all_with_no_k_still_runs_the_cells_without_k(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--max-k", "0")
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "cells=263 pass=263 fail=0 fitted=0"
+
+
 def test_verify_gen_cassini_range_flags(capsys):
     code, out, _ = run(
         capsys, "verify", "gen_cassini", "--N=-1..2", "--m", "0..1", "--ell", "1..2"

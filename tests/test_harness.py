@@ -4,8 +4,8 @@ import json
 import math
 import os
 import subprocess
+import random
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -229,8 +229,9 @@ def test_power_det_falls_back_to_bareiss_on_a_zero_central_minor(
         return bareiss(*args)
 
     monkeypatch.setattr(harness, "_power_det_bareiss", spy)
-    det = harness._power_det(n, k, classical=classical)
+    det = harness._power_det_condensed(n, k, classical=classical)
     assert calls == ([(n, k, 1, classical)] if fallback else [])
+    assert harness._power_det(n, k, classical=classical) == det
 
     def entry(i, j):
         return fib(n + i - j) ** k if classical else qfib(n + i - j, shift=j) ** k
@@ -256,18 +257,17 @@ def _spy_condense(monkeypatch):
 
 
 def test_det_table_condenses_every_large_step_in_the_kernel(monkeypatch):
-    # the spy sees only the steps this process runs: no level is forked
-    monkeypatch.setattr(harness, "_FORK_PAIRS", math.inf)
+    # det_table's rows by the oracle, _power_det_condensed
     steps = _spy_condense(monkeypatch)
     if poly._FAST:
         # every step above the threshold runs in the kernel, none falls back
-        table = det_table(6)
-        assert table[3] == det_table(3)[3]
+        rows = [harness._power_det_condensed(k, k) for k in range(1, 7)]
+        assert rows == list(det_table(6).values())
         large = [took for big, _, took in steps if big]
         assert len(large) > 50 and all(large)
         assert not any(took for big, _, took in steps if not big)
     else:
-        det_table(4)
+        harness._power_det_condensed(4, 4)
         assert steps == []
 
 
@@ -277,7 +277,7 @@ def test_the_dict_engine_never_calls_the_kernel():
         "calls = []\n"
         "harness._condense = lambda *args: calls.append(args)\n"
         "harness._sum_products = lambda *args: calls.append(args)\n"
-        "harness.det_table(4)\n"
+        "harness._power_det_condensed(4, 4)\n"
         "harness.sweep(['conj2', 'conj2_k2'], overrides={'n': (6, 7)})\n"
         "print(harness._FAST, len(calls))\n"
     )
@@ -293,7 +293,7 @@ def test_an_uncertified_kernel_quotient_falls_back_to_the_formula(monkeypatch):
     steps = _spy_condense(monkeypatch)
     monkeypatch.setattr(harness, "_FAST", True)
     monkeypatch.setattr(poly, "_quotient_certified", lambda *args: False)
-    assert harness._power_det(4, 4) == want
+    assert harness._power_det_condensed(4, 4) == want
     # the first level has no divisor, so no certificate: the kernel takes
     # its large steps; every large step with a divisor falls back
     large = [(divides, took) for big, divides, took in steps if big]
@@ -301,194 +301,94 @@ def test_an_uncertified_kernel_quotient_falls_back_to_the_formula(monkeypatch):
     assert all(took != divides for divides, took in large)
 
 
-# ------------------------------------------------------- forked levels
-
-
-def _spy_fork(monkeypatch, log=None):
-    """Count the os.fork calls (in a list), or append the calling pid to
-    the file `log`, which a forked worker's calls reach too."""
-    calls = []
-    real = os.fork
-
-    def spy():
-        if log is None:
-            calls.append(os.getpid())
-        else:
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-        return real()
-
-    monkeypatch.setattr(os, "fork", spy)
-    return calls
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-_FORK_CELLS = [
+# q and classical, k 1..4, ell 1..3, n -3..6, without the q cells at
+# k = 4, ell = 3, whose condensation takes seconds each.  The dict engine
+# (QFIB_NO_FAST=1) keeps only the cells with k * ell * (|n| + k) <= 36 at q,
+# as test_properties' _cheap does, so that its Tier-1 time does not grow.
+_ORACLE_CELLS = [
     (n, k, ell, classical)
     for classical in (False, True)
     for ell in (1, 2, 3)
     for k in range(1, 5)
     for n in range(-3, 7)
-    # the q-analogue cells as cheap as test_properties' _cheap, 2 s in all
-    if classical or k * ell * (abs(n) + k) <= 36
+    if classical or ((k, ell) != (4, 3) and (poly._FAST or k * ell * (abs(n) + k) <= 36))
 ]
 
 
-def test_forked_levels_give_the_serial_determinants(monkeypatch):
-    want = [harness._power_det(*cell) for cell in _FORK_CELLS]
-    monkeypatch.setattr(harness, "_FAST", True)
-    monkeypatch.setattr(harness, "_FORK_PAIRS", 0)
-    forks = _spy_fork(monkeypatch)
-    assert [harness._power_det(*cell) for cell in _FORK_CELLS] == want
-    assert len(forks) > len(_FORK_CELLS)
-    _assert_no_child_left()
+def test_factored_power_determinants_equal_condensation():
+    assert len(_ORACLE_CELLS) == (230 if poly._FAST else 208)
+    for cell in _ORACLE_CELLS:
+        assert harness._power_det(*cell) == harness._power_det_condensed(*cell), cell
 
 
-def _fake_level(monkeypatch, fails):
-    """A level of five steps that _condense_level splits between the two
-    processes: step i returns i, or raises fails[i], in either process."""
-    p = parse("x + s")
+_P = (1 << 61) - 1
 
-    def step(c, a, b, d, i):
-        if i in fails:
-            raise fails[i](f"step {i}")
-        return i
 
-    monkeypatch.setattr(harness, "_FAST", True)
-    monkeypatch.setattr(harness, "_condense_step", step)
-    return [(p, p, p, None, i) for i in range(5)]
+def _f_mod(m, x, s, q):
+    """f(m) at (x, s, q) mod _P by the integer recurrence f(0) = 0, f(1) = 1,
+    f(j + 2) = x f(j + 1) + q^j s f(j), run backwards below 0."""
+    a, b, j = 0, 1, 0  # f(j), f(j + 1)
+    while j < m:
+        a, b, j = b, (x * b + pow(q, j, _P) * s * a) % _P, j + 1
+    while j > m:
+        a, b, j = (b - x * a) * pow(pow(q, j - 1, _P) * s, -1, _P) % _P, a, j - 1
+    return a
+
+
+def _det_mod(rows):
+    """det of an integer matrix mod _P by Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    det = 1
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det = det * rows[c][c] % _P
+        inv = pow(rows[c][c], -1, _P)
+        for r in range(c + 1, len(rows)):
+            f = rows[r][c] * inv % _P
+            rows[r] = [(a - f * b) % _P for a, b in zip(rows[r], rows[c])]
+    return det
 
 
 @pytest.mark.parametrize(
-    "fails",
+    "n, k, ell, classical",
     [
-        {},
-        {0: poly.NotDivisible},
-        {1: OverflowError},
-        {4: poly.NotDivisible},
-        {1: OverflowError, 2: poly.NotDivisible},
-        {0: poly.NotDivisible, 1: OverflowError},
-        {3: OverflowError, 4: poly.NotDivisible},
+        (7, 7, 1, False),  # det_table rows 7 and 8
+        (8, 8, 1, False),
+        (4, 3, 2, False),
+        (3, 2, 3, False),
+        (5, 4, 3, False),
+        (6, 5, 2, True),
+        (5, 6, 1, True),
+        (-4, 3, 3, True),
+        (-5, 3, 1, False),
+        (-3, 4, 2, False),
+        (-2, 2, 3, False),
     ],
 )
-def test_a_forked_level_raises_the_first_failure_in_window_order(monkeypatch, fails):
-    args = _fake_level(monkeypatch, fails)
-    forks = _spy_fork(monkeypatch)
-    monkeypatch.setattr(harness, "_FORK_PAIRS", 0)
-    if not fails:
-        assert harness._condense_level(args) == list(range(5))
-    else:
-        first = min(fails)
-        with pytest.raises(fails[first], match=f"step {first}"):
-            harness._condense_level(args)
-    assert len(forks) == 1
-    _assert_no_child_left()
-
-
-@pytest.mark.parametrize("exc", [poly.NotDivisible, OverflowError])
-def test_a_failure_in_the_child_reaches_the_parent_with_its_type(monkeypatch, exc):
-    parent = os.getpid()
-    real = harness._condense_step
-
-    def step(*args):
-        if os.getpid() != parent:
-            raise exc("in the child")
-        return real(*args)
-
-    monkeypatch.setattr(harness, "_FAST", True)
-    monkeypatch.setattr(harness, "_FORK_PAIRS", 0)
-    monkeypatch.setattr(harness, "_condense_step", step)
-    with pytest.raises(exc, match="in the child"):
-        harness._power_det(4, 4)
-    _assert_no_child_left()
-
-
-def test_the_parent_runs_the_half_of_a_child_that_dies_without_a_word(monkeypatch):
-    want = harness._power_det(4, 4)
-    parent = os.getpid()
-    real = harness._run_steps
-
-    def run_steps(args, which):
-        if os.getpid() != parent:
-            os._exit(1)
-        return real(args, which)
-
-    monkeypatch.setattr(harness, "_FAST", True)
-    monkeypatch.setattr(harness, "_FORK_PAIRS", 0)
-    monkeypatch.setattr(harness, "_run_steps", run_steps)
-    forks = _spy_fork(monkeypatch)
-    assert harness._power_det(4, 4) == want
-    assert forks
-    _assert_no_child_left()
-
-
-def test_a_failure_in_the_parent_kills_and_reaps_the_child(monkeypatch):
-    parent = os.getpid()
-
-    def step(*args):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        time.sleep(60)  # a child still at work
-
-    monkeypatch.setattr(harness, "_FAST", True)
-    monkeypatch.setattr(harness, "_FORK_PAIRS", 0)
-    monkeypatch.setattr(harness, "_condense_step", step)
-    start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        harness._power_det(4, 4)
-    assert time.monotonic() - start < 30
-    _assert_no_child_left()
-
-
-@pytest.mark.parametrize("case", ["dict engine", "one core", "second thread"])
-def test_no_level_is_forked_where_a_second_process_cannot_help(monkeypatch, case):
-    import threading
-
-    want = harness._power_det(4, 4)
-    monkeypatch.setattr(harness, "_FAST", True)
-    monkeypatch.setattr(harness, "_FORK_PAIRS", 0)
-    forks = _spy_fork(monkeypatch)
-    assert harness._power_det(4, 4) == want and forks  # forked by default
-    forks.clear()
-    if case == "dict engine":  # what QFIB_NO_FAST=1 sets at import
-        monkeypatch.setattr(harness, "_FAST", False)
-    elif case == "one core":
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    done = threading.Event()
-    if case == "second thread":
-        thread = threading.Thread(target=done.wait)
-        thread.start()
-    try:
-        assert harness._power_det(4, 4) == want
-    finally:
-        done.set()
-    assert forks == []
-
-
-def test_no_level_is_forked_inside_a_verify_jobs_worker(monkeypatch, tmp_path):
-    monkeypatch.setattr(harness, "_FAST", True)
-    monkeypatch.setattr(harness, "_FORK_PAIRS", 0)
-    log = tmp_path / "forks"
-    _spy_fork(monkeypatch, log)
-    over = {"n": (3, 4), "k": (3, 4)}
-    # in this process each cell forks its levels
-    serial = sweep(["conj3"], over)
-    assert serial.all_pass() and set(log.read_text().split()) == {str(os.getpid())}
-    log.unlink()
-    # the pool forks its workers from this process, and they fork nothing
-    pooled = sweep(["conj3"], over, workers=2)
-    assert pooled.all_pass() and len(pooled.cells) == len(serial.cells)
-    assert set(log.read_text().split()) == {str(os.getpid())}
-
-
-def test_no_catalog_level_is_forked(monkeypatch):
-    forks = _spy_fork(monkeypatch)
-    report = sweep(sorted(CATALOG))
-    assert report.cells and forks == []
+def test_power_determinants_match_the_explicit_matrix_mod_p(n, k, ell, classical):
+    """_power_det at seeded points against det(f(ell(n+i-j), q^(ell j) s)^k)
+    mod 2^61 - 1, its entries from the integer recurrence (q = 1 when
+    classical) and its determinant by elimination: no Poly arithmetic."""
+    got = harness._power_det(n, k, ell, classical)
+    rng = random.Random(f"{n} {k} {ell} {classical}")
+    for _ in range(2):
+        x, s, q = (rng.randrange(2, _P - 1) for _ in range(3))
+        if classical:
+            q = 1
+        matrix = [
+            [pow(_f_mod(ell * (n + i - j), x, s * pow(q, ell * j, _P) % _P, q), k, _P)
+             for j in range(k + 1)]
+            for i in range(k + 1)
+        ]
+        value = sum(
+            c * pow(x, ex, _P) * pow(s, es, _P) * pow(q, eq, _P) for (ex, es, eq, _), c in got.terms()
+        )
+        assert value % _P == _det_mod(matrix)
 
 
 def test_det_table_known_factorizations():

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfib import harness, poly
-from qfib.harness import _power_det
+from qfib.harness import _power_det, _power_det_condensed
 from qfib.matrices import PolyMatrix
 from qfib.poly import (
     _PACKED_PAIRS,
@@ -399,7 +399,9 @@ def _bareiss_power_det(n, k, ell, classical):
 @_SETTINGS
 @given(power_det_cells)
 def test_condensation_matches_bareiss_on_the_explicit_matrix(cell):
-    assert _power_det(*cell) == _bareiss_power_det(*cell)
+    want = _bareiss_power_det(*cell)
+    assert _power_det_condensed(*cell) == want
+    assert _power_det(*cell) == want
 
 
 def _condense_formula(c, a, b, d, t):
@@ -497,7 +499,7 @@ def test_condensation_with_the_kernel_forced_on_matches_bareiss(cell, packed):
         mp.setattr(poly, "_BLOCKED_PAIRS", 0)
         if packed:
             mp.setattr(poly, "_PACKED_PAIRS", 0)
-        assert _power_det(*cell) == want
+        assert _power_det_condensed(*cell) == want
 
 
 # the balanced digits' bounds at limb widths 8, 16, 24 and 64, one off too
