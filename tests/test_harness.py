@@ -3,8 +3,8 @@
 import json
 import math
 import os
-import subprocess
 import random
+import subprocess
 import sys
 from pathlib import Path
 
