@@ -391,6 +391,116 @@ def test_power_determinants_match_the_explicit_matrix_mod_p(n, k, ell, classical
         assert value % _P == _det_mod(matrix)
 
 
+# ------------------------------------------------------- no forked levels
+# Condensation levels used to be split with a forked child.  No level forks
+# now: _power_det multiplies minors and its oracle, _power_det_condensed,
+# runs each level's steps serially in window order.  These checks keep the
+# determinants in the calling process, where perfbench's spans can see
+# them, and keep the oracle's failures deterministic.
+
+
+def _spy_fork(monkeypatch, log=None):
+    """Count the os.fork calls (in a list), or append the calling pid to
+    the file `log`, which a forked worker's calls reach too."""
+    calls = []
+    real = os.fork
+
+    def spy():
+        if log is None:
+            calls.append(os.getpid())
+        else:
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+        return real()
+
+    monkeypatch.setattr(os, "fork", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "fails",
+    [
+        {},
+        {0: poly.NotDivisible},
+        {1: OverflowError},
+        {4: poly.NotDivisible},
+        {1: OverflowError, 2: poly.NotDivisible},
+        {0: poly.NotDivisible, 1: OverflowError},
+        {3: OverflowError, 4: poly.NotDivisible},
+    ],
+)
+def test_a_forked_level_raises_the_first_failure_in_window_order(monkeypatch, fails):
+    # the oracle's first level at n = 4, k = 3 has five steps, step i
+    # centred on qfib(2 + i)^3; step i raises fails[i], and no step after
+    # the first failure in window order runs
+    want = harness._power_det_condensed(4, 3)
+    real = harness._condense_step
+    centres = [qfib(m) ** 3 for m in range(2, 7)]
+    ran = []
+
+    def step(c, a, b, d, twist):
+        if d is None:  # a step of the first level
+            i = centres.index(c)
+            ran.append(i)
+            if i in fails:
+                raise fails[i](f"step {i}")
+        return real(c, a, b, d, twist)
+
+    monkeypatch.setattr(harness, "_condense_step", step)
+    forks = _spy_fork(monkeypatch)
+    if not fails:
+        assert harness._power_det_condensed(4, 3) == want
+        assert ran == list(range(5))
+    else:
+        first = min(fails)
+        with pytest.raises(fails[first], match=f"step {first}"):
+            harness._power_det_condensed(4, 3)
+        assert ran == list(range(first + 1))
+    assert forks == []
+
+
+@pytest.mark.parametrize("case", ["dict engine", "one core", "second thread"])
+def test_no_level_is_forked_where_a_second_process_cannot_help(monkeypatch, case):
+    import threading
+
+    want = harness._power_det_condensed(4, 4)
+    forks = _spy_fork(monkeypatch)
+    if case == "dict engine":  # what QFIB_NO_FAST=1 sets at import
+        monkeypatch.setattr(harness, "_FAST", False)
+    elif case == "one core":
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    done = threading.Event()
+    if case == "second thread":
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+    try:
+        assert harness._power_det(4, 4) == want
+        assert harness._power_det_condensed(4, 4) == want
+    finally:
+        done.set()
+    assert forks == []
+
+
+def test_no_level_is_forked_inside_a_verify_jobs_worker(monkeypatch, tmp_path):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    log = tmp_path / "forks"
+    _spy_fork(monkeypatch, log)
+    over = {"n": (3, 4), "k": (3, 4)}
+    # in this process no cell forks
+    serial = sweep(["conj3"], over)
+    assert serial.all_pass() and not log.exists()
+    # the pool forks its workers from this process, and they fork nothing
+    pooled = sweep(["conj3"], over, workers=2)
+    assert pooled.all_pass() and len(pooled.cells) == len(serial.cells)
+    assert set(log.read_text().split()) == {str(os.getpid())}
+
+
+def test_no_catalog_level_is_forked(monkeypatch):
+    forks = _spy_fork(monkeypatch)
+    report = sweep(sorted(CATALOG))
+    assert report.cells and forks == []
+
+
 def test_det_table_known_factorizations():
     table = det_table(3)
     assert table[1] == Poly(1)
