@@ -52,7 +52,7 @@ from fractions import Fraction
 from math import comb
 
 from .matrices import PolyMatrix
-from .poly import _FAST, ONE, Poly, ZERO, _condense, _sum_products, monomial
+from .poly import _FAST, ONE, Poly, ZERO, _sum_products, monomial
 from .qcomb import Fac, _prod, binom_product, fac, fibonomial, qfibonomial_parts
 from .sequences import fib, gf_truncated, lucas, qfib, transform_T, truncate
 
@@ -372,12 +372,7 @@ def _power_det_condensed(n: int, k: int, ell: int = 1, classical: bool = False) 
     m = n-k-1+r..n+k+1-r; the levels are built bottom-up, keeping only the
     current one and the central minors of the one below.  When one of those
     is zero (g(0) = 0 inside the window) the explicit matrix goes to
-    Bareiss instead.  Each step is a _condense_step, run serially.  On the
-    default engine the poly._condense kernel forms, subtracts and divides
-    its numerator on packed q-blocks, and builds no sigma image.  The steps
-    it declines, and every step under QFIB_NO_FAST=1, take the Poly
-    formula, whose central product D_r(m) sigma D_r(m) is the twisted
-    square D_r(m).mul_s_scaled(ell) (a plain square when classical).
+    Bareiss instead.  Each step is a _condense_step, run serially.
     """
     g = fib if classical else qfib
     twist = 0 if classical else ell  # sigma is s -> q^twist s
@@ -397,13 +392,10 @@ def _power_det_condensed(n: int, k: int, ell: int = 1, classical: bool = False) 
 
 def _condense_step(c: Poly, a: Poly, b: Poly, d: Poly | None, twist: int) -> Poly:
     """(c sigma(c) - sigma(a) b) / sigma(d), sigma: s -> q^twist s, or the
-    numerator alone when d is None: the kernel where it takes the step,
-    else the Poly formula."""
-    if _FAST:
-        out = _condense(c, a, b, d, twist)
-        if out is not None:
-            return out
-    num = c.mul_s_scaled(twist) - a.subst_s_scale(twist) * b
+    numerator alone when d is None, by the Poly formula: its products and
+    its exact division take whichever kernels their sizes select, a plain
+    square c * c when twist is 0."""
+    num = c * c.subst_s_scale(twist) - a.subst_s_scale(twist) * b
     return num if d is None else num.exact_div(d.subst_s_scale(twist))
 
 

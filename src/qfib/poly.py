@@ -30,11 +30,10 @@ pairs, _mul_blocked packs each block's q-coefficients into one big integer
 with a rigorously chosen limb width, and turns block products into single
 bigint multiplications.  Packing and unpacking go through one bytes
 conversion per block (balanced digits via a bias), so they cost time
-linear in the block width.  A twisted square a * a.subst_s_scale(m) (mul_s_scaled) multiplies
-each unordered block pair once: s -> q^m s only moves each block's q
-offset, so the product of two blocks is added at both of its offsets, once
-doubled when they coincide.  A square (a * a, as built by __pow__) is its
-m = 0 case.
+linear in the block width.  A square (a * a, as built by __pow__)
+multiplies each unordered block pair once and adds the product doubled.
+The product is read off as blocks and keeps their list, so the next
+product it enters skips the scan.
 
 Above _PACKED_PAIRS term pairs (a square counting half), _mul_packed
 computes the whole product as one multiplication of Decimals under
@@ -63,23 +62,12 @@ _quotient_certified); otherwise the product is checked, and the plain
 division is the last resort.
 
 Weighted sums of products share one accumulator of packed q-blocks
-(_acc_sum): each signed product is added into it at a single limb width,
+(_sum_products): each product is added into it at a single limb width,
 sized from the sum of the products' coefficient bounds, a packed product's
 digits block by block, and nothing is unpacked until the sum is whole.
-_sum_products returns sum a_i * b_i so, with its block list (the power
-recurrences' weighted tails, whose sums cancel to zero, take it), and
-_condense forms a Desnanot-Jacobi numerator in the same accumulator.  Both
-keep the product guards of the Poly formula and decline what they cannot
-take, for the caller to run the formula.
-
-One Desnanot-Jacobi step, (c * sigma(c) - sigma(a) * b) / sigma(d) with
-sigma: s -> q^m s, runs as one kernel, _condense (called by the power
-determinants' condensation oracle, harness._power_det_condensed), without
-unpacking its numerator: the twisted square and the negated cross product go into the
-accumulator, the blocked long division runs in place on it against d's
-twisted block list, and the quotient is built with its block list.  No
-sigma image is built.  A quotient is returned only under
-_quotient_certified, after one rerun at twice the limb width if need be.
+The power recurrences' weighted tails, whose sums cancel to zero, take it.
+It keeps the product guards of the Poly formula and declines what it
+cannot take, for the caller to add the products as Polys.
 
 Setting QFIB_NO_FAST=1 in the environment forces the plain dict paths
 everywhere (the test suite checks both paths agree).
@@ -357,19 +345,6 @@ class Poly:
         return out
 
     __rmul__ = __mul__
-
-    def mul_s_scaled(self, m: int) -> "Poly":
-        """self * self.subst_s_scale(m), computing each product of two blocks
-        once (the twisted square; m = 0 is the plain square).  The blocked
-        path never builds the image: the product guard reads its exponent
-        ranges off the block list."""
-        if _FAST and len(self._t) ** 2 > _BLOCKED_PAIRS and _block_map(self):
-            self._guard_s_scale(m)
-            r = _guard(self._get_ranges(), _s_scaled_ranges(self, m), 1, "product")
-            out = _mul_fast(self, self, m)
-            out._ranges = r
-            return out
-        return self * self.subst_s_scale(m)
 
     def __pow__(self, e: int) -> "Poly":
         if not isinstance(e, int) or e < 0:
@@ -814,21 +789,6 @@ def _block_ranges(p: Poly) -> tuple | None:
     )
 
 
-def _twisted(blocks: list, twist: int) -> list:
-    """The block list of p.subst_s_scale(twist) from p's: s -> q^twist s
-    moves a block's least q exponent by twist * es and keeps the es order."""
-    if not twist:
-        return blocks
-    return [(es, base, lo + twist * es, cs) for es, base, lo, cs in blocks]
-
-
-def _s_scaled_ranges(p: Poly, m: int):
-    """p.subst_s_scale(m)'s exponent ranges off p's block list."""
-    q = [e for _, _, lo, cs in _twisted(_block_map(p), m) for e in (lo, lo + len(cs) - 1)]
-    rx, rs, _, rz = p._get_ranges()
-    return (rx, rs, (min(q), max(q)), rz)
-
-
 def _pack_coeffs(coeffs: list[int], L: int) -> int:
     """sum(c_i * 2^(L*i)) for |c_i| < 2^L; L must be a multiple of 8.
 
@@ -868,11 +828,10 @@ def _unpack_signed(acc: int, L: int) -> list[int]:
 
 
 def _mul_bound(a: Poly, b: Poly) -> int:
-    """A bound on |coeff| of a * b, and of a * b.subst_s_scale(m), which has
-    the same coefficients as a * b up to where they sit.  Each product
-    coefficient sums at most min(len a, len b) term products, and it is an
-    inner product of a with a shifted reversal of b, so Cauchy-Schwarz
-    bounds its square by |a|_2^2 * |b|_2^2."""
+    """A bound on |coeff| of a * b.  Each product coefficient sums at most
+    min(len a, len b) term products, and it is an inner product of a with a
+    shifted reversal of b, so Cauchy-Schwarz bounds its square by
+    |a|_2^2 * |b|_2^2."""
     n = min(len(a._t), len(b._t))
     return min(
         a._coeff_stats() * b._coeff_stats() * n, isqrt(a._norm2() * b._norm2())
@@ -885,21 +844,21 @@ def _limb(bound: int) -> int:
     return (bound.bit_length() + 8) & ~7
 
 
-def _mul_fast(a: Poly, b: Poly, twist: int = 0) -> Poly | None:
+def _mul_fast(a: Poly, b: Poly) -> Poly | None:
     """_mul_packed above _PACKED_PAIRS term pairs where it applies, else
     _mul_blocked (same arguments and result).  A square counts half its
     pairs: _mul_blocked multiplies each unordered pair of its blocks once."""
     pairs = len(a._t) * len(b._t) >> (b is a)
     if pairs > _PACKED_PAIRS:
-        out = _mul_packed(a, b, twist)
+        out = _mul_packed(a, b)
         if out is not None:
             return out
-    return _mul_blocked(a, b, twist)
+    return _mul_blocked(a, b)
 
 
-def _mul_blocked(a: Poly, b: Poly, twist: int = 0) -> Poly | None:
-    """a * b by block products, or a * a.subst_s_scale(twist) when b is a
-    (twist is only read then); None if an operand is too q-sparse to pack."""
+def _mul_blocked(a: Poly, b: Poly) -> Poly | None:
+    """a * b by block products, its block list cached; None if an operand
+    is too q-sparse to pack."""
     la = _block_map(a)
     lb = _block_map(b)
     if la is False or lb is False:
@@ -907,46 +866,29 @@ def _mul_blocked(a: Poly, b: Poly, twist: int = 0) -> Poly | None:
     L = _limb(_mul_bound(a, b))
     acc: dict[int, list] = {}
     if b is a:
-        _acc_square(acc, la, _twisted(la, twist), L)
+        _acc_square(acc, la, L)
     else:
         _acc_product(acc, la, lb, L)
-    out: dict[int, int] = {}
-    for base, (off, big) in acc.items():
-        _put_block(out, base, off, _unpack_signed(big, L))
-    return Poly._raw(out)
+    return _from_acc(acc, L)
 
 
-def _acc_square(acc: dict, la: list, lt: list, L: int, sign: int = 1) -> None:
-    """Add sign * p * p.subst_s_scale(m) (sign 1 or -1) to acc at limb
-    width L, given p's block list la and its image lt = _twisted(la, m):
-    each unordered block pair once.  s -> q^m s moves a block's q offset by m * es, so A_i * A_j
-    lands at off_i + tw_j and at tw_i + off_j: one doubled add when those
-    agree (always at m = 0).  Operand coefficients must be below 2^L."""
-    packed = [
-        (base - _ZKEY, lo, tw, _pack_coeffs(cs, L))
-        for (_, base, lo, cs), (_, _, tw, _) in zip(la, lt)
-    ]
-    for i, (sa, off_a, tw_a, int_a) in enumerate(packed):
-        left = int_a if sign > 0 else -int_a
-        _add_at(acc, sa + sa + _ZKEY, off_a + tw_a, left * int_a, L)
-        for sb, off_b, tw_b, int_b in packed[i + 1 :]:
-            prod = left * int_b
-            o1 = off_a + tw_b
-            o2 = tw_a + off_b
-            if o1 == o2:
-                _add_at(acc, sa + sb + _ZKEY, o1, prod << 1, L)
-            else:
-                _add_at(acc, sa + sb + _ZKEY, o1, prod, L)
-                _add_at(acc, sa + sb + _ZKEY, o2, prod, L)
+def _acc_square(acc: dict, la: list, L: int) -> None:
+    """Add p * p to acc at limb width L, given p's block list la: each
+    unordered block pair once, an off-diagonal product added doubled.
+    Operand coefficients must be below 2^L."""
+    packed = [(base - _ZKEY, lo, _pack_coeffs(cs, L)) for _, base, lo, cs in la]
+    for i, (sa, off_a, int_a) in enumerate(packed):
+        _add_at(acc, sa + sa + _ZKEY, off_a + off_a, int_a * int_a, L)
+        for sb, off_b, int_b in packed[i + 1 :]:
+            _add_at(acc, sa + sb + _ZKEY, off_a + off_b, (int_a * int_b) << 1, L)
 
 
-def _acc_product(acc: dict, la: list, lb: list, L: int, sign: int = 1) -> None:
-    """Add sign * a * b (sign 1 or -1) to acc at limb width L, given the
-    block lists la and lb of a and b.  Operand coefficients must be below
-    2^L."""
+def _acc_product(acc: dict, la: list, lb: list, L: int) -> None:
+    """Add a * b to acc at limb width L, given the block lists la and lb of
+    a and b.  Operand coefficients must be below 2^L."""
     if len(la) > len(lb):
         la, lb = lb, la
-    apacked = [(base - _ZKEY, lo, sign * _pack_coeffs(cs, L)) for _, base, lo, cs in la]
+    apacked = [(base - _ZKEY, lo, _pack_coeffs(cs, L)) for _, base, lo, cs in la]
     bpacked = [(base, lo, _pack_coeffs(cs, L)) for _, base, lo, cs in lb]
     for sa, off_a, int_a in apacked:
         for base_b, off_b, int_b in bpacked:
@@ -1038,15 +980,13 @@ def _read_digits(text: str, D: int, p: int, w: int) -> list[int]:
     return digits
 
 
-def _mul_packed(a: Poly, b: Poly, twist: int = 0) -> Poly | None:
-    """a * b, or a * a.subst_s_scale(twist) when b is a (twist is only read
-    then), as one product of Decimals; None where _packed_product
+def _mul_packed(a: Poly, b: Poly) -> Poly | None:
+    """a * b as one product of Decimals; None where _packed_product
     declines."""
     la, lb = _block_map(a), _block_map(b)
     if not la or not lb:
         return None
-    twin = b is a
-    blocks = _packed_product(la, _twisted(la, twist) if twin else lb, _mul_bound(a, b), twin)
+    blocks = _packed_product(la, lb, _mul_bound(a, b))
     if blocks is None:
         return None
     out: dict[int, int] = {}
@@ -1055,14 +995,13 @@ def _mul_packed(a: Poly, b: Poly, twist: int = 0) -> Poly | None:
     return Poly._raw(out)
 
 
-def _packed_product(la: list, lb: list, bound: int, twin: bool):
+def _packed_product(la: list, lb: list, bound: int):
     """The blocks (base, lo, digits) of the product of the block lists la
     and lb, digits the coefficients of q^lo, q^(lo+1), ..., read off one
-    product of Decimals; twin says that lb is _twisted(la, m) for some m.
-    bound bounds the product's coefficients.  None unless the products of
-    blocks with equal es sums share a base (so both are s-lines), the digit
-    width D stays within _MAX_DIGITS and the packed product is not mostly
-    gaps."""
+    product of Decimals (a square when lb is la).  bound bounds the
+    product's coefficients.  None unless the products of blocks with equal
+    es sums share a base (so both are s-lines), the digit width D stays
+    within _MAX_DIGITS and the packed product is not mostly gaps."""
     if 2 * bound >= _DIGITS_CAP:
         return None
     # balanced digits: |c| <= bound < t / 2
@@ -1088,7 +1027,7 @@ def _packed_product(la: list, lb: list, bound: int, twin: bool):
     if span > 4 * sum(hi - lo + 1 for _, lo, hi in ranges) + 4096:
         return None  # the blocks lie too far apart to pack densely
     neg_a = any(min(cs) < 0 for *_, cs in la)
-    neg_b = neg_a if twin else any(min(cs) < 0 for *_, cs in lb)
+    neg_b = neg_a if lb is la else any(min(cs) < 0 for *_, cs in lb)
     # each transient is dropped before the next, larger one is built: the
     # product's digit string is the largest
     A, low = _dec_pack(la, T, D, neg_a)
@@ -1167,19 +1106,14 @@ def _div_blocked(a: Poly, b: Poly) -> Poly | None:
 
 
 def _div_blocked_at(a: Poly, b: Poly, L: int) -> Poly:
+    """a / b by blocked long division on the values of their blocks at
+    q = 2^L, the quotient built with its block list.  No quotient term lies
+    below _div_floor(a, b): NotDivisible when a remainder block sits below
+    what that floor allows, _RetryDivision when a block does not divide or
+    a quotient digit falls below q's floor (possibly limb aliasing)."""
+    floor = _div_floor(a, b)
     r = {base: [lo, _pack_coeffs(cs, L)] for _, base, lo, cs in _block_map(a)}
-    return _from_blocks(_divide_acc(r, _block_map(b), L, _div_floor(a, b)))
-
-
-def _divide_acc(r: dict, lb: list, L: int, floor: list) -> list:
-    """The block list of the quotient of the accumulator r (see _add_at),
-    the values at q = 2^L of a dividend's blocks, by the divisor with block
-    list lb, by blocked long division; r is used up.  floor is the
-    quotient's least exponent per variable (x, s, q, z), or a lower bound
-    on it.  NotDivisible when a remainder block sits below what the floor
-    allows, _RetryDivision when a block does not divide or a quotient digit
-    falls below q's floor (possibly limb aliasing)."""
-    bpacked = [(base, lo, _pack_coeffs(cs, L)) for _, base, lo, cs in lb]
+    bpacked = [(base, lo, _pack_coeffs(cs, L)) for _, base, lo, cs in _block_map(b)]
     kb, off_b, int_b = max(bpacked)
     # block bases carry eq = 0, so q's floor is checked digit by digit
     lim = [e + f for e, f in zip(_unpack(kb), floor)]
@@ -1206,48 +1140,19 @@ def _divide_acc(r: dict, lb: list, L: int, floor: list) -> list:
         for base_b2, off_b2, int_b2 in rest_b:
             _add_at(r, shift_t + base_b2, t_off + off_b2, -qt * int_b2, L)
     out.sort()
-    return out
+    return _from_blocks(out)
 
 
 # ---------------------------------------------------------- sums of products
-
-
-def _acc_mul(
-    acc: dict, la: list, lb: list, twin: bool, bound: int, pairs: int, L: int, sign: int
-) -> None:
-    """Add sign (1 or -1) times the product of the block lists la and lb
-    to acc at limb width L, lb being _twisted(la, m) when twin, bound a
-    bound on its coefficients and pairs its term pairs (halved when twin):
-    the packed product's digits above _PACKED_PAIRS pairs where it
-    applies, else the block products."""
-    if pairs > _PACKED_PAIRS:
-        blocks = _packed_product(la, lb, bound, twin)
-        if blocks is not None:
-            for base, lo, digits in blocks:
-                _add_at(acc, base, lo, sign * _pack_coeffs(digits, L), L)
-            return
-    if twin:
-        _acc_square(acc, la, lb, L, sign)
-    else:
-        _acc_product(acc, la, lb, L, sign)
-
-
-def _acc_sum(products: list, L: int) -> dict:
-    """A new accumulator (see _add_at) holding the sum of the signed
-    products at limb width L, each given as the arguments
-    (la, lb, twin, bound, pairs, sign) of _acc_mul."""
-    acc: dict[int, list] = {}
-    for la, lb, twin, bound, pairs, sign in products:
-        _acc_mul(acc, la, lb, twin, bound, pairs, L, sign)
-    return acc
 
 
 def _sum_products(terms: list) -> Poly | None:
     """sum(a * b for a, b in terms), on packed q-blocks: every product is
     added into one accumulator at a single limb width L, sized from the sum
     of the products' coefficient bounds, and the sum is unpacked once, its
-    block list cached.  Products above _PACKED_PAIRS add their packed
-    digits block by block (see _acc_mul).  Each product's exponent guard
+    block list cached.  Products above _PACKED_PAIRS term pairs add the
+    digits of their _packed_product block by block where it applies, the
+    others their block products.  Each product's exponent guard
     runs first, so an out-of-range exponent raises the OverflowError of
     a * b.  None, for the caller to add the products as Polys, when no
     product exceeds _BLOCKED_PAIRS term pairs, an operand is too q-sparse
@@ -1261,84 +1166,21 @@ def _sum_products(terms: list) -> Poly | None:
         la, lb = _block_map(a), _block_map(b)
         if la is False or lb is False:
             return None
-        products.append((la, lb, False, _mul_bound(a, b), len(a._t) * len(b._t), 1))
+        products.append((la, lb, _mul_bound(a, b), len(a._t) * len(b._t)))
     # a block of the accumulator spans the gaps between the products too
     hull = max(hi for _, hi in q) - min(lo for lo, _ in q) + 1
     if not _dense_enough(hull, sum(hi - lo + 1 for lo, hi in q)):
         return None
-    L = _limb(sum(p[3] for p in products))
-    out = _from_acc(_acc_sum(products, L), L)
-    out._ranges = _block_ranges(out)
-    return out
-
-
-# --------------------------------------------------------------- condensation
-
-
-def _condense(c: Poly, a: Poly, b: Poly, d: Poly | None, twist: int) -> Poly | None:
-    """(c * sigma(c) - sigma(a) * b) / sigma(d), sigma being s -> q^twist s,
-    or the numerator alone when d is None: one Desnanot-Jacobi step, on
-    packed q-blocks from end to end.
-
-    The twisted square and the negated cross product are added into one
-    accumulator at a single limb width L, sized from the two products'
-    coefficient bounds (and the divisor's coefficients); products above
-    _PACKED_PAIRS add their _mul_packed digits block by block.  The blocked
-    long division then runs on that accumulator against the twisted block
-    list of d, and the quotient is built with its block list.  The product
-    guards raise as the Poly formula's would; the quotient is returned only
-    under _quotient_certified, with the numerator bound as amax; a retry
-    or a failed certificate at L reruns the accumulation and the division
-    once at 2L.  None, for the caller to take the Poly formula, below the
-    blocked threshold, on a q-sparse operand, where the quotient guard of
-    the two products' ranges fails, on a floor hit, and when the division
-    fails at 2L too."""
-    nc, na, nb = len(c._t), len(a._t), len(b._t)
-    if nc * nc <= _BLOCKED_PAIRS or na * nb <= _BLOCKED_PAIRS:
-        return None
-    lc, la, lb = _block_map(c), _block_map(a), _block_map(b)
-    ld = None if d is None else _block_map(d)
-    if not (lc and la and lb) or (d is not None and not ld):
-        return None
-    # the guards of c.mul_s_scaled(twist) and a.subst_s_scale(twist) * b
-    c._guard_s_scale(twist)
-    r1 = _guard(c._get_ranges(), _s_scaled_ranges(c, twist), 1, "product")
-    a._guard_s_scale(twist)
-    r2 = _guard(_s_scaled_ranges(a, twist), b._get_ranges(), 1, "product")
-    bound_c, bound_ab = _mul_bound(c, c), _mul_bound(a, b)
-    products = [
-        (lc, _twisted(lc, twist), True, bound_c, nc * nc >> 1, 1),
-        (_twisted(la, twist), lb, False, bound_ab, na * nb, -1),
-    ]
-    amax = bound_c + bound_ab
-    L = _limb(amax)
-    if d is not None:
-        d._guard_s_scale(twist)
-        rd = _s_scaled_ranges(d, twist)
-        # the numerator's ranges lie inside the union of the products'
-        num = [(min(x[0], y[0]), max(x[1], y[1])) for x, y in zip(r1, r2)]
-        try:
-            _guard(num, rd, -1, "quotient")
-        except OverflowError:
-            return None
-        floor = [n[0] - e[0] for n, e in zip(num, rd)]
-        L = max(L, _limb(d._coeff_stats()))
-    for L in (L,) if d is None else (L, 2 * L):
-        acc = _acc_sum(products, L)
-        if d is None:
-            out = _from_acc(acc, L)
-            break
-        try:
-            out = _from_blocks(_divide_acc(acc, _twisted(ld, twist), L, floor))
-        except NotDivisible:
-            return None
-        except _RetryDivision:
-            continue
-        n = min(len(out._t), len(d._t))
-        if _quotient_certified(out._coeff_stats(), d._coeff_stats(), n, amax, L):
-            break
-    else:
-        return None
+    L = _limb(sum(bound for _, _, bound, _ in products))
+    acc: dict[int, list] = {}
+    for la, lb, bound, pairs in products:
+        blocks = _packed_product(la, lb, bound) if pairs > _PACKED_PAIRS else None
+        if blocks is None:
+            _acc_product(acc, la, lb, L)
+        else:
+            for base, lo, digits in blocks:
+                _add_at(acc, base, lo, _pack_coeffs(digits, L), L)
+    out = _from_acc(acc, L)
     out._ranges = _block_ranges(out)
     return out
 

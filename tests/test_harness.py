@@ -240,42 +240,36 @@ def test_power_det_falls_back_to_bareiss_on_a_zero_central_minor(
     assert det == explicit.det_cofactor()
 
 
-def _spy_condense(monkeypatch):
-    """Record (above the blocked threshold, has a divisor, kernel took the
-    step) for each call harness makes to the condensation kernel."""
-    steps = []
-    real = harness._condense
-
-    def spy(c, a, b, d, twist):
-        out = real(c, a, b, d, twist)
-        big = min(len(c) ** 2, len(a) * len(b)) > poly._BLOCKED_PAIRS
-        steps.append((big, d is not None, out is not None))
-        return out
-
-    monkeypatch.setattr(harness, "_condense", spy)
-    return steps
+def test_det_table_rows_equal_condensation():
+    # det_table's rows by the oracle, _power_det_condensed; the 230-cell
+    # comparison below stops at k = 4 (k = 5, 6 on the default engine only,
+    # where their condensation takes about 3 s)
+    top = 6 if poly._FAST else 4
+    rows = [harness._power_det_condensed(k, k) for k in range(1, top + 1)]
+    assert rows == list(det_table(top).values())
 
 
-def test_det_table_condenses_every_large_step_in_the_kernel(monkeypatch):
-    # det_table's rows by the oracle, _power_det_condensed
-    steps = _spy_condense(monkeypatch)
-    if poly._FAST:
-        # every step above the threshold runs in the kernel, none falls back
-        rows = [harness._power_det_condensed(k, k) for k in range(1, 7)]
-        assert rows == list(det_table(6).values())
-        large = [took for big, _, took in steps if big]
-        assert len(large) > 50 and all(large)
-        assert not any(took for big, _, took in steps if not big)
-    else:
-        harness._power_det_condensed(4, 4)
-        assert steps == []
+def test_no_production_entry_point_reaches_the_oracle(monkeypatch, capsys):
+    """Nothing in src/ calls condensation or its Bareiss fallback: the whole
+    catalog on one worker, det_table(8) and the det-table command compute
+    every power determinant from its factorization."""
+    from qfib.cli import main
+
+    calls = []
+    for name in ("_power_det_condensed", "_condense_step", "_power_det_bareiss"):
+        monkeypatch.setattr(harness, name, lambda *args, name=name: calls.append(name))
+    report = sweep(list(CATALOG), workers=1)
+    assert report.cells and all(c.status == "pass" for c in report.cells)
+    assert len(det_table(8)) == 8
+    assert main(["tables", "det-table", "--max-k", "5", "--allow-slow"]) == 0
+    capsys.readouterr()
+    assert calls == []
 
 
 def test_the_dict_engine_never_calls_the_kernel():
     code = (
         "from qfib import harness\n"
         "calls = []\n"
-        "harness._condense = lambda *args: calls.append(args)\n"
         "harness._sum_products = lambda *args: calls.append(args)\n"
         "harness._power_det_condensed(4, 4)\n"
         "harness.sweep(['conj2', 'conj2_k2'], overrides={'n': (6, 7)})\n"
@@ -286,19 +280,6 @@ def test_the_dict_engine_never_calls_the_kernel():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert (proc.returncode, proc.stdout) == (0, "False 0\n")
-
-
-def test_an_uncertified_kernel_quotient_falls_back_to_the_formula(monkeypatch):
-    want = harness._power_det(4, 4)
-    steps = _spy_condense(monkeypatch)
-    monkeypatch.setattr(harness, "_FAST", True)
-    monkeypatch.setattr(poly, "_quotient_certified", lambda *args: False)
-    assert harness._power_det_condensed(4, 4) == want
-    # the first level has no divisor, so no certificate: the kernel takes
-    # its large steps; every large step with a divisor falls back
-    large = [(divides, took) for big, divides, took in steps if big]
-    assert (False, True) in large and (True, False) in large
-    assert all(took != divides for divides, took in large)
 
 
 # q and classical, k 1..4, ell 1..3, n -3..6, without the q cells at

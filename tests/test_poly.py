@@ -467,6 +467,8 @@ def test_blocked_mul_at_the_limb_boundary():
                 got = _mul_blocked(x, b)
                 assert got == _mul_naive(x._t, b._t)
                 assert max(abs(c) for _, c in got.terms()) == norm2
+                # built with the block list _block_map would scan for
+                assert got._blocks == _block_map(Poly._raw(dict(got._t)))
 
 
 # ------------------------------------------------- packed-engine kernels
@@ -491,9 +493,7 @@ def test_packed_square_at_the_bound():
     for c in (1, -7, 10**30 + 1):
         a = Poly({(2 + i, i - 1, e, 0): c for i in (0, 1) for e in range(-4, 6)})
         assert _mul_bound(a, a) == 20 * c * c
-        for twist in range(-3, 4):
-            want = _mul_naive(a._t, a.subst_s_scale(twist)._t)
-            assert _mul_packed(a, a, twist) == want
+        assert _mul_packed(a, a) == _mul_naive(a._t, a._t)
         assert max(abs(v) for _, v in _mul_packed(a, a).terms()) == 20 * c * c
 
 
@@ -527,8 +527,8 @@ def test_packed_mul_declines_what_it_cannot_pack(monkeypatch):
     not_line = line + Poly({(5, 1, 0, 0): 1})
     assert _mul_packed(not_line, line) is None
     assert _mul_packed(line, not_line) is None
-    assert _mul_packed(not_line, not_line, 1) is None
-    assert not_line.mul_s_scaled(1) == not_line * not_line.subst_s_scale(1)
+    assert _mul_packed(not_line, not_line) is None
+    assert not_line * not_line == _mul_naive(not_line._t, not_line._t)
     # s-lines with ex = es and ex = es^2: the products at es sum 2,
     # (es 0) * (es 2) and (es 1) * (es 1), land on x^4 and x^2
     ex_es = Poly({(es, es, eq, 0): 1 for es in range(3) for eq in range(20)})
@@ -551,22 +551,15 @@ def test_accumulated_products_match_naive_with_either_sign(monkeypatch, packed):
     # s-lines with signed coefficients: the products pack when asked to
     a = Poly({(2 - j, j, e, -1): (e + j) * (-1) ** e for j in range(-1, 3) for e in range(9)})
     b = Poly({(1 - es, es, eq, 1): 3 - eq for es in range(3) for eq in range(-2, 7)})
+    monkeypatch.setattr(poly, "_BLOCKED_PAIRS", 0)
     monkeypatch.setattr(poly, "_PACKED_PAIRS", 0 if packed else 10**18)
     calls = []
     real = poly._packed_product
     monkeypatch.setattr(poly, "_packed_product", lambda *args: calls.append(1) or real(*args))
-    la, lb = _block_map(a), _block_map(b)
-    for sign in (1, -1):
-        for twist in (0, -2):
-            want = _mul_naive(a._t, a.subst_s_scale(twist)._t) * sign
-            acc = {}
-            L = (_mul_bound(a, a).bit_length() + 8) & ~7
-            poly._acc_mul(acc, la, poly._twisted(la, twist), True, _mul_bound(a, a), 1, L, sign)
-            assert poly._from_acc(acc, L) == want
-        acc = {}
-        L = (_mul_bound(a, b).bit_length() + 8) & ~7
-        poly._acc_mul(acc, la, lb, False, _mul_bound(a, b), 1, L, sign)
-        assert poly._from_acc(acc, L) == _mul_naive(a._t, b._t) * sign
+    for x in (a, -a):
+        assert poly._mul_fast(x, x) == _mul_naive(x._t, x._t)
+        want = _mul_naive(x._t, x._t) + _mul_naive(x._t, b._t)
+        assert poly._sum_products([(x, x), (x, b)]) == want
     assert len(calls) == (6 if packed else 0)
 
 
@@ -577,8 +570,8 @@ def test_large_power_takes_the_packed_kernel(monkeypatch):
     results = []
     real = poly._mul_packed
 
-    def spy(a, b, twist=0):
-        results.append(real(a, b, twist))
+    def spy(a, b):
+        results.append(real(a, b))
         return results[-1]
 
     monkeypatch.setattr(poly, "_mul_packed", spy)

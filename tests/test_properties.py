@@ -1,13 +1,13 @@
 """Hypothesis property tests: the parse/print round trip on Laurent
 polynomials, the two facts that let gf_limit truncate once, at the end, the
-twisted square and the packed product of s-lines against the plain product,
-exact division of Laurent polynomials on each kernel, the exponent ranges
-that each product and quotient path stores on its result, Bareiss against
-cofactor expansion on Laurent entries, the condensation engine of the
-power determinants against Bareiss, and the sum-of-products kernel against
-the dict sum at the limb boundaries.  Products and s -> q^m s are checked
-exactly at the exponent guard _VAR_GUARD and one step past it; plain tests
-beside them pin the guards of the twisted square and of exact division.
+packed product of s-lines against the plain product, exact division of
+Laurent polynomials on each kernel, the exponent ranges that each product
+and quotient path stores on its result, Bareiss against cofactor expansion
+on Laurent entries, the condensation oracle of the power determinants
+against Bareiss, and the sum-of-products kernel against the dict sum at the
+limb boundaries.  Products and s -> q^m s are checked exactly at the
+exponent guard _VAR_GUARD and one step past it; a plain test beside them
+pins the guard of exact division.
 
 Every test runs derandomized and without an example database, so the suite
 stays deterministic; conftest.py keeps Hypothesis's other storage out of
@@ -95,49 +95,6 @@ def _blocked_poly(rng):
     return Poly(terms)
 
 
-# Hypothesis draws the seed only: drawing every coefficient costs seconds
-blocked_polys = st.randoms(use_true_random=False).map(_blocked_poly)
-
-
-@_SETTINGS
-@given(blocked_polys)
-def test_twisted_square_matches_the_product_with_the_s_scaled_image(a):
-    assert len(a) ** 2 > 2048
-    for m in range(-3, 4):
-        assert a.mul_s_scaled(m) == a * a.subst_s_scale(m)
-
-
-def test_twisted_square_of_a_q_sparse_poly_takes_the_plain_product():
-    a = Poly({(i % 3, i % 2, 200 * i, 0): i + 1 for i in range(60)})
-    assert _block_map(a) is False
-    for m in range(-3, 4):
-        assert a.mul_s_scaled(m) == a * a.subst_s_scale(m)
-
-
-def _s_only_poly(q_hi):
-    """54 terms, all with es = 1, in nine (ex, ez) blocks of q exponents
-    q_hi - 5..q_hi: the blocked path, and s -> q^m s moves every q exponent
-    by exactly m."""
-    return Poly(
-        {(ex, 1, q_hi - i, ez): i + 1 for ex in range(3) for ez in range(3) for i in range(6)}
-    )
-
-
-def test_twisted_square_guards_the_image_and_the_product_at_the_exponent_limit():
-    # q_hi = -5: the image's top q exponent q_hi + m is the largest, so the
-    # image's own guard decides; it sits at the limit at m = _VAR_GUARD + 5
-    a = _s_only_poly(-5)
-    assert len(a) ** 2 > 2048 and _block_map(a)
-    assert a.mul_s_scaled(_VAR_GUARD + 5) == a * a.subst_s_scale(_VAR_GUARD + 5)
-    with pytest.raises(OverflowError):
-        a.mul_s_scaled(_VAR_GUARD + 6)
-    # q_hi = 1: the product's top q exponent 2 * q_hi + m is the largest
-    b = _s_only_poly(1)
-    assert b.mul_s_scaled(_VAR_GUARD - 2) == b * b.subst_s_scale(_VAR_GUARD - 2)
-    with pytest.raises(OverflowError):
-        b.mul_s_scaled(_VAR_GUARD - 1)
-
-
 def _s_line_poly(rng, slope, lead):
     """An s-line: blocks on up to six s exponents in -4..4, the block at es
     on (ex, ez) = lead + es * slope, so that the blocks of a product with
@@ -156,12 +113,12 @@ def _s_line_poly(rng, slope, lead):
 
 
 @_SETTINGS
-@given(st.randoms(use_true_random=False), st.integers(-3, 3))
-def test_packed_product_matches_the_plain_product(rng, twist):
+@given(st.randoms(use_true_random=False))
+def test_packed_product_matches_the_plain_product(rng):
     slope = (rng.randint(-2, 2), rng.randint(-1, 1))
     a, b = (_s_line_poly(rng, slope, (rng.randint(-3, 3), rng.randint(-3, 3))) for _ in "ab")
     assert _mul_packed(a, b) == _mul_naive(a._t, b._t)
-    assert _mul_packed(a, a, twist) == _mul_naive(a._t, a.subst_s_scale(twist)._t)
+    assert _mul_packed(a, a) == _mul_naive(a._t, a._t)
 
 
 _LOWS = [e for e in range(-6, 7) if e]
@@ -235,14 +192,13 @@ def _assert_carried(*polys):
     laurent_polys.filter(bool),
 )
 def test_products_and_quotients_carry_exact_exponent_ranges(rng, a, b):
-    """Every product path (monomial, naive, blocked, blocked square, twisted
-    square) and every quotient path (monomial, naive, blocked) stores the
+    """Every product path (monomial, naive, blocked, blocked square) and every quotient path (monomial, naive, blocked) stores the
     ranges it guarded on its result, without a scan; they must be a scan's.
     A negation or an int multiple carries its operand's ranges."""
     lead = Poly._raw({max(b._t): b._t[max(b._t)]})
     _assert_carried(a * b, a * lead, lead * a, -a, a * -3)
     big_a, big_b = _blocked_poly(rng), _blocked_poly(rng)
-    _assert_carried(big_a * big_b, big_a * big_a, big_a.mul_s_scaled(rng.randint(-3, 3)))
+    _assert_carried(big_a * big_b, big_a * big_a)
     for quot, div in (
         (_laurent_factor(rng, 8, (3, 3, 4, 3)), _laurent_factor(rng, 1, (1,) * 4)),
         (_laurent_factor(rng, 8, (3, 3, 4, 3)), _laurent_factor(rng, 3, (3, 3, 3, 3))),
@@ -257,8 +213,8 @@ def test_packed_qfib_power_carries_exact_exponent_ranges(monkeypatch):
     results = []
     real = poly._mul_packed
 
-    def spy(a, b, twist=0):
-        results.append(real(a, b, twist))
+    def spy(a, b):
+        results.append(real(a, b))
         return results[-1]
 
     monkeypatch.setattr(poly, "_mul_packed", spy)
@@ -404,102 +360,27 @@ def test_condensation_matches_bareiss_on_the_explicit_matrix(cell):
     assert _power_det(*cell) == want
 
 
-def _condense_formula(c, a, b, d, t):
-    """One condensation step by the Poly formula."""
-    num = c.mul_s_scaled(t) - a.subst_s_scale(t) * b
-    return num if d is None else num.exact_div(d.subst_s_scale(t))
-
-
-def _condense_operands(rng, with_divisor):
-    """(c, a, b, d) on signed Laurent s-lines sharing one slope and lead, so
-    that the products of blocks with equal es sums share a base.  With a
-    divisor, c = d*w and a = d*u, so that sigma(d) divides the numerator
-    sigma(d) * (d*w*sigma(w) - sigma(u)*b); d has at least two terms."""
+@settings(_SETTINGS, max_examples=20)
+@given(st.randoms(use_true_random=False), st.integers(-3, 3))
+def test_condense_step_raises_not_divisible_on_a_numerator_that_does_not_divide(rng, twist):
+    """On signed Laurent s-lines with c = d*w and a = d*u (d not a
+    monomial), the step's numerator c sigma(c) - sigma(a + 1) b with
+    b = sigma(d) v + 1 is -1 modulo sigma(d), which therefore does not
+    divide it: the oracle's step raises NotDivisible rather than return a
+    quotient."""
     slope = (rng.randint(-2, 2), rng.randint(-1, 1))
     lead = (rng.randint(-3, 3), rng.randint(-3, 3))
 
     def line():
         return _s_line_poly(rng, slope, lead)
 
-    b = line() * line()
-    if not with_divisor:
-        return line() * line(), line() * line(), b, None
     d = line()
     while len(d) < 2:
         d = line()
-    return d * line(), d * line(), b, d
-
-
-@settings(_SETTINGS, max_examples=40)
-@given(st.randoms(use_true_random=False), st.integers(-3, 3), st.booleans(), st.booleans())
-def test_condense_kernel_matches_the_formula(rng, twist, with_divisor, packed):
-    """The kernel, forced onto small operands (and onto the packed products
-    when packed), equals the Poly formula computed on the default
-    thresholds, carries exact ranges and caches the block list that
-    _block_map would build."""
-    c, a, b, d = _condense_operands(rng, with_divisor)
-    want = _condense_formula(c, a, b, d, twist)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly, "_BLOCKED_PAIRS", 0)
-        if packed:
-            mp.setattr(poly, "_PACKED_PAIRS", 0)
-        got = poly._condense(c, a, b, d, twist)
-    assert got is not None and got == want
-    _assert_carried(got)
-    assert got._blocks == _block_map(Poly._raw(dict(got._t)))
-
-
-@settings(_SETTINGS, max_examples=20)
-@given(st.randoms(use_true_random=False), st.integers(-3, 3))
-def test_condense_kernel_redivides_at_twice_the_width_on_a_failed_certificate(rng, twist):
-    """With _quotient_certified false at the first limb width only, the
-    kernel reruns its accumulation and division at twice that width and
-    returns the formula's quotient instead of declining the step."""
-    c, a, b, d = _condense_operands(rng, True)
-    want = _condense_formula(c, a, b, d, twist)
-    widths = []
-
-    def certified(qmax, bmax, n, amax, L):
-        widths.append(L)
-        return len(widths) > 1 and certify(qmax, bmax, n, amax, L)
-
-    certify = poly._quotient_certified
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly, "_BLOCKED_PAIRS", 0)
-        mp.setattr(poly, "_quotient_certified", certified)
-        got = poly._condense(c, a, b, d, twist)
-    assert got is not None and got == want
-    assert len(widths) == 2 and widths[1] == 2 * widths[0]
-
-
-@settings(_SETTINGS, max_examples=20)
-@given(st.randoms(use_true_random=False), st.integers(-3, 3))
-def test_condense_kernel_declines_a_numerator_that_does_not_divide(rng, twist):
-    """With a -> a + 1 and b = sigma(d) v + 1 the numerator is sigma(d) Q - b,
-    which sigma(d), a non-monomial, does not divide: the kernel declines,
-    and the step raises NotDivisible through the formula."""
-    c, a, _, d = _condense_operands(rng, True)
+    c, a = d * line(), d * line()
     b = d.subst_s_scale(twist) * _s_line_poly(rng, (0, 0), (0, 0)) + 1
-    a = a + 1
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly, "_BLOCKED_PAIRS", 0)
-        assert poly._condense(c, a, b, d, twist) is None
-        with pytest.raises(NotDivisible):
-            harness._condense_step(c, a, b, d, twist)
-
-
-@settings(_SETTINGS, max_examples=40)
-@given(power_det_cells, st.booleans())
-def test_condensation_with_the_kernel_forced_on_matches_bareiss(cell, packed):
-    """test_condensation_matches_bareiss_on_the_explicit_matrix with every
-    step offered to the kernel, on either engine."""
-    want = _bareiss_power_det(*cell)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_FAST", True)
-        mp.setattr(poly, "_BLOCKED_PAIRS", 0)
-        if packed:
-            mp.setattr(poly, "_PACKED_PAIRS", 0)
-        assert _power_det_condensed(*cell) == want
+    with pytest.raises(NotDivisible):
+        harness._condense_step(c, a + 1, b, d, twist)
 
 
 # the balanced digits' bounds at limb widths 8, 16, 24 and 64, one off too
