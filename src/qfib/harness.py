@@ -25,10 +25,9 @@ does not ask for fitting.
 All power determinants det(f(ell(n+i-j), q^(ell j) s)^k), q-analogue and
 classical, share _power_det, which builds them from their factorization
 through basis_decomp: a product of 2 x 2 minors of sequence values over a
-monomial.  _power_det_condensed, Desnanot-Jacobi condensation of the
-explicit matrix with Bareiss (PolyMatrix.det) when a central minor
-vanishes, is the tests' oracle for it; gen_cassini's 2 x 2 determinant
-goes to Bareiss directly.
+monomial.  _power_det_bareiss, Bareiss (PolyMatrix.det) on the explicit
+matrix, is the tests' oracle for it; gen_cassini's 2 x 2 determinant goes
+to Bareiss directly.
 
 Each family has one builder.  A classical or ell = 1 identity that the
 paper states separately (conj1_f, conj3, det_power_classical) is a binding
@@ -336,7 +335,7 @@ def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
     from the sequence values, not from a closed form, so the result rests
     only on basis_decomp and det(PQ) = det P det Q.  The minors are
     multiplied pairwise, so that both operands of each product grow
-    together.  _power_det_condensed computes the same determinant from the
+    together.  _power_det_bareiss computes the same determinant from the
     explicit matrix; the tests keep it as the oracle.
     """
     g = (lambda m, shift=0: fib(m)) if classical else qfib  # at q = 1, qs is s
@@ -358,50 +357,10 @@ def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
     return factors[0].exact_div(v)
 
 
-def _power_det_condensed(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
-    """The determinant of _power_det from the explicit matrix, by
-    Desnanot-Jacobi condensation: the test oracle of _power_det.
-
-    Let D_r(m) be the leading r x r minor of this matrix at n = m.  The
-    minor on rows a.., columns b.. is sigma^b D_r(m + a - b), where sigma is
-    s -> q^ell s (the identity when classical), so the Desnanot-Jacobi
-    identity on the (r+1) x (r+1) leading block reads
-        D_{r+1}(m) = (D_r(m) sigma D_r(m) - sigma D_r(m-1) D_r(m+1))
-                     / sigma D_{r-1}(m),
-    starting from D_0 = 1 and D_1(m) = g(ell m)^k.  Level r covers
-    m = n-k-1+r..n+k+1-r; the levels are built bottom-up, keeping only the
-    current one and the central minors of the one below.  When one of those
-    is zero (g(0) = 0 inside the window) the explicit matrix goes to
-    Bareiss instead.  Each step is a _condense_step, run serially.
-    """
-    g = fib if classical else qfib
-    twist = 0 if classical else ell  # sigma is s -> q^twist s
-
-    level = [g(ell * m) ** k for m in range(n - k, n + k + 1)]
-    divisors = None  # D_{r-1}(m) over the window of level r + 1
-    while len(level) > 1:
-        if divisors is not None and not all(divisors):
-            return _power_det_bareiss(n, k, ell, classical)
-        args = [
-            (level[i + 1], level[i], level[i + 2], None if divisors is None else divisors[i], twist)
-            for i in range(len(level) - 2)
-        ]
-        level, divisors = [_condense_step(*step) for step in args], level[2:-2]
-    return level[0]
-
-
-def _condense_step(c: Poly, a: Poly, b: Poly, d: Poly | None, twist: int) -> Poly:
-    """(c sigma(c) - sigma(a) b) / sigma(d), sigma: s -> q^twist s, or the
-    numerator alone when d is None, by the Poly formula: its products and
-    its exact division take whichever kernels their sizes select, a plain
-    square c * c when twist is 0."""
-    num = c * c.subst_s_scale(twist) - a.subst_s_scale(twist) * b
-    return num if d is None else num.exact_div(d.subst_s_scale(twist))
-
-
 def _power_det_bareiss(n: int, k: int, ell: int, classical: bool) -> Poly:
-    """The power determinant of _power_det by Bareiss on the explicit matrix:
-    _power_det_condensed's fallback when a central minor vanishes."""
+    """The power determinant of _power_det by Bareiss on the explicit matrix,
+    whose every division is exact (Sylvester's identity), a zero pivot
+    swapped for a nonzero one below it: the tests' oracle of _power_det."""
 
     def entry(i, j):
         m = ell * (n + i - j)

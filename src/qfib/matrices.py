@@ -7,9 +7,8 @@ special care.  det_cofactor is the independent oracle kept for
 cross-checking small dimensions.
 
 Bareiss computes the general determinants (gen_cassini, charpoly).  The
-power determinants of the harness are computed there by Desnanot-Jacobi
-condensation, which falls back to det() when a central minor vanishes;
-det() stays their test oracle.
+harness computes the power determinants from their factorization into
+2 x 2 minors; det() on the explicit matrix is their test oracle.
 """
 
 from __future__ import annotations

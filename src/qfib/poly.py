@@ -739,17 +739,12 @@ def _from_blocks(blocks: list) -> Poly:
     width = 0
     for _, base, lo, cs in blocks:
         width += len(cs)
-        _put_block(out, base, lo, cs)
+        first = base + lo * _QSTEP
+        keys = range(first, first + len(cs) * _QSTEP, _QSTEP)
+        out.update({key: c for key, c in zip(keys, cs) if c})
     p = Poly._raw(out)
     p._blocks = blocks if _dense_enough(width, len(out)) else False
     return p
-
-
-def _put_block(out: dict, base: int, lo: int, cs: list) -> None:
-    """Store the nonzero coefficients cs of q^lo, q^(lo+1), ... at base."""
-    first = base + lo * _QSTEP
-    keys = range(first, first + len(cs) * _QSTEP, _QSTEP)
-    out.update({key: c for key, c in zip(keys, cs) if c})
 
 
 def _block(base: int, off: int, cs: list) -> tuple:
@@ -981,18 +976,22 @@ def _read_digits(text: str, D: int, p: int, w: int) -> list[int]:
 
 
 def _mul_packed(a: Poly, b: Poly) -> Poly | None:
-    """a * b as one product of Decimals; None where _packed_product
-    declines."""
+    """a * b as one product of Decimals, its block list cached; None where
+    _packed_product declines.  A product block sums several block
+    products, which may cancel at its ends or throughout."""
     la, lb = _block_map(a), _block_map(b)
     if not la or not lb:
         return None
     blocks = _packed_product(la, lb, _mul_bound(a, b))
     if blocks is None:
         return None
-    out: dict[int, int] = {}
+    bl = []
     for base, lo, digits in blocks:
-        _put_block(out, base, lo, digits)
-    return Poly._raw(out)
+        while digits and not digits[-1]:
+            digits.pop()
+        if digits:
+            bl.append(_block(base, lo, digits))
+    return _from_blocks(bl)
 
 
 def _packed_product(la: list, lb: list, bound: int):

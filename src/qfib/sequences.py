@@ -47,6 +47,7 @@ from .poly import (
     _pack_coeffs,
     _check_exp,
     _from_acc,
+    _limb,
     monomial,
 )
 
@@ -89,12 +90,6 @@ class _Packed:
         return self._poly
 
 
-def _limb_width(bound: int) -> int:
-    """The least multiple of 8 bits whose balanced digits, in
-    [-2^(L-1), 2^(L-1)), hold every integer of magnitude <= bound."""
-    return (bound.bit_length() + 8) & ~7
-
-
 def _seed_blocks(g: Poly, L: int) -> dict:
     """g's blocks at limb width L, packed from its block list, or term by
     term when g is too q-sparse to have one."""
@@ -119,7 +114,7 @@ def _fill_packed(memo: dict, n: int, q_step: int) -> None:
     older, newer = (sum(map(abs, g._t.values())) for g in seeds)
     for _ in range(top, n):
         older, newer = newer, older + newer
-    L = _limb_width(newer)
+    L = _limb(newer)
     older, newer = (_seed_blocks(g, L) for g in seeds)
     for m in range(top + 1, n + 1):
         acc = {base + _XSTEP: [lo, big] for base, (lo, big) in newer.items()}

@@ -205,7 +205,7 @@ def test_bad_params_is_error():
 
 
 @pytest.mark.parametrize(
-    "k, n, classical, fallback",
+    "k, n, classical, zero_inside",
     [
         (2, 0, True, True),
         (3, 1, True, True),
@@ -216,48 +216,37 @@ def test_bad_params_is_error():
         (3, 2, False, False),
     ],
 )
-def test_power_det_falls_back_to_bareiss_on_a_zero_central_minor(
-    monkeypatch, k, n, classical, fallback
-):
-    # one level of the condensation divides by g(m)^k for m = n-k+2..n+k-2,
-    # and g(0) = 0 for g = fib and g = qfib
-    calls = []
-    bareiss = harness._power_det_bareiss
-
-    def spy(*args):
-        calls.append(args)
-        return bareiss(*args)
-
-    monkeypatch.setattr(harness, "_power_det_bareiss", spy)
-    det = harness._power_det_condensed(n, k, classical=classical)
-    assert calls == ([(n, k, 1, classical)] if fallback else [])
-    assert harness._power_det(n, k, classical=classical) == det
+def test_power_det_falls_back_to_bareiss_on_a_zero_central_minor(k, n, classical, zero_inside):
+    # the entries off the matrix's border are g(m)^k for m = n-k+2..n+k-2,
+    # and g(0) = 0 for g = fib and g = qfib: with zero_inside, a central
+    # minor vanishes, where Desnanot-Jacobi condensation would divide by
+    # zero; the factorization holds there too
+    assert zero_inside == (n - k + 2 <= 0 <= n + k - 2)
 
     def entry(i, j):
         return fib(n + i - j) ** k if classical else qfib(n + i - j, shift=j) ** k
 
     explicit = PolyMatrix([[entry(i, j) for j in range(k + 1)] for i in range(k + 1)])
-    assert det == explicit.det_cofactor()
+    assert harness._power_det(n, k, classical=classical) == explicit.det_cofactor()
 
 
 def test_det_table_rows_equal_condensation():
-    # det_table's rows by the oracle, _power_det_condensed; the 230-cell
+    # det_table's rows by the oracle, _power_det_bareiss; the 230-cell
     # comparison below stops at k = 4 (k = 5, 6 on the default engine only,
-    # where their condensation takes about 3 s)
+    # where Bareiss takes about 4 s on them)
     top = 6 if poly._FAST else 4
-    rows = [harness._power_det_condensed(k, k) for k in range(1, top + 1)]
+    rows = [harness._power_det_bareiss(k, k, 1, False) for k in range(1, top + 1)]
     assert rows == list(det_table(top).values())
 
 
 def test_no_production_entry_point_reaches_the_oracle(monkeypatch, capsys):
-    """Nothing in src/ calls condensation or its Bareiss fallback: the whole
+    """Nothing in src/ calls the oracle, _power_det_bareiss: the whole
     catalog on one worker, det_table(8) and the det-table command compute
     every power determinant from its factorization."""
     from qfib.cli import main
 
     calls = []
-    for name in ("_power_det_condensed", "_condense_step", "_power_det_bareiss"):
-        monkeypatch.setattr(harness, name, lambda *args, name=name: calls.append(name))
+    monkeypatch.setattr(harness, "_power_det_bareiss", lambda *args: calls.append(args))
     report = sweep(list(CATALOG), workers=1)
     assert report.cells and all(c.status == "pass" for c in report.cells)
     assert len(det_table(8)) == 8
@@ -271,7 +260,7 @@ def test_the_dict_engine_never_calls_the_kernel():
         "from qfib import harness\n"
         "calls = []\n"
         "harness._sum_products = lambda *args: calls.append(args)\n"
-        "harness._power_det_condensed(4, 4)\n"
+        "harness._power_det_bareiss(4, 4, 1, False)\n"
         "harness.sweep(['conj2', 'conj2_k2'], overrides={'n': (6, 7)})\n"
         "print(harness._FAST, len(calls))\n"
     )
@@ -283,7 +272,7 @@ def test_the_dict_engine_never_calls_the_kernel():
 
 
 # q and classical, k 1..4, ell 1..3, n -3..6, without the q cells at
-# k = 4, ell = 3, whose condensation takes seconds each.  The dict engine
+# k = 4, ell = 3, whose Bareiss takes seconds each.  The dict engine
 # (QFIB_NO_FAST=1) keeps only the cells with k * ell * (|n| + k) <= 36 at q,
 # as test_properties' _cheap does, so that its Tier-1 time does not grow.
 _ORACLE_CELLS = [
@@ -299,7 +288,7 @@ _ORACLE_CELLS = [
 def test_factored_power_determinants_equal_condensation():
     assert len(_ORACLE_CELLS) == (230 if poly._FAST else 208)
     for cell in _ORACLE_CELLS:
-        assert harness._power_det(*cell) == harness._power_det_condensed(*cell), cell
+        assert harness._power_det(*cell) == harness._power_det_bareiss(*cell), cell
 
 
 _P = (1 << 61) - 1
@@ -373,11 +362,10 @@ def test_power_determinants_match_the_explicit_matrix_mod_p(n, k, ell, classical
 
 
 # ------------------------------------------------------- no forked levels
-# Condensation levels used to be split with a forked child.  No level forks
-# now: _power_det multiplies minors and its oracle, _power_det_condensed,
-# runs each level's steps serially in window order.  These checks keep the
-# determinants in the calling process, where perfbench's spans can see
-# them, and keep the oracle's failures deterministic.
+# No power determinant forks a process: _power_det multiplies minors and
+# its oracle, _power_det_bareiss, eliminates serially.  These checks keep
+# the determinants in the calling process, where perfbench's spans can see
+# them.
 
 
 def _spy_fork(monkeypatch, log=None):
@@ -398,53 +386,11 @@ def _spy_fork(monkeypatch, log=None):
     return calls
 
 
-@pytest.mark.parametrize(
-    "fails",
-    [
-        {},
-        {0: poly.NotDivisible},
-        {1: OverflowError},
-        {4: poly.NotDivisible},
-        {1: OverflowError, 2: poly.NotDivisible},
-        {0: poly.NotDivisible, 1: OverflowError},
-        {3: OverflowError, 4: poly.NotDivisible},
-    ],
-)
-def test_a_forked_level_raises_the_first_failure_in_window_order(monkeypatch, fails):
-    # the oracle's first level at n = 4, k = 3 has five steps, step i
-    # centred on qfib(2 + i)^3; step i raises fails[i], and no step after
-    # the first failure in window order runs
-    want = harness._power_det_condensed(4, 3)
-    real = harness._condense_step
-    centres = [qfib(m) ** 3 for m in range(2, 7)]
-    ran = []
-
-    def step(c, a, b, d, twist):
-        if d is None:  # a step of the first level
-            i = centres.index(c)
-            ran.append(i)
-            if i in fails:
-                raise fails[i](f"step {i}")
-        return real(c, a, b, d, twist)
-
-    monkeypatch.setattr(harness, "_condense_step", step)
-    forks = _spy_fork(monkeypatch)
-    if not fails:
-        assert harness._power_det_condensed(4, 3) == want
-        assert ran == list(range(5))
-    else:
-        first = min(fails)
-        with pytest.raises(fails[first], match=f"step {first}"):
-            harness._power_det_condensed(4, 3)
-        assert ran == list(range(first + 1))
-    assert forks == []
-
-
 @pytest.mark.parametrize("case", ["dict engine", "one core", "second thread"])
 def test_no_level_is_forked_where_a_second_process_cannot_help(monkeypatch, case):
     import threading
 
-    want = harness._power_det_condensed(4, 4)
+    want = harness._power_det_bareiss(4, 4, 1, False)
     forks = _spy_fork(monkeypatch)
     if case == "dict engine":  # what QFIB_NO_FAST=1 sets at import
         monkeypatch.setattr(harness, "_FAST", False)
@@ -456,7 +402,7 @@ def test_no_level_is_forked_where_a_second_process_cannot_help(monkeypatch, case
         thread.start()
     try:
         assert harness._power_det(4, 4) == want
-        assert harness._power_det_condensed(4, 4) == want
+        assert harness._power_det_bareiss(4, 4, 1, False) == want
     finally:
         done.set()
     assert forks == []

@@ -3,8 +3,8 @@ polynomials, the two facts that let gf_limit truncate once, at the end, the
 packed product of s-lines against the plain product, exact division of
 Laurent polynomials on each kernel, the exponent ranges that each product
 and quotient path stores on its result, Bareiss against cofactor expansion
-on Laurent entries, the condensation oracle of the power determinants
-against Bareiss, and the sum-of-products kernel against the dict sum at the
+on Laurent entries, the power determinants against their oracle, Bareiss
+on the explicit matrix, and the sum-of-products kernel against the dict sum at the
 limb boundaries.  Products and s -> q^m s are checked exactly at the
 exponent guard _VAR_GUARD and one step past it; a plain test beside them
 pins the guard of exact division.
@@ -20,8 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfib import harness, poly
-from qfib.harness import _power_det, _power_det_condensed
+from qfib import poly
+from qfib.harness import _power_det, _power_det_bareiss
 from qfib.matrices import PolyMatrix
 from qfib.poly import (
     _PACKED_PAIRS,
@@ -39,7 +39,7 @@ from qfib.poly import (
     monomial,
     parse,
 )
-from qfib.sequences import fib, qfib, truncate
+from qfib.sequences import qfib, truncate
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -117,8 +117,11 @@ def _s_line_poly(rng, slope, lead):
 def test_packed_product_matches_the_plain_product(rng):
     slope = (rng.randint(-2, 2), rng.randint(-1, 1))
     a, b = (_s_line_poly(rng, slope, (rng.randint(-3, 3), rng.randint(-3, 3))) for _ in "ab")
-    assert _mul_packed(a, b) == _mul_naive(a._t, b._t)
-    assert _mul_packed(a, a) == _mul_naive(a._t, a._t)
+    for x, y in ((a, b), (a, a)):
+        got = _mul_packed(x, y)
+        assert got == _mul_naive(x._t, y._t)
+        # the cached block list is the one _block_map reads off the terms
+        assert got._blocks == _block_map(Poly._raw(dict(got._t)))
 
 
 _LOWS = [e for e in range(-6, 7) if e]
@@ -342,45 +345,10 @@ power_det_cells = st.tuples(
 ).filter(_cheap)
 
 
-def _bareiss_power_det(n, k, ell, classical):
-    """The power determinant of _power_det by Bareiss on the explicit matrix."""
-
-    def entry(i, j):
-        m = ell * (n + i - j)
-        return fib(m) ** k if classical else qfib(m, shift=ell * j) ** k
-
-    return PolyMatrix([[entry(i, j) for j in range(k + 1)] for i in range(k + 1)]).det()
-
-
 @_SETTINGS
 @given(power_det_cells)
 def test_condensation_matches_bareiss_on_the_explicit_matrix(cell):
-    want = _bareiss_power_det(*cell)
-    assert _power_det_condensed(*cell) == want
-    assert _power_det(*cell) == want
-
-
-@settings(_SETTINGS, max_examples=20)
-@given(st.randoms(use_true_random=False), st.integers(-3, 3))
-def test_condense_step_raises_not_divisible_on_a_numerator_that_does_not_divide(rng, twist):
-    """On signed Laurent s-lines with c = d*w and a = d*u (d not a
-    monomial), the step's numerator c sigma(c) - sigma(a + 1) b with
-    b = sigma(d) v + 1 is -1 modulo sigma(d), which therefore does not
-    divide it: the oracle's step raises NotDivisible rather than return a
-    quotient."""
-    slope = (rng.randint(-2, 2), rng.randint(-1, 1))
-    lead = (rng.randint(-3, 3), rng.randint(-3, 3))
-
-    def line():
-        return _s_line_poly(rng, slope, lead)
-
-    d = line()
-    while len(d) < 2:
-        d = line()
-    c, a = d * line(), d * line()
-    b = d.subst_s_scale(twist) * _s_line_poly(rng, (0, 0), (0, 0)) + 1
-    with pytest.raises(NotDivisible):
-        harness._condense_step(c, a + 1, b, d, twist)
+    assert _power_det(*cell) == _power_det_bareiss(*cell)
 
 
 # the balanced digits' bounds at limb widths 8, 16, 24 and 64, one off too

@@ -5,11 +5,10 @@ from math import comb
 import pytest
 
 from qfib.cli import _series_text
-from qfib.poly import _FAST, ONE, Poly, Q, S, X, ZERO, _block_map, monomial, parse
+from qfib.poly import _FAST, ONE, Poly, Q, S, X, ZERO, _block_map, _limb, monomial, parse
 from qfib.sequences import (
     SeqCache,
     _extend,
-    _limb_width,
     _Packed,
     fib,
     gf_truncated,
@@ -203,9 +202,9 @@ def test_forward_fill_at_the_limb_bound(bits, sign):
     memo = {0: ZERO, 1: Poly(c)}
     assert _extend(memo, 2, 1) == c * X
     if _FAST:
-        assert _widths(memo) == {_limb_width(abs(c))}
+        assert _widths(memo) == {_limb(abs(c))}
         if bits % 8 == 7:
-            assert abs(c) == (1 << (_limb_width(abs(c)) - 1)) - 1
+            assert abs(c) == (1 << (_limb(abs(c)) - 1)) - 1
     # a second fill packs the seed at 2 wider
     assert _extend(memo, 9, 1) == c * qfib(9)
     for n in range(3, 9):
@@ -237,7 +236,7 @@ def test_forward_fill_signed_seeds(seeds):
 def test_limb_width_is_least_balanced():
     for b in range(0, 200):
         for bound in {(1 << b) - 1, 1 << b}:
-            L = _limb_width(bound)
+            L = _limb(bound)
             assert L % 8 == 0 and bound < 1 << (L - 1)
             assert L == 8 or bound >= 1 << (L - 9)
 
