@@ -1,8 +1,11 @@
 """Command-line front end: eval | coeff | verify | tables.
 
-Exit codes: 0 all pass, 1 verification failure, 2 usage error, 3 budget
-exceeded (a desk-scale bound, or an exponent that arithmetic pushed past the
-supported range), 4 internal error (an exact division that left a remainder).
+Exit codes: 0 all pass, 1 verification failure (a failed cell, or a table
+that disagrees with its golden file or finds it missing or malformed), 2 usage
+error (an --out path that cannot be opened is one), 3 budget exceeded (a
+desk-scale bound, or an exponent that arithmetic pushed past the supported
+range), 4 internal error (an exact division that left a remainder), 141
+standard output closed early.
 Ranges are inclusive "a..b" (a single "a" works too); negative bounds must
 be attached with '=', e.g. --n=-2..6.  Polynomial output uses
 the canonical grammar, bit-exact, so reports are stable regression inputs.
@@ -37,6 +40,13 @@ HOGGATT_MAX_N = 6
 
 class _UsageError(Exception):
     pass
+
+
+class _OverBudget(Exception):
+    """A table request past its desk-scale bound (exit 3)."""
+
+    def __init__(self, what: str, bound: str):
+        super().__init__(f"{what} exceeds the desk-scale budget ({bound})")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -97,7 +107,11 @@ class _StdoutClosed(Exception):
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
+        try:
+            fh = open(out, "w")
+        except OSError as exc:
+            raise _UsageError(f"cannot open --out {out!r}: {exc.strerror}") from None
+        with fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         try:
@@ -223,12 +237,6 @@ def _cmd_coeff(args) -> int:
 # ----------------------------------------------------------------- verify
 
 
-def _clip(spec: tuple[int, int], cap: int | None) -> tuple[int, int]:
-    if cap is None:
-        return spec
-    return (spec[0], min(spec[1], cap))
-
-
 def _report_text(report: harness.VerificationReport) -> str:
     lines = []
     for cell in report.cells:
@@ -262,19 +270,14 @@ def run_verify(args) -> tuple[harness.VerificationReport, str]:
     for id in ids:
         if id not in harness.CATALOG:
             raise _UsageError(f"unknown identity {id!r}")
+    caps = {"k": args.max_k, "ell": args.max_ell}
     overrides = []
     for id in ids:
-        entry = harness.CATALOG[id]
         over = {}
-        for p in entry.params:
-            spec = entry.grid_spec[p]
-            if p in ranges:
-                spec = ranges[p]
-            if p == "k":
-                spec = _clip(spec, args.max_k)
-            elif p == "ell":
-                spec = _clip(spec, args.max_ell)
-            over[p] = spec
+        for p, spec in harness.CATALOG[id].grid_spec.items():
+            lo, hi = ranges.get(p, spec)
+            cap = caps.get(p)
+            over[p] = (lo, hi if cap is None else min(hi, cap))
         overrides.append(over)
     report = harness.sweep(ids, overrides=overrides, fit=args.fit, workers=args.jobs)
     if not report.cells:  # a run that checks nothing must not pass
@@ -306,6 +309,31 @@ def _golden_lines(name: str) -> list[str] | None:
     return [line for line in text.splitlines() if line.strip()]
 
 
+def _golden_mismatches(table: str, name: str, label: str, rows: dict) -> list[str]:
+    """The golden check of a table: rows maps the leading tab-separated
+    fields of a golden line (a tuple of strings) to the text the line must
+    hold, and label formats those fields into the row's name.  A missing
+    file, and a line with too few fields, are mismatches too."""
+    golden = _golden_lines(name)
+    if golden is None:
+        return [f"{table}: golden file {name} missing"]
+    width = len(next(iter(rows)))
+    want, out = {}, []
+    for line in golden:
+        fields = line.split("\t", width)
+        if len(fields) > width:
+            want[tuple(fields[:width])] = fields[width]
+        elif not out:
+            out.append(f"{table}: golden file {name} has a malformed line")
+    for key, text in rows.items():
+        exp = want.get(key)
+        if exp is None:
+            out.append(f"{table} {label.format(*key)}: golden row missing")
+        elif exp != text:
+            out.append(f"{table} {label.format(*key)}: golden mismatch")
+    return out
+
+
 def _cmd_tables(args) -> int:
     kind = args.kind
     given = {
@@ -323,74 +351,39 @@ def _cmd_tables(args) -> int:
         if max_k > DET_TABLE_SLOW_MAX_K or (
             max_k > DET_TABLE_DEFAULT_MAX_K and not args.allow_slow
         ):
-            print(
-                f"det-table max-k {max_k} exceeds the desk-scale budget"
-                f" (k <= {DET_TABLE_DEFAULT_MAX_K}, k = 5 with --allow-slow)",
-                file=sys.stderr,
+            raise _OverBudget(
+                f"det-table max-k {max_k}",
+                f"k <= {DET_TABLE_DEFAULT_MAX_K}, k = {DET_TABLE_SLOW_MAX_K} with --allow-slow",
             )
-            return EXIT_OVER_BUDGET
-        table = harness.det_table(max_k)
-        rows = {str(k): table[k].to_canonical_string() for k in table}
-        lines = [rows[str(k)] for k in range(1, max_k + 1)]
-        golden = _golden_lines("det_table.txt")
-        if golden is None:
-            mismatches.append("det-table: golden file det_table.txt missing")
-        else:
-            want = dict(line.split("\t", 1) for line in golden)
-            for k in range(1, max_k + 1):
-                exp = want.get(str(k))
-                if exp is None:
-                    mismatches.append(f"det-table k={k}: golden row missing")
-                elif exp != rows[str(k)]:
-                    mismatches.append(f"det-table k={k}: golden mismatch")
+        rows = {(str(k),): p.to_canonical_string() for k, p in harness.det_table(max_k).items()}
+        lines = list(rows.values())
+        mismatches = _golden_mismatches("det-table", "det_table.txt", "k={}", rows)
     elif kind == "fibonomial-triangle":
         rows_n = 5 if args.rows is None else args.rows
         if rows_n < 0:
             raise _UsageError(f"triangle rows must be >= 0, got {rows_n}")
         if rows_n > TRIANGLE_MAX_ROWS:
-            print(
-                f"triangle rows {rows_n} exceeds the desk-scale budget"
-                f" (rows <= {TRIANGLE_MAX_ROWS})",
-                file=sys.stderr,
-            )
-            return EXIT_OVER_BUDGET
+            raise _OverBudget(f"triangle rows {rows_n}", f"rows <= {TRIANGLE_MAX_ROWS}")
         at = _parse_at(args.at) if args.at else None
-        symbolic = {}
+        rows = {}
         for n in range(rows_n + 1):
             entries = [qcomb.fibonomial(n, k) for k in range(n + 1)]
             if at:
                 lines.append(" ".join(_fraction_str(e.evaluate(**at)) for e in entries))
             else:
                 row = [e.to_canonical_string() for e in entries]
-                symbolic[n] = row
+                rows.update(((str(n), str(k)), text) for k, text in enumerate(row))
                 lines.append(" | ".join(row))
         if not at:
-            golden = _golden_lines("fibonomial_triangle.txt")
-            if golden is None:
-                mismatches.append("triangle: golden file fibonomial_triangle.txt missing")
-            else:
-                want: dict[tuple[int, int], str] = {}
-                for line in golden:
-                    n, k, text = line.split("\t", 2)
-                    want[(int(n), int(k))] = text
-                for n, row in symbolic.items():
-                    for k, text in enumerate(row):
-                        exp = want.get((n, k))
-                        if exp is None:
-                            mismatches.append(f"triangle ({n},{k}): golden row missing")
-                        elif exp != text:
-                            mismatches.append(f"triangle ({n},{k}): golden mismatch")
+            mismatches = _golden_mismatches(
+                "triangle", "fibonomial_triangle.txt", "({},{})", rows
+            )
     elif kind == "hoggatt-charpoly":
         n = args.n
         if n is None:
             raise _UsageError("tables hoggatt-charpoly needs n")
         if n > HOGGATT_MAX_N:
-            print(
-                f"hoggatt-charpoly n {n} exceeds the desk-scale budget"
-                f" (n <= {HOGGATT_MAX_N})",
-                file=sys.stderr,
-            )
-            return EXIT_OVER_BUDGET
+            raise _OverBudget(f"hoggatt-charpoly n {n}", f"n <= {HOGGATT_MAX_N}")
         lines = [hoggatt(n).charpoly().to_canonical_string()]
     else:  # pragma: no cover
         raise _UsageError(f"unknown table kind {kind!r}")
@@ -491,6 +484,9 @@ def main(argv=None) -> int:
     except NotDivisible as exc:  # a broken exact division is a bug, not a usage error
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except _OverBudget as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_OVER_BUDGET
     except OverflowError as exc:  # valid input whose arithmetic outgrows the exponent fields
         print(
             f"error: {exc} (|exponent| <= {_VAR_GUARD} per variable)",

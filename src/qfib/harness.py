@@ -1,12 +1,13 @@
 """Identity catalog and verification harness.
 
 Every identity or conjecture is registered as an IdentityEntry whose
-builder maps concrete parameters to a single exact residual; a zero
-residual certifies that instance.  Identities stated with polynomial-ratio
-coefficients are cleared first: each summand is multiplied by the product
-of the *other* denominators, and the common numerator is multiplied back in
-only when the sum is nonzero (when the sum vanishes the product does too,
-so the returned residual is the fully cleared form either way).
+parameters are the keys of its default grid and whose builder maps concrete
+parameters to a single exact residual; a zero residual certifies that
+instance.  Identities stated with polynomial-ratio coefficients are cleared
+first: each summand is multiplied by the product of the *other*
+denominators, and the common numerator is multiplied back in only when the
+sum is nonzero (when the sum vanishes the product does too, so the
+returned residual is the fully cleared form either way).
 
 The power recurrences (conj2 and its bindings, conj2_k2) keep their
 n-free parts per parameter set: the common numerator and each term's
@@ -15,12 +16,13 @@ per (k, ell) and memoized, so each cell of a sweep over n builds only its
 tails f(ell(n-j), q^(ell j) s)^k.
 
 Two-sided identities (the determinant families and Euler-Cassini) are
-registered by their sides alone, e.g. (determinant side, closed-form side);
-their residual is lhs - rhs.  A sweep builds the two sides once per cell and,
-when the residual is nonzero, hands the same pair to the monomial fitter,
-which recovers a correction factor when a closed form's prefactor is in
-doubt; entries flagged fit_default attempt the fit even when the sweep
-does not ask for fitting.
+registered by their sides alone, e.g. (determinant side, closed-form side),
+with no builder; their residual is lhs - rhs, formed in _evaluate for
+residual() and sweeps alike.  A sweep builds the two sides once per cell
+and, when the residual is nonzero, hands the same pair to the monomial
+fitter, which recovers a correction factor when a closed form's prefactor
+is in doubt; entries flagged fit_default attempt the fit even when the
+sweep does not ask for fitting.
 
 All power determinants det(f(ell(n+i-j), q^(ell j) s)^k), q-analogue and
 classical, share _power_det, which builds them from their factorization
@@ -270,9 +272,12 @@ def _gen_cassini_sides(N: int, m: int, ell: int) -> tuple[Poly, Poly]:
     return det, closed
 
 
-def gf_limit(k: int, s_order: int = 8, q_order: int = 12) -> Poly:
+_GF_BOX = (8, 12)  # gf_limit's (s, q) truncation orders
+
+
+def gf_limit(k: int) -> Poly:
     """Limit form of the q-Euler-Cassini identity for the x = 1 generating
-    function F(s), checked modulo (s^s_order, q^q_order).
+    function F(s), checked modulo (s^8, q^12).
 
     One truncation at the end is exact: for k >= 1 every factor has
     nonnegative s and q exponents, so a term of a product inside the box
@@ -280,13 +285,12 @@ def gf_limit(k: int, s_order: int = 8, q_order: int = 12) -> Poly:
     j >= 0 only raises q exponents, so it moves no term into the box."""
     if k < 1:
         raise BadParams("gf_limit needs k >= 1")
-    F = gf_truncated(s_order, q_order)
+    F = gf_truncated(*_GF_BOX)
     return truncate(
         F * qfib(k - 1, shift=1).subst_x_one()
         - F.subst_s_scale(1) * qfib(k).subst_x_one()
         - F.subst_s_scale(k) * monomial(_sign(k), es=k - 1, eq=k * (k - 1) // 2),
-        s_order,
-        q_order,
+        *_GF_BOX,
     )
 
 
@@ -521,21 +525,29 @@ def fit_monomial_correction(lhs: Poly, rhs: Poly) -> MonomialCorrection:
 
 @dataclass(frozen=True)
 class IdentityEntry:
+    """One identity: its parameters are the keys of grid_spec, in order,
+    each mapped to its default inclusive (lo, hi) range.  A one-sided
+    identity registers builder, its residual; a two-sided one registers
+    sides alone, (lhs, rhs), and its residual is lhs - rhs."""
+
     id: str
-    params: tuple[str, ...]
-    builder: Callable  # residual; derived as lhs - rhs when sides is set
     grid_spec: dict
-    valid: Callable | None = None
+    builder: Callable | None = None
     sides: Callable | None = None
+    valid: Callable | None = None
     fit_default: bool = False
     summary: str = ""
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        return tuple(self.grid_spec)
 
     def cells(self, overrides: dict | None = None) -> list[dict]:
         """Parameter grid as a deterministic list of param dicts."""
         overrides = overrides or {}
         axes = []
-        for p in self.params:
-            lo, hi = overrides.get(p, self.grid_spec[p])
+        for p, spec in self.grid_spec.items():
+            lo, hi = overrides.get(p, spec)
             axes.append([(p, v) for v in range(lo, hi + 1)])
         cells = [{}]
         for axis in axes:
@@ -545,174 +557,137 @@ class IdentityEntry:
         return cells
 
 
-def _residual_of(sides):
-    """The residual builder lhs - rhs of a two-sided identity."""
-
-    def builder(**params):
-        lhs, rhs = sides(**params)
-        return lhs - rhs
-
-    return builder
-
-
-def _entry(id, params, grid, builder=None, valid=None, sides=None, fit_default=False, summary=""):
-    if builder is None:
-        builder = _residual_of(sides)
-    return IdentityEntry(id, params, builder, grid, valid, sides, fit_default, summary)
-
-
 CATALOG: dict[str, IdentityEntry] = {
     e.id: e
     for e in [
-        _entry(
+        IdentityEntry(
             "power_rec_classical",
-            ("k", "n"),
             {"k": (1, 4), "n": (3, 12)},
             builder=power_rec_classical,
             valid=lambda k, n: n >= k + 2,
             summary="power recurrence for F(n)^k",
         ),
-        _entry(
+        IdentityEntry(
             "squares_classical",
-            ("n",),
             {"n": (3, 30)},
             builder=squares_classical,
             summary="Fibonacci squares recurrence at x=s=1",
         ),
-        _entry(
+        IdentityEntry(
             "conj1_f",
-            ("k", "n"),
             {"k": (2, 3), "n": (-3, 8)},
             builder=conj1_f,
             summary="q power recurrence, shifted arguments",
         ),
-        _entry(
+        IdentityEntry(
             "conj1_fibo",
-            ("k", "n"),
             {"k": (2, 3), "n": (-3, 8)},
             builder=conj1_fibo,
             summary="q power recurrence, plain arguments (transform image)",
         ),
-        _entry(
+        IdentityEntry(
             "euler_cassini",
-            ("k", "n"),
             {"k": (1, 6), "n": (-4, 8)},
             sides=_euler_cassini_sides,
             summary="q-Euler-Cassini two-product identity",
         ),
-        _entry(
+        IdentityEntry(
             "basis_decomp",
-            ("k", "n"),
             {"k": (1, 6), "n": (-4, 8)},
             builder=basis_decomp,
             summary="f(n-k, q^k s) in the f(n), f(n-1, qs) basis",
         ),
-        _entry(
+        IdentityEntry(
             "conj2",
-            ("k", "ell", "n"),
             {"k": (1, 2), "ell": (1, 3), "n": (3, 7)},
             builder=conj2,
             summary="stride-ell q power recurrence",
         ),
-        _entry(
+        IdentityEntry(
             "threeterm_ell",
-            ("ell", "n"),
             {"ell": (1, 4), "n": (3, 8)},
             builder=threeterm_ell,
             summary="three-term recurrence for f(ell n)",
         ),
-        _entry(
+        IdentityEntry(
             "threeterm_classical",
-            ("ell", "n"),
             {"ell": (1, 4), "n": (3, 8)},
             builder=threeterm_classical,
             summary="classical three-term recurrence for F(ell n)",
         ),
-        _entry(
+        IdentityEntry(
             "gen_cassini",
-            ("N", "ell", "m"),
             {"N": (-3, 6), "ell": (1, 3), "m": (0, 3)},
             sides=_gen_cassini_sides,
             summary="generalized strided Cassini determinant",
         ),
-        _entry(
+        IdentityEntry(
             "gf_limit",
-            ("k",),
             {"k": (1, 4)},
             builder=gf_limit,
             summary="limit Euler-Cassini identity for F(s) mod (s^8, q^12)",
         ),
-        _entry(
+        IdentityEntry(
             "conj2_k2",
-            ("ell", "n"),
             {"ell": (1, 3), "n": (4, 7)},
             builder=conj2_k2,
             summary="k=2 case of the stride-ell power recurrence",
         ),
-        _entry(
+        IdentityEntry(
             "cassini_classical",
-            ("n",),
             {"n": (1, 10)},
             sides=_cassini_classical_sides,
             summary="Cassini determinant with s generalization",
         ),
-        _entry(
+        IdentityEntry(
             "det_power_classical",
-            ("k", "n"),
             {"k": (1, 2), "n": (1, 6)},
             valid=lambda k, n: n >= k,
             sides=_det_power_classical_sides,
             summary="classical power determinant closed form",
         ),
-        _entry(
+        IdentityEntry(
             "q_cassini",
-            ("n",),
             {"n": (1, 12)},
             sides=_q_cassini_sides,
             summary="q-Cassini determinant",
         ),
-        _entry(
+        IdentityEntry(
             "det_sq_q",
-            ("n",),
             {"n": (2, 8)},
             sides=_det_sq_q_sides,
             summary="3x3 squared q determinant closed form",
         ),
-        _entry(
+        IdentityEntry(
             "conj3",
-            ("k", "n"),
             {"k": (1, 2), "n": (1, 6)},
             valid=lambda k, n: n >= k,
             sides=_conj3_sides,
             fit_default=True,
             summary="shifted power determinant closed form",
         ),
-        _entry(
+        IdentityEntry(
             "conj4",
-            ("ell", "k", "n"),
             {"ell": (1, 2), "k": (1, 2), "n": (1, 5)},
             valid=lambda ell, k, n: n >= k,
             sides=_conj4_sides,
             fit_default=True,
             summary="stride-ell shifted power determinant closed form",
         ),
-        _entry(
+        IdentityEntry(
             "conj4_k1",
-            ("ell", "n"),
             {"ell": (1, 3), "n": (1, 6)},
             sides=_conj4_k1_sides,
             summary="stride-ell determinant, k=1 case",
         ),
-        _entry(
+        IdentityEntry(
             "conj4_k2",
-            ("ell", "n"),
             {"ell": (1, 2), "n": (2, 5)},
             sides=_conj4_k2_sides,
             summary="stride-ell determinant, k=2 case",
         ),
-        _entry(
+        IdentityEntry(
             "det_classical_ell",
-            ("ell", "k", "n"),
             {"ell": (1, 2), "k": (1, 2), "n": (1, 5)},
             valid=lambda ell, k, n: n >= k,
             sides=_det_classical_ell_sides,
@@ -731,12 +706,21 @@ def _check_params(entry: IdentityEntry, params: dict) -> None:
         )
 
 
+def _evaluate(entry: IdentityEntry, params: dict) -> tuple[Poly, tuple | None]:
+    """The residual of one cell, with the (lhs, rhs) pair it came from when
+    the entry is two-sided."""
+    if entry.sides is None:
+        return entry.builder(**params), None
+    pair = entry.sides(**params)
+    return pair[0] - pair[1], pair
+
+
 def residual(id: str, **params):
     entry = CATALOG.get(id)
     if entry is None:
         raise BadParams(f"unknown identity {id!r}")
     _check_params(entry, params)
-    return entry.builder(**params)
+    return _evaluate(entry, params)[0]
 
 
 def sides(id: str, **params):
@@ -828,13 +812,8 @@ def _run_cell(task) -> CellResult:
     id, params, fit = task
     entry = CATALOG[id]
     start = time.perf_counter()
-    pair = None
     try:
-        if entry.sides is None:
-            value = entry.builder(**params)
-        else:
-            pair = entry.sides(**params)
-            value = pair[0] - pair[1]
+        value, pair = _evaluate(entry, params)
         ok = value.is_zero()
     except Exception as exc:  # failures are report content, not exceptions
         ms = (time.perf_counter() - start) * 1000.0

@@ -769,21 +769,6 @@ def _from_acc(acc: dict, L: int) -> Poly:
     return _from_blocks(bl)
 
 
-def _block_ranges(p: Poly) -> tuple | None:
-    """p's exponent ranges off its cached block list; None without one."""
-    bl = p._blocks
-    if not bl:
-        return ((0, 0),) * 4 if bl == [] else None
-    bases = [base for _, base, _, _ in bl]
-    q = [e for _, _, lo, cs in bl for e in (lo, lo + len(cs) - 1)]
-    return (
-        ((min(bases) >> _SH_EX) - _BIAS, (max(bases) >> _SH_EX) - _BIAS),
-        (bl[0][0], bl[-1][0]),
-        (min(q), max(q)),
-        (min(b & _MASK for b in bases) - _BIAS, max(b & _MASK for b in bases) - _BIAS),
-    )
-
-
 def _pack_coeffs(coeffs: list[int], L: int) -> int:
     """sum(c_i * 2^(L*i)) for |c_i| < 2^L; L must be a multiple of 8.
 
@@ -1149,10 +1134,11 @@ def _sum_products(terms: list) -> Poly | None:
     """sum(a * b for a, b in terms), on packed q-blocks: every product is
     added into one accumulator at a single limb width L, sized from the sum
     of the products' coefficient bounds, and the sum is unpacked once, its
-    block list cached.  Products above _PACKED_PAIRS term pairs add the
-    digits of their _packed_product block by block where it applies, the
-    others their block products.  Each product's exponent guard
-    runs first, so an out-of-range exponent raises the OverflowError of
+    block list cached and its exponent ranges left to the scan of
+    _get_ranges, as the products may cancel.  Products above _PACKED_PAIRS
+    term pairs add the digits of their _packed_product block by block where
+    it applies, the others their block products.  Each product's exponent
+    guard runs first, so an out-of-range exponent raises the OverflowError of
     a * b.  None, for the caller to add the products as Polys, when no
     product exceeds _BLOCKED_PAIRS term pairs, an operand is too q-sparse
     to pack, or the products' q ranges lie too far apart to share blocks."""
@@ -1179,9 +1165,7 @@ def _sum_products(terms: list) -> Poly | None:
         else:
             for base, lo, digits in blocks:
                 _add_at(acc, base, lo, _pack_coeffs(digits, L), L)
-    out = _from_acc(acc, L)
-    out._ranges = _block_ranges(out)
-    return out
+    return _from_acc(acc, L)
 
 
 # ----------------------------------------------------------------- helpers

@@ -505,6 +505,26 @@ def test_tables_triangle_missing_row_is_a_mismatch(capsys, monkeypatch):
     assert out.splitlines()[-1] == "triangle (12,12): golden row missing"
 
 
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (["det-table", "--max-k", "2"], "det-table: golden file det_table.txt"),
+        (["fibonomial-triangle", "--rows", "2"], "triangle: golden file fibonomial_triangle.txt"),
+    ],
+    ids=["det-table", "triangle"],
+)
+def test_tables_malformed_golden_line_is_a_mismatch(capsys, monkeypatch, argv, first):
+    # a line with too few tab-separated fields, beside every real row
+    from qfib import cli
+
+    real = cli._golden_lines
+    monkeypatch.setattr(cli, "_golden_lines", lambda name: ["garbage", *real(name)])
+    code, out, err = run(capsys, "tables", *argv)
+    assert (code, err) == (EXIT_VERIFY_FAIL, "")
+    assert out.splitlines()[-1] == first + " has a malformed line"
+    assert "golden mismatch" not in out and "golden row missing" not in out
+
+
 def _padd(a: dict, b: dict) -> dict:
     out = dict(a)
     for key, c in b.items():
@@ -599,6 +619,19 @@ def test_eval_out_file(tmp_path, capsys):
     code, out, _ = run(capsys, "eval", "qfib", "5", "--out", str(target))
     assert code == EXIT_OK
     assert target.read_text().strip() == "x^4 + q*s*x^2 + q^2*s*x^2 + q^3*s*x^2 + q^4*s^2"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "fib", "3"], ["verify", "q_cassini", "--n", "2"]],
+    ids=["eval", "verify"],
+)
+def test_out_path_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "no_such_dir" / "x.txt"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: cannot open --out {str(target)!r}: No such file or directory\n"
+    assert not target.parent.exists()
 
 
 def test_broken_exact_division_is_an_internal_error(capsys, monkeypatch):

@@ -15,6 +15,7 @@ from qfib.harness import (
     CATALOG,
     BadParams,
     CellResult,
+    IdentityEntry,
     MonomialCorrection,
     NotProportional,
     VerificationReport,
@@ -729,12 +730,20 @@ def test_report_json_roundtrip():
 
 
 def test_catalog_grids_cover_every_entry():
+    import dataclasses
+
+    # an entry's parameters are its grid's keys, stored nowhere else
+    assert "params" not in {f.name for f in dataclasses.fields(IdentityEntry)}
     for id, entry in CATALOG.items():
         cells = entry.cells()
         assert cells, id
         # every default cell must carry exactly the declared parameters
         for cell in cells[:2]:
-            assert tuple(cell) == entry.params
+            assert tuple(cell) == entry.params == tuple(entry.grid_spec)
+        # a two-sided entry registers its sides alone
+        assert (entry.builder is None) == (entry.sides is not None), id
+    lhs, rhs = sides("euler_cassini", k=2, n=3)
+    assert residual("euler_cassini", k=2, n=3) == lhs - rhs
 
 
 def test_gf_limit_residual_is_series_zero():
