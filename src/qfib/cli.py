@@ -1,11 +1,12 @@
 """Command-line front end: eval | coeff | verify | tables.
 
-Exit codes: 0 all pass, 1 verification failure (a failed cell, or a table
-that disagrees with its golden file or finds it missing or malformed), 2 usage
-error (an --out path that cannot be opened is one), 3 budget exceeded (a
-desk-scale bound, or an exponent that arithmetic pushed past the supported
-range), 4 internal error (an exact division that left a remainder), 141
-standard output closed early.
+Exit codes: 0 all pass, 1 verification failure (a failed cell, a table
+that disagrees with its golden file or finds it missing or malformed, or a
+Hoggatt characteristic polynomial that disagrees with its closed form), 2
+usage error (an --out path that cannot be opened is one; verify checks it
+before its sweep), 3 budget exceeded (a desk-scale bound, or an exponent
+that arithmetic pushed past the supported range), 4 internal error (an
+exact division that left a remainder), 141 standard output closed early.
 Ranges are inclusive "a..b" (a single "a" works too); negative bounds must
 be attached with '=', e.g. --n=-2..6.  Polynomial output uses
 the canonical grammar, bit-exact, so reports are stable regression inputs.
@@ -22,7 +23,7 @@ from importlib import resources
 
 from . import harness, qcomb, sequences
 from .matrices import hoggatt
-from .poly import _VAR_GUARD, NotDivisible, Poly
+from .poly import _VAR_GUARD, ZERO, NotDivisible, Poly, monomial
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -105,12 +106,28 @@ class _StdoutClosed(Exception):
     """The reader of standard output went away (a closed pipe)."""
 
 
+def _cannot_open(out: str, exc: OSError) -> _UsageError:
+    return _UsageError(f"cannot open --out {out!r}: {exc.strerror}")
+
+
+def _check_out(out: str) -> None:
+    """Fail as _emit would on an --out path that cannot be opened, before a
+    long run; the path is left as it was, neither truncated nor created."""
+    existed = os.path.exists(out)
+    try:
+        os.close(os.open(out, os.O_WRONLY | os.O_CREAT))
+    except OSError as exc:
+        raise _cannot_open(out, exc) from None
+    if not existed:  # the file made, also where a dangling symlink points
+        os.unlink(os.path.realpath(out))
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         try:
             fh = open(out, "w")
         except OSError as exc:
-            raise _UsageError(f"cannot open --out {out!r}: {exc.strerror}") from None
+            raise _cannot_open(out, exc) from None
         with fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
@@ -279,6 +296,8 @@ def run_verify(args) -> tuple[harness.VerificationReport, str]:
             cap = caps.get(p)
             over[p] = (lo, hi if cap is None else min(hi, cap))
         overrides.append(over)
+    if args.out:
+        _check_out(args.out)
     report = harness.sweep(ids, overrides=overrides, fit=args.fit, workers=args.jobs)
     if not report.cells:  # a run that checks nothing must not pass
         raise _UsageError(f"these ranges select no cell of {', '.join(ids)}")
@@ -334,6 +353,17 @@ def _golden_mismatches(table: str, name: str, label: str, rows: dict) -> list[st
     return out
 
 
+def _hoggatt_closed_form(n: int) -> Poly:
+    """det(zI - hoggatt(n)) in closed form, sum_j (-1)^C(j+1,2) s^C(j,2)
+    <n, j> z^(n-j), from the fibonomials <n, j>: no code shared with
+    hoggatt() or with the determinant."""
+    total = ZERO
+    for j in range(n + 1):
+        sign = -1 if j * (j + 1) // 2 % 2 else 1
+        total = total + monomial(sign, es=j * (j - 1) // 2, ez=n - j) * qcomb.fibonomial(n, j)
+    return total
+
+
 def _cmd_tables(args) -> int:
     kind = args.kind
     given = {
@@ -384,7 +414,10 @@ def _cmd_tables(args) -> int:
             raise _UsageError("tables hoggatt-charpoly needs n")
         if n > HOGGATT_MAX_N:
             raise _OverBudget(f"hoggatt-charpoly n {n}", f"n <= {HOGGATT_MAX_N}")
-        lines = [hoggatt(n).charpoly().to_canonical_string()]
+        charpoly = hoggatt(n).charpoly()
+        lines = [charpoly.to_canonical_string()]
+        if charpoly != _hoggatt_closed_form(n):
+            mismatches = [f"hoggatt-charpoly n={n}: closed form mismatch"]
     else:  # pragma: no cover
         raise _UsageError(f"unknown table kind {kind!r}")
     body = "\n".join(lines)

@@ -46,7 +46,22 @@ ints multiply by Karatsuba only: the packed product wins from a few
 million term pairs on.  Its context traps Inexact and Rounded, so a
 rounding would raise rather than pass silently.  Both kernels size their
 digits from one coefficient bound, the lesser of max|a| max|b| min(#a, #b)
-and the Cauchy-Schwarz bound |a|_2 |b|_2.
+and the Cauchy-Schwarz bound |a|_2 |b|_2.  A product of nonnegative
+operands, as every q-Fibonacci power is, has its coefficients in
+[0, bound] and takes plain digits, bound < 10^D; only a signed operand
+needs balanced ones, |c| <= bound < 10^D / 2, often a digit wider.  The
+product's balanced digits become plain ones by one Decimal addition of
+10^D / 2 at every position, subtracted again from each digit read.
+
+The kernels' input and output run without a Python loop per coefficient:
+coefficients become digit text or limb bytes through map over a format or
+int.to_bytes, digits come back through re.findall and map(int, ...) or
+int.from_bytes, and term dicts are filled by dict.update.  Each coefficient
+still costs one C-level conversion on each crossing and one dict insert.
+Python loops per term remain outside the kernels: the dict engine, sums
+and differences, the scan of a Poly built term by term into its blocks
+(_block_map; products carry theirs) and the lazy scan of its exponent
+ranges.
 
 Exact division works in the Laurent ring.  Least exponents add under
 products, so no term of an exact quotient a / b lies below low(a) - low(b)
@@ -79,7 +94,9 @@ import os
 import re
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
+from itertools import compress, repeat
 from math import isqrt
+from operator import mul, neg, sub
 
 __all__ = [
     "Poly",
@@ -273,7 +290,8 @@ class Poly:
     def _norm2(self) -> int:
         """The squared 2-norm, sum of coeff^2."""
         if self._n2 is None:
-            self._n2 = sum(c * c for c in self._t.values())
+            v = self._t.values()
+            self._n2 = sum(map(mul, v, v))
         return self._n2
 
     # ------------------------------------------------------------ arithmetic
@@ -741,7 +759,7 @@ def _from_blocks(blocks: list) -> Poly:
         width += len(cs)
         first = base + lo * _QSTEP
         keys = range(first, first + len(cs) * _QSTEP, _QSTEP)
-        out.update({key: c for key, c in zip(keys, cs) if c})
+        out.update(compress(zip(keys, cs), cs))
     p = Poly._raw(out)
     p._blocks = blocks if _dense_enough(width, len(out)) else False
     return p
@@ -776,14 +794,14 @@ def _pack_coeffs(coeffs: list[int], L: int) -> int:
     negative parts) and joined by one subtraction, so the cost is linear in
     the block width."""
     nb = L // 8
+
+    def limbs(cs) -> int:
+        raw = b"".join(map(int.to_bytes, cs, repeat(nb), repeat("little")))
+        return int.from_bytes(raw, "little")
+
     if not coeffs or min(coeffs) >= 0:
-        return int.from_bytes(
-            b"".join(c.to_bytes(nb, "little") for c in coeffs), "little"
-        )
-    zero = bytes(nb)
-    pos = b"".join(c.to_bytes(nb, "little") if c > 0 else zero for c in coeffs)
-    neg = b"".join((-c).to_bytes(nb, "little") if c < 0 else zero for c in coeffs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+        return limbs(coeffs)
+    return limbs(map(max, coeffs, repeat(0))) - limbs(map(max, map(neg, coeffs), repeat(0)))
 
 
 def _unpack_signed(acc: int, L: int) -> list[int]:
@@ -792,16 +810,14 @@ def _unpack_signed(acc: int, L: int) -> list[int]:
 
     Adding 2^(L-1) to every digit position turns the balanced digits into
     plain unsigned ones, which one to_bytes call exposes; subtracting the
-    bias from each sliced digit restores them."""
+    bias from each sliced digit restores them.  A limb may hold any byte,
+    newline included, hence re.S."""
     nb = L // 8
     n = acc.bit_length() // L + 2  # n balanced digits cover |acc| < 2^(L*(n-1))
     bias = int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
     raw = (acc + bias).to_bytes(n * nb, "little")
-    half = 1 << (L - 1)
-    digits = [
-        int.from_bytes(raw[i : i + nb], "little") - half
-        for i in range(0, n * nb, nb)
-    ]
+    limbs = map(int.from_bytes, re.findall(b".{%d}" % nb, raw, re.S), repeat("little"))
+    digits = list(map(sub, limbs, repeat(1 << (L - 1))))
     while digits and not digits[-1]:
         digits.pop()
     return digits
@@ -922,18 +938,17 @@ def _dec_pack(line: list, T: int, D: int, signed: bool) -> tuple[Decimal, int]:
     t = 10^D, low the least position and |c| < t.  A signed line is packed
     as two digit strings, its positive and its negated negative part, and
     joined by one subtraction."""
+    if not signed:
+        return _dec_digits(line, T, D, 0)
     value, low = _dec_digits(line, T, D, 1)
-    if signed:
-        value = _EXACT.subtract(value, _dec_digits(line, T, D, -1)[0])
-    return value, low
+    return _EXACT.subtract(value, _dec_digits(line, T, D, -1)[0]), low
 
 
 def _dec_digits(line: list, T: int, D: int, sign: int) -> tuple[Decimal, int]:
     """(sum max(sign*c, 0) * t^(es*T + eq - low), low) from one string of
     D-digit chunks, most significant first; blocks are joined by runs of
-    zeros."""
-    fmt = f"0{D}d"
-    zero = "0" * D
+    zeros.  sign 0 writes the coefficients as they are, all nonnegative."""
+    fmt = f"%0{D}d".__mod__
     runs: list[str] = []
     nxt = None  # the position of the last chunk written
     for es, _, lo, cs in reversed(line):
@@ -941,23 +956,22 @@ def _dec_digits(line: list, T: int, D: int, sign: int) -> tuple[Decimal, int]:
         if nxt is not None:
             runs.append("0" * ((nxt - start - len(cs)) * D))
         nxt = start
-        runs.append(
-            "".join([format(v, fmt) if (v := sign * c) > 0 else zero for c in reversed(cs)])
-        )
+        cs = reversed(cs)
+        if sign:
+            cs = map(max, map(neg, cs) if sign < 0 else cs, repeat(0))
+        runs.append("".join(map(fmt, cs)))
     return Decimal("".join(runs)), nxt
 
 
-def _read_digits(text: str, D: int, p: int, w: int) -> list[int]:
-    """Digits p .. p + w - 1 in base 10^D of the integer written in text,
-    its sign ignored."""
-    first = text[0] == "-"
-    end = len(text) - p * D
-    full = min(w, max(0, (end - first) // D))
-    digits = [int(text[i - D : i]) for i in range(end, end - full * D, -D)]
-    if full < w:  # the top chunk is short; nothing lies above it
-        digits.append(int(text[first : max(first, end - full * D)] or 0))
-        digits += [0] * (w - full - 1)
-    return digits
+def _read_digits(text: str, D: int, p: int, w: int, bias: int) -> list[int]:
+    """Digits p .. p + w - 1 in base 10^D of the nonnegative integer written
+    in text, least significant first, bias subtracted from each."""
+    end = max(len(text) - p * D, 0)
+    chunks = re.findall(f".{{{D}}}", text[max(end - w * D, 0) : end].rjust(w * D, "0"))
+    chunks.reverse()
+    if not bias:
+        return list(map(int, chunks))
+    return list(map(sub, map(int, chunks), repeat(bias)))
 
 
 def _mul_packed(a: Poly, b: Poly) -> Poly | None:
@@ -985,11 +999,18 @@ def _packed_product(la: list, lb: list, bound: int):
     product of Decimals (a square when lb is la).  bound bounds the
     product's coefficients.  None unless the products of blocks with equal
     es sums share a base (so both are s-lines), the digit width D stays
-    within _MAX_DIGITS and the packed product is not mostly gaps."""
-    if 2 * bound >= _DIGITS_CAP:
+    within _MAX_DIGITS and the packed product is not mostly gaps.
+
+    A product of nonnegative operands has plain digits, 0 <= c <= bound <
+    t; otherwise the digits are balanced, |c| <= bound < t / 2."""
+    neg_a = any(min(cs) < 0 for *_, cs in la)
+    neg_b = neg_a if lb is la else any(min(cs) < 0 for *_, cs in lb)
+    signed = neg_a or neg_b
+    if signed:
+        bound *= 2
+    if bound >= _DIGITS_CAP:
         return None
-    # balanced digits: |c| <= bound < t / 2
-    D = len(str(2 * bound))
+    D = len(str(bound))
     blocks: dict[int, list] = {}  # es -> [base, lo, hi] of the product
     for ja, base_a, lo_a, ca in la:
         hi_a = lo_a + len(ca) - 1
@@ -1010,8 +1031,6 @@ def _packed_product(la: list, lb: list, bound: int):
     span = (ranges[-1][0] - ranges[0][0]) * T + ranges[-1][2] - ranges[0][1] + 1
     if span > 4 * sum(hi - lo + 1 for _, lo, hi in ranges) + 4096:
         return None  # the blocks lie too far apart to pack densely
-    neg_a = any(min(cs) < 0 for *_, cs in la)
-    neg_b = neg_a if lb is la else any(min(cs) < 0 for *_, cs in lb)
     # each transient is dropped before the next, larger one is built: the
     # product's digit string is the largest
     A, low = _dec_pack(la, T, D, neg_a)
@@ -1024,27 +1043,19 @@ def _packed_product(la: list, lb: list, bound: int):
         low += low_b
         del B
     del A
+    half = 0
+    if signed:
+        # t/2 added at every position up to the top one turns the balanced
+        # digits into plain ones, each read back less t/2
+        half = 5 * 10 ** (D - 1)
+        top = ranges[-1][0] * T + ranges[-1][2] - low
+        prod = _EXACT.add(prod, Decimal(str(half) * (top + 1)))
     text = str(prod)
     del prod
-    return _packed_digits(text, D, T, low, ranges, blocks, neg_a or neg_b)
-
-
-def _packed_digits(text, D, T, low, ranges, blocks, signed):
-    """Yield (base, lo, digits) for each product block of _packed_product
-    from the product's decimal text."""
-    half = 5 * 10 ** (D - 1)
-    sign = -1 if text[0] == "-" else 1
-    carry = 0
-    for j, lo, hi in ranges:
-        digits = _read_digits(text, D, j * T + lo - low, hi - lo + 1)
-        if signed:
-            # balanced digits of |prod| from the plain ones, least
-            # significant first; the carry crosses each (zero) gap unchanged
-            for i, v in enumerate(digits):
-                v += carry
-                carry = v >= half
-                digits[i] = sign * (v - 2 * half if carry else v)
-        yield blocks[j][0], lo, digits
+    return (
+        (blocks[j][0], lo, _read_digits(text, D, j * T + lo - low, hi - lo + 1, half))
+        for j, lo, hi in ranges
+    )
 
 
 class _RetryDivision(Exception):

@@ -582,10 +582,26 @@ def test_tables_triangle_negative_rows_usage_error(capsys):
 def test_tables_hoggatt_charpoly(capsys):
     code, out, _ = run(capsys, "tables", "hoggatt-charpoly", "2")
     assert (code, out) == (EXIT_OK, "z^2 - x*z - s")
+    for n in range(1, 7):
+        assert run(capsys, "tables", "hoggatt-charpoly", str(n))[0] == EXIT_OK
     code, _, _ = run(capsys, "tables", "hoggatt-charpoly", "7")
     assert code == EXIT_OVER_BUDGET
     code, _, _ = run(capsys, "tables", "hoggatt-charpoly")
     assert code == EXIT_USAGE
+
+
+def test_tables_hoggatt_charpoly_against_its_closed_form(capsys, monkeypatch):
+    from qfib.matrices import PolyMatrix
+
+    # one wrong coefficient of det(zI - H) is a mismatch with the closed form
+    real = PolyMatrix.charpoly
+    monkeypatch.setattr(PolyMatrix, "charpoly", lambda m: real(m) + monomial(1, es=1))
+    code, out, _ = run(capsys, "tables", "hoggatt-charpoly", "3")
+    assert code == EXIT_VERIFY_FAIL
+    assert out.splitlines() == [
+        "z^3 - x^2*z^2 - s*z^2 - s*x^2*z - s^2*z + s + s^3",
+        "hoggatt-charpoly n=3: closed form mismatch",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -632,6 +648,27 @@ def test_out_path_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys, argv)
     assert (code, out) == (EXIT_USAGE, "")
     assert err == f"error: cannot open --out {str(target)!r}: No such file or directory\n"
     assert not target.parent.exists()
+
+
+def test_verify_checks_the_out_path_before_its_sweep(tmp_path, capsys, monkeypatch):
+    cells = []
+    real = harness._run_cell
+    monkeypatch.setattr(harness, "_run_cell", lambda *a, **k: cells.append(a) or real(*a, **k))
+    target = tmp_path / "no_such_dir" / "x.json"
+    code, out, err = run(capsys, "verify", "all", "--out", str(target))
+    assert (code, out, cells) == (EXIT_USAGE, "", [])
+    assert err == f"error: cannot open --out {str(target)!r}: No such file or directory\n"
+    # the check neither creates nor truncates the file when the run fails later
+    fresh, kept, link = tmp_path / "fresh.json", tmp_path / "kept.json", tmp_path / "link"
+    kept.write_text("kept\n")
+    link.symlink_to(tmp_path / "dangling.json")
+    for target in (fresh, kept, link):
+        code, _, err = run(capsys, "verify", "conj3", "--n", "0", "--out", str(target))
+        assert code == EXIT_USAGE
+        assert err == "error: these ranges select no cell of conj3\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json", "link"]
+    assert kept.read_text() == "kept\n"
+    assert cells == []
 
 
 def test_broken_exact_division_is_an_internal_error(capsys, monkeypatch):

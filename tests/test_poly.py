@@ -22,6 +22,7 @@ from qfib.poly import (
     monomial,
     parse,
     _block_map,
+    _from_blocks,
     _div_blocked,
     _div_blocked_at,
     _div_naive,
@@ -29,6 +30,7 @@ from qfib.poly import (
     _mul_bound,
     _mul_naive,
     _mul_packed,
+    _MAX_DIGITS,
     _pack_coeffs,
     _quotient_certified,
     _unpack_signed,
@@ -418,6 +420,21 @@ def test_pack_unpack_roundtrip_at_digit_extremes():
     assert _unpack_signed(0, 16) == []
 
 
+def test_pack_unpack_roundtrip_on_limbs_of_newline_nul_and_ff_bytes():
+    # _unpack_signed reads each biased limb c + 2^(L-1) back as L/8 raw
+    # bytes; a limb holding 0x0A (a newline) must not be dropped
+    for L in (8, 16, 72, 80, 136):
+        nb, half = L // 8, 1 << (L - 1)
+        limbs = [bytes((0x0A, 0x00, 0xFF)[(i + r) % 3] for i in range(nb)) for r in range(3)]
+        limbs += [b"\x0a" * nb, b"\x00" * nb, b"\xff" * nb, b"\x0a" + b"\xff" * (nb - 1)]
+        biased = [int.from_bytes(limb, "little") - half for limb in limbs]
+        plain = [int.from_bytes(limb, "little") >> 1 for limb in limbs]
+        for cs in (biased, plain, [-c for c in plain], biased[::-1] + [0, 1]):
+            packed = _pack_coeffs(cs, L)
+            assert packed == sum(c << (L * i) for i, c in enumerate(cs))
+            assert _unpack_signed(packed, L) == _strip(cs)
+
+
 def test_pack_coeffs_full_limb_magnitudes():
     # the packer accepts |c| < 2^L, wider than the balanced digit range
     for L in (8, 32):
@@ -471,20 +488,67 @@ def test_blocked_mul_at_the_limb_boundary():
                 assert got._blocks == _block_map(Poly._raw(dict(got._t)))
 
 
+def test_blocks_with_interior_zeros():
+    # blocks whose coefficients vanish inside them, as operands and as
+    # products, in either sign: no zero coefficient enters a term dict
+    base = _block_map(X)[0][1]
+    got = _from_blocks([(0, base, -2, [3, 0, 0, -4, 0, 5])])
+    assert got == Poly({(1, 0, -2, 0): 3, (1, 0, 1, 0): -4, (1, 0, 3, 0): 5})
+    assert 0 not in got._t.values()
+    a = (X + S * Q) * (ONE + Q**4 - Q**9)
+    b = (X * Q + S) * (ONE - Q**3 + 2 * Q**11)
+    for x, y in ((a, b), (-a, b), (a, a), (b, b), (a, -b)):
+        want = _mul_naive(x._t, y._t)
+        for got in (_mul_blocked(x, y), _mul_packed(x, y)):
+            assert got == want
+            assert 0 not in got._t.values()
+            assert got._blocks == _block_map(Poly._raw(dict(got._t)))
+
+
 # ------------------------------------------------- packed-engine kernels
 
 
-def test_packed_mul_at_the_digit_boundary():
+def _digit_widths(monkeypatch):
+    """The digit width D of each _packed_product read, as a list."""
+    import qfib.poly as poly
+
+    widths = []
+    real = poly._read_digits
+    monkeypatch.setattr(
+        poly, "_read_digits", lambda text, D, *rest: widths.append(D) or real(text, D, *rest)
+    )
+    return widths
+
+
+def test_packed_mul_at_the_digit_boundary(monkeypatch):
     # a largest coefficient of 5*10^(D-1) - 1 is the top balanced digit of
     # a D-digit chunk; one more needs a digit more
+    widths = _digit_widths(monkeypatch)
     for D in (1, 2, 5, 20, 60):
         half = 5 * 10 ** (D - 1)
-        for norm2 in (half - 1, half):
+        for width, norm2 in ((D, half - 1), (D + 1, half)):
             a, b = _reversal_pair(norm2)
-            for x in (a, -a):
-                got = _mul_packed(x, b)
-                assert got == _mul_naive(x._t, b._t)
+            for x, y in ((-a, b), (a, -b)):
+                widths.clear()
+                got = _mul_packed(x, y)
+                assert got == _mul_naive(x._t, y._t)
                 assert max(abs(c) for _, c in got.terms()) == norm2
+                assert set(widths) == {width}
+
+
+def test_unsigned_packed_mul_at_the_digit_boundary(monkeypatch):
+    # nonnegative operands have a nonnegative product, read in plain
+    # digits: a largest coefficient of 10^D - 1 is the top digit of a
+    # D-digit chunk; one more needs a digit more
+    widths = _digit_widths(monkeypatch)
+    for D in (1, 2, 5, 20, 60):
+        for width, norm2 in ((D, 10**D - 1), (D + 1, 10**D)):
+            a, b = _reversal_pair(norm2)
+            widths.clear()
+            got = _mul_packed(a, b)
+            assert got == _mul_naive(a._t, b._t)
+            assert max(c for _, c in got.terms()) == norm2
+            assert set(widths) == {width}
 
 
 def test_packed_square_at_the_bound():
@@ -511,6 +575,14 @@ def test_packed_mul_at_the_widest_digit():
         assert _mul_packed(a, a) == _mul_naive(a._t, a._t)
         b = a * 2
         assert _mul_packed(b, b) is None
+        # at the exact bound: plain digits to 10^640 - 1, balanced ones to
+        # 5*10^639 - 1
+        top = 10**_MAX_DIGITS
+        for sign, norm2 in ((1, top - 1), (-1, top // 2 - 1)):
+            x, y = _reversal_pair(norm2)
+            assert _mul_packed(sign * x, y) == _mul_naive((sign * x)._t, y._t)
+            x, y = _reversal_pair(norm2 + 1)
+            assert _mul_packed(sign * x, y) is None
     finally:
         if set_limit:
             set_limit(limit)
