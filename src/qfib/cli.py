@@ -364,6 +364,25 @@ def _hoggatt_closed_form(n: int) -> Poly:
     return total
 
 
+def _triangle_by_rule(rows: int, at: dict) -> list[list[Fraction]]:
+    """Rows 0..rows of the fibonomial triangle at the point `at`, by the
+    division-free rule <n, k> = F(k+1) <n-1, k> + s F(n-k-1) <n-1, k-1>,
+    <n, 0> = <n, n> = 1, with F(m) = x F(m-1) + s F(m-2) in Fractions: no
+    code shared with qcomb.fibonomial or Poly.evaluate.  A variable missing
+    from `at` is taken as 0; where the evaluated rows printed, their
+    entries do not depend on it."""
+    x, s = at.get("x", Fraction(0)), at.get("s", Fraction(0))
+    F = [Fraction(0), Fraction(1)]
+    while len(F) <= rows:
+        F.append(x * F[-1] + s * F[-2])
+    out = [[Fraction(1)]]
+    for n in range(1, rows + 1):
+        up = out[-1]
+        inner = [F[k + 1] * up[k] + s * F[n - k - 1] * up[k - 1] for k in range(1, n)]
+        out.append([Fraction(1), *inner, Fraction(1)])
+    return out
+
+
 def _cmd_tables(args) -> int:
     kind = args.kind
     given = {
@@ -396,15 +415,21 @@ def _cmd_tables(args) -> int:
             raise _OverBudget(f"triangle rows {rows_n}", f"rows <= {TRIANGLE_MAX_ROWS}")
         at = _parse_at(args.at) if args.at else None
         rows = {}
+        values = []
         for n in range(rows_n + 1):
             entries = [qcomb.fibonomial(n, k) for k in range(n + 1)]
             if at:
-                lines.append(" ".join(_fraction_str(e.evaluate(**at)) for e in entries))
+                values.append([e.evaluate(**at) for e in entries])
+                lines.append(" ".join(map(_fraction_str, values[-1])))
             else:
                 row = [e.to_canonical_string() for e in entries]
                 rows.update(((str(n), str(k)), text) for k, text in enumerate(row))
                 lines.append(" | ".join(row))
-        if not at:
+        if at:
+            wrong = [n for n, row in enumerate(_triangle_by_rule(rows_n, at)) if row != values[n]]
+            if wrong:
+                mismatches = [f"triangle row {wrong[0]} at {args.at}: recurrence mismatch"]
+        else:
             mismatches = _golden_mismatches(
                 "triangle", "fibonomial_triangle.txt", "({},{})", rows
             )

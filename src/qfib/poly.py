@@ -15,8 +15,10 @@ Each Poly caches its per-variable exponent ranges.  A product or an
 exact quotient carries them from birth: the guard that checks a product's
 (quotient's) exponents computes them as the sum (difference) of the
 operands' ranges, which is exact because the ring has no zero divisors.
-Sums, differences and substitutions scan their keys for them when first
-asked.
+A Poly built from a block list (_from_blocks: every kernel result, forward
+sequence memo entry, sum of _sum_products and substitution of such a Poly)
+reads them off its blocks, whose ends are nonzero.  Other sums,
+differences and substitutions scan their keys for them when first asked.
 
 The *display* order used by to_canonical_string is different (z desc,
 x desc, then s and q ascending) so that characteristic polynomials lead
@@ -58,10 +60,13 @@ coefficients become digit text or limb bytes through map over a format or
 int.to_bytes, digits come back through re.findall and map(int, ...) or
 int.from_bytes, and term dicts are filled by dict.update.  Each coefficient
 still costs one C-level conversion on each crossing and one dict insert.
+s -> q^m s on a Poly that carries a block list moves each block to q^(lo +
+m*es), sharing its coefficient list, and fills the result the same way.
 Python loops per term remain outside the kernels: the dict engine, sums
-and differences, the scan of a Poly built term by term into its blocks
-(_block_map; products carry theirs) and the lazy scan of its exponent
-ranges.
+and differences, substitutions of a Poly without a block list (the loop
+the dict engine runs, hence the oracle), the scan of a Poly built term by
+term into its blocks (_block_map; products carry theirs) and the lazy scan
+of its exponent ranges.
 
 Exact division works in the Laurent ring.  Least exponents add under
 products, so no term of an exact quotient a / b lies below low(a) - low(b)
@@ -388,6 +393,9 @@ class Poly:
         self._guard_s_scale(m)
         if m == 0 or not self._t:
             return self
+        if self._blocks:
+            # each block moves whole and keeps its coefficient list
+            return _from_blocks([(es, base, lo + m * es, cs) for es, base, lo, cs in self._blocks])
         out = {}
         for k, c in self._t.items():
             es = ((k >> _SH_ES) & _MASK) - _BIAS
@@ -752,7 +760,9 @@ def _dense_enough(width: int, terms: int) -> bool:
 def _from_blocks(blocks: list) -> Poly:
     """The Poly whose _block_map is `blocks`, cached on it: [(es, base, lo,
     coeffs)] sorted by es, no block empty, and each block's first and last
-    coefficients nonzero (as _block_map builds them)."""
+    coefficients nonzero (as _block_map builds them).  So its exact
+    exponent ranges are read off the block list: x and z from the bases, s
+    from the first and last blocks, q from the blocks' ends."""
     out: dict[int, int] = {}
     width = 0
     for _, base, lo, cs in blocks:
@@ -762,6 +772,15 @@ def _from_blocks(blocks: list) -> Poly:
         out.update(compress(zip(keys, cs), cs))
     p = Poly._raw(out)
     p._blocks = blocks if _dense_enough(width, len(out)) else False
+    if blocks:
+        bases = [base for _, base, _, _ in blocks]
+        z = [base & _MASK for base in bases]
+        p._ranges = (
+            ((min(bases) >> _SH_EX) - _BIAS, (max(bases) >> _SH_EX) - _BIAS),
+            (blocks[0][0], blocks[-1][0]),
+            (min(lo for _, _, lo, _ in blocks), max(lo + len(cs) for _, _, lo, cs in blocks) - 1),
+            (min(z) - _BIAS, max(z) - _BIAS),
+        )
     return p
 
 
@@ -1145,8 +1164,8 @@ def _sum_products(terms: list) -> Poly | None:
     """sum(a * b for a, b in terms), on packed q-blocks: every product is
     added into one accumulator at a single limb width L, sized from the sum
     of the products' coefficient bounds, and the sum is unpacked once, its
-    block list cached and its exponent ranges left to the scan of
-    _get_ranges, as the products may cancel.  Products above _PACKED_PAIRS
+    block list cached and its exponent ranges read off that list, since
+    the products may cancel at the ends.  Products above _PACKED_PAIRS
     term pairs add the digits of their _packed_product block by block where
     it applies, the others their block products.  Each product's exponent
     guard runs first, so an out-of-range exponent raises the OverflowError of

@@ -18,8 +18,11 @@ boundary: the exact l1 norms of the fill's two seeds, grown by
 |g(m)|_1 <= |g(m-1)|_1 + |g(m-2)|_1, bound every coefficient of the fill.
 A fill packs its two seeds afresh from their Polys, so each entry keeps
 its own L and a later, wider fill never reads an older entry's limbs.  An
-entry becomes a Poly, with its block list cached for the product kernels,
-only when it is read.  Under QFIB_NO_FAST=1 the
+entry becomes a Poly, with its block list and exponent ranges cached for
+the product kernels, only when it is read.  A shifted read qfib(n, j) is
+built once per (n, j) and kept beside the unshifted memo; for a forward
+entry it moves the entry's blocks (Poly.subst_s_scale) rather than its
+terms.  Under QFIB_NO_FAST=1 the
 forward fill is the plain dict recurrence, the oracle the tests compare
 with; the backward fill (negative indices) always works on Polys.
 
@@ -156,12 +159,15 @@ class SeqCache:
     (see the module docstring) and never change once stored; the Poly an
     accessor returns is built from that packed form alone, so readers that
     race to build it get equal Polys, and whichever is kept is the value.
+    Shifted q-Fibonacci values are memoized per (n, shift) in _qfib_shifted
+    the same way, each from the unshifted entry; _qfib holds only those.
     """
 
     def __init__(self):
         self._fib = {0: ZERO, 1: ONE}
         self._lucas = {0: Poly(2), 1: X}
         self._qfib = {0: ZERO, 1: ONE}
+        self._qfib_shifted: dict[tuple[int, int], Poly] = {}
 
     def fib(self, n: int) -> Poly:
         return _extend(self._fib, n, 0)
@@ -172,8 +178,14 @@ class SeqCache:
         return _extend(self._lucas, n, 0)
 
     def qfib(self, n: int, shift: int = 0) -> Poly:
-        p = _extend(self._qfib, n, 1)
-        return p.subst_s_scale(shift) if shift else p
+        if not shift:
+            return _extend(self._qfib, n, 1)
+        # a shift that is no int (1.0 == 1) finds no entry, so it still raises
+        got = self._qfib_shifted.get((n, shift)) if isinstance(shift, int) else None
+        if got is None:
+            got = _extend(self._qfib, n, 1).subst_s_scale(shift)
+            self._qfib_shifted[n, shift] = got
+        return got
 
 
 _CACHE = SeqCache()

@@ -452,6 +452,27 @@ def test_tables_triangle_evaluated(capsys):
     assert out.splitlines()[-1] == "1 5 15 15 5 1"
 
 
+@pytest.mark.parametrize("at", ["x=1,s=1", "x=2,s=3", "x=1/2,s=-1", "x=0,s=1", "x=3,s=0",
+                                "x=-2,s=5/3", "x=0,s=0"])
+def test_tables_triangle_evaluated_against_its_recurrence(capsys, monkeypatch, at):
+    from qfib.poly import Poly
+
+    code, out, _ = run(capsys, "tables", "fibonomial-triangle", "--rows", "12", "--at", at)
+    assert code == EXIT_OK and "mismatch" not in out
+    # one entry evaluated one off disagrees with the division-free rule
+    real = Poly.evaluate
+
+    def off(p, **at):
+        value = real(p, **at)
+        return value + 1 if len(p) == 3 else value
+
+    monkeypatch.setattr(Poly, "evaluate", off)
+    code, out, _ = run(capsys, "tables", "fibonomial-triangle", "--rows", "4", "--at", at)
+    assert code == EXIT_VERIFY_FAIL
+    assert len(out.splitlines()) == 6
+    assert out.splitlines()[-1] == f"triangle row 4 at {at}: recurrence mismatch"
+
+
 def test_tables_triangle_symbolic_golden(capsys):
     code, out, _ = run(capsys, "tables", "fibonomial-triangle", "--rows", "5")
     assert code == EXIT_OK

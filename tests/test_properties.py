@@ -39,7 +39,7 @@ from qfib.poly import (
     monomial,
     parse,
 )
-from qfib.sequences import qfib, truncate
+from qfib.sequences import SeqCache, qfib, truncate
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -230,6 +230,24 @@ def test_packed_qfib_power_carries_exact_exponent_ranges(monkeypatch):
     _assert_carried(cube)
 
 
+@settings(_SETTINGS, max_examples=30)
+@given(st.randoms(use_true_random=False))
+def test_block_built_polys_carry_exact_exponent_ranges(rng):
+    """_from_blocks reads the ranges off the block list: the kernels'
+    results, called directly so that no product guard sets them, carry a
+    scan's ranges, and so do the forward memo entries and the sums of
+    _sum_products, whose products may cancel."""
+    big_a, big_b = _blocked_poly(rng), _blocked_poly(rng)
+    slope, lead = (rng.randint(-2, 2), rng.randint(-1, 1)), (rng.randint(-3, 3), 0)
+    line_a, line_b = _s_line_poly(rng, slope, lead), _s_line_poly(rng, slope, lead)
+    packed = [_mul_packed(line_a, line_b), _mul_packed(line_a, line_a)]
+    assert None not in packed
+    _assert_carried(poly._mul_blocked(big_a, big_b), poly._mul_blocked(big_a, big_a), *packed)
+    _assert_carried(_forced_sum_products(_sum_terms(rng, 3)))
+    if poly._FAST:  # the dict engine fills the memo with sums of Polys
+        _assert_carried(*(SeqCache().qfib(n) for n in range(2, 31)))
+
+
 def test_zero_one_and_operands_returned_as_is_keep_their_ranges():
     p = qfib(5) * monomial(1, es=-2)
     for same in (p * 1, 1 * p, p**1, p.subst_s_scale(0)):
@@ -301,16 +319,22 @@ def test_products_reach_the_exponent_guard_and_stop_one_step_past(i, sign, t, ra
 )
 def test_s_scaling_reaches_the_exponent_guard_and_stops_one_step_past(sign, es, u, rest):
     """s -> q^m s takes every q exponent to sign * _VAR_GUARD and keeps the
-    other exponents; one more step of m raises."""
+    other exponents; one more step of m raises.  Both paths do: the per-term
+    loop, and the block moves of a Poly that carries a block list."""
     step = sign if es > 0 else -sign  # step * es = sign * |es|
     m = u * step
     terms = {(ex, es, 0, ez): c for (ex, ez), c in rest.items()}
     p = _power(2, sign * (_VAR_GUARD - u * abs(es))) * Poly(terms)
-    got = dict(p.subst_s_scale(m).terms())
+    blocked = Poly._raw(dict(p._t))
+    assert p._blocks is None and _block_map(blocked)
     top = sign * _VAR_GUARD
-    assert got == {(ex, es, top, ez): c for (ex, _, _, ez), c in terms.items()}
-    with pytest.raises(OverflowError):
-        p.subst_s_scale(m + step)
+    for operand in (p, blocked):
+        got = operand.subst_s_scale(m)
+        assert dict(got.terms()) == {(ex, es, top, ez): c for (ex, _, _, ez), c in terms.items()}
+        with pytest.raises(OverflowError):
+            operand.subst_s_scale(m + step)
+    if m:  # a block-moved result carries its ranges and its own block list
+        assert got._ranges == _scanned(got) and got._blocks == _block_map(Poly._raw(dict(got._t)))
 
 
 def _zero_pivot(rows):
@@ -404,8 +428,8 @@ def _forced_sum_products(terms, packed=None):
 def test_sum_products_kernel_matches_the_dict_sum(rng, n, sparse):
     """_sum_products, forced onto small operands and onto the packed
     products, equals the dict sum of a * b: the pair of s-lines takes the
-    packed path, the other pairs the block products, the sum leaves its
-    ranges to the scan and caches the block list that _block_map would build.  An
+    packed path, the other pairs the block products, the sum carries the
+    ranges a scan finds and caches the block list that _block_map would build.  An
     operand too q-sparse to pack (one term 20000 q steps off its block)
     makes the kernel decline."""
     terms = _sum_terms(rng, n)
@@ -421,7 +445,7 @@ def test_sum_products_kernel_matches_the_dict_sum(rng, n, sparse):
         assert got is None
         return
     assert got == want
-    assert got._ranges is None and got._get_ranges() == _scanned(got)
+    assert got._ranges == _scanned(got)
     assert got._blocks == _block_map(Poly._raw(dict(got._t)))
     assert packed[0] is not None and packed[1:] == [None] * (n - 1)
 

@@ -250,6 +250,27 @@ def test_read_entry_carries_its_block_list():
             assert _block_map(p) == _block_map(Poly(dict(p.terms())))
 
 
+def test_shifted_reads_are_memoized_and_match_the_per_term_substitution():
+    """qfib(n, shift=m) is the per-term loop's s -> q^m s on a copy without
+    a block list.  A forward entry's shifted value moves the entry's blocks
+    and carries the ranges and the block list a scan would find; every
+    value is built once and a second read returns it."""
+    fresh = SeqCache()
+    for n in range(-6, 41):
+        for m in range(-3, 6):
+            got = fresh.qfib(n, shift=m)
+            assert got == Poly._raw(dict(fresh.qfib(n)._t)).subst_s_scale(m)
+            copy = Poly._raw(dict(got._t))
+            if _FAST and n >= 2:
+                assert got._ranges == copy._get_ranges()
+                assert got._blocks == _block_map(copy)
+            assert got._get_ranges() == copy._get_ranges()
+            assert fresh.qfib(n, shift=m) is got
+    assert sorted(fresh._qfib) == list(range(-6, 41))
+    with pytest.raises(ValueError):
+        fresh.qfib(5, shift=1.0)  # equal to 1 as a key, still no int shift
+
+
 # -------------------------------------------------------------- gf series
 
 
