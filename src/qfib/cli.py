@@ -1,8 +1,10 @@
 """Command-line front end: eval | coeff | verify | tables.
 
 Exit codes: 0 all pass, 1 verification failure (a failed cell, a table
-that disagrees with its golden file or finds it missing or malformed, or a
-Hoggatt characteristic polynomial that disagrees with its closed form), 2
+that disagrees with its golden file or finds it missing or malformed, a
+Hoggatt characteristic polynomial that disagrees with its closed form, or
+an evaluated fibonomial triangle that disagrees with the division-free
+rule <n,k> = F(k+1)<n-1,k> + s F(n-k-1)<n-1,k-1>), 2
 usage error (an --out path that cannot be opened is one; verify checks it
 before its sweep), 3 budget exceeded (a desk-scale bound, or an exponent
 that arithmetic pushed past the supported range), 4 internal error (an

@@ -394,7 +394,7 @@ class Poly:
         if m == 0 or not self._t:
             return self
         if self._blocks:
-            # each block moves whole and keeps its coefficient list
+            # sharing the coefficient lists is safe: no code mutates a block list
             return _from_blocks([(es, base, lo + m * es, cs) for es, base, lo, cs in self._blocks])
         out = {}
         for k, c in self._t.items():
@@ -1164,8 +1164,8 @@ def _sum_products(terms: list) -> Poly | None:
     """sum(a * b for a, b in terms), on packed q-blocks: every product is
     added into one accumulator at a single limb width L, sized from the sum
     of the products' coefficient bounds, and the sum is unpacked once, its
-    block list cached and its exponent ranges read off that list, since
-    the products may cancel at the ends.  Products above _PACKED_PAIRS
+    block list cached and its exponent ranges read off that list, which
+    stays exact where the products cancel.  Products above _PACKED_PAIRS
     term pairs add the digits of their _packed_product block by block where
     it applies, the others their block products.  Each product's exponent
     guard runs first, so an out-of-range exponent raises the OverflowError of
