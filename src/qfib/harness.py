@@ -9,6 +9,13 @@ denominators, and the common numerator is multiplied back in only when the
 sum is nonzero (when the sum vanishes the product does too, so the
 returned residual is the fully cleared form either way).
 
+Every builder whose residual is a sum of products (the power
+recurrences, Euler-Cassini's determinant side, basis_decomp, the
+three-term recurrences and the 2 x 2 minors of _power_det) forms it as one
+poly.dot, which sums the products without building each as a Poly and
+picks its kernel by operand size; PolyMatrix.det does the same for each
+Bareiss step.
+
 The power recurrences (conj2 and its bindings, conj2_k2) keep their
 n-free parts per parameter set: the common numerator and each term's
 cleared weight, coefficient times the other denominators, are built once
@@ -53,7 +60,7 @@ from fractions import Fraction
 from math import comb
 
 from .matrices import PolyMatrix
-from .poly import _FAST, ONE, Poly, ZERO, _sum_products, monomial
+from .poly import ONE, Poly, ZERO, dot, monomial
 from .qcomb import Fac, _prod, binom_product, fac, fibonomial, qfibonomial_parts
 from .sequences import fib, gf_truncated, lucas, qfib, transform_T, truncate
 
@@ -105,22 +112,10 @@ _CONJ2_K2_WEIGHTS: dict[int, tuple[Poly, ...]] = {}
 
 
 def _weighted_tails(weights, n: int, k: int, ell: int) -> Poly:
-    """sum_j weights[j] * f(ell(n-j), q^(ell j) s)^k.
-
-    On the default engine the poly._sum_products kernel adds every weighted
-    tail into one accumulator of packed q-blocks and unpacks the sum once.
-    Where it declines (no product above the blocked threshold, a q-sparse
-    operand), and under QFIB_NO_FAST=1, the products w * t are added as
-    Polys; the test suite keeps that path as the oracle."""
-    terms = [(w, qfib(ell * (n - j), shift=ell * j) ** k) for j, w in enumerate(weights)]
-    if _FAST:
-        total = _sum_products(terms)
-        if total is not None:
-            return total
-    total = terms[0][0] * terms[0][1]
-    for w, t in terms[1:]:
-        total = total + w * t
-    return total
+    """sum_j weights[j] * f(ell(n-j), q^(ell j) s)^k, one poly.dot: the
+    large weighted tails go into one accumulator of packed q-blocks, and
+    the sum is unpacked once."""
+    return dot([(w, qfib(ell * (n - j), shift=ell * j) ** k) for j, w in enumerate(weights)])
 
 
 # --------------------------------------------------------------------------
@@ -132,11 +127,11 @@ def power_rec_classical(n: int, k: int) -> Poly:
     sum_j (-1)^C(j+1,2) s^C(j,2) <k+1, j> F(n-j)^k."""
     if k < 1:
         raise BadParams("power_rec_classical needs k >= 1")
-    total = ZERO
-    for j in range(k + 2):
-        coeff = monomial(_sign(j * (j + 1) // 2), es=j * (j - 1) // 2)
-        total = total + coeff * fibonomial(k + 1, j) * fib(n - j) ** k
-    return total
+    return dot(
+        (monomial(_sign(j * (j + 1) // 2), es=j * (j - 1) // 2) * fibonomial(k + 1, j),
+         fib(n - j) ** k)
+        for j in range(k + 2)
+    )
 
 
 def squares_classical(n: int) -> Poly:
@@ -165,7 +160,7 @@ def _euler_cassini_sides(n: int, k: int) -> tuple[Poly, Poly]:
     = (-1)^k q^C(k,2) s^(k-1) f(n, q^k s)."""
     if k < 1:
         raise BadParams("euler_cassini needs k >= 1")
-    lhs = qfib(k - 1, shift=1) * qfib(n + k) - qfib(k) * qfib(n + k - 1, shift=1)
+    lhs = dot([(qfib(k - 1, shift=1), qfib(n + k)), (-qfib(k), qfib(n + k - 1, shift=1))])
     rhs = monomial(_sign(k), es=k - 1, eq=k * (k - 1) // 2) * qfib(n, shift=k)
     return lhs, rhs
 
@@ -176,8 +171,12 @@ def basis_decomp(n: int, k: int) -> Poly:
     if k < 1:
         raise BadParams("basis_decomp needs k >= 1")
     v = monomial(_sign(k), es=k - 1, eq=k * (k - 1) // 2)
-    return v * qfib(n - k, shift=k) - qfib(k - 1, shift=1) * qfib(n) + qfib(k) * qfib(
-        n - 1, shift=1
+    return dot(
+        [
+            (v, qfib(n - k, shift=k)),
+            (-qfib(k - 1, shift=1), qfib(n)),
+            (qfib(k), qfib(n - 1, shift=1)),
+        ]
     )
 
 
@@ -220,38 +219,35 @@ def _conj2_weights(k: int, ell: int) -> tuple[Poly, tuple[Poly, ...]]:
     return got
 
 
-def _threeterm_ell_terms(n: int, ell: int) -> tuple[Poly, Poly, Poly]:
+def _threeterm_ell_pairs(n: int, ell: int) -> list[tuple[Poly, Poly]]:
     if ell < 1:
         raise BadParams("threeterm_ell needs ell >= 1")
-    t0 = qfib(ell, shift=ell) * qfib(ell * n)
-    t1 = -(qfib(2 * ell) * qfib(ell * (n - 1), shift=ell))
     qexp = _int_exp(Fraction(ell * (3 * ell - 1), 2))
-    t2 = monomial(_sign(ell), es=ell, eq=qexp) * qfib(ell) * qfib(
-        ell * (n - 2), shift=2 * ell
-    )
-    return t0, t1, t2
+    return [
+        (qfib(ell, shift=ell), qfib(ell * n)),
+        (-qfib(2 * ell), qfib(ell * (n - 1), shift=ell)),
+        (monomial(_sign(ell), es=ell, eq=qexp) * qfib(ell), qfib(ell * (n - 2), shift=2 * ell)),
+    ]
 
 
 def threeterm_ell(n: int, ell: int) -> Poly:
     """Three-term recurrence for f(ell*n), cleared by f(ell, q^ell s)."""
-    t0, t1, t2 = _threeterm_ell_terms(n, ell)
-    return t0 + t1 + t2
+    return dot(_threeterm_ell_pairs(n, ell))
 
 
-def _threeterm_classical_terms(n: int, ell: int) -> tuple[Poly, Poly, Poly]:
+def _threeterm_classical_pairs(n: int, ell: int) -> list[tuple[Poly, Poly]]:
     if ell < 1:
         raise BadParams("threeterm_classical needs ell >= 1")
-    return (
-        fib(ell * n),
-        -(lucas(ell) * fib(ell * (n - 1))),
-        monomial(_sign(ell), es=ell) * fib(ell * (n - 2)),
-    )
+    return [
+        (ONE, fib(ell * n)),
+        (-lucas(ell), fib(ell * (n - 1))),
+        (monomial(_sign(ell), es=ell), fib(ell * (n - 2))),
+    ]
 
 
 def threeterm_classical(n: int, ell: int) -> Poly:
     """F(ell n) - L(ell) F(ell(n-1)) + (-s)^ell F(ell(n-2))."""
-    t0, t1, t2 = _threeterm_classical_terms(n, ell)
-    return t0 + t1 + t2
+    return dot(_threeterm_classical_pairs(n, ell))
 
 
 def _gen_cassini_sides(N: int, m: int, ell: int) -> tuple[Poly, Poly]:
@@ -337,10 +333,12 @@ def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
                 / prod_j v(ell j)^k
     at every integer n, Laurent n included.  The 2 x 2 minors are computed
     from the sequence values, not from a closed form, so the result rests
-    only on basis_decomp and det(PQ) = det P det Q.  The minors are
-    multiplied pairwise, so that both operands of each product grow
-    together.  _power_det_bareiss computes the same determinant from the
-    explicit matrix; the tests keep it as the oracle.
+    only on basis_decomp and det(PQ) = det P det Q.  Each minor is one
+    poly.dot of the pairs (A_i, B_i') and (A_i', -B_i), -B_i built once
+    per i (likewise -beta_j per j).  The minors are multiplied pairwise,
+    so that both operands of each product grow together.
+    _power_det_bareiss computes the same determinant from the explicit
+    matrix; the tests keep it as the oracle.
     """
     g = (lambda m, shift=0: fib(m)) if classical else qfib  # at q = 1, qs is s
     rows = [(g(ell * (n + i)), g(ell * (n + i) - 1, shift=1)) for i in range(k + 1)]
@@ -348,7 +346,8 @@ def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
     factors = [Poly(binom_product(k))]
     for pairs in (rows, cols):
         for i, (a, b) in enumerate(pairs):
-            factors.extend(a * b2 - a2 * b for a2, b2 in pairs[i + 1 :])
+            nb = -b
+            factors.extend(dot(((a, b2), (a2, nb))) for a2, b2 in pairs[i + 1 :])
     while len(factors) > 1:
         odd = factors[-1:] if len(factors) % 2 else []
         factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + odd

@@ -3,7 +3,8 @@
 det() runs fraction-free (Bareiss) elimination; every division it performs
 is exact by the Sylvester minor identity, in the Laurent ring that
 exact_div works in, so Laurent entries (negative sequence indices) need no
-special care.  det_cofactor is the independent oracle kept for
+special care.  Each step piv * a - lead * b is one poly.dot, and the first
+step's division by 1 is skipped.  det_cofactor is the independent oracle kept for
 cross-checking small dimensions.
 
 Bareiss computes the general determinants (gen_cassini, charpoly).  The
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .poly import ONE, Poly, Z, ZERO, monomial
+from .poly import ONE, Poly, Z, ZERO, dot, monomial
 from .quadext import QuadElem, alpha_pow
 from .qcomb import fibonomial
 
@@ -104,10 +105,11 @@ class PolyMatrix:
             piv = work[col][col]
             for i in range(col + 1, n):
                 row_i = work[i]
-                lead = row_i[col]
+                lead = -row_i[col]
                 for j in range(col + 1, n):
-                    num = piv * row_i[j] - lead * work[col][j]
-                    row_i[j] = num.exact_div(prev)
+                    num = dot(((piv, row_i[j]), (lead, work[col][j])))
+                    # the first step divides by ONE
+                    row_i[j] = num if prev is ONE else num.exact_div(prev)
                 row_i[col] = ZERO
             prev = piv
         return work[n - 1][n - 1] * sign

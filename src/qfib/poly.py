@@ -63,7 +63,7 @@ still costs one C-level conversion on each crossing and one dict insert.
 s -> q^m s on a Poly that carries a block list moves each block to q^(lo +
 m*es), sharing its coefficient list, and fills the result the same way.
 Python loops per term remain outside the kernels: the dict engine, sums
-and differences, substitutions of a Poly without a block list (the loop
+of small products (dot) and Poly sums and differences, substitutions of a Poly without a block list (the loop
 the dict engine runs, hence the oracle), the scan of a Poly built term by
 term into its blocks (_block_map; products carry theirs) and the lazy scan
 of its exponent ranges.
@@ -81,16 +81,24 @@ proves quot * b - a, which vanishes at q = 2^L, is zero (see
 _quotient_certified); otherwise the product is checked, and the plain
 division is the last resort.
 
-Weighted sums of products share one accumulator of packed q-blocks
+A sum of products, sum(a * b for a, b in pairs), is one call of dot,
+which never forms the products one by one.  Nearly every residual is such
+a sum: the power recurrences, Euler-Cassini, the basis decomposition, the
+three-term recurrences, the 2 x 2 minors of the power determinants and
+each Bareiss step piv * a - lead * b.  A sum whose products all stay
+within _BLOCKED_PAIRS term pairs adds every term pair into one dict and
+drops its zeros once (_dot_naive; a * b runs the same loop on one pair).
+A sum with a larger product shares one accumulator of packed q-blocks
 (_sum_products): each product is added into it at a single limb width,
 sized from the sum of the products' coefficient bounds, a packed product's
 digits block by block, and nothing is unpacked until the sum is whole.
-The power recurrences' weighted tails, whose sums cancel to zero, take it.
-It keeps the product guards of the Poly formula and declines what it
-cannot take, for the caller to add the products as Polys.
+Where the accumulator declines (a q-sparse operand, products too far
+apart in q), the products are added as Polys.  Every path keeps the
+product guards of a * b.
 
 Setting QFIB_NO_FAST=1 in the environment forces the plain dict paths
-everywhere (the test suite checks both paths agree).
+everywhere, where dot adds the products a * b as Polys (the test suite
+checks both paths agree).
 """
 
 from __future__ import annotations
@@ -108,6 +116,7 @@ __all__ = [
     "NotDivisible",
     "ParseError",
     "PoleAtZero",
+    "dot",
     "exact_div",
     "monomial",
     "parse",
@@ -442,28 +451,30 @@ class Poly:
         return Poly._raw(out)
 
     def evaluate(self, x=None, s=None, q=None, z=None) -> Fraction:
-        """Evaluate at rational values. Every variable that occurs needs a
-        value; a zero value under a negative exponent raises PoleAtZero."""
+        """Evaluate at rational values, returning a Fraction. Every variable
+        that occurs needs a value; a zero value under a negative exponent
+        raises PoleAtZero.  An int value of a variable with no negative
+        exponent stays an int, so a polynomial in such values alone is
+        summed in ints."""
         vals = [x, s, q, z]
         ranges = self._get_ranges()
         for i, v in enumerate(vals):
             if v is None:
                 if ranges[i] != (0, 0):
                     raise ValueError(f"no value given for variable {_VARS[i]}")
-                vals[i] = Fraction(0)
-            else:
+                vals[i] = 0
+            elif not isinstance(v, int) or ranges[i][0] < 0:
                 vals[i] = Fraction(v)
-        total = Fraction(0)
+        total = 0
         for k, c in self._t.items():
-            exps = _unpack(k)
-            term = Fraction(c)
-            for v, e in zip(vals, exps):
+            term = c
+            for v, e in zip(vals, _unpack(k)):
                 if e:
                     if v == 0 and e < 0:
                         raise PoleAtZero("zero value raised to a negative exponent")
                     term *= v ** e
             total += term
-        return total
+        return Fraction(total)
 
     # -------------------------------------------------------------- division
 
@@ -649,19 +660,26 @@ def _div_floor(a: Poly, b: Poly) -> list[int]:
     return [ra[i][0] - rb[i][0] for i in range(4)]
 
 
-def _mul_naive(a: dict, b: dict) -> Poly:
-    if len(a) > len(b):
-        a, b = b, a
+def _dot_naive(pairs) -> Poly:
+    """sum(a * b) over pairs (a, b) of term dicts: every term pair is added
+    into one dict, and the zeros are dropped once, at the end."""
     out: dict[int, int] = {}
     get = out.get
-    bitems = list(b.items())
     off = _ZKEY
-    for ka, ca in a.items():
-        base = ka - off
-        for kb, cb in bitems:
-            k = base + kb
-            out[k] = get(k, 0) + ca * cb
+    for a, b in pairs:
+        if len(a) > len(b):
+            a, b = b, a
+        bitems = list(b.items())
+        for ka, ca in a.items():
+            base = ka - off
+            for kb, cb in bitems:
+                k = base + kb
+                out[k] = get(k, 0) + ca * cb
     return Poly._raw({k: v for k, v in out.items() if v})
+
+
+def _mul_naive(a: dict, b: dict) -> Poly:
+    return _dot_naive(((a, b),))
 
 
 def _div_monomial(a: Poly, b: Poly) -> Poly:
@@ -1160,19 +1178,42 @@ def _div_blocked_at(a: Poly, b: Poly, L: int) -> Poly:
 # ---------------------------------------------------------- sums of products
 
 
+def dot(pairs) -> Poly:
+    """sum(a * b for a, b in pairs), for pairs of Polys, without forming
+    the products on the default engine.  A sum with a product above
+    _BLOCKED_PAIRS term pairs is added on packed q-blocks by _sum_products;
+    a sum of smaller products adds every term pair into one dict
+    (_dot_naive, the loop of a * b).  Where _sum_products declines, and
+    under QFIB_NO_FAST=1, the products a * b are added as Polys, the tests'
+    oracle.  Every product's exponent guard runs, so an out-of-range
+    exponent raises the OverflowError of a * b."""
+    pairs = [(a, b) for a, b in pairs if a._t and b._t]  # a * b = 0 unguarded
+    if _FAST:
+        total = _sum_products(pairs)
+        if total is not None:
+            return total
+        if max((len(a._t) * len(b._t) for a, b in pairs), default=0) <= _BLOCKED_PAIRS:
+            for a, b in pairs:
+                _guard(a._get_ranges(), b._get_ranges(), 1, "product")
+            return _dot_naive([(a._t, b._t) for a, b in pairs])
+    total = ZERO
+    for a, b in pairs:
+        total = total + a * b if total else a * b
+    return total
+
+
 def _sum_products(terms: list) -> Poly | None:
-    """sum(a * b for a, b in terms), on packed q-blocks: every product is
-    added into one accumulator at a single limb width L, sized from the sum
-    of the products' coefficient bounds, and the sum is unpacked once, its
-    block list cached and its exponent ranges read off that list, which
-    stays exact where the products cancel.  Products above _PACKED_PAIRS
-    term pairs add the digits of their _packed_product block by block where
-    it applies, the others their block products.  Each product's exponent
-    guard runs first, so an out-of-range exponent raises the OverflowError of
-    a * b.  None, for the caller to add the products as Polys, when no
+    """sum(a * b for a, b in terms), nonzero operands, on packed q-blocks:
+    every product is added into one accumulator at a single limb width L,
+    sized from the sum of the products' coefficient bounds, and the sum is
+    unpacked once, its block list cached and its exponent ranges read off
+    that list, which stays exact where the products cancel.  Products above
+    _PACKED_PAIRS term pairs add the digits of their _packed_product block
+    by block where it applies, the others their block products.  Each
+    product's exponent guard runs first, so an out-of-range exponent raises
+    the OverflowError of a * b.  None, for dot to sum otherwise, when no
     product exceeds _BLOCKED_PAIRS term pairs, an operand is too q-sparse
     to pack, or the products' q ranges lie too far apart to share blocks."""
-    terms = [(a, b) for a, b in terms if a._t and b._t]  # a * b = 0 unguarded
     if max((len(a._t) * len(b._t) for a, b in terms), default=0) <= _BLOCKED_PAIRS:
         return None
     products, q = [], []

@@ -118,10 +118,10 @@ def test_threeterm_q1_specialization():
     # each cleared term specializes to fib(ell) times the classical term
     for ell in (1, 2, 3):
         for n in (3, 5):
-            qterms = harness._threeterm_ell_terms(n, ell)
-            cterms = harness._threeterm_classical_terms(n, ell)
-            for qt, ct in zip(qterms, cterms):
-                assert qt.subst_q_one() == fib(ell) * ct
+            qterms = harness._threeterm_ell_pairs(n, ell)
+            cterms = harness._threeterm_classical_pairs(n, ell)
+            for (qa, qb), (ca, cb) in zip(qterms, cterms):
+                assert (qa * qb).subst_q_one() == fib(ell) * ca * cb
 
 
 def test_conj3_q1_specialization_sides():
@@ -258,12 +258,12 @@ def test_no_production_entry_point_reaches_the_oracle(monkeypatch, capsys):
 
 def test_the_dict_engine_never_calls_the_kernel():
     code = (
-        "from qfib import harness\n"
+        "from qfib import harness, poly\n"
         "calls = []\n"
-        "harness._sum_products = lambda *args: calls.append(args)\n"
+        "poly._sum_products = lambda *args: calls.append(args)\n"
         "harness._power_det_bareiss(4, 4, 1, False)\n"
         "harness.sweep(['conj2', 'conj2_k2'], overrides={'n': (6, 7)})\n"
-        "print(harness._FAST, len(calls))\n"
+        "print(poly._FAST, len(calls))\n"
     )
     env = dict(os.environ, QFIB_NO_FAST="1", PYTHONPATH=str(Path(harness.__file__).parents[1]))
     proc = subprocess.run(
@@ -394,7 +394,7 @@ def test_no_level_is_forked_where_a_second_process_cannot_help(monkeypatch, case
     want = harness._power_det_bareiss(4, 4, 1, False)
     forks = _spy_fork(monkeypatch)
     if case == "dict engine":  # what QFIB_NO_FAST=1 sets at import
-        monkeypatch.setattr(harness, "_FAST", False)
+        monkeypatch.setattr(poly, "_FAST", False)
     elif case == "one core":
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
     done = threading.Event()
@@ -551,7 +551,7 @@ def test_a_corrupted_weight_fails_every_cell_of_its_parameters(monkeypatch):
 
 def test_large_weighted_tails_take_the_sum_kernel(monkeypatch):
     calls = []
-    real = harness._sum_products
+    real = poly._sum_products
 
     def spy(terms):
         out = real(terms)
@@ -559,7 +559,7 @@ def test_large_weighted_tails_take_the_sum_kernel(monkeypatch):
         calls.append((big, out is not None))
         return out
 
-    monkeypatch.setattr(harness, "_sum_products", spy)
+    monkeypatch.setattr(poly, "_sum_products", spy)
     # conj2 with its bindings at ell = 1, and conj2_k2
     rep = sweep(["conj2", "conj1_f", "conj1_fibo", "conj2_k2"])
     assert rep.all_pass()
@@ -577,19 +577,19 @@ def test_large_weighted_tails_take_the_sum_kernel(monkeypatch):
 # kernel took
 _CORRUPTED_SWEEP = """
 import json
-from qfib import harness
+from qfib import harness, poly
 num, w = harness._conj2_weights(2, 3)
 harness._CONJ2_WEIGHTS[(2, 3)] = (num, (w[0] + 1, *w[1:]))
 w = harness._conj2_k2_weights(2)
 harness._CONJ2_K2_WEIGHTS[2] = (*w[:3], w[3] + 1)
-kernel = harness._sum_products
+kernel = poly._sum_products
 took = []
 
 def spy(terms):
     took.append(kernel(terms))
     return took[-1]
 
-harness._sum_products = spy
+poly._sum_products = spy
 rep = harness.sweep(["conj2", "conj2_k2"], [{"k": (2, 2), "ell": (3, 3)}, {"ell": (2, 2)}])
 print(json.dumps([[c.id, c.params, c.status, c.residual] for c in rep.cells]))
 print(json.dumps([out is not None for out in took]))

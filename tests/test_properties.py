@@ -4,8 +4,8 @@ packed product of s-lines against the plain product, exact division of
 Laurent polynomials on each kernel, the exponent ranges that each product
 and quotient path stores on its result, Bareiss against cofactor expansion
 on Laurent entries, the power determinants against their oracle, Bareiss
-on the explicit matrix, and the sum-of-products kernel against the dict sum at the
-limb boundaries.  Products and s -> q^m s are checked exactly at the
+on the explicit matrix, the sum-of-products kernel against the dict sum at the
+limb boundaries, and dot against the sum of its products on both engines.  Products and s -> q^m s are checked exactly at the
 exponent guard _VAR_GUARD and one step past it; a plain test beside them
 pins the guard of exact division.
 
@@ -15,9 +15,10 @@ the working tree.
 """
 
 import random
+from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfib import poly
@@ -36,6 +37,7 @@ from qfib.poly import (
     _div_naive,
     _mul_naive,
     _mul_packed,
+    dot,
     monomial,
     parse,
 )
@@ -475,3 +477,103 @@ def test_sum_products_kernel_guards_each_product_like_a_times_b():
     with pytest.raises(OverflowError) as got:
         _forced_sum_products(past)
     assert str(got.value) == str(want.value)
+
+
+def _term_sum(pairs):
+    """sum(a * b) term by term on exponent tuples, sharing no code with the
+    product kernels or Poly addition."""
+    out = {}
+    for a, b in pairs:
+        for ea, ca in a.terms():
+            for eb, cb in b.terms():
+                e = tuple(map(add, ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _dot_pairs(rng, small, large, cancel, guard):
+    """small, plus a pair of blocked operands whose product exceeds
+    _BLOCKED_PAIRS when large is "dense", the same with one operand too
+    q-sparse to pack (a term 20000 q steps off its block) when "sparse";
+    then every pair again with its first operand negated when cancel, so
+    that the sum is zero; then, when guard, one pair's operands moved up in
+    q, each staying inside _VAR_GUARD, so that their product's top q
+    exponent is _VAR_GUARD ("edge") or one past it ("past")."""
+    pairs = list(small)
+    if large:
+        a, b = _blocked_poly(rng), _blocked_poly(rng)
+        if large == "sparse":
+            ex, es, eq, ez = next(iter(a.terms()))[0]
+            a = a + monomial(3, ex, es, eq + 20_000, ez)
+        pairs.insert(rng.randint(0, len(pairs)), (a, b))
+    if cancel:
+        pairs += [(-a, b) for a, b in pairs]
+    live = [i for i, (a, b) in enumerate(pairs) if a and b]
+    if guard and live:
+        i = rng.choice(live)
+        a, b = pairs[i]
+        half = _VAR_GUARD // 2
+        top_b = _VAR_GUARD - half + (guard == "past")
+        pairs[i] = (
+            a * _power(2, half - a.exponent_range("q")[1]),
+            b * _power(2, top_b - b.exponent_range("q")[1]),
+        )
+    return pairs
+
+
+@settings(_SETTINGS, max_examples=80)
+@given(
+    st.lists(st.tuples(laurent_polys, laurent_polys), max_size=4),
+    st.randoms(use_true_random=False),
+    st.sampled_from((None, "dense", "sparse")),
+    st.booleans(),
+    st.sampled_from((None, "edge", "past")),
+    st.booleans(),
+)
+@example([], random.Random(0), None, False, None, True)
+@example([], random.Random(0), None, False, None, False)
+@example([(ZERO, X), (parse("3*q^5*s^-2*x"), parse("x + q^-1")), (X, ZERO)],
+         random.Random(1), None, False, None, True)
+@example([(parse("q^-2*s - x"), parse("z^-1 + 2*q"))], random.Random(2), "dense", True, None, True)
+@example([(parse("q^-1 + s^-1"), parse("x - 5"))], random.Random(3), "sparse", False, "past", True)
+def test_dot_matches_the_sum_of_products(small, rng, large, cancel, guard, fast):
+    """dot equals the sum of a * b on both engines: on an empty list, zero
+    operands and monomials, a sum that cancels to zero, Laurent operands,
+    small products alone (one term dict), beside a large one (the packed
+    accumulator) and beside a large q-sparse one (the Poly sum).  A product
+    whose exponents reach _VAR_GUARD is summed; one step past, dot raises
+    the OverflowError of a * b."""
+    pairs = _dot_pairs(rng, small, large, cancel, guard)
+    took = []
+    real = poly._sum_products
+
+    def spy(terms):
+        took.append(real(terms))
+        return took[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_FAST", fast)
+        mp.setattr(poly, "_sum_products", spy)
+        if guard == "past" and any(a and b for a, b in pairs):
+            with pytest.raises(OverflowError) as want:
+                for a, b in pairs:
+                    a * b
+            with pytest.raises(OverflowError) as got:
+                dot(pairs)
+            assert str(got.value) == str(want.value)
+            return
+        got = dot(pairs)
+        want = sum((a * b for a, b in pairs), ZERO)
+    assert got == want and dict(got.terms()) == _term_sum(pairs)
+    assert got._get_ranges() == _scanned(got)
+    if not fast:  # the dict engine never calls the kernel
+        assert took == []
+    else:
+        assert len(took) == 1
+        # the accumulator takes a large dense product, declines a q-sparse
+        # one and leaves small products to the term dict; a product moved to
+        # the guard may lie too far from the others in q to share its blocks
+        if large != "dense":
+            assert took[0] is None
+        elif not guard:
+            assert took[0] is not None
