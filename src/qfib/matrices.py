@@ -4,8 +4,8 @@ det() runs fraction-free (Bareiss) elimination; every division it performs
 is exact by the Sylvester minor identity, in the Laurent ring that
 exact_div works in, so Laurent entries (negative sequence indices) need no
 special care.  Each step piv * a - lead * b is one poly.dot, and the first
-step's division by 1 is skipped.  det_cofactor is the independent oracle kept for
-cross-checking small dimensions.
+step's division by 1 is skipped.  det_cofactor is the independent oracle
+kept for cross-checking small dimensions.
 
 Bareiss computes the general determinants (gen_cassini, charpoly).  The
 harness computes the power determinants from their factorization into
@@ -108,7 +108,7 @@ class PolyMatrix:
                 lead = -row_i[col]
                 for j in range(col + 1, n):
                     num = dot(((piv, row_i[j]), (lead, work[col][j])))
-                    # the first step divides by ONE
+                    # prev is ONE before the first pivot: nothing to divide
                     row_i[j] = num if prev is ONE else num.exact_div(prev)
                 row_i[col] = ZERO
             prev = piv

@@ -63,10 +63,11 @@ still costs one C-level conversion on each crossing and one dict insert.
 s -> q^m s on a Poly that carries a block list moves each block to q^(lo +
 m*es), sharing its coefficient list, and fills the result the same way.
 Python loops per term remain outside the kernels: the dict engine, sums
-of small products (dot) and Poly sums and differences, substitutions of a Poly without a block list (the loop
-the dict engine runs, hence the oracle), the scan of a Poly built term by
-term into its blocks (_block_map; products carry theirs) and the lazy scan
-of its exponent ranges.
+of small products (dot), Poly sums and differences, substitutions of a
+Poly without a block list (the loop the dict engine runs, hence the
+oracle), the scan of a Poly built term by term into its blocks
+(_block_map; products carry theirs) and the lazy scan of its exponent
+ranges.
 
 Exact division works in the Laurent ring.  Least exponents add under
 products, so no term of an exact quotient a / b lies below low(a) - low(b)

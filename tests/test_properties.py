@@ -4,10 +4,11 @@ packed product of s-lines against the plain product, exact division of
 Laurent polynomials on each kernel, the exponent ranges that each product
 and quotient path stores on its result, Bareiss against cofactor expansion
 on Laurent entries, the power determinants against their oracle, Bareiss
-on the explicit matrix, the sum-of-products kernel against the dict sum at the
-limb boundaries, and dot against the sum of its products on both engines.  Products and s -> q^m s are checked exactly at the
-exponent guard _VAR_GUARD and one step past it; a plain test beside them
-pins the guard of exact division.
+on the explicit matrix, the sum-of-products kernel against the dict sum at
+the limb boundaries, and dot against the sum of its products on both
+engines.  Products, sums of products and s -> q^m s are checked exactly at
+the exponent guard _VAR_GUARD and one step past it; a plain test beside
+them pins the guard of exact division.
 
 Every test runs derandomized and without an example database, so the suite
 stays deterministic; conftest.py keeps Hypothesis's other storage out of
