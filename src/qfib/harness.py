@@ -11,10 +11,10 @@ returned residual is the fully cleared form either way).
 
 Every builder whose residual is a sum of products (the power
 recurrences, Euler-Cassini's determinant side, basis_decomp, the
-three-term recurrences and the 2 x 2 minors of _power_det) forms it as one
-poly.dot, which sums the products without building each as a Poly and
-picks its kernel by operand size; PolyMatrix.det does the same for each
-Bareiss step.
+three-term recurrences, gf_limit and the 2 x 2 minors of _power_det)
+forms it as one poly.dot, which sums the products without building each
+as a Poly and picks its kernel by operand size; PolyMatrix.det does the
+same for each Bareiss step.
 
 The power recurrences (conj2 and its bindings, conj2_k2) keep their
 n-free parts per parameter set: the common numerator and each term's
@@ -283,9 +283,13 @@ def gf_limit(k: int) -> Poly:
         raise BadParams("gf_limit needs k >= 1")
     F = gf_truncated(*_GF_BOX)
     return truncate(
-        F * qfib(k - 1, shift=1).subst_x_one()
-        - F.subst_s_scale(1) * qfib(k).subst_x_one()
-        - F.subst_s_scale(k) * monomial(_sign(k), es=k - 1, eq=k * (k - 1) // 2),
+        dot(
+            [
+                (F, qfib(k - 1, shift=1).subst_x_one()),
+                (F.subst_s_scale(1), -qfib(k).subst_x_one()),
+                (F.subst_s_scale(k), monomial(-_sign(k), es=k - 1, eq=k * (k - 1) // 2)),
+            ]
+        ),
         *_GF_BOX,
     )
 
