@@ -16,11 +16,18 @@ forms it as one poly.dot, which sums the products without building each
 as a Poly and picks its kernel by operand size; PolyMatrix.det does the
 same for each Bareiss step.
 
-The power recurrences (conj2 and its bindings, conj2_k2) keep their
-n-free parts per parameter set: the common numerator and each term's
-cleared weight, coefficient times the other denominators, are built once
-per (k, ell) and memoized, so each cell of a sweep over n builds only its
-tails f(ell(n-j), q^(ell j) s)^k.
+The power recurrences (power_rec_classical, conj2 and its bindings,
+conj2_k2) keep their n-free parts per parameter set: the common numerator
+and each term's cleared weight, coefficient times the other denominators,
+are built once and memoized, in _CONJ2_WEIGHTS per (k, ell),
+_CONJ2_K2_WEIGHTS per ell and _POWER_REC_WEIGHTS per k.  Their tails
+f(ell(n-j), q^(ell j) s)^k come from the sequences' power memo
+(qfib_power, fib_power): each power f(m)^k is built once per (m, k) and a
+tail is that power under s -> q^(ell j) s.  The power determinants read
+their 2 x 2 minors from _MINORS, keyed by (N1, N2, classical) (see
+_minor).  Every memo lives in its module for the life of the process, so
+each pool worker of a sweep keeps its own; values are only ever added,
+each equal to what a fresh build would give.
 
 Two-sided identities (the determinant families and Euler-Cassini) are
 registered by their sides alone, e.g. (determinant side, closed-form side),
@@ -62,7 +69,16 @@ from math import comb
 from .matrices import PolyMatrix
 from .poly import ONE, Poly, ZERO, dot, monomial
 from .qcomb import Fac, _prod, binom_product, fac, fibonomial, qfibonomial_parts
-from .sequences import fib, gf_truncated, lucas, qfib, transform_T, truncate
+from .sequences import (
+    fib,
+    fib_power,
+    gf_truncated,
+    lucas,
+    qfib,
+    qfib_power,
+    transform_T,
+    truncate,
+)
 
 __all__ = [
     "IdentityEntry",
@@ -106,16 +122,22 @@ def _int_exp(value: Fraction) -> int:
     return value.numerator
 
 
-# memos of _conj2_weights, keyed by (k, ell), and of _conj2_k2_weights, by ell
+# memos of _conj2_weights, keyed by (k, ell), of _conj2_k2_weights, by ell,
+# of _power_rec_weights, by k, and of _minor, by (N1, N2, classical)
 _CONJ2_WEIGHTS: dict[tuple[int, int], tuple[Poly, tuple[Poly, ...]]] = {}
 _CONJ2_K2_WEIGHTS: dict[int, tuple[Poly, ...]] = {}
+_POWER_REC_WEIGHTS: dict[int, tuple[Poly, ...]] = {}
+_MINORS: dict[tuple[int, int, bool], Poly] = {}
 
 
 def _weighted_tails(weights, n: int, k: int, ell: int) -> Poly:
-    """sum_j weights[j] * f(ell(n-j), q^(ell j) s)^k, one poly.dot: the
+    """sum_j weights[j] * f(ell(n-j), q^(ell j) s)^k, one poly.dot: each
+    tail is the memoized power f(ell(n-j))^k under s -> q^(ell j) s, the
     large weighted tails go into one accumulator of packed q-blocks, and
     the sum is unpacked once."""
-    return dot([(w, qfib(ell * (n - j), shift=ell * j) ** k) for j, w in enumerate(weights)])
+    return dot(
+        [(w, qfib_power(ell * (n - j), k, shift=ell * j)) for j, w in enumerate(weights)]
+    )
 
 
 # --------------------------------------------------------------------------
@@ -127,11 +149,19 @@ def power_rec_classical(n: int, k: int) -> Poly:
     sum_j (-1)^C(j+1,2) s^C(j,2) <k+1, j> F(n-j)^k."""
     if k < 1:
         raise BadParams("power_rec_classical needs k >= 1")
-    return dot(
-        (monomial(_sign(j * (j + 1) // 2), es=j * (j - 1) // 2) * fibonomial(k + 1, j),
-         fib(n - j) ** k)
-        for j in range(k + 2)
-    )
+    return dot((w, fib_power(n - j, k)) for j, w in enumerate(_power_rec_weights(k)))
+
+
+def _power_rec_weights(k: int) -> tuple[Poly, ...]:
+    """The k + 2 n-free weights (-1)^C(j+1,2) s^C(j,2) <k+1, j> of
+    power_rec_classical, memoized."""
+    got = _POWER_REC_WEIGHTS.get(k)
+    if got is None:
+        got = _POWER_REC_WEIGHTS[k] = tuple(
+            monomial(_sign(j * (j + 1) // 2), es=j * (j - 1) // 2) * fibonomial(k + 1, j)
+            for j in range(k + 2)
+        )
+    return got
 
 
 def squares_classical(n: int) -> Poly:
@@ -321,6 +351,23 @@ def _conj2_k2_weights(ell: int) -> tuple[Poly, ...]:
     return got
 
 
+def _minor(N1: int, N2: int, classical: bool) -> Poly:
+    """g(N1) g(N2-1, qs) - g(N2) g(N1-1, qs), one poly.dot of sequence
+    values, memoized in _MINORS; g is qfib, or fib when classical (at
+    q = 1, qs is s).  By basis_decomp it is -v(N1) f(N2-N1, q^N1 s), a
+    few dozen terms, but it is computed from the values, never from that
+    form."""
+    key = (N1, N2, classical)
+    got = _MINORS.get(key)
+    if got is None:
+        if classical:
+            pairs = ((fib(N1), fib(N2 - 1)), (fib(N2), -fib(N1 - 1)))
+        else:
+            pairs = ((qfib(N1), qfib(N2 - 1, shift=1)), (qfib(N2), -qfib(N1 - 1, shift=1)))
+        got = _MINORS[key] = dot(pairs)
+    return got
+
+
 def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
     """det(f(ell(n+i-j), q^(ell j) s)^k) over 0 <= i, j <= k, or
     det(F(ell(n+i-j))^k) when classical, from its factorization.
@@ -335,23 +382,20 @@ def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
         det M = prod_t C(k, t) prod_{i<i'} (A_i B_i' - A_i' B_i)
                 prod_{j<j'} (alpha_j beta_j' - alpha_j' beta_j)
                 / prod_j v(ell j)^k
-    at every integer n, Laurent n included.  The 2 x 2 minors are computed
-    from the sequence values, not from a closed form, so the result rests
-    only on basis_decomp and det(PQ) = det P det Q.  Each minor is one
-    poly.dot of the pairs (A_i, B_i') and (A_i', -B_i), -B_i built once
-    per i (likewise -beta_j per j).  The minors are multiplied pairwise,
-    so that both operands of each product grow together.
-    _power_det_bareiss computes the same determinant from the explicit
-    matrix; the tests keep it as the oracle.
+    at every integer n, Laurent n included.  Both kinds of 2 x 2 minor are
+    _minor(N1, N2) = g(N1) g(N2-1, qs) - g(N2) g(N1-1, qs): a row minor at
+    (ell(n+i), ell(n+i')), a column minor at (ell j, ell j').  They are
+    computed from the sequence values and memoized, never taken from a
+    closed form, so the result rests only on basis_decomp and
+    det(PQ) = det P det Q; cells and rows that share a minor read one
+    value.  The minors are multiplied pairwise, so that both operands of
+    each product grow together.  _power_det_bareiss computes the same
+    determinant from the explicit matrix; the tests keep it as the oracle.
     """
-    g = (lambda m, shift=0: fib(m)) if classical else qfib  # at q = 1, qs is s
-    rows = [(g(ell * (n + i)), g(ell * (n + i) - 1, shift=1)) for i in range(k + 1)]
-    cols = [(g(ell * j - 1, shift=1), -g(ell * j)) for j in range(k + 1)]
     factors = [Poly(binom_product(k))]
-    for pairs in (rows, cols):
-        for i, (a, b) in enumerate(pairs):
-            nb = -b
-            factors.extend(dot(((a, b2), (a2, nb))) for a2, b2 in pairs[i + 1 :])
+    for marks in ([ell * (n + i) for i in range(k + 1)], [ell * j for j in range(k + 1)]):
+        for i, a in enumerate(marks):
+            factors.extend(_minor(a, b, classical) for b in marks[i + 1 :])
     while len(factors) > 1:
         odd = factors[-1:] if len(factors) % 2 else []
         factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + odd

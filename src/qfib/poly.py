@@ -209,7 +209,7 @@ def _check_exp(e: int) -> int:
 class Poly:
     """Immutable sparse Laurent polynomial over the integers."""
 
-    __slots__ = ("_t", "_ranges", "_cmax", "_n2", "_blocks")
+    __slots__ = ("_t", "_ranges", "_ext", "_cmax", "_n2", "_blocks")
 
     def __init__(self, terms: dict | int | None = None):
         """Build from {(ex, es, eq, ez): coeff} (zero coefficients dropped)
@@ -233,6 +233,7 @@ class Poly:
                     del d[k]
         self._t = d
         self._ranges = None
+        self._ext = None
         self._cmax = None
         self._n2 = None
         self._blocks = None
@@ -244,6 +245,7 @@ class Poly:
         p = cls.__new__(cls)
         p._t = d
         p._ranges = ranges
+        p._ext = None
         p._cmax = None
         p._n2 = None
         p._blocks = None
@@ -295,6 +297,14 @@ class Poly:
                 r = tuple(r)
             self._ranges = r
         return r
+
+    def _extent(self) -> int:
+        """max |exponent| over the four variables (0 for the zero polynomial),
+        read off the exponent ranges once and kept."""
+        e = self._ext
+        if e is None:
+            e = self._ext = max(max(-lo, hi) for lo, hi in self._get_ranges())
+        return e
 
     def _coeff_stats(self) -> int:
         """max |coeff| (1 for the zero polynomial)."""
@@ -1186,8 +1196,10 @@ def dot(pairs) -> Poly:
     a sum of smaller products adds every term pair into one dict
     (_dot_naive, the loop of a * b).  Where _sum_products declines, and
     under QFIB_NO_FAST=1, the products a * b are added as Polys, the tests'
-    oracle.  Every product's exponent guard runs, so an out-of-range
-    exponent raises the OverflowError of a * b."""
+    oracle.  Every product is guarded, so an out-of-range exponent raises
+    the OverflowError of a * b; the term-dict path compares the operands'
+    extents (Poly._extent) with _VAR_GUARD and runs the per-variable
+    guard only on a pair whose extents sum past it."""
     pairs = [(a, b) for a, b in pairs if a._t and b._t]  # a * b = 0 unguarded
     if _FAST:
         total = _sum_products(pairs)
@@ -1195,7 +1207,10 @@ def dot(pairs) -> Poly:
             return total
         if max((len(a._t) * len(b._t) for a, b in pairs), default=0) <= _BLOCKED_PAIRS:
             for a, b in pairs:
-                _guard(a._get_ranges(), b._get_ranges(), 1, "product")
+                # |lo_a + lo_b| and |hi_a + hi_b| stay within the extents'
+                # sum, so only a pair past it needs the per-variable guard
+                if a._extent() + b._extent() > _VAR_GUARD:
+                    _guard(a._get_ranges(), b._get_ranges(), 1, "product")
             return _dot_naive([(a._t, b._t) for a, b in pairs])
     total = ZERO
     for a, b in pairs:

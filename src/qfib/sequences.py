@@ -26,6 +26,13 @@ terms.  Under QFIB_NO_FAST=1 the
 forward fill is the plain dict recurrence, the oracle the tests compare
 with; the backward fill (negative indices) always works on Polys.
 
+Powers have a memo too: qfib_power(n, k, shift) and fib_power(n, k) keep
+the unshifted power qfib(n) ** k (fib(n) ** k) per (n, k), for the life
+of the SeqCache, one per process.  A shifted read passes the memoized
+power through s -> q^shift s, a ring map, so it equals qfib(n, shift) ** k
+and moves blocks rather than multiplying; every shift of one (n, k) shares
+one power.
+
 gf_truncated gives the x = 1 limit series F(s) = sum_k q^(k^2) s^k /
 ((1-q)...(1-q^k)) modulo (s^N, q^M) as a Poly; truncate cuts any Poly to
 such a box, so limit identities are checked with ordinary Poly arithmetic.
@@ -59,6 +66,8 @@ __all__ = [
     "fib",
     "lucas",
     "qfib",
+    "qfib_power",
+    "fib_power",
     "qfib_explicit",
     "qfib_neg_closed",
     "transform_T",
@@ -161,6 +170,8 @@ class SeqCache:
     race to build it get equal Polys, and whichever is kept is the value.
     Shifted q-Fibonacci values are memoized per (n, shift) in _qfib_shifted
     the same way, each from the unshifted entry; _qfib holds only those.
+    Powers qfib(n) ** k and fib(n) ** k are memoized per (n, k) in
+    _qfib_powers and _fib_powers, unshifted (see the module docstring).
     """
 
     def __init__(self):
@@ -168,6 +179,8 @@ class SeqCache:
         self._lucas = {0: Poly(2), 1: X}
         self._qfib = {0: ZERO, 1: ONE}
         self._qfib_shifted: dict[tuple[int, int], Poly] = {}
+        self._qfib_powers: dict[tuple[int, int], Poly] = {}
+        self._fib_powers: dict[tuple[int, int], Poly] = {}
 
     def fib(self, n: int) -> Poly:
         return _extend(self._fib, n, 0)
@@ -187,6 +200,21 @@ class SeqCache:
             self._qfib_shifted[n, shift] = got
         return got
 
+    def qfib_power(self, n: int, k: int, shift: int = 0) -> Poly:
+        """qfib(n, shift) ** k, as the memoized qfib(n) ** k moved by
+        s -> q^shift s."""
+        got = self._qfib_powers.get((n, k))
+        if got is None:
+            got = self._qfib_powers[n, k] = self.qfib(n) ** k
+        return got.subst_s_scale(shift)
+
+    def fib_power(self, n: int, k: int) -> Poly:
+        """fib(n) ** k, memoized."""
+        got = self._fib_powers.get((n, k))
+        if got is None:
+            got = self._fib_powers[n, k] = self.fib(n) ** k
+        return got
+
 
 _CACHE = SeqCache()
 
@@ -201,6 +229,14 @@ def lucas(n: int) -> Poly:
 
 def qfib(n: int, shift: int = 0) -> Poly:
     return _CACHE.qfib(n, shift)
+
+
+def qfib_power(n: int, k: int, shift: int = 0) -> Poly:
+    return _CACHE.qfib_power(n, k, shift)
+
+
+def fib_power(n: int, k: int) -> Poly:
+    return _CACHE.fib_power(n, k)
 
 
 def qfib_explicit(n: int) -> Poly:

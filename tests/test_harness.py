@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qfib import harness, poly
+from qfib import harness, poly, sequences
 from qfib.harness import (
     CATALOG,
     BadParams,
@@ -510,30 +510,97 @@ def test_sweep_workers_match_serial():
     assert strip(serial) == strip(parallel)
 
 
-# each memoized power recurrence: its memo and a cell's key into it
-_WEIGHT_MEMOS = {
-    "conj2": (harness._CONJ2_WEIGHTS, lambda c: (c["k"], c["ell"])),
-    "conj2_k2": (harness._CONJ2_K2_WEIGHTS, lambda c: c["ell"]),
+# every memo a builder reads, by name
+_MEMOS = {
+    "conj2 weights": harness._CONJ2_WEIGHTS,
+    "conj2_k2 weights": harness._CONJ2_K2_WEIGHTS,
+    "power_rec_classical weights": harness._POWER_REC_WEIGHTS,
+    "minors": harness._MINORS,
+    "qfib powers": sequences._CACHE._qfib_powers,
+    "fib powers": sequences._CACHE._fib_powers,
+}
+
+# the (n, k, ell, classical) of the power determinant each determinant
+# family's cell computes
+_DET_CELLS = {
+    "cassini_classical": lambda n: (n, 1, 1, True),
+    "det_power_classical": lambda n, k: (n, k, 1, True),
+    "q_cassini": lambda n: (n, 1, 1, False),
+    "det_sq_q": lambda n: (n, 2, 1, False),
+    "conj3": lambda n, k: (n, k, 1, False),
+    "conj4": lambda n, k, ell: (n, k, ell, False),
+    "conj4_k1": lambda n, ell: (n, 1, ell, False),
+    "conj4_k2": lambda n, ell: (n, 2, ell, False),
+    "det_classical_ell": lambda n, k, ell: (n, k, ell, True),
+}
+
+# the memos each family reads; the other families read none
+_MEMO_READERS = {
+    "power_rec_classical": {"power_rec_classical weights", "fib powers"},
+    "conj1_f": {"conj2 weights", "qfib powers"},
+    "conj1_fibo": {"conj2 weights", "qfib powers"},
+    "conj2": {"conj2 weights", "qfib powers"},
+    "conj2_k2": {"conj2_k2 weights", "qfib powers"},
+    **{id: {"minors"} for id in _DET_CELLS},
 }
 
 
-@pytest.mark.parametrize("id", sorted(_WEIGHT_MEMOS))
-def test_power_recurrence_weights_match_a_cold_build_per_cell(id):
-    """A sweep over the catalog grid reading the n-free weights from the
-    memo gives what each cell builds with the memo cleared first (tier-1
-    runs this on both engines)."""
-    memo, key = _WEIGHT_MEMOS[id]
-    cells = CATALOG[id].cells()
-    for m, _ in _WEIGHT_MEMOS.values():
-        m.clear()
-    warm = [residual(id, **c) for c in cells]
-    kept = dict(memo)
-    assert len(kept) == len({key(c) for c in cells})
+def _clear_memos():
+    for memo in _MEMOS.values():
+        memo.clear()
+
+
+@pytest.mark.parametrize("id", sorted(CATALOG))
+@pytest.mark.parametrize("engine", ["default", "dict"])
+def test_memoized_values_match_a_cold_build_per_cell(monkeypatch, engine, id):
+    """A sweep over the catalog grid fills exactly the memos its family
+    reads (weights, powers, minors), and on every cell its residual and
+    sides equal what the cell builds with every memo cleared first; each
+    memo entry a cold build makes equals the warm one.  On both engines:
+    the dict engine (poly._FAST off) forms every product and sum as Polys."""
+    monkeypatch.setattr(poly, "_FAST", engine == "default")
+    entry = CATALOG[id]
+    cells = entry.cells()
+    _clear_memos()
+    warm = [harness._evaluate(entry, c) for c in cells]
+    kept = {name: dict(memo) for name, memo in _MEMOS.items()}
+    assert {name for name, memo in kept.items() if memo} == _MEMO_READERS.get(id, set())
+    if id not in _MEMO_READERS:
+        return
     for c, got in zip(cells, warm):
-        for m, _ in _WEIGHT_MEMOS.values():
-            m.clear()
-        assert residual(id, **c) == got
-        assert memo[key(c)] == kept[key(c)]
+        _clear_memos()
+        assert harness._evaluate(entry, c) == got, c
+        for name, memo in _MEMOS.items():
+            assert memo.items() <= kept[name].items(), (name, c)
+
+
+def _minor_keys(n, k, ell, classical):
+    """The _MINORS keys of the 2 x 2 minors in the factorization of
+    det(g(ell(n+i-j), q^(ell j) s)^k): rows at (ell(n+i), ell(n+i')), columns
+    at (ell j, ell j'), i < i' and j < j'."""
+    keys = set()
+    for marks in ([ell * (n + i) for i in range(k + 1)], [ell * j for j in range(k + 1)]):
+        keys.update((a, b, classical) for i, a in enumerate(marks) for b in marks[i + 1 :])
+    return keys
+
+
+@pytest.mark.parametrize("engine", ["default", "dict"])
+def test_a_corrupted_minor_fails_exactly_the_cells_that_read_it(monkeypatch, engine):
+    """One q and one classical minor, each off by one in the memo: every
+    determinant cell whose factorization holds either fails with a
+    residual, and every other cell passes, so the minors are read from the
+    memo and a wrong entry is never masked."""
+    monkeypatch.setattr(poly, "_FAST", engine == "default")
+    bad = {(2, 4, False), (2, 4, True)}
+    for key in bad:
+        monkeypatch.setitem(harness._MINORS, key, harness._minor(*key) + 1)
+    rep = sweep(sorted(_DET_CELLS))
+    readers = [
+        (c.id, c.params) for c in rep.cells if bad & _minor_keys(*_DET_CELLS[c.id](**c.params))
+    ]
+    assert [(c.id, c.params) for c in rep.cells if c.status != "pass"] == readers
+    assert all(c.status == "fail" and c.residual for c in rep.cells if c.status != "pass")
+    assert {id for id, _ in readers} == set(_DET_CELLS) - {"cassini_classical", "q_cassini"}
 
 
 def test_a_corrupted_weight_fails_every_cell_of_its_parameters(monkeypatch):

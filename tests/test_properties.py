@@ -578,3 +578,26 @@ def test_dot_matches_the_sum_of_products(small, rng, large, cancel, guard, fast)
             assert took[0] is None
         elif not guard:
             assert took[0] is not None
+
+
+@pytest.mark.parametrize("engine", ["default", "dict"])
+def test_dot_guards_each_variable_on_its_own(monkeypatch, engine):
+    """dot's term-dict path skips the per-variable guard only where the
+    operands' extents sum within _VAR_GUARD.  Operands out at the guard in
+    different variables are summed, as is a product whose exponent in one
+    variable is exactly +-_VAR_GUARD; one step past it, top or bottom, dot
+    raises the OverflowError of a * b."""
+    monkeypatch.setattr(poly, "_FAST", engine == "default")
+    for v in range(4):
+        for sign in (1, -1):
+            a = _power(v, sign * (_VAR_GUARD - 1)) + ONE
+            far = _power((v + 1) % 4, sign * _VAR_GUARD) + ONE
+            edge = _power(v, sign) + ONE
+            for b in (far, edge):
+                assert dot([(a, b), (X, X)]) == a * b + X * X
+            past = _power(v, 2 * sign) + ONE
+            with pytest.raises(OverflowError) as want:
+                a * past
+            with pytest.raises(OverflowError) as got:
+                dot([(a, past), (X, X)])
+            assert str(got.value) == str(want.value)

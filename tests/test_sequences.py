@@ -4,8 +4,9 @@ from math import comb
 
 import pytest
 
-from qfib.cli import _series_text
-from qfib.poly import _FAST, ONE, Poly, Q, S, X, ZERO, _block_map, _limb, monomial, parse
+from qfib import poly, sequences
+from qfib.cli import _series_text, main
+from qfib.poly import _FAST, _VAR_GUARD, ONE, Poly, Q, S, X, ZERO, _block_map, _limb, monomial, parse
 from qfib.sequences import (
     SeqCache,
     _extend,
@@ -269,6 +270,56 @@ def test_shifted_reads_are_memoized_and_match_the_per_term_substitution():
     assert sorted(fresh._qfib) == list(range(-6, 41))
     with pytest.raises(ValueError):
         fresh.qfib(5, shift=1.0)  # equal to 1 as a key, still no int shift
+
+
+@pytest.mark.parametrize("engine", ["default", "dict"])
+def test_power_reads_equal_the_power_of_the_shifted_value(monkeypatch, engine):
+    """qfib_power(m, k, shift=j) is qfib(m, shift=j) ** k, for m in -6..30,
+    j in -3..5 and k in 1..4, and fib_power(m, k) is fib(m) ** k: one power
+    per (m, k), kept unshifted, so a second read of it returns the same
+    Poly.  The dict engine (poly._FAST off, every product a loop over term
+    pairs) stops at |m| <= 12; qfib(30, shift=j) ** 4 alone would take it
+    minutes."""
+    monkeypatch.setattr(poly, "_FAST", engine == "default")
+    top = 30 if engine == "default" else 12
+    fresh = SeqCache()
+    for m in range(-6, top + 1):
+        for j in range(-3, 6):
+            p = qfib(m, shift=j)
+            p2 = p * p
+            want = (p, p2, p2 * p, p2 * p2)  # qfib(m, shift=j) ** k, k = 1..4
+            for k in range(1, 5):
+                assert fresh.qfib_power(m, k, shift=j) == want[k - 1], (m, j, k)
+        for k in range(1, 5):
+            assert fresh.qfib_power(m, k) is fresh.qfib_power(m, k, shift=0)
+            assert fresh.fib_power(m, k) == fib(m) ** k
+            assert fresh.fib_power(m, k) is fresh.fib_power(m, k)
+    keys = [(m, k) for m in range(-6, top + 1) for k in range(1, 5)]
+    assert sorted(fresh._qfib_powers) == sorted(fresh._fib_powers) == keys
+
+
+def test_an_out_of_range_tail_raises_overflow_and_the_cli_exits_3(capsys, monkeypatch):
+    """A tail whose shift pushes the power's q exponents past _VAR_GUARD
+    raises OverflowError.  qfib(9) has s exponents up to 4, so
+    qfib(9, shift=j) fits at j = 600000, while its square, s up to 8, does
+    not: the power built first and shifted after meets the substitution
+    guard, where the shifted value squared met the product guard."""
+    j = 600_000
+    assert 4 * j < _VAR_GUARD < 8 * j
+    with pytest.raises(OverflowError, match="^product exponent exceeds supported range$"):
+        qfib(9, shift=j) ** 2
+    with pytest.raises(OverflowError, match="^substitution exponent exceeds supported range$"):
+        SeqCache().qfib_power(9, 2, shift=j)
+    # main maps the OverflowError to exit 3, as for any valid input whose
+    # arithmetic outgrows the exponent fields
+    monkeypatch.setattr(sequences, "qfib", lambda n, shift=0: sequences.qfib_power(n, 2, shift))
+    assert main(["eval", "qfib", "9", "--shift", str(j)]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == (
+        "",
+        "error: substitution exponent exceeds supported range"
+        f" (|exponent| <= {_VAR_GUARD} per variable)\n",
+    )
 
 
 # -------------------------------------------------------------- gf series
