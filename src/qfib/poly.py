@@ -303,7 +303,8 @@ class Poly:
         read off the exponent ranges once and kept."""
         e = self._ext
         if e is None:
-            e = self._ext = max(max(-lo, hi) for lo, hi in self._get_ranges())
+            (xl, xh), (sl, sh), (ql, qh), (zl, zh) = self._get_ranges()
+            e = self._ext = max(-xl, xh, -sl, sh, -ql, qh, -zl, zh)
         return e
 
     def _coeff_stats(self) -> int:
