@@ -354,9 +354,8 @@ def _conj2_k2_weights(ell: int) -> tuple[Poly, ...]:
 def _minor(N1: int, N2: int, classical: bool) -> Poly:
     """g(N1) g(N2-1, qs) - g(N2) g(N1-1, qs), one poly.dot of sequence
     values, memoized in _MINORS; g is qfib, or fib when classical (at
-    q = 1, qs is s).  By basis_decomp it is -v(N1) f(N2-N1, q^N1 s), a
-    few dozen terms, but it is computed from the values, never from that
-    form."""
+    q = 1, qs is s).  By basis_decomp it equals -v(N1) f(N2-N1, q^N1 s),
+    but it is computed from the values, never from that form."""
     key = (N1, N2, classical)
     got = _MINORS.get(key)
     if got is None:
@@ -392,18 +391,18 @@ def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
     each product grow together.  _power_det_bareiss computes the same
     determinant from the explicit matrix; the tests keep it as the oracle.
     """
+    cols = [ell * j for j in range(k + 1)]
     factors = [Poly(binom_product(k))]
-    for marks in ([ell * (n + i) for i in range(k + 1)], [ell * j for j in range(k + 1)]):
+    for marks in ([ell * (n + i) for i in range(k + 1)], cols):
         for i, a in enumerate(marks):
             factors.extend(_minor(a, b, classical) for b in marks[i + 1 :])
     while len(factors) > 1:
         odd = factors[-1:] if len(factors) % 2 else []
         factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + odd
-    marks = [ell * j for j in range(k + 1)]
     v = monomial(
-        _sign(k * sum(marks)),
-        es=k * sum(m - 1 for m in marks),
-        eq=0 if classical else k * sum(comb(m, 2) for m in marks),
+        _sign(k * sum(cols)),
+        es=k * sum(m - 1 for m in cols),
+        eq=0 if classical else k * sum(comb(m, 2) for m in cols),
     )
     return factors[0].exact_div(v)
 
