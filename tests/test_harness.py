@@ -534,45 +534,6 @@ _DET_CELLS = {
     "det_classical_ell": lambda n, k, ell: (n, k, ell, True),
 }
 
-# the memos each family reads; the other families read none
-_MEMO_READERS = {
-    "power_rec_classical": {"power_rec_classical weights", "fib powers"},
-    "conj1_f": {"conj2 weights", "qfib powers"},
-    "conj1_fibo": {"conj2 weights", "qfib powers"},
-    "conj2": {"conj2 weights", "qfib powers"},
-    "conj2_k2": {"conj2_k2 weights", "qfib powers"},
-    **{id: {"minors"} for id in _DET_CELLS},
-}
-
-
-def _clear_memos():
-    for memo in _MEMOS.values():
-        memo.clear()
-
-
-@pytest.mark.parametrize("id", sorted(CATALOG))
-@pytest.mark.parametrize("engine", ["default", "dict"])
-def test_memoized_values_match_a_cold_build_per_cell(monkeypatch, engine, id):
-    """A sweep over the catalog grid fills exactly the memos its family
-    reads (weights, powers, minors), and on every cell its residual and
-    sides equal what the cell builds with every memo cleared first; each
-    memo entry a cold build makes equals the warm one.  On both engines:
-    the dict engine (poly._FAST off) forms every product and sum as Polys."""
-    monkeypatch.setattr(poly, "_FAST", engine == "default")
-    entry = CATALOG[id]
-    cells = entry.cells()
-    _clear_memos()
-    warm = [harness._evaluate(entry, c) for c in cells]
-    kept = {name: dict(memo) for name, memo in _MEMOS.items()}
-    assert {name for name, memo in kept.items() if memo} == _MEMO_READERS.get(id, set())
-    if id not in _MEMO_READERS:
-        return
-    for c, got in zip(cells, warm):
-        _clear_memos()
-        assert harness._evaluate(entry, c) == got, c
-        for name, memo in _MEMOS.items():
-            assert memo.items() <= kept[name].items(), (name, c)
-
 
 def _minor_keys(n, k, ell, classical):
     """The _MINORS keys of the 2 x 2 minors in the factorization of
@@ -582,6 +543,69 @@ def _minor_keys(n, k, ell, classical):
     for marks in ([ell * (n + i) for i in range(k + 1)], [ell * j for j in range(k + 1)]):
         keys.update((a, b, classical) for i, a in enumerate(marks) for b in marks[i + 1 :])
     return keys
+
+
+def _conj2_keys(k, ell, n):
+    return {"conj2 weights": {(k, ell)}, "qfib powers": {(ell * (n - j), k) for j in range(k + 2)}}
+
+
+# the keys one cell of each family reads, per memo; the other families
+# read no memo
+_MEMO_KEYS = {
+    "power_rec_classical": lambda k, n: {
+        "power_rec_classical weights": {k},
+        "fib powers": {(n - j, k) for j in range(k + 2)},
+    },
+    "conj1_f": lambda k, n: _conj2_keys(k, 1, n),
+    "conj1_fibo": lambda k, n: _conj2_keys(k, 1, n),
+    "conj2": _conj2_keys,
+    "conj2_k2": lambda ell, n: {
+        "conj2_k2 weights": {ell},
+        "qfib powers": {(ell * (n - j), 2) for j in range(4)},
+    },
+    **{
+        id: lambda cell=cell, **c: {"minors": _minor_keys(*cell(**c))}
+        for id, cell in _DET_CELLS.items()
+    },
+}
+
+
+def _clear_memos():
+    for memo in _MEMOS.values():
+        memo.clear()
+
+
+def _filled():
+    return {name: set(memo) for name, memo in _MEMOS.items() if memo}
+
+
+@pytest.mark.parametrize("id", sorted(CATALOG))
+@pytest.mark.parametrize("engine", ["default", "dict"])
+def test_memoized_values_match_a_cold_build_per_cell(monkeypatch, engine, id):
+    """Each cell of the catalog grid, built with every memo (weights,
+    powers, minors) cleared first, fills exactly the memo keys its
+    parameters name, and gives the residual and sides that a sweep over
+    the grid reading the memos gave; each memo entry a cold build makes
+    equals the warm one.  On both engines: the dict engine (poly._FAST off)
+    forms every product and sum as Polys."""
+    monkeypatch.setattr(poly, "_FAST", engine == "default")
+    entry = CATALOG[id]
+    cells = entry.cells()
+    keys = _MEMO_KEYS.get(id, lambda **c: {})
+    _clear_memos()
+    warm = [harness._evaluate(entry, c) for c in cells]
+    kept = {name: dict(memo) for name, memo in _MEMOS.items()}
+    want = {}
+    for c in cells:
+        for name, read in keys(**c).items():
+            want.setdefault(name, set()).update(read)
+    assert _filled() == want
+    for c, got in zip(cells, warm):
+        _clear_memos()
+        assert harness._evaluate(entry, c) == got, c
+        assert _filled() == keys(**c), c
+        for name, memo in _MEMOS.items():
+            assert memo.items() <= kept[name].items(), (name, c)
 
 
 @pytest.mark.parametrize("engine", ["default", "dict"])
