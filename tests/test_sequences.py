@@ -6,7 +6,20 @@ import pytest
 
 from qfib import poly, sequences
 from qfib.cli import _series_text, main
-from qfib.poly import _FAST, _VAR_GUARD, ONE, Poly, Q, S, X, ZERO, _block_map, _limb, monomial, parse
+from qfib.poly import (
+    _FAST,
+    _VAR_GUARD,
+    ONE,
+    Poly,
+    Q,
+    S,
+    X,
+    ZERO,
+    _block_map,
+    _limb,
+    monomial,
+    parse,
+)
 from qfib.sequences import (
     SeqCache,
     _extend,
