@@ -56,10 +56,6 @@ class PolyMatrix:
         self.cols = w
         self._e = entries
 
-    @classmethod
-    def identity(cls, n: int) -> "PolyMatrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
     def __getitem__(self, key) -> Poly:
         i, j = key
         return self._e[i][j]
@@ -76,11 +72,6 @@ class PolyMatrix:
             ", ".join(str(e) for e in row) for row in self._e
         )
         return f"PolyMatrix[{body}]"
-
-    def swap_rows(self, i: int, j: int) -> "PolyMatrix":
-        rows = [list(r) for r in self._e]
-        rows[i], rows[j] = rows[j], rows[i]
-        return PolyMatrix(rows)
 
     def _require_square(self):
         if self.rows != self.cols:

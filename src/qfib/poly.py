@@ -25,35 +25,49 @@ x desc, then s and q ascending) so that characteristic polynomials lead
 with z^n and q-expansions read like q-series; both orders are strict and
 total, and parse() accepts terms in any order.
 
-Large products go through one of two Kronecker-substitution kernels,
-which read one list of blocks per polynomial: the terms sharing
-(ex, es, ez), sorted by es and cached.  Above _BLOCKED_PAIRS = 2048 term
-pairs, _mul_blocked packs each block's q-coefficients into one big integer
-with a rigorously chosen limb width, and turns block products into single
-bigint multiplications.  Packing and unpacking go through one bytes
-conversion per block (balanced digits via a bias), so they cost time
-linear in the block width.  A square (a * a, as built by __pow__)
-multiplies each unordered block pair once and adds the product doubled.
-The product is read off as blocks and keeps their list, so the next
-product it enters skips the scan.
+Every product, a * b or a sum of products sum(a * b for a, b in pairs)
+taken by dot, picks its kernel by size in one function, _sum_products;
+a * b is the case of one pair.  Nearly every residual is such a sum: the
+power recurrences, Euler-Cassini, the basis decomposition, the three-term
+recurrences, the 2 x 2 minors of the power determinants and each Bareiss
+step piv * a - lead * b, and dot never forms their products one by one.
 
-Above _PACKED_PAIRS term pairs (a square counting half), _mul_packed
-computes the whole product as one multiplication of Decimals under
-q -> t, s -> t^T, t = 10^D, when both operands have one block per s
-exponent (every q-Fibonacci power and every power-determinant minor does,
-being homogeneous in deg x = 1, deg s = 2 without z); where it declines
-(see _mul_packed), the blocked kernel runs.  Decimal, because the stdlib decimal module (libmpdec)
-multiplies large operands by a number-theoretic transform, while CPython's
-ints multiply by Karatsuba only: the packed product wins from a few
-million term pairs on.  Its context traps Inexact and Rounded, so a
-rounding would raise rather than pass silently.  Both kernels size their
-digits from one coefficient bound, the lesser of max|a| max|b| min(#a, #b)
-and the Cauchy-Schwarz bound |a|_2 |b|_2.  A product of nonnegative
+  * Products within _BLOCKED_PAIRS = 2048 term pairs add every term pair
+    into one dict and drop its zeros once (_dot_naive).
+  * A larger product is a Kronecker substitution on the operands' blocks:
+    the terms sharing (ex, es, ez), sorted by es and cached.  Each block's
+    q-coefficients are packed into one big integer with a rigorously
+    chosen limb width, so block products are single bigint
+    multiplications, added into one accumulator of packed q-blocks for the
+    whole sum.  Packing and unpacking go through one bytes conversion per
+    block (balanced digits via a bias), so they cost time linear in the
+    block width.  A square (a * a, as built by __pow__) multiplies each
+    unordered block pair once and adds the product doubled.
+  * Above _PACKED_PAIRS term pairs (a square counting half), a product of
+    operands with one block per s exponent (every q-Fibonacci power and
+    every power-determinant minor, being homogeneous in deg x = 1, deg s =
+    2 without z) is one multiplication of Decimals under q -> t, s -> t^T,
+    t = 10^D (_packed_product).  Its digits are added into the
+    accumulator block by block, or, for a product alone, read off as the
+    result's blocks.  Where it declines, the block products run.
+
+Decimal, because the stdlib decimal module (libmpdec) multiplies large
+operands by a number-theoretic transform, while CPython's ints multiply
+by Karatsuba only: the packed product wins from a few million term pairs
+on.  Its context traps Inexact and Rounded, so a rounding would raise
+rather than pass silently.  The accumulator sizes its limbs from the sum
+of the products' coefficient bounds, each the lesser of max|a| max|b|
+min(#a, #b) and the Cauchy-Schwarz bound |a|_2 |b|_2, and nothing is
+unpacked until the sum is whole; the result keeps its block list, so the
+next product it enters skips the scan.  A packed product of nonnegative
 operands, as every q-Fibonacci power is, has its coefficients in
 [0, bound] and takes plain digits, bound < 10^D; only a signed operand
 needs balanced ones, |c| <= bound < 10^D / 2, often a digit wider.  The
 product's balanced digits become plain ones by one Decimal addition of
-10^D / 2 at every position, subtracted again from each digit read.
+10^D / 2 at every position, subtracted again from each digit read.  Where
+the accumulator declines (a q-sparse operand, products too far apart in
+q), a * b runs the term dict and dot adds the products as Polys.  Every
+path keeps the product guards of a * b.
 
 The kernels' input and output run without a Python loop per coefficient:
 coefficients become digit text or limb bytes through map over a format or
@@ -62,8 +76,8 @@ int.from_bytes, and term dicts are filled by dict.update.  Each coefficient
 still costs one C-level conversion on each crossing and one dict insert.
 s -> q^m s on a Poly that carries a block list moves each block to q^(lo +
 m*es), sharing its coefficient list, and fills the result the same way.
-Python loops per term remain outside the kernels: the dict engine, sums
-of small products (dot), Poly sums and differences, substitutions of a
+Python loops per term remain outside the kernels: the dict engine, small
+products and sums of them (_dot_naive), Poly sums and differences, substitutions of a
 Poly without a block list (the loop the dict engine runs, hence the
 oracle), the scan of a Poly built term by term into its blocks
 (_block_map; products carry theirs) and the lazy scan of its exponent
@@ -76,26 +90,11 @@ exact quotient is unique, so any monomial order finds it, and no graded
 order is needed to end the descent on inputs that do not divide: the
 quotient terms fall strictly in lex order while staying above the floor,
 and lex order well-orders that set.  Large exact divisions run the same
-blocked long division on the values at q = 2^L, widening L on failure.
-The quotient is returned without forming quot * b when a coefficient bound
+blocked long division on the values at q = 2^L, at one limb width L.  The
+quotient is returned without forming quot * b when a coefficient bound
 proves quot * b - a, which vanishes at q = 2^L, is zero (see
-_quotient_certified); otherwise the product is checked, and the plain
-division is the last resort.
-
-A sum of products, sum(a * b for a, b in pairs), is one call of dot,
-which never forms the products one by one.  Nearly every residual is such
-a sum: the power recurrences, Euler-Cassini, the basis decomposition, the
-three-term recurrences, the 2 x 2 minors of the power determinants and
-each Bareiss step piv * a - lead * b.  A sum whose products all stay
-within _BLOCKED_PAIRS term pairs adds every term pair into one dict and
-drops its zeros once (_dot_naive; a * b runs the same loop on one pair).
-A sum with a larger product shares one accumulator of packed q-blocks
-(_sum_products): each product is added into it at a single limb width,
-sized from the sum of the products' coefficient bounds, a packed product's
-digits block by block, and nothing is unpacked until the sum is whole.
-Where the accumulator declines (a q-sparse operand, products too far
-apart in q), the products are added as Polys.  Every path keeps the
-product guards of a * b.
+_quotient_certified); a block that does not divide at q = 2^L or an
+uncertified quotient falls to the plain division.
 
 Setting QFIB_NO_FAST=1 in the environment forces the plain dict paths
 everywhere, where dot adds the products a * b as Polys (the test suite
@@ -380,11 +379,9 @@ class Poly:
         if len(b) == 1:
             (kb, cb), = b.items()
             return Poly._raw({ka + kb - _ZKEY: ca * cb for ka, ca in a.items()}, r)
-        out = None
-        if _FAST and len(a) * len(b) > _BLOCKED_PAIRS:
-            out = _mul_fast(self, other)
+        out = _sum_products([(self, other)]) if _FAST else None
         if out is None:
-            out = _mul_naive(a, b)
+            out = _dot_naive(((a, b),))
         out._ranges = r
         return out
 
@@ -690,10 +687,6 @@ def _dot_naive(pairs) -> Poly:
     return Poly._raw({k: v for k, v in out.items() if v})
 
 
-def _mul_naive(a: dict, b: dict) -> Poly:
-    return _dot_naive(((a, b),))
-
-
 def _div_monomial(a: Poly, b: Poly) -> Poly:
     (kb, cb), = b._t.items()
     out = {}
@@ -889,34 +882,6 @@ def _limb(bound: int) -> int:
     return (bound.bit_length() + 8) & ~7
 
 
-def _mul_fast(a: Poly, b: Poly) -> Poly | None:
-    """_mul_packed above _PACKED_PAIRS term pairs where it applies, else
-    _mul_blocked (same arguments and result).  A square counts half its
-    pairs: _mul_blocked multiplies each unordered pair of its blocks once."""
-    pairs = len(a._t) * len(b._t) >> (b is a)
-    if pairs > _PACKED_PAIRS:
-        out = _mul_packed(a, b)
-        if out is not None:
-            return out
-    return _mul_blocked(a, b)
-
-
-def _mul_blocked(a: Poly, b: Poly) -> Poly | None:
-    """a * b by block products, its block list cached; None if an operand
-    is too q-sparse to pack."""
-    la = _block_map(a)
-    lb = _block_map(b)
-    if la is False or lb is False:
-        return None
-    L = _limb(_mul_bound(a, b))
-    acc: dict[int, list] = {}
-    if b is a:
-        _acc_square(acc, la, L)
-    else:
-        _acc_product(acc, la, lb, L)
-    return _from_acc(acc, L)
-
-
 def _acc_square(acc: dict, la: list, L: int) -> None:
     """Add p * p to acc at limb width L, given p's block list la: each
     unordered block pair once, an off-diagonal product added doubled.
@@ -1023,16 +988,10 @@ def _read_digits(text: str, D: int, p: int, w: int, bias: int) -> list[int]:
     return list(map(sub, map(int, chunks), repeat(bias)))
 
 
-def _mul_packed(a: Poly, b: Poly) -> Poly | None:
-    """a * b as one product of Decimals, its block list cached; None where
-    _packed_product declines.  A product block sums several block
-    products, which may cancel at its ends or throughout."""
-    la, lb = _block_map(a), _block_map(b)
-    if not la or not lb:
-        return None
-    blocks = _packed_product(la, lb, _mul_bound(a, b))
-    if blocks is None:
-        return None
+def _from_digits(blocks) -> Poly:
+    """The Poly of _packed_product's blocks (base, lo, digits), its block
+    list cached.  A product block sums several block products, which may
+    cancel at its ends or throughout."""
     bl = []
     for base, lo, digits in blocks:
         while digits and not digits[-1]:
@@ -1107,10 +1066,6 @@ def _packed_product(la: list, lb: list, bound: int):
     )
 
 
-class _RetryDivision(Exception):
-    pass
-
-
 def _quotient_certified(qmax: int, bmax: int, n: int, amax: int, L: int) -> bool:
     """True when a quotient found by _div_blocked_at at limb width L is
     proven exact without forming quot*b.
@@ -1129,32 +1084,29 @@ def _quotient_certified(qmax: int, bmax: int, n: int, amax: int, L: int) -> bool
 
 
 def _div_blocked(a: Poly, b: Poly) -> Poly | None:
+    """a / b by _div_blocked_at at one limb width L; None, for the caller
+    to divide term by term, when an operand is too q-sparse to pack, a
+    block does not divide at q = 2^L or the quotient is not certified."""
     if _block_map(a) is False or _block_map(b) is False:
         return None
     amax = a._coeff_stats()
     bmax = b._coeff_stats()
-    # first width: room for a's and b's coefficients (_pack_coeffs needs
-    # |c| < 2^L) plus len(a) bits; on Bareiss steps the quotients fit and
-    # _quotient_certified holds at once, and wider widths are retries
-    L0 = (max(amax, bmax).bit_length() + len(a._t).bit_length() + 2 + 7) & ~7
-    for L in (L0, 2 * L0, 4 * L0):
-        try:
-            quot = _div_blocked_at(a, b, L)
-        except _RetryDivision:
-            continue
-        qmax = quot._coeff_stats()
-        n = min(len(quot._t), len(b._t))
-        if _quotient_certified(qmax, bmax, n, amax, L) or quot * b == a:
-            return quot
-    return None  # caller falls back to the naive path
+    # room for a's and b's coefficients (_pack_coeffs needs |c| < 2^L) plus
+    # len(a) bits; on Bareiss steps the quotients fit and are certified
+    L = (max(amax, bmax).bit_length() + len(a._t).bit_length() + 2 + 7) & ~7
+    quot = _div_blocked_at(a, b, L)
+    if quot is None:
+        return None
+    n = min(len(quot._t), len(b._t))
+    return quot if _quotient_certified(quot._coeff_stats(), bmax, n, amax, L) else None
 
 
-def _div_blocked_at(a: Poly, b: Poly, L: int) -> Poly:
+def _div_blocked_at(a: Poly, b: Poly, L: int) -> Poly | None:
     """a / b by blocked long division on the values of their blocks at
     q = 2^L, the quotient built with its block list.  No quotient term lies
     below _div_floor(a, b): NotDivisible when a remainder block sits below
-    what that floor allows, _RetryDivision when a block does not divide or
-    a quotient digit falls below q's floor (possibly limb aliasing)."""
+    what that floor allows; None when a block does not divide or a
+    quotient digit falls below q's floor (possibly limb aliasing)."""
     floor = _div_floor(a, b)
     r = {base: [lo, _pack_coeffs(cs, L)] for _, base, lo, cs in _block_map(a)}
     bpacked = [(base, lo, _pack_coeffs(cs, L)) for _, base, lo, cs in _block_map(b)]
@@ -1173,12 +1125,12 @@ def _div_blocked_at(a: Poly, b: Poly, L: int) -> Poly:
             raise NotDivisible("nonzero remainder")
         qt, rem = divmod(int_r, int_b)
         if rem:
-            raise _RetryDivision  # possibly limb aliasing; retry wider
+            return None  # possibly limb aliasing
         t_base = kr - kb + _ZKEY
         t_off = off_r - off_b
         blk = _block(t_base, t_off, _unpack_signed(qt, L))
         if blk[2] < floor[2]:
-            raise _RetryDivision
+            return None
         out.append(blk)
         shift_t = t_base - _ZKEY
         for base_b2, off_b2, int_b2 in rest_b:
@@ -1192,27 +1144,15 @@ def _div_blocked_at(a: Poly, b: Poly, L: int) -> Poly:
 
 def dot(pairs) -> Poly:
     """sum(a * b for a, b in pairs), for pairs of Polys, without forming
-    the products on the default engine.  A sum with a product above
-    _BLOCKED_PAIRS term pairs is added on packed q-blocks by _sum_products;
-    a sum of smaller products adds every term pair into one dict
-    (_dot_naive, the loop of a * b).  Where _sum_products declines, and
-    under QFIB_NO_FAST=1, the products a * b are added as Polys, the tests'
-    oracle.  Every product is guarded, so an out-of-range exponent raises
-    the OverflowError of a * b; the term-dict path compares the operands'
-    extents (Poly._extent) with _VAR_GUARD and runs the per-variable
-    guard only on a pair whose extents sum past it."""
+    the products on the default engine: _sum_products picks the kernel.
+    Where it declines, and under QFIB_NO_FAST=1, the products a * b are
+    added as Polys, the tests' oracle.  Every product is guarded, so an
+    out-of-range exponent raises the OverflowError of a * b."""
     pairs = [(a, b) for a, b in pairs if a._t and b._t]  # a * b = 0 unguarded
     if _FAST:
         total = _sum_products(pairs)
         if total is not None:
             return total
-        if max((len(a._t) * len(b._t) for a, b in pairs), default=0) <= _BLOCKED_PAIRS:
-            for a, b in pairs:
-                # |lo_a + lo_b| and |hi_a + hi_b| stay within the extents'
-                # sum, so only a pair past it needs the per-variable guard
-                if a._extent() + b._extent() > _VAR_GUARD:
-                    _guard(a._get_ranges(), b._get_ranges(), 1, "product")
-            return _dot_naive([(a._t, b._t) for a, b in pairs])
     total = ZERO
     for a, b in pairs:
         total = total + a * b if total else a * b
@@ -1220,26 +1160,41 @@ def dot(pairs) -> Poly:
 
 
 def _sum_products(terms: list) -> Poly | None:
-    """sum(a * b for a, b in terms), nonzero operands, on packed q-blocks:
-    every product is added into one accumulator at a single limb width L,
-    sized from the sum of the products' coefficient bounds, and the sum is
-    unpacked once, its block list cached and its exponent ranges read off
-    that list, which stays exact where the products cancel.  Products above
-    _PACKED_PAIRS term pairs add the digits of their _packed_product block
-    by block where it applies, the others their block products.  Each
-    product's exponent guard runs first, so an out-of-range exponent raises
-    the OverflowError of a * b.  None, for dot to sum otherwise, when no
-    product exceeds _BLOCKED_PAIRS term pairs, an operand is too q-sparse
-    to pack, or the products' q ranges lie too far apart to share blocks."""
-    if max((len(a._t) * len(b._t) for a, b in terms), default=0) <= _BLOCKED_PAIRS:
-        return None
+    """sum(a * b for a, b in terms), nonzero operands: the one place where
+    a product's size picks its kernel; a * b is the case of one pair.
+
+    When no product exceeds _BLOCKED_PAIRS term pairs, every term pair is
+    added into one dict (_dot_naive).  The guard there compares the
+    operands' extents (Poly._extent) with _VAR_GUARD and runs the
+    per-variable guard only on a pair whose extents sum past it: |lo_a +
+    lo_b| and |hi_a + hi_b| stay within the extents' sum.
+
+    Otherwise every product is added into one accumulator of packed
+    q-blocks at a single limb width L, sized from the sum of the products'
+    coefficient bounds, and the sum is unpacked once, its block list cached
+    and its exponent ranges read off that list, which stays exact where the
+    products cancel.  A product above _PACKED_PAIRS term pairs (a square,
+    whose operands share one block list, counting half) adds the digits of
+    its _packed_product block by block where that applies; a sum of that
+    one product alone is read straight off its digits.  The others add
+    their block products, a square each unordered block pair once
+    (_acc_square).  Each product's exponent guard runs first, so an
+    out-of-range exponent raises the OverflowError of a * b.  None, for the
+    caller to multiply term by term, when an operand is too q-sparse to
+    pack or the products' q ranges lie too far apart to share blocks."""
+    sizes = [len(a._t) * len(b._t) for a, b in terms]
+    if max(sizes, default=0) <= _BLOCKED_PAIRS:
+        for a, b in terms:
+            if a._extent() + b._extent() > _VAR_GUARD:
+                _guard(a._get_ranges(), b._get_ranges(), 1, "product")
+        return _dot_naive([(a._t, b._t) for a, b in terms])
     products, q = [], []
-    for a, b in terms:
+    for (a, b), pairs in zip(terms, sizes):
         q.append(_guard(a._get_ranges(), b._get_ranges(), 1, "product")[2])
         la, lb = _block_map(a), _block_map(b)
         if la is False or lb is False:
             return None
-        products.append((la, lb, _mul_bound(a, b), len(a._t) * len(b._t)))
+        products.append((la, lb, _mul_bound(a, b), pairs >> (la is lb)))
     # a block of the accumulator spans the gaps between the products too
     hull = max(hi for _, hi in q) - min(lo for lo, _ in q) + 1
     if not _dense_enough(hull, sum(hi - lo + 1 for lo, hi in q)):
@@ -1249,7 +1204,12 @@ def _sum_products(terms: list) -> Poly | None:
     for la, lb, bound, pairs in products:
         blocks = _packed_product(la, lb, bound) if pairs > _PACKED_PAIRS else None
         if blocks is None:
-            _acc_product(acc, la, lb, L)
+            if la is lb:
+                _acc_square(acc, la, L)
+            else:
+                _acc_product(acc, la, lb, L)
+        elif len(products) == 1:
+            return _from_digits(blocks)
         else:
             for base, lo, digits in blocks:
                 _add_at(acc, base, lo, _pack_coeffs(digits, L), L)

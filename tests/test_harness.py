@@ -640,14 +640,27 @@ def test_a_corrupted_weight_fails_every_cell_of_its_parameters(monkeypatch):
     assert all(c.residual for c in rep.cells if c.status == "fail")
 
 
+def _called_by_dot() -> bool:
+    """Whether the caller of the caller is poly.dot: a * b calls
+    _sum_products too, on one pair."""
+    return sys._getframe(2).f_code is poly.dot.__code__
+
+
+def _accumulated(out) -> bool:
+    """Whether a _sum_products result came off the accumulator, which
+    leaves its block list on the sum; the term dict leaves none."""
+    return out is not None and out._blocks is not None
+
+
 def test_large_weighted_tails_take_the_sum_kernel(monkeypatch):
     calls = []
     real = poly._sum_products
 
     def spy(terms):
         out = real(terms)
-        big = max(len(w) * len(t) for w, t in terms) > poly._BLOCKED_PAIRS
-        calls.append((big, out is not None))
+        if _called_by_dot():
+            big = max(len(w) * len(t) for w, t in terms) > poly._BLOCKED_PAIRS
+            calls.append((big, _accumulated(out)))
         return out
 
     monkeypatch.setattr(poly, "_sum_products", spy)
@@ -655,7 +668,7 @@ def test_large_weighted_tails_take_the_sum_kernel(monkeypatch):
     rep = sweep(["conj2", "conj1_f", "conj1_fibo", "conj2_k2"])
     assert rep.all_pass()
     if poly._FAST:
-        # one sum per cell; the kernel takes exactly the large ones
+        # one sum per cell; the accumulator takes exactly the large ones
         assert len(calls) == len(rep.cells)
         assert sum(big for big, _ in calls) > 10
         assert all(big == took for big, took in calls)
@@ -664,10 +677,10 @@ def test_large_weighted_tails_take_the_sum_kernel(monkeypatch):
 
 
 # the sweep of test_a_corrupted_weight_fails_every_cell_of_its_parameters,
-# cut to the corrupted parameters; prints each cell, then which cells the
-# kernel took
+# cut to the corrupted parameters; prints each cell, then which of dot's
+# sums the accumulator took (a * b calls the kernel too, on one pair)
 _CORRUPTED_SWEEP = """
-import json
+import json, sys
 from qfib import harness, poly
 num, w = harness._conj2_weights(2, 3)
 harness._CONJ2_WEIGHTS[(2, 3)] = (num, (w[0] + 1, *w[1:]))
@@ -677,13 +690,15 @@ kernel = poly._sum_products
 took = []
 
 def spy(terms):
-    took.append(kernel(terms))
-    return took[-1]
+    out = kernel(terms)
+    if sys._getframe(1).f_code is poly.dot.__code__:
+        took.append(out is not None and out._blocks is not None)
+    return out
 
 poly._sum_products = spy
 rep = harness.sweep(["conj2", "conj2_k2"], [{"k": (2, 2), "ell": (3, 3)}, {"ell": (2, 2)}])
 print(json.dumps([[c.id, c.params, c.status, c.residual] for c in rep.cells]))
-print(json.dumps([out is not None for out in took]))
+print(json.dumps(took))
 """
 
 

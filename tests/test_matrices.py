@@ -29,9 +29,13 @@ def rand_poly(rng, nterms, lo=-2, hi=3):
     return Poly(d)
 
 
+def _identity(n):
+    return PolyMatrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+
+
 def test_det_identity():
-    assert PolyMatrix.identity(2).det() == ONE
-    assert PolyMatrix.identity(4).det() == ONE
+    assert _identity(2).det() == ONE
+    assert _identity(4).det() == ONE
 
 
 def test_det_qfib_example():
@@ -60,7 +64,9 @@ def test_det_alternating_on_row_swap():
         n = rng.randint(2, 4)
         m = PolyMatrix([[rand_poly(rng, 2) for _ in range(n)] for _ in range(n)])
         i, j = rng.sample(range(n), 2)
-        assert m.swap_rows(i, j).det() == -m.det()
+        rows = [[m[r, c] for c in range(n)] for r in range(n)]
+        rows[i], rows[j] = rows[j], rows[i]
+        assert PolyMatrix(rows).det() == -m.det()
 
 
 def test_det_laurent_entries():
@@ -154,7 +160,7 @@ def test_quadvector_basics():
     # a vector of extension-ring elements is a plain list
     v = [QuadElem(ONE, ZERO), QuadElem(ZERO, ONE)]
     assert len(v) == 2
-    assert matvec(PolyMatrix.identity(2), v) == v
+    assert matvec(_identity(2), v) == v
     with pytest.raises(ValueError):
         matvec(PolyMatrix([[ONE]]), v)
 

@@ -7,6 +7,7 @@ from math import isqrt
 
 import pytest
 
+from qfib import poly
 from qfib.poly import (
     ONE,
     NotDivisible,
@@ -26,12 +27,11 @@ from qfib.poly import (
     _div_blocked,
     _div_blocked_at,
     _div_naive,
-    _mul_blocked,
+    _dot_naive,
     _mul_bound,
-    _mul_naive,
-    _mul_packed,
     _MAX_DIGITS,
     _pack_coeffs,
+    _packed_product,
     _quotient_certified,
     _unpack_signed,
 )
@@ -54,6 +54,31 @@ def rand_poly(rng, nterms, exp_lo=-3, exp_hi=4, cmax=9):
 
 def rand_ordinary(rng, nterms, exp_hi=4, cmax=9):
     return rand_poly(rng, nterms, exp_lo=0, exp_hi=exp_hi, cmax=cmax)
+
+
+def _naive(a, b):
+    """a * b by the term dict, the oracle."""
+    return _dot_naive(((a._t, b._t),))
+
+
+def _kernel(a, b, packed=False):
+    """a * b through _sum_products on the one pair (a, b), forced past
+    _BLOCKED_PAIRS onto the block products or, when packed, onto the
+    packed product, which must take it."""
+    took = []
+    real = poly._packed_product
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_BLOCKED_PAIRS", 0)
+        mp.setattr(poly, "_PACKED_PAIRS", 0 if packed else 10**18)
+        mp.setattr(poly, "_packed_product", lambda *args: took.append(real(*args)) or took[-1])
+        out = poly._sum_products([(a, b)])
+    assert len(took) == packed and None not in took
+    return out
+
+
+def _packed_blocks(a, b):
+    """_packed_product on the block lists of a and b; None where it declines."""
+    return _packed_product(_block_map(a), _block_map(b), _mul_bound(a, b))
 
 
 # --------------------------------------------------------- worked examples
@@ -306,16 +331,16 @@ def test_blocked_mul_matches_naive():
         b = rand_poly(rng, rng.randint(10, 60), exp_lo=-4, exp_hi=8, cmax=50)
         if a.is_zero() or b.is_zero():
             continue
-        blocked = _mul_blocked(a, b)
+        blocked = _kernel(a, b)
         assert blocked is not None
-        assert blocked == _mul_naive(a._t, b._t)
+        assert blocked == _naive(a, b)
 
 
 def test_blocked_mul_huge_coefficients():
     rng = random.Random(37)
     a = rand_poly(rng, 30, cmax=10**25)
     b = rand_poly(rng, 30, cmax=10**25)
-    assert _mul_blocked(a, b) == _mul_naive(a._t, b._t)
+    assert _kernel(a, b) == _naive(a, b)
 
 
 def test_blocked_div_matches_naive():
@@ -347,7 +372,7 @@ def test_mul_dispatch_large():
     rng = random.Random(43)
     a = rand_ordinary(rng, 120, exp_hi=10, cmax=99)
     b = rand_ordinary(rng, 120, exp_hi=10, cmax=99)
-    assert a * b == _mul_naive(a._t, b._t)
+    assert a * b == _naive(a, b)
 
 
 def test_exact_div_laurent_divisor_ordinary_quotient():
@@ -367,8 +392,8 @@ def test_q_sparse_polys_fall_back_to_naive():
     a = Poly(d)
     assert _block_map(a) is False
     b = Poly({(1, 0, 0, 0): 2, (0, 1, 5000, 0): 3})
-    assert _mul_blocked(a, b) is None or _mul_blocked(a, b) == _mul_naive(a._t, b._t)
-    assert a * b == _mul_naive(a._t, b._t)
+    assert _kernel(a, b) is None
+    assert a * b == _naive(a, b)
 
 
 def test_exact_div_dispatch_large_dividend():
@@ -447,12 +472,12 @@ def test_blocked_square_matches_naive():
     rng = random.Random(67)
     for _ in range(40):
         a = rand_poly(rng, rng.randint(50, 120), exp_lo=-4, exp_hi=8, cmax=10**6)
-        want = _mul_naive(a._t, a._t)
-        assert _mul_blocked(a, a) == want
+        want = _naive(a, a)
+        assert _kernel(a, a) == want
         assert a**2 == want
     # all-negative coefficients in a single block
     b = Poly({(0, 0, e, 0): -(e + 1) for e in range(80)})
-    assert _mul_blocked(b, b) == _mul_naive(b._t, b._t)
+    assert _kernel(b, b) == _naive(b, b)
 
 
 def _squares(n):
@@ -481,8 +506,8 @@ def test_blocked_mul_at_the_limb_boundary():
         for norm2 in ((1 << (L - 1)) - 1, 1 << (L - 1)):
             a, b = _reversal_pair(norm2)
             for x in (a, -a):
-                got = _mul_blocked(x, b)
-                assert got == _mul_naive(x._t, b._t)
+                got = _kernel(x, b)
+                assert got == _naive(x, b)
                 assert max(abs(c) for _, c in got.terms()) == norm2
                 # built with the block list _block_map would scan for
                 assert got._blocks == _block_map(Poly._raw(dict(got._t)))
@@ -498,8 +523,8 @@ def test_blocks_with_interior_zeros():
     a = (X + S * Q) * (ONE + Q**4 - Q**9)
     b = (X * Q + S) * (ONE - Q**3 + 2 * Q**11)
     for x, y in ((a, b), (-a, b), (a, a), (b, b), (a, -b)):
-        want = _mul_naive(x._t, y._t)
-        for got in (_mul_blocked(x, y), _mul_packed(x, y)):
+        want = _naive(x, y)
+        for got in (_kernel(x, y), _kernel(x, y, packed=True)):
             assert got == want
             assert 0 not in got._t.values()
             assert got._blocks == _block_map(Poly._raw(dict(got._t)))
@@ -510,8 +535,6 @@ def test_blocks_with_interior_zeros():
 
 def _digit_widths(monkeypatch):
     """The digit width D of each _packed_product read, as a list."""
-    import qfib.poly as poly
-
     widths = []
     real = poly._read_digits
     monkeypatch.setattr(
@@ -530,8 +553,8 @@ def test_packed_mul_at_the_digit_boundary(monkeypatch):
             a, b = _reversal_pair(norm2)
             for x, y in ((-a, b), (a, -b)):
                 widths.clear()
-                got = _mul_packed(x, y)
-                assert got == _mul_naive(x._t, y._t)
+                got = _kernel(x, y, packed=True)
+                assert got == _naive(x, y)
                 assert max(abs(c) for _, c in got.terms()) == norm2
                 assert set(widths) == {width}
 
@@ -545,8 +568,8 @@ def test_unsigned_packed_mul_at_the_digit_boundary(monkeypatch):
         for width, norm2 in ((D, 10**D - 1), (D + 1, 10**D)):
             a, b = _reversal_pair(norm2)
             widths.clear()
-            got = _mul_packed(a, b)
-            assert got == _mul_naive(a._t, b._t)
+            got = _kernel(a, b, packed=True)
+            assert got == _naive(a, b)
             assert max(c for _, c in got.terms()) == norm2
             assert set(widths) == {width}
 
@@ -557,8 +580,9 @@ def test_packed_square_at_the_bound():
     for c in (1, -7, 10**30 + 1):
         a = Poly({(2 + i, i - 1, e, 0): c for i in (0, 1) for e in range(-4, 6)})
         assert _mul_bound(a, a) == 20 * c * c
-        assert _mul_packed(a, a) == _mul_naive(a._t, a._t)
-        assert max(abs(v) for _, v in _mul_packed(a, a).terms()) == 20 * c * c
+        got = _kernel(a, a, packed=True)
+        assert got == _naive(a, a)
+        assert max(abs(v) for _, v in got.terms()) == 20 * c * c
 
 
 def test_packed_mul_at_the_widest_digit():
@@ -572,54 +596,50 @@ def test_packed_mul_at_the_widest_digit():
         c = isqrt(10**640 // 4 - 1)
         a = Poly({(0, 0, 0, 0): c, (0, 0, 1, 0): c})
         assert len(str(2 * _mul_bound(a, a))) == 640
-        assert _mul_packed(a, a) == _mul_naive(a._t, a._t)
+        assert _kernel(a, a, packed=True) == _naive(a, a)
         b = a * 2
-        assert _mul_packed(b, b) is None
+        assert _packed_blocks(b, b) is None
         # at the exact bound: plain digits to 10^640 - 1, balanced ones to
         # 5*10^639 - 1
         top = 10**_MAX_DIGITS
         for sign, norm2 in ((1, top - 1), (-1, top // 2 - 1)):
             x, y = _reversal_pair(norm2)
-            assert _mul_packed(sign * x, y) == _mul_naive((sign * x)._t, y._t)
+            assert _kernel(sign * x, y, packed=True) == _naive(sign * x, y)
             x, y = _reversal_pair(norm2 + 1)
-            assert _mul_packed(sign * x, y) is None
+            assert _packed_blocks(sign * x, y) is None
     finally:
         if set_limit:
             set_limit(limit)
 
 
 def test_packed_mul_declines_what_it_cannot_pack(monkeypatch):
-    import qfib.poly as poly
-
     # every product above 2048 term pairs tries the packed kernel first
     monkeypatch.setattr(poly, "_PACKED_PAIRS", 0)
     line = Poly({(2 - 2 * es, es, eq, 0): 1 + eq for es in range(3) for eq in range(20)})
-    assert _mul_packed(line, line) == _mul_naive(line._t, line._t)
+    assert _kernel(line, line, packed=True) == _naive(line, line)
     # two blocks on one s exponent: not an s-line
     not_line = line + Poly({(5, 1, 0, 0): 1})
-    assert _mul_packed(not_line, line) is None
-    assert _mul_packed(line, not_line) is None
-    assert _mul_packed(not_line, not_line) is None
-    assert not_line * not_line == _mul_naive(not_line._t, not_line._t)
+    assert _packed_blocks(not_line, line) is None
+    assert _packed_blocks(line, not_line) is None
+    assert _packed_blocks(not_line, not_line) is None
+    assert not_line * not_line == _naive(not_line, not_line)
     # s-lines with ex = es and ex = es^2: the products at es sum 2,
     # (es 0) * (es 2) and (es 1) * (es 1), land on x^4 and x^2
     ex_es = Poly({(es, es, eq, 0): 1 for es in range(3) for eq in range(20)})
     ex_es2 = Poly({(es * es, es, eq, 0): 1 for es in range(3) for eq in range(20)})
-    assert _mul_packed(ex_es, ex_es) == _mul_naive(ex_es._t, ex_es._t)
-    assert _mul_packed(ex_es2, ex_es2) is None
-    assert _mul_packed(ex_es, ex_es2) is None
-    assert ex_es * ex_es2 == _mul_naive(ex_es._t, ex_es2._t)
+    assert _kernel(ex_es, ex_es, packed=True) == _naive(ex_es, ex_es)
+    assert _packed_blocks(ex_es2, ex_es2) is None
+    assert _packed_blocks(ex_es, ex_es2) is None
+    assert ex_es * ex_es2 == _naive(ex_es, ex_es2)
     # a 100-wide block at es 0 forces a stride of 100, and a block at es
     # 1000 then sits 10^5 positions up: mostly gaps
     spread = Poly({(0, 0, eq, 0): 1 for eq in range(100)}) + S + S**1000
-    assert _mul_packed(spread, spread) is None
-    assert spread * spread == _mul_naive(spread._t, spread._t)
+    assert _packed_blocks(spread, spread) is None
+    assert spread * spread == _naive(spread, spread)
 
 
 @pytest.mark.parametrize("packed", [False, True])
 def test_accumulated_products_match_naive_with_either_sign(monkeypatch, packed):
-    import qfib.poly as poly
-
     # s-lines with signed coefficients: the products pack when asked to
     a = Poly({(2 - j, j, e, -1): (e + j) * (-1) ** e for j in range(-1, 3) for e in range(9)})
     b = Poly({(1 - es, es, eq, 1): 3 - eq for es in range(3) for eq in range(-2, 7)})
@@ -629,34 +649,57 @@ def test_accumulated_products_match_naive_with_either_sign(monkeypatch, packed):
     real = poly._packed_product
     monkeypatch.setattr(poly, "_packed_product", lambda *args: calls.append(1) or real(*args))
     for x in (a, -a):
-        assert poly._mul_fast(x, x) == _mul_naive(x._t, x._t)
-        want = _mul_naive(x._t, x._t) + _mul_naive(x._t, b._t)
+        assert poly._sum_products([(x, x)]) == _naive(x, x)
+        want = _naive(x, x) + _naive(x, b)
         assert poly._sum_products([(x, x), (x, b)]) == want
     assert len(calls) == (6 if packed else 0)
 
 
 def test_large_power_takes_the_packed_kernel(monkeypatch):
-    import qfib.poly as poly
     from qfib.sequences import qfib
 
     results = []
-    real = poly._mul_packed
+    real = poly._packed_product
 
-    def spy(a, b):
-        results.append(real(a, b))
+    def spy(*args):
+        results.append(real(*args))
         return results[-1]
 
-    monkeypatch.setattr(poly, "_mul_packed", spy)
+    monkeypatch.setattr(poly, "_packed_product", spy)
     if poly._FAST:
         p = qfib(62)
         square = p**2
         assert len(results) == 1 and results[0] is not None
-        assert square == _mul_blocked(p, p)
+        assert square == _kernel(p, p)
     else:
         # the plain engine never packs, whatever the size
         monkeypatch.setattr(poly, "_PACKED_PAIRS", 0)
         assert qfib(20) ** 2 == qfib(20) * qfib(20)
         assert results == []
+
+
+def test_one_product_squares_once_and_returns_packed_digits_as_blocks(monkeypatch):
+    """On one pair, _sum_products multiplies a square's unordered block
+    pairs once (_acc_square, never _acc_product) and reads a packed
+    product straight off its digits, never packing them into the
+    accumulator (_pack_coeffs, _add_at)."""
+    from qfib.sequences import qfib
+
+    calls = []
+    for name in ("_acc_square", "_acc_product", "_pack_coeffs", "_add_at"):
+        real = getattr(poly, name)
+        monkeypatch.setattr(
+            poly, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        )
+    p, r = qfib(20), qfib(19, shift=1)
+    assert len(p) * len(r) > poly._BLOCKED_PAIRS
+    assert poly._sum_products([(p, p)]) == _naive(p, p)
+    assert "_acc_square" in calls and "_acc_product" not in calls
+    calls.clear()
+    monkeypatch.setattr(poly, "_PACKED_PAIRS", 0)
+    for x, y in ((p, p), (p, r)):
+        assert poly._sum_products([(x, y)]) == _naive(x, y)
+    assert calls == []
 
 
 def test_quotient_certificate_rejects_equality():
@@ -684,13 +727,14 @@ def test_quotient_certificate_bound_is_tight():
         _div_blocked(a, b)
 
 
-def test_blocked_div_widens_when_quotient_outgrows_dividend(monkeypatch):
-    import qfib.poly as poly
-
+def test_blocked_div_falls_back_when_the_quotient_outgrows_the_limb(monkeypatch):
     # (1 - q^30)^10 / (1 - q)^10 = (1 + q + ... + q^29)^10: the dividend's
-    # coefficients fit in 8 bits, the quotient's need 43
-    b = (ONE - Q) ** 10 * (X + S)
-    a = (ONE - Q**30) ** 10 * (X + S)
+    # coefficients fit in 8 bits, the quotient's need 43, past the one limb
+    # width the blocked division tries, so the plain division finds it
+    m = sum((X**i * Z**j for i in range(8) for j in range(5)), ZERO)
+    b = (ONE - Q) ** 10 * m
+    a = (ONE - Q**30) ** 10 * m
+    assert len(a) > 400
     widths = []
     real = poly._div_blocked_at
 
@@ -699,8 +743,8 @@ def test_blocked_div_widens_when_quotient_outgrows_dividend(monkeypatch):
         return real(a_, b_, L)
 
     monkeypatch.setattr(poly, "_div_blocked_at", spy)
-    got = _div_blocked(a, b)
-    assert len(widths) >= 2
-    assert got == _div_naive(a, b)
-    assert got * b == a
-
+    assert _div_blocked(a, b) is None and len(widths) == 1
+    widths.clear()
+    got = a.exact_div(b)
+    assert len(widths) == poly._FAST
+    assert got == _div_naive(a, b) == sum((Q**i for i in range(30)), ZERO) ** 10

@@ -16,6 +16,7 @@ the working tree.
 """
 
 import random
+import sys
 from operator import add
 
 import pytest
@@ -36,8 +37,7 @@ from qfib.poly import (
     _block_map,
     _div_blocked,
     _div_naive,
-    _mul_naive,
-    _mul_packed,
+    _dot_naive,
     dot,
     monomial,
     parse,
@@ -121,8 +121,9 @@ def test_packed_product_matches_the_plain_product(rng):
     slope = (rng.randint(-2, 2), rng.randint(-1, 1))
     a, b = (_s_line_poly(rng, slope, (rng.randint(-3, 3), rng.randint(-3, 3))) for _ in "ab")
     for x, y in ((a, b), (a, a)):
-        got = _mul_packed(x, y)
-        assert got == _mul_naive(x._t, y._t)
+        packed = []
+        got = _forced_sum_products([(x, y)], packed)
+        assert got == _naive(x, y) and None not in packed
         # the cached block list is the one _block_map reads off the terms
         assert got._blocks == _block_map(Poly._raw(dict(got._t)))
 
@@ -217,13 +218,13 @@ def test_products_and_quotients_carry_exact_exponent_ranges(rng, a, b):
 
 def test_packed_qfib_power_carries_exact_exponent_ranges(monkeypatch):
     results = []
-    real = poly._mul_packed
+    real = poly._packed_product
 
-    def spy(a, b):
-        results.append(real(a, b))
+    def spy(*args):
+        results.append(real(*args))
         return results[-1]
 
-    monkeypatch.setattr(poly, "_mul_packed", spy)
+    monkeypatch.setattr(poly, "_packed_product", spy)
     # base**3 is (base * base) * base; the last product, over 4M term pairs,
     # is packed on the default engine.  base has negative s exponents.
     base = qfib(-30)
@@ -243,9 +244,11 @@ def test_block_built_polys_carry_exact_exponent_ranges(rng):
     big_a, big_b = _blocked_poly(rng), _blocked_poly(rng)
     slope, lead = (rng.randint(-2, 2), rng.randint(-1, 1)), (rng.randint(-3, 3), 0)
     line_a, line_b = _s_line_poly(rng, slope, lead), _s_line_poly(rng, slope, lead)
-    packed = [_mul_packed(line_a, line_b), _mul_packed(line_a, line_a)]
-    assert None not in packed
-    _assert_carried(poly._mul_blocked(big_a, big_b), poly._mul_blocked(big_a, big_a), *packed)
+    took = []
+    packed = [_forced_sum_products([(line_a, y)], took) for y in (line_b, line_a)]
+    assert None not in took
+    blocked = [_forced_sum_products([(big_a, y)], pack=False) for y in (big_b, big_a)]
+    _assert_carried(*packed, *blocked)
     _assert_carried(_forced_sum_products(_sum_terms(rng, 3)))
     if poly._FAST:  # the dict engine fills the memo with sums of Polys
         _assert_carried(*(SeqCache().qfib(n) for n in range(2, 31)))
@@ -404,13 +407,18 @@ def _sum_terms(rng, n):
     ]
 
 
+def _naive(a, b):
+    """a * b by the term dict, the oracle."""
+    return _dot_naive(((a._t, b._t),))
+
+
 def _dict_sum(terms):
-    return sum((_mul_naive(a._t, b._t) for a, b in terms), ZERO)
+    return sum((_naive(a, b) for a, b in terms), ZERO)
 
 
-def _forced_sum_products(terms, packed=None):
+def _forced_sum_products(terms, packed=None, pack=True):
     """_sum_products on any operand size, each product offered to the
-    packed kernel, whose results are appended to `packed`."""
+    packed kernel when pack, whose results are appended to `packed`."""
     real = poly._packed_product
 
     def spy(*args):
@@ -421,7 +429,7 @@ def _forced_sum_products(terms, packed=None):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(poly, "_BLOCKED_PAIRS", 0)
-        mp.setattr(poly, "_PACKED_PAIRS", 0)
+        mp.setattr(poly, "_PACKED_PAIRS", 0 if pack else 10**18)
         mp.setattr(poly, "_packed_product", spy)
         return poly._sum_products(terms)
 
@@ -549,8 +557,10 @@ def test_dot_matches_the_sum_of_products(small, rng, large, cancel, guard, fast)
     real = poly._sum_products
 
     def spy(terms):
-        took.append(real(terms))
-        return took[-1]
+        out = real(terms)
+        if sys._getframe(1).f_code is dot.__code__:  # a * b runs it too
+            took.append(out)
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(poly, "_FAST", fast)
@@ -571,12 +581,12 @@ def test_dot_matches_the_sum_of_products(small, rng, large, cancel, guard, fast)
         assert took == []
     else:
         assert len(took) == 1
-        # the accumulator takes a large dense product, declines a q-sparse
-        # one and leaves small products to the term dict; a product moved to
-        # the guard may lie too far from the others in q to share its blocks
-        if large != "dense":
+        # small products alone go to the term dict, the accumulator takes a
+        # large dense product and declines a q-sparse one; a product moved
+        # to the guard may lie too far from the others in q to share blocks
+        if large == "sparse":
             assert took[0] is None
-        elif not guard:
+        elif large is None or not guard:
             assert took[0] is not None
 
 
