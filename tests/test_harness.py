@@ -640,27 +640,19 @@ def test_a_corrupted_weight_fails_every_cell_of_its_parameters(monkeypatch):
     assert all(c.residual for c in rep.cells if c.status == "fail")
 
 
-def _called_by_dot() -> bool:
-    """Whether the caller of the caller is poly.dot: a * b calls
-    _sum_products too, on one pair."""
-    return sys._getframe(2).f_code is poly.dot.__code__
-
-
-def _accumulated(out) -> bool:
-    """Whether a _sum_products result came off the accumulator, which
-    leaves its block list on the sum; the term dict leaves none."""
-    return out is not None and out._blocks is not None
-
-
 def test_large_weighted_tails_take_the_sum_kernel(monkeypatch):
     calls = []
     real = poly._sum_products
 
     def spy(terms):
         out = real(terms)
-        if _called_by_dot():
+        # a * b runs the kernel too, on one pair: only dot's sums count;
+        # the accumulator leaves its block list on the sum, the term dict none
+        if sys._getframe(1).f_code is poly.dot.__code__:
             big = max(len(w) * len(t) for w, t in terms) > poly._BLOCKED_PAIRS
-            calls.append((big, _accumulated(out)))
+            calls.append((big, out is not None and out._blocks is not None))
+        else:
+            calls.append(("a * b", None))
         return out
 
     monkeypatch.setattr(poly, "_sum_products", spy)
@@ -669,6 +661,7 @@ def test_large_weighted_tails_take_the_sum_kernel(monkeypatch):
     assert rep.all_pass()
     if poly._FAST:
         # one sum per cell; the accumulator takes exactly the large ones
+        calls = [call for call in calls if call[0] != "a * b"]
         assert len(calls) == len(rep.cells)
         assert sum(big for big, _ in calls) > 10
         assert all(big == took for big, took in calls)
@@ -678,7 +671,7 @@ def test_large_weighted_tails_take_the_sum_kernel(monkeypatch):
 
 # the sweep of test_a_corrupted_weight_fails_every_cell_of_its_parameters,
 # cut to the corrupted parameters; prints each cell, then which of dot's
-# sums the accumulator took (a * b calls the kernel too, on one pair)
+# sums the accumulator took, each call of a * b (one pair) as "a * b"
 _CORRUPTED_SWEEP = """
 import json, sys
 from qfib import harness, poly
@@ -693,6 +686,8 @@ def spy(terms):
     out = kernel(terms)
     if sys._getframe(1).f_code is poly.dot.__code__:
         took.append(out is not None and out._blocks is not None)
+    else:
+        took.append("a * b")
     return out
 
 poly._sum_products = spy
@@ -715,6 +710,7 @@ def test_corrupted_weights_give_byte_identical_residuals_on_both_engines():
         runs.append([json.loads(line) for line in proc.stdout.splitlines()])
     (fast, took), (plain, untouched) = runs
     assert fast == plain and untouched == []
+    took = [t for t in took if t != "a * b"]
     failed = [i for i, (_, _, status, _) in enumerate(fast) if status == "fail"]
     assert len(failed) == 9 and all(fast[i][3] for i in failed)
     # the five conj2 cells (k = 2, ell = 3) failed through the kernel

@@ -72,7 +72,7 @@ def _kernel(a, b, packed=False):
         mp.setattr(poly, "_PACKED_PAIRS", 0 if packed else 10**18)
         mp.setattr(poly, "_packed_product", lambda *args: took.append(real(*args)) or took[-1])
         out = poly._sum_products([(a, b)])
-    assert len(took) == packed and None not in took
+    assert len(took) == (1 if packed else 0) and None not in took
     return out
 
 

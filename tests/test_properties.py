@@ -123,7 +123,7 @@ def test_packed_product_matches_the_plain_product(rng):
     for x, y in ((a, b), (a, a)):
         packed = []
         got = _forced_sum_products([(x, y)], packed)
-        assert got == _naive(x, y) and None not in packed
+        assert got == _naive(x, y) and len(packed) == 1 and None not in packed
         # the cached block list is the one _block_map reads off the terms
         assert got._blocks == _block_map(Poly._raw(dict(got._t)))
 
@@ -246,7 +246,7 @@ def test_block_built_polys_carry_exact_exponent_ranges(rng):
     line_a, line_b = _s_line_poly(rng, slope, lead), _s_line_poly(rng, slope, lead)
     took = []
     packed = [_forced_sum_products([(line_a, y)], took) for y in (line_b, line_a)]
-    assert None not in took
+    assert len(took) == 2 and None not in took
     blocked = [_forced_sum_products([(big_a, y)], pack=False) for y in (big_b, big_a)]
     _assert_carried(*packed, *blocked)
     _assert_carried(_forced_sum_products(_sum_terms(rng, 3)))
@@ -557,10 +557,9 @@ def test_dot_matches_the_sum_of_products(small, rng, large, cancel, guard, fast)
     real = poly._sum_products
 
     def spy(terms):
-        out = real(terms)
-        if sys._getframe(1).f_code is dot.__code__:  # a * b runs it too
-            took.append(out)
-        return out
+        # a * b runs the kernel too: note whether dot was the caller
+        took.append((sys._getframe(1).f_code is dot.__code__, real(terms)))
+        return took[-1][1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(poly, "_FAST", fast)
@@ -580,6 +579,7 @@ def test_dot_matches_the_sum_of_products(small, rng, large, cancel, guard, fast)
     if not fast:  # the dict engine never calls the kernel
         assert took == []
     else:
+        took = [out for by_dot, out in took if by_dot]
         assert len(took) == 1
         # small products alone go to the term dict, the accumulator takes a
         # large dense product and declines a q-sparse one; a product moved
