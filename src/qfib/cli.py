@@ -8,7 +8,8 @@ rule <n,k> = F(k+1)<n-1,k> + s F(n-k-1)<n-1,k-1>), 2
 usage error (an --out path that cannot be opened is one; verify checks it
 before its sweep), 3 budget exceeded (a desk-scale bound, or an exponent
 that arithmetic pushed past the supported range), 4 internal error (an
-exact division that left a remainder), 141 standard output closed early.
+exact division that left a remainder, or a verify --jobs child process
+that died), 141 standard output closed early.
 Ranges are inclusive "a..b" (a single "a" works too); negative bounds must
 be attached with '=', e.g. --n=-2..6.  Polynomial output uses
 the canonical grammar, bit-exact, so reports are stable regression inputs.
@@ -33,6 +34,11 @@ EXIT_USAGE = 2
 EXIT_OVER_BUDGET = 3
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141  # what a shell reports for a command killed by SIGPIPE
+
+_JOBS_HELP = (
+    "processes that run cells: this one and N - 1 forked children, capped by the CPU count; "
+    "serial where os.fork is missing"
+)
 
 # desk-scale bounds for the tables subcommand
 DET_TABLE_DEFAULT_MAX_K = 4
@@ -503,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="treat fitted cells as passing for the exit code",
     )
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=int, default=1, metavar="N", help=_JOBS_HELP)
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.add_argument("--out")
     p_verify.set_defaults(func=_cmd_verify)
@@ -541,7 +547,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NotDivisible as exc:  # a broken exact division is a bug, not a usage error
+    except (NotDivisible, ChildProcessError) as exc:  # a broken division or a dead worker is a bug
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except _OverBudget as exc:

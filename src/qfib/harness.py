@@ -26,8 +26,8 @@ f(ell(n-j), q^(ell j) s)^k come from the sequences' power memo
 tail is that power under s -> q^(ell j) s.  The power determinants read
 their 2 x 2 minors from _MINORS, keyed by (N1, N2, classical) (see
 _minor).  Every memo lives in its module for the life of the process, so
-each pool worker of a sweep keeps its own; values are only ever added,
-each equal to what a fresh build would give.
+each forked child of a sweep fills its own copy; values are only ever
+added, each equal to what a fresh build would give.
 
 Two-sided identities (the determinant families and Euler-Cassini) are
 registered by their sides alone, e.g. (determinant side, closed-form side),
@@ -59,6 +59,7 @@ rounding.
 
 from __future__ import annotations
 
+import marshal
 import os
 import time
 from collections.abc import Callable
@@ -880,8 +881,8 @@ def _run_cell(task) -> CellResult:
     return CellResult(id, params, "fail", residual=_residual_text(value), ms=round(ms, 3))
 
 
-# Chunks per pool worker: enough that the last chunks even out the load,
-# few enough that a worker runs long runs of one identity on warm caches.
+# Chunks per process of a sweep: enough that the last chunks even out the load,
+# few enough that a process runs long runs of one identity on warm caches.
 _CHUNKS_PER_WORKER = 16
 
 
@@ -897,9 +898,8 @@ def sweep(
     replaces the entry default; it is one such dict for every id, or a list
     holding one dict (or None) per id.  Cells come in the order the ids
     were given, a repeated id running again, with each id's cells sorted by
-    params; the report is identical for any worker count.  All cells share
-    one process pool, fed contiguous chunks so that each worker runs
-    consecutive cells of an identity on warm sequence caches.
+    params; the report is identical for any worker count.  Where os.fork
+    exists, workers > 1 processes share the cells (_forked_cells).
     """
     if isinstance(ids, str):
         ids = [ids]
@@ -913,14 +913,66 @@ def sweep(
         use_fit = fit or entry.fit_default
         cells = sorted(entry.cells(over), key=lambda params: sorted(params.items()))
         tasks.extend((id, params, use_fit) for params in cells)
-    # a fork-started pool forks all its workers on the first submit
     workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    if workers > 1 and hasattr(os, "fork"):
+        return VerificationReport(_forked_cells(tasks, workers))
+    return VerificationReport([_run_cell(t) for t in tasks])
 
-        chunksize = max(1, len(tasks) // (_CHUNKS_PER_WORKER * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_run_cell, tasks, chunksize=chunksize))
-    else:
-        cells = [_run_cell(t) for t in tasks]
-    return VerificationReport(cells)
+
+def _forked_cells(tasks: list, workers: int) -> list:
+    """The cells of `tasks`, in order, from this process and workers - 1
+    forked children.  One write of at most PIPE_BUF bytes, which cannot
+    block, puts the chunk indices in a pipe (past PIPE_BUF // 4 chunks the
+    chunks grow); each process reads the next index until EOF.  A child
+    marshals its {index: cells} down a pipe of its own.  On any exception,
+    a child's nonzero exit status included, every child not yet reaped is
+    killed and reaped first."""
+    queue, feed = os.pipe()
+    limit = os.fpathconf(feed, "PC_PIPE_BUF") // 4  # 4-byte indices per atomic write
+    size = max(len(tasks) // (_CHUNKS_PER_WORKER * workers), -(-len(tasks) // limit), 1)
+    chunks = [tasks[i : i + size] for i in range(0, len(tasks), size)]
+    os.write(feed, b"".join(i.to_bytes(4, "little") for i in range(len(chunks))))
+    os.close(feed)
+    done, children = {}, {}  # children: each child's pipe -> its pid, 0 until forked
+
+    def drain() -> dict:
+        while index := os.read(queue, 4):
+            i = int.from_bytes(index, "little")
+            done[i] = [_run_cell(t) for t in chunks[i]]
+        return done
+
+    try:
+        for _ in range(workers - 1):
+            fd, out = os.pipe()
+            children[src := open(fd, "rb")] = 0
+            with open(out, "wb") as sink:
+                if (pid := os.fork()) == 0:
+                    try:
+                        sent = {i: list(map(vars, v)) for i, v in drain().items()}
+                        sink.write(marshal.dumps(sent))
+                        sink.flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+            children[src] = pid
+        drain()
+        for src, pid in list(children.items()):
+            with src:
+                data = src.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[src]
+            if code:
+                raise ChildProcessError(f"sweep worker {pid} exited with status {code}")
+            done.update((i, [CellResult(**c) for c in v]) for i, v in marshal.loads(data).items())
+    except BaseException:
+        import signal
+
+        for src, pid in children.items():
+            src.close()
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        raise
+    finally:
+        os.close(queue)
+    return [cell for i in range(len(chunks)) for cell in done[i]]

@@ -163,7 +163,7 @@ class SeqCache:
 
     Entries are only ever written with the value a fresh recomputation
     would produce and Poly values are immutable, so concurrent readers
-    (or pool workers holding their own copy) cannot observe anything a
+    (or forked sweep workers with their own copy) cannot observe anything a
     pure function would not return.  Forward entries are stored packed
     (see the module docstring) and never change once stored; the Poly an
     accessor returns is built from that packed form alone, so readers that

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -340,40 +341,59 @@ def test_verify_jobs_must_be_positive(capsys):
         assert "--jobs" in err and out == ""
 
 
-def test_verify_runs_one_pool_in_the_given_order(capsys, monkeypatch):
-    import concurrent.futures
+def test_verify_forks_one_child_and_keeps_the_given_order(capsys, monkeypatch):
+    forks, writes = [], []
+    real_fork, real_write = os.fork, os.write
 
-    from qfib import harness
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
 
-    pools, maps = [], []
+    def write(fd, data):
+        writes.append(bytes(data))
+        return real_write(fd, data)
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            maps.append((len(tasks), chunksize))
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "write", write)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     ids = ["euler_cassini", "basis_decomp", "q_cassini"]
     code, out, _ = run(capsys, "verify", *ids, "--jobs", "2", "--format", "json")
     assert code == EXIT_OK
     cells = json.loads(out)["cells"]
-    assert len(cells) == sum(len(harness.CATALOG[id].cells()) for id in ids)
-    assert pools == [2]
-    [(count, chunksize)] = maps
-    assert count == len(cells)
-    assert 1 < chunksize <= count // 4  # several cells per round trip and per worker
+    count = len(cells)
+    assert count == sum(len(harness.CATALOG[id].cells()) for id in ids)
+    assert forks == [os.getpid()]  # --jobs 2: this process and one forked child
+    # the chunk indices, in order, in one write
+    [queue] = writes
+    chunks = len(queue) // 4
+    assert queue == b"".join(i.to_bytes(4, "little") for i in range(chunks))
+    # several cells per chunk, and several chunks per process
+    assert any(-(-count // size) == chunks for size in range(2, count // 4 + 1))
     order = [c["id"] for c in cells]
     assert order == sorted(order, key=ids.index)
+    with pytest.raises(ChildProcessError):  # the child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_reports_a_dead_worker_as_an_internal_error(capsys, monkeypatch):
+    caller = os.getpid()
+    real = harness._run_cell
+
+    def run_cell(task):
+        if os.getpid() != caller:
+            os._exit(3)
+        time.sleep(0.01)  # leave the child a chunk to take
+        return real(task)
+
+    monkeypatch.setattr(harness, "_run_cell", run_cell)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    code, out, err = run(capsys, "verify", "q_cassini", "--jobs", "2")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("internal error: sweep worker ")
+    assert err.endswith(" exited with status 3\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_verify_all_report_is_the_same_for_any_jobs(capsys):

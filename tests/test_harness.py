@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -417,7 +418,7 @@ def test_no_level_is_forked_inside_a_verify_jobs_worker(monkeypatch, tmp_path):
     # in this process no cell forks
     serial = sweep(["conj3"], over)
     assert serial.all_pass() and not log.exists()
-    # the pool forks its workers from this process, and they fork nothing
+    # this process forks the sweep's child, which forks nothing
     pooled = sweep(["conj3"], over, workers=2)
     assert pooled.all_pass() and len(pooled.cells) == len(serial.cells)
     assert set(log.read_text().split()) == {str(os.getpid())}
@@ -739,33 +740,119 @@ def test_sweep_fits_from_the_sides_it_checked(monkeypatch):
     assert rep.cells[0].residual == str(det - closed * Q)
 
 
-def test_sweep_caps_the_pool(monkeypatch):
-    import concurrent.futures
+def _stripped(report):
+    return [dict(c.to_dict(), ms=0) for c in report.cells]
 
-    sizes = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+def test_sweep_caps_the_forks(monkeypatch):
+    serial = [sweep(["q_cassini"], overrides={"n": (1, n)}) for n in (3, 12)]
+    forks = _spy_fork(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     few = sweep(["q_cassini"], overrides={"n": (1, 3)}, workers=1000)
+    assert len(forks) == 2  # capped by the task count: three processes
     many = sweep(["q_cassini"], overrides={"n": (1, 12)}, workers=1000)
-    assert sizes == [3, 4]  # capped by the task count, then by the cpu count
-    assert few.all_pass() and many.all_pass()
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
-    assert sweep(["q_cassini"], overrides={"n": (1, 3)}, workers=1000).all_pass()
-    assert sizes == [3, 4]  # unknown cpu count: serial, no pool
+    assert len(forks) == 2 + 3  # then by the cpu count: four processes
+    assert [_stripped(few), _stripped(many)] == [_stripped(r) for r in serial]
+    _no_child_left()
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _stripped(sweep(["q_cassini"], overrides={"n": (1, 3)}, workers=1000)) == _stripped(
+        serial[0]
+    )
+    assert len(forks) == 5  # unknown cpu count: serial, no fork
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delattr(os, "fork")
+    assert _stripped(sweep(["q_cassini"], overrides={"n": (1, 3)}, workers=1000)) == _stripped(
+        serial[0]
+    )
+    assert len(forks) == 5  # no os.fork: serial
+
+
+def test_forked_sweep_runs_every_chunk_once(monkeypatch, tmp_path):
+    ids = ["q_cassini", "euler_cassini", "basis_decomp", "det_sq_q"]
+    serial = sweep(ids)
+    log = tmp_path / "cells"
+    real = harness._run_cell
+
+    def run_cell(task):
+        with open(log, "a") as fh:
+            fh.write(json.dumps([task[0], sorted(task[1].items())]) + "\n")
+        return real(task)
+
+    monkeypatch.setattr(harness, "_run_cell", run_cell)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    forked = sweep(ids, workers=4)
+    _no_child_left()
+    assert _stripped(forked) == _stripped(serial)
+    ran = log.read_text().splitlines()
+    want = [json.dumps([c.id, sorted(c.params.items())]) for c in serial.cells]
+    assert sorted(ran) == sorted(want)  # each cell once, in whichever process
+
+
+def test_dead_sweep_worker_raises_and_leaves_no_child(monkeypatch):
+    caller = os.getpid()
+    real = harness._run_cell
+
+    def run_cell(task):
+        if os.getpid() != caller:
+            os._exit(3)
+        time.sleep(0.01)  # leave the children chunks to take
+        return real(task)
+
+    monkeypatch.setattr(harness, "_run_cell", run_cell)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    with pytest.raises(ChildProcessError, match="exited with status 3$"):
+        sweep(["q_cassini"], workers=3)
+    _no_child_left()
+
+
+def test_interrupted_sweep_kills_and_reaps_its_children(monkeypatch):
+    caller = os.getpid()
+
+    def run_cell(task):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(20)  # a child is still busy when the caller stops
+        os._exit(0)
+
+    monkeypatch.setattr(harness, "_run_cell", run_cell)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        sweep(["q_cassini"], workers=3)
+    assert time.monotonic() - start < 10  # killed, not waited out
+    _no_child_left()
+
+
+@pytest.mark.parametrize("cells, chunks", [(1000, 1000), (1500, 750)])
+def test_chunk_indices_go_out_in_one_write_of_at_most_pipe_buf(monkeypatch, cells, chunks):
+    import select
+
+    writes = []
+    real = os.write
+
+    def write(fd, data):
+        writes.append(bytes(data))
+        return real(fd, data)
+
+    def fork():
+        raise BlockingIOError("no fork in this test")
+
+    monkeypatch.setattr(os, "write", write)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    # 64 processes, 16 chunks each: one cell per chunk, unless the indices
+    # would pass PIPE_BUF, when the chunks grow instead
+    with pytest.raises(BlockingIOError):
+        sweep(["q_cassini"], overrides={"n": (1, cells)}, workers=64)
+    [queue] = writes  # before the first fork
+    assert len(queue) <= select.PIPE_BUF
+    assert queue == b"".join(i.to_bytes(4, "little") for i in range(chunks))
+    _no_child_left()
 
 
 def test_sweep_takes_overrides_per_id_in_the_given_order():
