@@ -952,7 +952,7 @@ def _forked_cells(tasks: list, workers: int) -> list:
                         sink.write(marshal.dumps(sent))
                         sink.flush()
                         os._exit(0)
-                    finally:
+                    finally:  # a child never returns into the caller's frames
                         os._exit(1)
             children[src] = pid
         drain()

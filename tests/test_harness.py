@@ -759,16 +759,13 @@ def test_sweep_caps_the_forks(monkeypatch):
     assert len(forks) == 2 + 3  # then by the cpu count: four processes
     assert [_stripped(few), _stripped(many)] == [_stripped(r) for r in serial]
     _no_child_left()
+    three = _stripped(serial[0])
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _stripped(sweep(["q_cassini"], overrides={"n": (1, 3)}, workers=1000)) == _stripped(
-        serial[0]
-    )
+    assert _stripped(sweep(["q_cassini"], overrides={"n": (1, 3)}, workers=1000)) == three
     assert len(forks) == 5  # unknown cpu count: serial, no fork
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.delattr(os, "fork")
-    assert _stripped(sweep(["q_cassini"], overrides={"n": (1, 3)}, workers=1000)) == _stripped(
-        serial[0]
-    )
+    assert _stripped(sweep(["q_cassini"], overrides={"n": (1, 3)}, workers=1000)) == three
     assert len(forks) == 5  # no os.fork: serial
 
 
