@@ -247,8 +247,11 @@ def _cmd_coeff(args) -> int:
     if isinstance(value, tuple):
         num, den = value
         if at:
-            ratio = num.evaluate(**at) / den.evaluate(**at)
-            _emit(_fraction_str(ratio), args.out)
+            d = den.evaluate(**at)
+            if not d:
+                where = f"{args.kind} {' '.join(map(str, args.params))}"
+                raise _UsageError(f"the denominator of {where} vanishes at {args.at}")
+            _emit(_fraction_str(num.evaluate(**at) / d), args.out)
         else:
             _emit(f"({num}) / ({den})", args.out)
         return EXIT_OK
@@ -365,11 +368,9 @@ def _hoggatt_closed_form(n: int) -> Poly:
     """det(zI - hoggatt(n)) in closed form, sum_j (-1)^C(j+1,2) s^C(j,2)
     <n, j> z^(n-j), from the fibonomials <n, j>: no code shared with
     hoggatt() or with the determinant."""
-    total = ZERO
-    for j in range(n + 1):
-        sign = -1 if j * (j + 1) // 2 % 2 else 1
-        total = total + monomial(sign, es=j * (j - 1) // 2, ez=n - j) * qcomb.fibonomial(n, j)
-    return total
+    return sum(
+        (w * monomial(1, ez=n - j) for j, w in enumerate(qcomb._SIGNED_FIBONOMIALS[n])), ZERO
+    )
 
 
 def _triangle_by_rule(rows: int, at: dict) -> list[list[Fraction]]:

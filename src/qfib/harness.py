@@ -17,17 +17,16 @@ as a Poly and picks its kernel by operand size; PolyMatrix.det does the
 same for each Bareiss step.
 
 The power recurrences (power_rec_classical, conj2 and its bindings,
-conj2_k2) keep their n-free parts per parameter set: the common numerator
-and each term's cleared weight, coefficient times the other denominators,
-are built once and memoized, in _CONJ2_WEIGHTS per (k, ell),
-_CONJ2_K2_WEIGHTS per ell and _POWER_REC_WEIGHTS per k.  Their tails
-f(ell(n-j), q^(ell j) s)^k come from the sequences' power memo
-(qfib_power, fib_power): each power f(m)^k is built once per (m, k) and a
-tail is that power under s -> q^(ell j) s.  The power determinants read
-their 2 x 2 minors from _MINORS, keyed by (N1, N2, classical) (see
-_minor).  Every memo lives in its module for the life of the process, so
-each forked child of a sweep fills its own copy; values are only ever
-added, each equal to what a fresh build would give.
+conj2_k2) build their n-free parts once per parameter set: the common
+numerator and each term's cleared weight (coefficient times the other
+denominators) in the Memos _CONJ2_WEIGHTS[k, ell] and
+_CONJ2_K2_WEIGHTS[ell], the weights of power_rec_classical in
+qcomb._SIGNED_FIBONOMIALS[k + 1].  Their tails f(ell(n-j), q^(ell j) s)^k
+are the sequences' memoized powers f(m)^k moved by s -> q^(ell j) s
+(qfib_power, fib_power), and the power determinants read their 2 x 2
+minors from _MINORS[N1, N2, classical].  Every memo lives for the life of
+the process, so each forked child of a sweep fills its own copy; values
+are only ever added, each equal to what a fresh build would give.
 
 Two-sided identities (the determinant families and Euler-Cassini) are
 registered by their sides alone, e.g. (determinant side, closed-form side),
@@ -69,8 +68,9 @@ from math import comb
 
 from .matrices import PolyMatrix
 from .poly import ONE, Poly, ZERO, dot, monomial
-from .qcomb import Fac, _prod, binom_product, fac, fibonomial, qfibonomial_parts
+from .qcomb import _SIGNED_FIBONOMIALS, Fac, _prod, binom_product, fac, qfibonomial_parts
 from .sequences import (
+    Memo,
     fib,
     fib_power,
     gf_truncated,
@@ -123,14 +123,6 @@ def _int_exp(value: Fraction) -> int:
     return value.numerator
 
 
-# memos of _conj2_weights, keyed by (k, ell), of _conj2_k2_weights, by ell,
-# of _power_rec_weights, by k, and of _minor, by (N1, N2, classical)
-_CONJ2_WEIGHTS: dict[tuple[int, int], tuple[Poly, tuple[Poly, ...]]] = {}
-_CONJ2_K2_WEIGHTS: dict[int, tuple[Poly, ...]] = {}
-_POWER_REC_WEIGHTS: dict[int, tuple[Poly, ...]] = {}
-_MINORS: dict[tuple[int, int, bool], Poly] = {}
-
-
 def _weighted_tails(weights, n: int, k: int, ell: int) -> Poly:
     """sum_j weights[j] * f(ell(n-j), q^(ell j) s)^k, one poly.dot: each
     tail is the memoized power f(ell(n-j))^k under s -> q^(ell j) s, the
@@ -150,19 +142,7 @@ def power_rec_classical(n: int, k: int) -> Poly:
     sum_j (-1)^C(j+1,2) s^C(j,2) <k+1, j> F(n-j)^k."""
     if k < 1:
         raise BadParams("power_rec_classical needs k >= 1")
-    return dot((w, fib_power(n - j, k)) for j, w in enumerate(_power_rec_weights(k)))
-
-
-def _power_rec_weights(k: int) -> tuple[Poly, ...]:
-    """The k + 2 n-free weights (-1)^C(j+1,2) s^C(j,2) <k+1, j> of
-    power_rec_classical, memoized."""
-    got = _POWER_REC_WEIGHTS.get(k)
-    if got is None:
-        got = _POWER_REC_WEIGHTS[k] = tuple(
-            monomial(_sign(j * (j + 1) // 2), es=j * (j - 1) // 2) * fibonomial(k + 1, j)
-            for j in range(k + 2)
-        )
-    return got
+    return dot((w, fib_power(n - j, k)) for j, w in enumerate(_SIGNED_FIBONOMIALS[k + 1]))
 
 
 def squares_classical(n: int) -> Poly:
@@ -216,7 +196,7 @@ def conj2(n: int, k: int, ell: int) -> Poly:
     stride-ell q-fibonomial coefficients; denominators cleared."""
     if k < 1 or ell < 1:
         raise BadParams("conj2 needs k >= 1 and ell >= 1")
-    num, weights = _conj2_weights(k, ell)
+    num, weights = _CONJ2_WEIGHTS[k, ell]
     total = _weighted_tails(weights, n, k, ell)
     if total.is_zero():
         return ZERO
@@ -224,12 +204,9 @@ def conj2(n: int, k: int, ell: int) -> Poly:
 
 
 def _conj2_weights(k: int, ell: int) -> tuple[Poly, tuple[Poly, ...]]:
-    """(num, w), memoized: num is the q-fibonomial numerator common to the
-    k + 2 terms of conj2, and w[j] = coeff_j * prod_{i != j} den_i clears
-    term j, from prefix and suffix products of the denominators."""
-    got = _CONJ2_WEIGHTS.get((k, ell))
-    if got is not None:
-        return got
+    """(num, w): num is the q-fibonomial numerator common to the k + 2
+    terms of conj2, and w[j] = coeff_j * prod_{i != j} den_i clears term j,
+    from prefix and suffix products of the denominators."""
     kk = k + 1
     num, _ = qfibonomial_parts(kk, 0, ell)
     dens = [qfibonomial_parts(kk, j, ell)[1] for j in range(kk + 1)]
@@ -246,8 +223,10 @@ def _conj2_weights(k: int, ell: int) -> tuple[Poly, tuple[Poly, ...]]:
         qexp = _int_exp(Fraction(ell * cj2 * ((4 * j + 1) * ell - 3), 6))
         coeff = monomial(_sign(j + ell * cj2), es=ell * cj2, eq=qexp)
         weights.append(coeff * (pre[j] * suf[j + 1]))
-    got = _CONJ2_WEIGHTS[(k, ell)] = (num, tuple(weights))
-    return got
+    return num, tuple(weights)
+
+
+_CONJ2_WEIGHTS = Memo(_conj2_weights)
 
 
 def _threeterm_ell_pairs(n: int, ell: int) -> list[tuple[Poly, Poly]]:
@@ -330,42 +309,37 @@ def conj2_k2(n: int, ell: int) -> Poly:
     product of its three distinct denominators."""
     if ell < 1:
         raise BadParams("conj2_k2 needs ell >= 1")
-    return _weighted_tails(_conj2_k2_weights(ell), n, 2, ell)
+    return _weighted_tails(_CONJ2_K2_WEIGHTS[ell], n, 2, ell)
 
 
 def _conj2_k2_weights(ell: int) -> tuple[Poly, ...]:
-    """The four n-free weights of conj2_k2, memoized."""
-    got = _CONJ2_K2_WEIGHTS.get(ell)
-    if got is not None:
-        return got
+    """The four n-free weights of conj2_k2."""
     d1 = qfib(ell, shift=ell)
     d2 = qfib(2 * ell, shift=ell)
     d3 = qfib(ell, shift=2 * ell)
     q2 = _int_exp(Fraction(ell * (3 * ell - 1), 2))
     q3 = _int_exp(Fraction(ell * (13 * ell - 3), 2))
-    got = _CONJ2_K2_WEIGHTS[ell] = (
+    return (
         d1 * d2 * d3,
         -(qfib(3 * ell) * qfib(2 * ell) * d3),
         monomial(_sign(ell), es=ell, eq=q2) * qfib(3 * ell) * qfib(ell) * d2,
         monomial(_sign(ell - 1), es=3 * ell, eq=q3) * qfib(ell) * qfib(2 * ell) * d1,
     )
-    return got
+
+
+_CONJ2_K2_WEIGHTS = Memo(_conj2_k2_weights)
 
 
 def _minor(N1: int, N2: int, classical: bool) -> Poly:
-    """g(N1) g(N2-1, qs) - g(N2) g(N1-1, qs), one poly.dot of sequence
-    values, memoized in _MINORS; g is qfib, or fib when classical (at
-    q = 1, qs is s).  By basis_decomp it equals -v(N1) f(N2-N1, q^N1 s),
-    but it is computed from the values, never from that form."""
-    key = (N1, N2, classical)
-    got = _MINORS.get(key)
-    if got is None:
-        if classical:
-            pairs = ((fib(N1), fib(N2 - 1)), (fib(N2), -fib(N1 - 1)))
-        else:
-            pairs = ((qfib(N1), qfib(N2 - 1, shift=1)), (qfib(N2), -qfib(N1 - 1, shift=1)))
-        got = _MINORS[key] = dot(pairs)
-    return got
+    """g(N1) g(N2-1, qs) - g(N2) g(N1-1, qs), g = qfib, or fib when classical
+    (qs is s at q = 1): by basis_decomp -v(N1) f(N2-N1, q^N1 s), but computed
+    from the sequence values, never from that form."""
+    if classical:
+        return dot(((fib(N1), fib(N2 - 1)), (fib(N2), -fib(N1 - 1))))
+    return dot(((qfib(N1), qfib(N2 - 1, shift=1)), (qfib(N2), -qfib(N1 - 1, shift=1))))
+
+
+_MINORS = Memo(_minor)
 
 
 def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
@@ -396,7 +370,7 @@ def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
     factors = [Poly(binom_product(k))]
     for marks in ([ell * (n + i) for i in range(k + 1)], cols):
         for i, a in enumerate(marks):
-            factors.extend(_minor(a, b, classical) for b in marks[i + 1 :])
+            factors.extend(_MINORS[a, b, classical] for b in marks[i + 1 :])
     while len(factors) > 1:
         odd = factors[-1:] if len(factors) % 2 else []
         factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + odd

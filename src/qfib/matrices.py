@@ -18,7 +18,7 @@ from math import comb
 
 from .poly import ONE, Poly, Z, ZERO, dot, monomial
 from .quadext import QuadElem, alpha_pow
-from .qcomb import fibonomial
+from .qcomb import _SIGNED_FIBONOMIALS
 
 __all__ = [
     "PolyMatrix",
@@ -208,10 +208,5 @@ def root_product_residual(k: int) -> Poly:
         prod = prod * QuadElem(Z - root.u, -root.v)
     if not prod.v.is_zero():
         raise AlphaComponentNonzero("root product left the base ring")
-    rhs = ZERO
-    for j in range(k + 2):
-        sign = -1 if (j * (j + 1) // 2) % 2 else 1
-        rhs = rhs + monomial(sign, es=j * (j - 1) // 2) * fibonomial(k + 1, j) * Z ** (
-            k + 1 - j
-        )
+    rhs = sum((w * Z ** (k + 1 - j) for j, w in enumerate(_SIGNED_FIBONOMIALS[k + 1])), ZERO)
     return prod.u - rhs

@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import comb
 
 from .poly import ONE, NotDivisible, Poly, Z, monomial
-from .sequences import fib, qfib
+from .sequences import Memo, fib, qfib
 
 __all__ = [
     "qbinom",
@@ -29,23 +29,23 @@ __all__ = [
     "binom_product",
 ]
 
-_QBINOM_CACHE: dict[tuple[int, int], Poly] = {}
-
-
 def qbinom(n: int, k: int) -> Poly:
-    """Gaussian binomial [n, k]_q by the Pascal recurrence (division-free)."""
+    """Gaussian binomial [n, k]_q by the Pascal recurrence (division-free),
+    [m, k] = [m-1, k-1] + q^k [m-1, k], filled up column min(k, n - k)
+    ([n, k] = [n, n - k]) in a loop: the recursion only crosses columns."""
     if n < 0:
         raise ValueError("qbinom needs n >= 0")
     if k < 0 or k > n:
         return Poly()
-    if k == 0 or k == n:
-        return ONE
-    key = (n, k)
-    got = _QBINOM_CACHE.get(key)
-    if got is None:
-        got = qbinom(n - 1, k - 1) + monomial(1, eq=k) * qbinom(n - 1, k)
-        _QBINOM_CACHE[key] = got
-    return got
+    k = min(k, n - k)
+    column = _QBINOM_COLUMNS[k]
+    for m in range(k + len(column), n + 1):
+        column[m] = qbinom(m - 1, k - 1) + monomial(1, eq=k) * column[m - 1]
+    return column[n]
+
+
+# column k of the q-binomials: [m, k] for k <= m < k + len, filled up as read
+_QBINOM_COLUMNS = Memo(lambda k: {k: ONE})
 
 
 def qbinom_theorem_residual(n: int) -> Poly:
@@ -80,6 +80,17 @@ def fibonomial(n: int, k: int, ell: int = 1) -> Poly:
     num = _prod(fib((n - i) * ell) for i in range(k))
     den = _prod(fib(i * ell) for i in range(1, k + 1))
     return num.exact_div(den)
+
+
+# the signed fibonomial expansion: _SIGNED_FIBONOMIALS[m][j], j = 0..m, is
+# (-1)^C(j+1,2) s^C(j,2) <m, j>, the coefficient of z^(m-j) in
+# det(zI - hoggatt(m)) and the weight of F(n-j)^(m-1) in power_rec_classical
+_SIGNED_FIBONOMIALS = Memo(
+    lambda m: tuple(
+        monomial(-1 if j * (j + 1) // 2 % 2 else 1, es=j * (j - 1) // 2) * fibonomial(m, j)
+        for j in range(m + 1)
+    )
+)
 
 
 def qfibonomial_parts(k: int, j: int, ell: int = 1) -> tuple[Poly, Poly]:

@@ -26,12 +26,10 @@ terms.  Under QFIB_NO_FAST=1 the
 forward fill is the plain dict recurrence, the oracle the tests compare
 with; the backward fill (negative indices) always works on Polys.
 
-Powers have a memo too: qfib_power(n, k, shift) and fib_power(n, k) keep
-the unshifted power qfib(n) ** k (fib(n) ** k) per (n, k), for the life
-of the SeqCache, one per process.  A shifted read passes the memoized
-power through s -> q^shift s, a ring map, so it equals qfib(n, shift) ** k
-and moves blocks rather than multiplying; every shift of one (n, k) shares
-one power.
+Powers have a memo too, a Memo (the package's one get-or-build dict) of
+qfib(n) ** k and fib(n) ** k per (n, k), for the life of the SeqCache.  A
+shifted read qfib_power(n, k, shift) moves that power by s -> q^shift s, a
+ring map, so it equals qfib(n, shift) ** k and multiplies nothing.
 
 gf_truncated gives the x = 1 limit series F(s) = sum_k q^(k^2) s^k /
 ((1-q)...(1-q^k)) modulo (s^N, q^M) as a Poly; truncate cuts any Poly to
@@ -77,6 +75,18 @@ __all__ = [
 
 # adding _SSTEP to a monomial key raises its s exponent by one
 _SSTEP = 1 << _SH_ES
+
+
+class Memo(dict):
+    """memo[key] is build(*key), or build(key) for a key that is no tuple,
+    built on the first read and kept.  A build that raises stores nothing."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(*key) if isinstance(key, tuple) else self.build(key)
+        return value
 
 
 class _Packed:
@@ -143,8 +153,7 @@ def _extend(memo: dict, n: int, q_step: int) -> Poly:
 
     memo holds a contiguous index range that includes 0 and 1; entries at
     n >= 2 are _Packed on the default engine, the rest are Polys."""
-    got = memo.get(n)
-    if got is None:
+    if n not in memo:
         if n > 1 and _FAST:
             _fill_packed(memo, n, q_step)
         elif n > 1:
@@ -154,7 +163,7 @@ def _extend(memo: dict, n: int, q_step: int) -> Poly:
             for m in range(min(memo) - 1, n - 1, -1):
                 # g(m) = (g(m+2) - x g(m+1)) * q^(-q_step m) * s^(-1)
                 memo[m] = (memo[m + 2] - X * memo[m + 1]) * monomial(1, es=-1, eq=-q_step * m)
-        got = memo[n]
+    got = memo[n]
     return got.poly() if isinstance(got, _Packed) else got
 
 
@@ -168,19 +177,17 @@ class SeqCache:
     (see the module docstring) and never change once stored; the Poly an
     accessor returns is built from that packed form alone, so readers that
     race to build it get equal Polys, and whichever is kept is the value.
-    Shifted q-Fibonacci values are memoized per (n, shift) in _qfib_shifted
-    the same way, each from the unshifted entry; _qfib holds only those.
-    Powers qfib(n) ** k and fib(n) ** k are memoized per (n, k) in
-    _qfib_powers and _fib_powers, unshifted (see the module docstring).
+    Shifted q-Fibonacci values, per (n, shift), and powers, per (n, k), are
+    Memos built from the unshifted entries, which alone are in _qfib.
     """
 
     def __init__(self):
         self._fib = {0: ZERO, 1: ONE}
         self._lucas = {0: Poly(2), 1: X}
         self._qfib = {0: ZERO, 1: ONE}
-        self._qfib_shifted: dict[tuple[int, int], Poly] = {}
-        self._qfib_powers: dict[tuple[int, int], Poly] = {}
-        self._fib_powers: dict[tuple[int, int], Poly] = {}
+        self._qfib_shifted = Memo(lambda n, j: _extend(self._qfib, n, 1).subst_s_scale(j))
+        self._qfib_powers = Memo(lambda n, k: self.qfib(n) ** k)
+        self._fib_powers = Memo(lambda n, k: self.fib(n) ** k)
 
     def fib(self, n: int) -> Poly:
         return _extend(self._fib, n, 0)
@@ -193,27 +200,19 @@ class SeqCache:
     def qfib(self, n: int, shift: int = 0) -> Poly:
         if not shift:
             return _extend(self._qfib, n, 1)
-        # a shift that is no int (1.0 == 1) finds no entry, so it still raises
-        got = self._qfib_shifted.get((n, shift)) if isinstance(shift, int) else None
-        if got is None:
-            got = _extend(self._qfib, n, 1).subst_s_scale(shift)
-            self._qfib_shifted[n, shift] = got
-        return got
+        # a shift that is no int (1.0 == 1) must not read the int's entry
+        if not isinstance(shift, int):
+            return self._qfib_shifted.build(n, shift)
+        return self._qfib_shifted[n, shift]
 
     def qfib_power(self, n: int, k: int, shift: int = 0) -> Poly:
         """qfib(n, shift) ** k, as the memoized qfib(n) ** k moved by
         s -> q^shift s."""
-        got = self._qfib_powers.get((n, k))
-        if got is None:
-            got = self._qfib_powers[n, k] = self.qfib(n) ** k
-        return got.subst_s_scale(shift)
+        return self._qfib_powers[n, k].subst_s_scale(shift)
 
     def fib_power(self, n: int, k: int) -> Poly:
         """fib(n) ** k, memoized."""
-        got = self._fib_powers.get((n, k))
-        if got is None:
-            got = self._fib_powers[n, k] = self.fib(n) ** k
-        return got
+        return self._fib_powers[n, k]
 
 
 _CACHE = SeqCache()

@@ -177,6 +177,15 @@ def test_coeff_qfibonomial_pair_formatting(capsys, monkeypatch):
     assert (code, out) == (EXIT_OK, "5/2")
 
 
+def test_coeff_qfibonomial_at_a_zero_of_its_denominator(capsys):
+    """The 4, 1 q-fibonomial at x = 0, s = q = 1 is 0/0: a usage error that
+    names the kind, the parameters and the point, not Python's Fraction
+    text."""
+    code, out, err = run(capsys, "coeff", "qfibonomial", "4", "1", "--at", "x=0,s=1,q=1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: the denominator of qfibonomial 4 1 vanishes at x=0,s=1,q=1\n"
+
+
 def test_coeff_fibonomial_ell(capsys):
     code, out, _ = run(capsys, "coeff", "fibonomial-ell", "2", "1", "2")
     assert (code, out) == (EXIT_OK, "x^2 + 2*s")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qfib import harness, poly, sequences
+from qfib import harness, poly, qcomb, sequences
 from qfib.harness import (
     CATALOG,
     BadParams,
@@ -29,7 +29,7 @@ from qfib.harness import (
 from qfib.matrices import PolyMatrix
 from qfib.poly import Poly, Q, S, X, monomial, parse
 from qfib.qcomb import binom_product
-from qfib.sequences import fib, qfib, transform_T
+from qfib.sequences import Memo, fib, qfib, transform_T
 
 
 def content(p: Poly) -> int:
@@ -515,11 +515,36 @@ def test_sweep_workers_match_serial():
 _MEMOS = {
     "conj2 weights": harness._CONJ2_WEIGHTS,
     "conj2_k2 weights": harness._CONJ2_K2_WEIGHTS,
-    "power_rec_classical weights": harness._POWER_REC_WEIGHTS,
+    "signed fibonomials": qcomb._SIGNED_FIBONOMIALS,
     "minors": harness._MINORS,
     "qfib powers": sequences._CACHE._qfib_powers,
     "fib powers": sequences._CACHE._fib_powers,
 }
+
+# the Memos the per-cell test below does not follow, each with its reason
+_MEMOS_EXEMPT = {
+    "shifted qfib values": (
+        sequences._CACHE._qfib_shifted,
+        "test_sequences checks its entries against the per-term substitution",
+    ),
+    "q-binomial columns": (qcomb._QBINOM_COLUMNS, "no catalog builder reads it"),
+}
+
+
+def test_every_memo_is_followed_or_exempt():
+    """Every Memo of harness, qcomb and the sequences' cache is in _MEMOS or
+    on the exemption list, and no Memo is on both."""
+    found = {
+        id(memo): name
+        for namespace in (vars(harness), vars(qcomb), vars(sequences._CACHE))
+        for name, memo in namespace.items()
+        if isinstance(memo, Memo)
+    }
+    followed = {id(memo) for memo in _MEMOS.values()}
+    exempt = {id(memo) for memo, _ in _MEMOS_EXEMPT.values()}
+    assert len(followed) == len(_MEMOS) and len(exempt) == len(_MEMOS_EXEMPT)
+    assert not followed & exempt
+    assert set(found) == followed | exempt, sorted(found.values())
 
 # the (n, k, ell, classical) of the power determinant each determinant
 # family's cell computes
@@ -554,7 +579,7 @@ def _conj2_keys(k, ell, n):
 # read no memo
 _MEMO_KEYS = {
     "power_rec_classical": lambda k, n: {
-        "power_rec_classical weights": {k},
+        "signed fibonomials": {k + 1},
         "fib powers": {(n - j, k) for j in range(k + 2)},
     },
     "conj1_f": lambda k, n: _conj2_keys(k, 1, n),
@@ -618,7 +643,7 @@ def test_a_corrupted_minor_fails_exactly_the_cells_that_read_it(monkeypatch, eng
     monkeypatch.setattr(poly, "_FAST", engine == "default")
     bad = {(2, 4, False), (2, 4, True)}
     for key in bad:
-        monkeypatch.setitem(harness._MINORS, key, harness._minor(*key) + 1)
+        monkeypatch.setitem(harness._MINORS, key, harness._MINORS[key] + 1)
     rep = sweep(sorted(_DET_CELLS))
     readers = [
         (c.id, c.params) for c in rep.cells if bad & _minor_keys(*_DET_CELLS[c.id](**c.params))
@@ -629,9 +654,9 @@ def test_a_corrupted_minor_fails_exactly_the_cells_that_read_it(monkeypatch, eng
 
 
 def test_a_corrupted_weight_fails_every_cell_of_its_parameters(monkeypatch):
-    num, w = harness._conj2_weights(2, 3)
+    num, w = harness._CONJ2_WEIGHTS[2, 3]
     monkeypatch.setitem(harness._CONJ2_WEIGHTS, (2, 3), (num, (w[0] + 1, *w[1:])))
-    w = harness._conj2_k2_weights(2)
+    w = harness._CONJ2_K2_WEIGHTS[2]
     monkeypatch.setitem(harness._CONJ2_K2_WEIGHTS, 2, (*w[:3], w[3] + 1))
     rep = sweep(["conj2", "conj2_k2", "conj1_f"])
     failed = [(c.id, c.params) for c in rep.cells if c.status != "pass"]
@@ -676,9 +701,9 @@ def test_large_weighted_tails_take_the_sum_kernel(monkeypatch):
 _CORRUPTED_SWEEP = """
 import json, sys
 from qfib import harness, poly
-num, w = harness._conj2_weights(2, 3)
-harness._CONJ2_WEIGHTS[(2, 3)] = (num, (w[0] + 1, *w[1:]))
-w = harness._conj2_k2_weights(2)
+num, w = harness._CONJ2_WEIGHTS[2, 3]
+harness._CONJ2_WEIGHTS[2, 3] = (num, (w[0] + 1, *w[1:]))
+w = harness._CONJ2_K2_WEIGHTS[2]
 harness._CONJ2_K2_WEIGHTS[2] = (*w[:3], w[3] + 1)
 kernel = poly._sum_products
 took = []

@@ -1,9 +1,11 @@
 """q-binomials, fibonomials, factorial products."""
 
+import sys
 from math import comb
 
 import pytest
 
+from qfib import qcomb
 from qfib.poly import ONE, NotDivisible, Poly, Q, S, X, exact_div, monomial, parse
 from qfib.qcomb import (
     Fac,
@@ -15,7 +17,7 @@ from qfib.qcomb import (
     qfibonomial,
     qfibonomial_parts,
 )
-from qfib.sequences import fib, qfib, transform_T
+from qfib.sequences import Memo, fib, qfib, transform_T
 
 
 def qbinom_product_oracle(n, k):
@@ -46,6 +48,21 @@ def test_qbinom_at_q_one_is_binomial():
     for n in range(0, 13):
         for k in range(0, n + 1):
             assert qbinom(n, k).subst_q_one() == Poly(comb(n, k))
+
+
+def test_qbinom_recurses_across_columns_only(monkeypatch):
+    """A read far down a column fills it up in a loop, so the recursion
+    depth grows with min(k, n - k), not with n: [400, 1] and [400, 398]
+    under a limit of 300 frames, from an empty memo."""
+    monkeypatch.setattr(qcomb, "_QBINOM_COLUMNS", Memo(qcomb._QBINOM_COLUMNS.build))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        ones, far = qbinom(400, 1), qbinom(400, 398)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ones == Poly({(0, 0, e, 0): 1 for e in range(400)})
+    assert far == qbinom(400, 2) == qbinom_product_oracle(400, 2)
 
 
 def test_qbinom_theorem_residual():

@@ -21,6 +21,7 @@ from qfib.poly import (
     parse,
 )
 from qfib.sequences import (
+    Memo,
     SeqCache,
     _extend,
     _Packed,
@@ -262,6 +263,28 @@ def test_read_entry_carries_its_block_list():
             if _FAST:
                 assert p._blocks  # set when the entry was built
             assert _block_map(p) == _block_map(Poly(dict(p.terms())))
+
+
+def test_memo_builds_each_key_once_from_its_parts():
+    """A tuple key is unpacked into the build's arguments, any other key is
+    passed whole; each key is built on its first read only.  A build that
+    raises stores nothing, so the next read builds again."""
+    calls = []
+
+    def build(*parts):
+        calls.append(parts)
+        if parts == ("bad",):
+            raise ValueError("no value")
+        return sum(parts)
+
+    memo = Memo(build)
+    assert memo[2, 3] == 5 and memo[4] == 4 and memo[2, 3] == 5 and memo[(4,)] == 4
+    assert calls == [(2, 3), (4,), (4,)]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no value"):
+            memo["bad"]
+    assert calls[3:] == [("bad",), ("bad",)]
+    assert memo == {(2, 3): 5, 4: 4, (4,): 4}
 
 
 def test_shifted_reads_are_memoized_and_match_the_per_term_substitution():
