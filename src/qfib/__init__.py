@@ -1,10 +1,10 @@
 """Exact q-Fibonacci polynomial toolkit.
 
-Laurent polynomial arithmetic over the integers, the quadratic extension
-ring carrying the Binet roots, q-Fibonacci/Lucas sequence generators,
-(q-)fibonomial coefficients, fraction-free polynomial determinants, and a
-verification harness that checks a catalog of identities and conjectures
-as exact zero residuals.
+Laurent polynomial arithmetic over the integers, q-Fibonacci/Lucas
+sequence generators, (q-)fibonomial coefficients, fraction-free polynomial
+determinants with the Hoggatt matrix's eigenpairs checked in the same ring,
+and a verification harness that checks a catalog of identities and
+conjectures as exact zero residuals.
 """
 
 from .poly import (

@@ -25,8 +25,8 @@ from fractions import Fraction
 from importlib import resources
 
 from . import harness, qcomb, sequences
-from .matrices import hoggatt
-from .poly import _VAR_GUARD, ZERO, NotDivisible, Poly, monomial
+from .matrices import hoggatt, hoggatt_closed_form
+from .poly import _VAR_GUARD, ONE, NotDivisible, PoleAtZero, Poly
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -243,22 +243,20 @@ def _coeff_value(kind: str, params: list[int], shift: int | None, ell: int | Non
 
 def _cmd_coeff(args) -> int:
     value = _coeff_value(args.kind, args.params, args.shift, args.ell)
-    at = _parse_at(args.at) if args.at else None
-    if isinstance(value, tuple):
-        num, den = value
-        if at:
-            d = den.evaluate(**at)
-            if not d:
-                where = f"{args.kind} {' '.join(map(str, args.params))}"
-                raise _UsageError(f"the denominator of {where} vanishes at {args.at}")
-            _emit(_fraction_str(num.evaluate(**at) / d), args.out)
-        else:
-            _emit(f"({num}) / ({den})", args.out)
+    num, den = value if isinstance(value, tuple) else (value, ONE)
+    if not args.at:
+        text = f"({num}) / ({den})" if isinstance(value, tuple) else num.to_canonical_string()
+        _emit(text, args.out)
         return EXIT_OK
-    if at:
-        _emit(_fraction_str(value.evaluate(**at)), args.out)
-    else:
-        _emit(value.to_canonical_string(), args.out)
+    at = _parse_at(args.at)
+    where = f"{args.kind} {' '.join(map(str, args.params))}"
+    try:
+        d, n = den.evaluate(**at), num.evaluate(**at)
+    except PoleAtZero:
+        raise _UsageError(f"{where} has a pole at {args.at}") from None
+    if not d:
+        raise _UsageError(f"the denominator of {where} vanishes at {args.at}")
+    _emit(_fraction_str(n / d), args.out)
     return EXIT_OK
 
 
@@ -364,15 +362,6 @@ def _golden_mismatches(table: str, name: str, label: str, rows: dict) -> list[st
     return out
 
 
-def _hoggatt_closed_form(n: int) -> Poly:
-    """det(zI - hoggatt(n)) in closed form, sum_j (-1)^C(j+1,2) s^C(j,2)
-    <n, j> z^(n-j), from the fibonomials <n, j>: no code shared with
-    hoggatt() or with the determinant."""
-    return sum(
-        (w * monomial(1, ez=n - j) for j, w in enumerate(qcomb._SIGNED_FIBONOMIALS[n])), ZERO
-    )
-
-
 def _triangle_by_rule(rows: int, at: dict) -> list[list[Fraction]]:
     """Rows 0..rows of the fibonomial triangle at the point `at`, by the
     division-free rule <n, k> = F(k+1) <n-1, k> + s F(n-k-1) <n-1, k-1>,
@@ -450,7 +439,7 @@ def _cmd_tables(args) -> int:
             raise _OverBudget(f"hoggatt-charpoly n {n}", f"n <= {HOGGATT_MAX_N}")
         charpoly = hoggatt(n).charpoly()
         lines = [charpoly.to_canonical_string()]
-        if charpoly != _hoggatt_closed_form(n):
+        if charpoly != hoggatt_closed_form(n):
             mismatches = [f"hoggatt-charpoly n={n}: closed form mismatch"]
     else:  # pragma: no cover
         raise _UsageError(f"unknown table kind {kind!r}")

@@ -10,22 +10,25 @@ kept for cross-checking small dimensions.
 Bareiss computes the general determinants (gen_cassini, charpoly).  The
 harness computes the power determinants from their factorization into
 2 x 2 minors; det() on the explicit matrix is their test oracle.
+
+The Hoggatt matrix's eigenvalues are alpha^(k-j) beta^j, with alpha, beta
+the roots of t^2 = x t + s.  _alpha_beta maps x to alpha + beta and s to
+-alpha beta, with alpha and beta in the x and q slots, so the eigenpair
+and root-product checks are equalities of ordinary Polys.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .poly import ONE, Poly, Z, ZERO, dot, monomial
-from .quadext import QuadElem, alpha_pow
+from .poly import ONE, Poly, Q, X, Z, ZERO, dot, monomial
 from .qcomb import _SIGNED_FIBONOMIALS
 
 __all__ = [
     "PolyMatrix",
     "EntryUsesZ",
-    "AlphaComponentNonzero",
     "hoggatt",
-    "matvec",
+    "hoggatt_closed_form",
     "prodinger_eigvec",
     "verify_prodinger",
     "root_product_residual",
@@ -34,10 +37,6 @@ __all__ = [
 
 class EntryUsesZ(ValueError):
     """charpoly needs z-free entries; z is reserved for the indeterminate."""
-
-
-class AlphaComponentNonzero(ArithmeticError):
-    """A product expected to land in the base ring kept an alpha component."""
 
 
 class PolyMatrix:
@@ -155,58 +154,57 @@ def hoggatt(n: int) -> PolyMatrix:
     return PolyMatrix(entries)
 
 
-def matvec(m: PolyMatrix, v: list[QuadElem]) -> list[QuadElem]:
-    """m v for a column vector v of extension-ring elements."""
-    if m.cols != len(v):
-        raise ValueError("dimension mismatch")
-    out = []
-    for i in range(m.rows):
-        acc = QuadElem(ZERO, ZERO)
-        for j in range(m.cols):
-            if m[i, j]:
-                acc = acc + v[j] * m[i, j]
-        out.append(acc)
-    return out
+def hoggatt_closed_form(n: int) -> Poly:
+    """det(zI - hoggatt(n)) in closed form, sum_j (-1)^C(j+1,2) s^C(j,2)
+    <n, j> z^(n-j), from the fibonomials <n, j>: no code shared with
+    hoggatt() or with the determinant."""
+    return sum((w * monomial(1, ez=n - j) for j, w in enumerate(_SIGNED_FIBONOMIALS[n])), ZERO)
 
 
-def prodinger_eigvec(n: int, j: int) -> list[QuadElem]:
+def _alpha_beta(p: Poly) -> Poly:
+    """The image of a q-free p, with no negative power of x, under
+    x -> alpha + beta, s -> -alpha beta (z fixed); alpha is held in the x
+    slot and beta in the q slot.  With alpha -> alpha the map is injective
+    on Z[x, s^±, z^±][alpha]/(alpha^2 - x alpha - s), so an identity about
+    the roots of t^2 = x t + s holds iff its image does."""
+    if p.exponent_range("q") != (0, 0) or p.exponent_range("x")[0] < 0:
+        raise ValueError("the alpha-beta map needs a q-free Poly with no negative power of x")
+    return dot(
+        ((X + Q) ** ex, monomial(-c if es % 2 else c, ex=es, eq=es, ez=ez))
+        for (ex, es, _, ez), c in p.terms()
+    )
+
+
+def prodinger_eigvec(n: int, j: int) -> list[Poly]:
     """Eigenvector u(n, j) of the Hoggatt matrix for the eigenvalue
-    alpha^(j-1) beta^(n-j): component i is
-    sum_k (-s)^(i-k) C(i-1, k-1) C(n-i, j-k) alpha^(2k-i-1)."""
+    alpha^(j-1) beta^(n-j), with alpha in the x slot and beta in the q slot
+    (see _alpha_beta): component i is
+    sum_k C(i-1, k-1) C(n-i, j-k) alpha^(k-1) beta^(i-k)."""
     if not 1 <= j <= n:
         raise ValueError("prodinger_eigvec needs 1 <= j <= n")
-    comps = []
-    for i in range(1, n + 1):
-        acc = QuadElem(ZERO, ZERO)
-        for k in range(1, j + 1):
-            c = comb(i - 1, k - 1) * comb(n - i, j - k) if j - k <= n - i else 0
-            if not c:
-                continue
-            coeff = monomial(c if (i - k) % 2 == 0 else -c, es=i - k)
-            acc = acc + alpha_pow(2 * k - i - 1) * coeff
-        comps.append(acc)
-    return comps
+    return [
+        Poly({(k - 1, 0, i - k, 0): comb(i - 1, k - 1) * comb(n - i, j - k)
+              for k in range(1, j + 1)})
+        for i in range(1, n + 1)
+    ]
 
 
 def verify_prodinger(n: int, j: int) -> bool:
-    """Check a(n) u(n,j) = alpha^(j-1) beta^(n-j) u(n,j) exactly."""
-    u = prodinger_eigvec(n, j)
-    lam = alpha_pow(j - 1) * alpha_pow(n - j).conj()
-    return matvec(hoggatt(n), u) == [lam * e for e in u]
+    """Check a(n) u(n,j) = alpha^(j-1) beta^(n-j) u(n,j) exactly, on the
+    image of a(n) under _alpha_beta."""
+    m, u = hoggatt(n), prodinger_eigvec(n, j)
+    lam = monomial(1, ex=j - 1, eq=n - j)
+    return all(
+        dot((_alpha_beta(m[i, l]), u[l]) for l in range(n)) == lam * u[i] for i in range(n)
+    )
 
 
 def root_product_residual(k: int) -> Poly:
-    """Expand prod_{j=0..k} (z - alpha^(k-j) beta^j) in the extension ring;
-    the alpha component must vanish and the base component must equal the
-    signed fibonomial expansion sum_j (-1)^C(j+1,2) s^C(j,2) <k+1, j> z^(k+1-j).
-    Returns base component minus that expansion (expected zero)."""
+    """prod_{j=0..k} (z - alpha^(k-j) beta^j) minus the image of
+    hoggatt_closed_form(k + 1) under _alpha_beta (expected zero)."""
     if k < 0:
         raise ValueError("root_product_residual needs k >= 0")
-    prod = QuadElem(ONE, ZERO)
+    prod = ONE
     for j in range(k + 1):
-        root = alpha_pow(k - j) * alpha_pow(j).conj()
-        prod = prod * QuadElem(Z - root.u, -root.v)
-    if not prod.v.is_zero():
-        raise AlphaComponentNonzero("root product left the base ring")
-    rhs = sum((w * Z ** (k + 1 - j) for j, w in enumerate(_SIGNED_FIBONOMIALS[k + 1])), ZERO)
-    return prod.u - rhs
+        prod = prod * (Z - monomial(1, ex=k - j, eq=j))
+    return prod - _alpha_beta(hoggatt_closed_form(k + 1))

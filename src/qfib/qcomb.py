@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from math import comb
 
-from .poly import ONE, NotDivisible, Poly, Z, monomial
+from .poly import ONE, NotDivisible, Poly, monomial
 from .sequences import Memo, fib, qfib
 
 __all__ = [
     "qbinom",
-    "qbinom_theorem_residual",
     "fibonomial",
     "qfibonomial",
     "qfibonomial_parts",
@@ -46,21 +45,6 @@ def qbinom(n: int, k: int) -> Poly:
 
 # column k of the q-binomials: [m, k] for k <= m < k + len, filled up as read
 _QBINOM_COLUMNS = Memo(lambda k: {k: ONE})
-
-
-def qbinom_theorem_residual(n: int) -> Poly:
-    """prod_{j<n} (1 - q^j z) minus its q-binomial expansion; zero certifies
-    the finite q-binomial theorem at order n."""
-    if n < 0:
-        raise ValueError("qbinom_theorem_residual needs n >= 0")
-    lhs = ONE
-    for j in range(n):
-        lhs = lhs * (ONE - monomial(1, eq=j, ez=1))
-    rhs = Poly()
-    for k in range(n + 1):
-        sign = -1 if k % 2 else 1
-        rhs = rhs + monomial(sign, eq=k * (k - 1) // 2) * qbinom(n, k) * Z ** k
-    return lhs - rhs
 
 
 def _prod(factors) -> Poly:

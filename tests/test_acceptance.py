@@ -11,10 +11,9 @@ import random
 import time
 
 from qfib.harness import CATALOG, det_table, residual, sweep
-from qfib.matrices import PolyMatrix, hoggatt, verify_prodinger
+from qfib.matrices import PolyMatrix, _alpha_beta, hoggatt, verify_prodinger
 from qfib.poly import ONE, Poly, Q, S, X, Z, ZERO, monomial, parse
 from qfib.qcomb import binom_product, fibonomial
-from qfib.quadext import alpha_pow
 from qfib.sequences import (
     fib,
     gf_truncated,
@@ -290,7 +289,6 @@ def test_criterion_11_property_suites():
             [[rand_poly(rng.randint(0, 3), -1, 3) for _ in range(n)] for _ in range(n)]
         )
         assert m.det() == m.det_cofactor(), trial
-    for n in range(-6, 13):
-        ap = alpha_pow(n)
-        assert ap.u == S * fib(n - 1) and ap.v == fib(n), n
+    for n in range(-6, 13):  # alpha^n = F(n) alpha + s F(n-1), alpha in the x slot
+        assert monomial(1, ex=n) == _alpha_beta(fib(n)) * X + _alpha_beta(S * fib(n - 1)), n
     _report(11, "ring/round-trip x1000, Bareiss=cofactor x200, Binet components", t0, 120)

@@ -186,6 +186,16 @@ def test_coeff_qfibonomial_at_a_zero_of_its_denominator(capsys):
     assert err == "error: the denominator of qfibonomial 4 1 vanishes at x=0,s=1,q=1\n"
 
 
+def test_coeff_at_a_pole(capsys):
+    """fac 3 with shift -2 holds q^-1: at q = 0 a usage error that names the
+    kind, the parameters and the point, not evaluate's bare message."""
+    code, out, err = run(capsys, "coeff", "fac", "3", "--shift=-2", "--at", "x=1,s=1,q=0")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: fac 3 has a pole at x=1,s=1,q=0\n"
+    code, out, _ = run(capsys, "coeff", "fac", "3", "--shift=-2", "--at", "x=1,s=1,q=2")
+    assert (code, out) == (EXIT_OK, "3/2")
+
+
 def test_coeff_fibonomial_ell(capsys):
     code, out, _ = run(capsys, "coeff", "fibonomial-ell", "2", "1", "2")
     assert (code, out) == (EXIT_OK, "x^2 + 2*s")

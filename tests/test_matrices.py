@@ -4,19 +4,19 @@ import random
 
 import pytest
 
+from qfib import matrices
 from qfib.matrices import (
-    AlphaComponentNonzero,
     EntryUsesZ,
     PolyMatrix,
+    _alpha_beta,
     hoggatt,
-    matvec,
+    hoggatt_closed_form,
     prodinger_eigvec,
     root_product_residual,
     verify_prodinger,
 )
 from qfib.poly import ONE, NotDivisible, Poly, Q, S, X, Z, ZERO, monomial
 from qfib.qcomb import fibonomial
-from qfib.quadext import QuadElem, alpha_pow
 from qfib.sequences import qfib
 
 
@@ -136,37 +136,65 @@ def fib_charpoly(n):
 
 
 def test_hoggatt_charpoly_is_fibonomial_expansion():
-    for n in range(1, 6):
+    for n in range(1, 7):
+        assert hoggatt_closed_form(n) == fib_charpoly(n), n
         assert hoggatt(n).charpoly() == fib_charpoly(n), n
 
 
 def test_prodinger_eigvec_2_1_by_hand():
+    # alpha is held in the x slot, beta in the q slot
     u = prodinger_eigvec(2, 1)
-    assert u[0] == QuadElem(ONE, ZERO)
-    assert u[1] == QuadElem(X, -ONE)  # beta
-    lam = alpha_pow(0) * alpha_pow(1).conj()  # beta
-    assert matvec(hoggatt(2), u) == [lam * e for e in u]
+    assert u == [ONE, Q]
+    # hoggatt(2) = [[0, 1], [s, x]] maps to [[0, 1], [-alpha beta, alpha + beta]]
+    assert [_alpha_beta(e) for e in (hoggatt(2)[1, 0], hoggatt(2)[1, 1])] == [-(X * Q), X + Q]
+    # [[0, 1], [-alpha beta, alpha + beta]] [1, beta] = [beta, beta^2] = beta u
+    assert verify_prodinger(2, 1)
 
 
 def test_prodinger_all_small():
-    for n in range(1, 5):
+    for n in range(1, 7):
         for j in range(1, n + 1):
             assert verify_prodinger(n, j), (n, j)
     with pytest.raises(ValueError):
         prodinger_eigvec(2, 3)
 
 
-def test_quadvector_basics():
-    # a vector of extension-ring elements is a plain list
-    v = [QuadElem(ONE, ZERO), QuadElem(ZERO, ONE)]
-    assert len(v) == 2
-    assert matvec(_identity(2), v) == v
-    with pytest.raises(ValueError):
-        matvec(PolyMatrix([[ONE]]), v)
+def test_prodinger_check_rejects_mutants(monkeypatch):
+    real = prodinger_eigvec
+    # every vector is an eigenvector of hoggatt(1) = [[1]]: start at n = 2
+    pairs = [(n, j) for n in range(2, 7) for j in range(1, n + 1)]
+    for n, j in pairs:  # one component perturbed
+        i = (n + j) % n
+        monkeypatch.setattr(
+            matrices, "prodinger_eigvec",
+            lambda n, j: [e + ONE if r == i else e for r, e in enumerate(real(n, j))],
+        )
+        assert not verify_prodinger(n, j), (n, j)
+    # u(n, n + 1 - j) belongs to alpha^(n-j) beta^(j-1): checking it against
+    # alpha^(j-1) beta^(n-j) is the eigenvalue with its exponents swapped
+    monkeypatch.setattr(matrices, "prodinger_eigvec", lambda n, j: real(n, n + 1 - j))
+    for n, j in pairs:
+        if 2 * j != n + 1:
+            assert not verify_prodinger(n, j), (n, j)
 
 
 def test_root_product_residual():
-    for k in range(0, 6):
+    for k in range(0, 7):
         assert root_product_residual(k).is_zero(), k
     with pytest.raises(ValueError):
         root_product_residual(-1)
+
+
+def test_root_product_with_a_swapped_root_fails():
+    # alpha^j beta^(k-j) in place of alpha^(k-j) beta^j repeats one root and
+    # drops another: the product is no longer symmetric in alpha and beta,
+    # the alpha component the comparison in the image must catch
+    for k in range(1, 7):
+        for swapped in range(k + 1):
+            if 2 * swapped == k:
+                continue
+            prod = ONE
+            for j in range(k + 1):
+                a, b = (j, k - j) if j == swapped else (k - j, j)
+                prod = prod * (Z - monomial(1, ex=a, eq=b))
+            assert prod != _alpha_beta(hoggatt_closed_form(k + 1)), (k, swapped)

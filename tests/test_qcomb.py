@@ -13,7 +13,6 @@ from qfib.qcomb import (
     fac,
     fibonomial,
     qbinom,
-    qbinom_theorem_residual,
     qfibonomial,
     qfibonomial_parts,
 )
@@ -63,11 +62,6 @@ def test_qbinom_recurses_across_columns_only(monkeypatch):
         sys.setrecursionlimit(limit)
     assert ones == Poly({(0, 0, e, 0): 1 for e in range(400)})
     assert far == qbinom(400, 2) == qbinom_product_oracle(400, 2)
-
-
-def test_qbinom_theorem_residual():
-    for n in range(0, 9):
-        assert qbinom_theorem_residual(n).is_zero(), n
 
 
 def test_fibonomial_matrix_rows():
