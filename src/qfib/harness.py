@@ -50,10 +50,11 @@ of its stride-ell family at ell = 1; the hand-simplified special cases
 (q_cassini, det_sq_q, conj4_k1, ...) keep their own closed forms, so each
 is an independent check of its family's general closed form.
 
-All prefactor exponents that are written with fractional bases are
-accumulated as exact rationals and asserted integral before any monomial is
-built; a non-integral total is an entry-level error, never a silent
-rounding.
+Every closed form's monomial prefactor is computed in plain ints.  Each q
+exponent is an integer-valued polynomial in the parameters, written so that
+its every division is exact at every integer argument, negative included
+(C(m, 2) = m(m-1)/2 is).  The monomial v(m) = (-1)^m q^C(m,2) s^(m-1) of
+basis_decomp is _v, and conj4 and det_classical_ell share _power_det_prefactor.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ import os
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 
 from .matrices import PolyMatrix
@@ -87,7 +87,6 @@ __all__ = [
     "VerificationReport",
     "MonomialCorrection",
     "NotProportional",
-    "NonIntegralExponent",
     "BadParams",
     "CATALOG",
     "residual",
@@ -105,10 +104,6 @@ class NotProportional(ValueError):
     """The two polynomials do not differ by a signed monomial."""
 
 
-class NonIntegralExponent(ArithmeticError):
-    """A prefactor exponent came out non-integral for these parameters."""
-
-
 class BadParams(ValueError):
     """Parameters outside an identity's signature."""
 
@@ -117,10 +112,14 @@ def _sign(e: int) -> int:
     return -1 if e % 2 else 1
 
 
-def _int_exp(value: Fraction) -> int:
-    if value.denominator != 1:
-        raise NonIntegralExponent(f"exponent {value} is not an integer")
-    return value.numerator
+def _c2(m: int) -> int:
+    """C(m, 2) = m(m-1)/2, exact at every integer m."""
+    return m * (m - 1) // 2
+
+
+def _v(m: int, classical: bool = False) -> Poly:
+    """v(m) = (-1)^m q^C(m,2) s^(m-1), at q = 1 when classical."""
+    return monomial(_sign(m), es=m - 1, eq=0 if classical else _c2(m))
 
 
 def _weighted_tails(weights, n: int, k: int, ell: int) -> Poly:
@@ -172,8 +171,7 @@ def _euler_cassini_sides(n: int, k: int) -> tuple[Poly, Poly]:
     if k < 1:
         raise BadParams("euler_cassini needs k >= 1")
     lhs = dot([(qfib(k - 1, shift=1), qfib(n + k)), (-qfib(k), qfib(n + k - 1, shift=1))])
-    rhs = monomial(_sign(k), es=k - 1, eq=k * (k - 1) // 2) * qfib(n, shift=k)
-    return lhs, rhs
+    return lhs, _v(k) * qfib(n, shift=k)
 
 
 def basis_decomp(n: int, k: int) -> Poly:
@@ -181,10 +179,9 @@ def basis_decomp(n: int, k: int) -> Poly:
     v(k) = (-1)^k q^C(k,2) s^(k-1)."""
     if k < 1:
         raise BadParams("basis_decomp needs k >= 1")
-    v = monomial(_sign(k), es=k - 1, eq=k * (k - 1) // 2)
     return dot(
         [
-            (v, qfib(n - k, shift=k)),
+            (_v(k), qfib(n - k, shift=k)),
             (-qfib(k - 1, shift=1), qfib(n)),
             (qfib(k), qfib(n - 1, shift=1)),
         ]
@@ -219,8 +216,9 @@ def _conj2_weights(k: int, ell: int) -> tuple[Poly, tuple[Poly, ...]]:
         suf[i] = suf[i + 1] * dens[i]
     weights = []
     for j in range(m):
-        cj2 = j * (j - 1) // 2
-        qexp = _int_exp(Fraction(ell * cj2 * ((4 * j + 1) * ell - 3), 6))
+        cj2, cj3 = _c2(j), comb(j, 3)
+        # ell C(j,2) ((4j+1) ell - 3) / 6, with ell^2 = 2 C(ell,2) + ell
+        qexp = (4 * cj3 + 3 * cj2) * _c2(ell) + (2 * cj3 + cj2) * ell
         coeff = monomial(_sign(j + ell * cj2), es=ell * cj2, eq=qexp)
         weights.append(coeff * (pre[j] * suf[j + 1]))
     return num, tuple(weights)
@@ -232,7 +230,7 @@ _CONJ2_WEIGHTS = Memo(_conj2_weights)
 def _threeterm_ell_pairs(n: int, ell: int) -> list[tuple[Poly, Poly]]:
     if ell < 1:
         raise BadParams("threeterm_ell needs ell >= 1")
-    qexp = _int_exp(Fraction(ell * (3 * ell - 1), 2))
+    qexp = _c2(2 * ell) - _c2(ell)  # ell (3 ell - 1) / 2
     return [
         (qfib(ell, shift=ell), qfib(ell * n)),
         (-qfib(2 * ell), qfib(ell * (n - 1), shift=ell)),
@@ -271,7 +269,7 @@ def _gen_cassini_sides(N: int, m: int, ell: int) -> tuple[Poly, Poly]:
             [qfib(N + m * ell, shift=ell), qfib(m * ell, shift=ell)],
         ]
     ).det()
-    qexp = _int_exp(Fraction(m * ell * ((m + 2) * ell - 1), 2))
+    qexp = _c2(m * ell) + m * ell * ell  # m ell ((m + 2) ell - 1) / 2
     closed = monomial(_sign(m * ell - 1), es=m * ell, eq=qexp) * qfib(ell) * qfib(
         N, shift=(m + 1) * ell
     )
@@ -297,7 +295,7 @@ def gf_limit(k: int) -> Poly:
             [
                 (F, qfib(k - 1, shift=1).subst_x_one()),
                 (F.subst_s_scale(1), -qfib(k).subst_x_one()),
-                (F.subst_s_scale(k), monomial(-_sign(k), es=k - 1, eq=k * (k - 1) // 2)),
+                (F.subst_s_scale(k), -_v(k)),
             ]
         ),
         *_GF_BOX,
@@ -317,8 +315,8 @@ def _conj2_k2_weights(ell: int) -> tuple[Poly, ...]:
     d1 = qfib(ell, shift=ell)
     d2 = qfib(2 * ell, shift=ell)
     d3 = qfib(ell, shift=2 * ell)
-    q2 = _int_exp(Fraction(ell * (3 * ell - 1), 2))
-    q3 = _int_exp(Fraction(ell * (13 * ell - 3), 2))
+    q2 = _c2(2 * ell) - _c2(ell)  # ell (3 ell - 1) / 2
+    q3 = 5 * ell * ell + 3 * _c2(ell)  # ell (13 ell - 3) / 2
     return (
         d1 * d2 * d3,
         -(qfib(3 * ell) * qfib(2 * ell) * d3),
@@ -332,8 +330,8 @@ _CONJ2_K2_WEIGHTS = Memo(_conj2_k2_weights)
 
 def _minor(N1: int, N2: int, classical: bool) -> Poly:
     """g(N1) g(N2-1, qs) - g(N2) g(N1-1, qs), g = qfib, or fib when classical
-    (qs is s at q = 1): by basis_decomp -v(N1) f(N2-N1, q^N1 s), but computed
-    from the sequence values, never from that form."""
+    (qs is s at q = 1): by basis_decomp -_v(N1) f(N2-N1, q^N1 s), but
+    computed from the sequence values, never from that form."""
     if classical:
         return dot(((fib(N1), fib(N2 - 1)), (fib(N2), -fib(N1 - 1))))
     return dot(((qfib(N1), qfib(N2 - 1, shift=1)), (qfib(N2), -qfib(N1 - 1, shift=1))))
@@ -348,9 +346,8 @@ def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
 
     With A_i = g(ell(n+i)), B_i = g(ell(n+i)-1, qs), alpha_j = g(ell j-1, qs)
     and beta_j = -g(ell j), basis_decomp at N = ell(n+i), K = ell j reads
-    v(ell j) M_ij^(1/k) = alpha_j A_i + beta_j B_i, where
-    v(m) = (-1)^m q^C(m,2) s^(m-1) (q -> 1 when classical) and g is qfib, or
-    fib when classical.  Expanding the k-th power gives
+    v(ell j) M_ij^(1/k) = alpha_j A_i + beta_j B_i, where v = _v(., classical)
+    and g is qfib, or fib when classical.  Expanding the k-th power gives
     M diag(v(ell j)^k) = P diag(C(k, t)) Q with P_it = A_i^(k-t) B_i^t and
     Q_tj = alpha_j^(k-t) beta_j^t, two homogeneous Vandermonde matrices, so
         det M = prod_t C(k, t) prod_{i<i'} (A_i B_i' - A_i' B_i)
@@ -374,12 +371,7 @@ def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
     while len(factors) > 1:
         odd = factors[-1:] if len(factors) % 2 else []
         factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + odd
-    v = monomial(
-        _sign(k * sum(cols)),
-        es=k * sum(m - 1 for m in cols),
-        eq=0 if classical else k * sum(comb(m, 2) for m in cols),
-    )
-    return factors[0].exact_div(v)
+    return factors[0].exact_div(_prod(_v(m, classical) for m in cols) ** k)
 
 
 def _power_det_bareiss(n: int, k: int, ell: int, classical: bool) -> Poly:
@@ -396,7 +388,7 @@ def _power_det_bareiss(n: int, k: int, ell: int, classical: bool) -> Poly:
 
 def _cassini_classical_sides(n: int) -> tuple[Poly, Poly]:
     """Cassini with the s generalization: det = (-1)^(n-1) s^(n-1)."""
-    return _power_det(n, 1, classical=True), monomial(_sign(n - 1), es=n - 1)
+    return _power_det(n, 1, classical=True), -_v(n, classical=True)
 
 
 def _det_power_classical_sides(n: int, k: int) -> tuple[Poly, Poly]:
@@ -409,15 +401,26 @@ def _det_power_classical_sides(n: int, k: int) -> tuple[Poly, Poly]:
 
 def _q_cassini_sides(n: int) -> tuple[Poly, Poly]:
     """q-Cassini: d(n, s) = (-1)^(n-1) q^C(n,2) s^(n-1)."""
-    return _power_det(n, 1), monomial(_sign(n - 1), es=n - 1, eq=n * (n - 1) // 2)
+    return _power_det(n, 1), -_v(n)
 
 
 def _det_sq_q_sides(n: int) -> tuple[Poly, Poly]:
     """3x3 determinant of squared shifted q-Fibonacci values and
     2 (-1)^n x^2 s^(3n-4) q^((n+1)(3n-4)/2)."""
     det = _power_det(n, 2)
-    qexp = _int_exp(Fraction((n + 1) * (3 * n - 4), 2))
+    qexp = n * n + _c2(n) - 2  # (n + 1)(3n - 4) / 2
     return det, monomial(2 * _sign(n), ex=2, es=3 * n - 4, eq=qexp)
+
+
+def _power_det_prefactor(n: int, k: int, ell: int, classical: bool = False) -> Poly:
+    """(-1)^(ell C(k+1,2)(n-k)) prod_j C(k, j) s^(ell e) q^((ell(n+k)-1) ell e / 2)
+    with e = C(k+1,2)(n-k) + 2 C(k+1,3): the monomial of conj4's closed form,
+    or at q = 1 when classical, that of det_classical_ell."""
+    ck2 = _c2(k + 1)
+    e = ck2 * (n - k) + 2 * comb(k + 1, 3)
+    # exact: for odd ell, ell (n + k) - 1 is even, or n - k is and so is e
+    eq = 0 if classical else (ell * (n + k) - 1) * ell * e // 2
+    return monomial(_sign(ell * ck2 * (n - k)) * binom_product(k), es=ell * e, eq=eq)
 
 
 def _conj3_sides(n: int, k: int) -> tuple[Poly, Poly]:
@@ -433,11 +436,8 @@ def _conj4_sides(n: int, k: int, ell: int) -> tuple[Poly, Poly]:
     if k < 1 or ell < 1:
         raise BadParams("conj4 needs k >= 1 and ell >= 1")
     det = _power_det(n, k, ell)
-    ck2 = k * (k + 1) // 2
-    e = ck2 * (n - k) + 2 * comb(k + 1, 3)
-    qexp = _int_exp(Fraction((ell * (n + k) - 1) * ell * e, 2))
     closed = (
-        monomial(_sign(ell * ck2 * (n - k)) * binom_product(k), es=ell * e, eq=qexp)
+        _power_det_prefactor(n, k, ell)
         * _prod(fac(k - j, shift=ell * j, ell=ell) for j in range(k))
         * _prod(fac(k - j, shift=ell * (n + j), ell=ell) for j in range(k))
     )
@@ -450,7 +450,7 @@ def _conj4_k1_sides(n: int, ell: int) -> tuple[Poly, Poly]:
         raise BadParams("conj4_k1 needs ell >= 1")
     det = _power_det(n, 1, ell)
     e = (n - 1) * ell
-    qexp = _int_exp(Fraction((ell * (n + 1) - 1) * e, 2))
+    qexp = _c2(e) + ell * e  # (ell (n + 1) - 1) e / 2
     closed = monomial(_sign(e), es=e, eq=qexp) * qfib(ell) * qfib(ell, shift=n * ell)
     return det, closed
 
@@ -461,7 +461,7 @@ def _conj4_k2_sides(n: int, ell: int) -> tuple[Poly, Poly]:
         raise BadParams("conj4_k2 needs ell >= 1")
     det = _power_det(n, 2, ell)
     e = ell * (3 * n - 4)
-    qexp = _int_exp(Fraction((ell * (n + 2) - 1) * e, 2))
+    qexp = _c2(e) + ell * (3 - n) * e  # (ell (n + 2) - 1) e / 2
     closed = (
         monomial(2 * _sign(n * ell), es=e, eq=qexp)
         * qfib(2 * ell)
@@ -479,11 +479,9 @@ def _det_classical_ell_sides(n: int, k: int, ell: int) -> tuple[Poly, Poly]:
     if k < 1 or ell < 1:
         raise BadParams("det_classical_ell needs k >= 1 and ell >= 1")
     det = _power_det(n, k, ell, classical=True)
-    ck2 = k * (k + 1) // 2
-    e = ck2 * (n - k) + 2 * comb(k + 1, 3)
-    closed = monomial(
-        _sign(ell * ck2 * (n - k)) * binom_product(k), es=ell * e
-    ) * _prod(Fac(k - j, ell) ** 2 for j in range(k))
+    closed = _power_det_prefactor(n, k, ell, classical=True) * _prod(
+        Fac(k - j, ell) ** 2 for j in range(k)
+    )
     return det, closed
 
 

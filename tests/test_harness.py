@@ -1,5 +1,6 @@
 """Identity catalog: spot values, cross-consistency, fitter, sweeps."""
 
+import itertools
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -98,12 +100,126 @@ def test_conj1_fibo_is_transform_image():
             )
 
 
+def _conj4_qexp(n, k, ell):
+    ((_, _, eq, _), _), = harness._power_det_prefactor(n, k, ell).terms()
+    return eq
+
+
+def _c3(j):
+    return j * (j - 1) * (j - 2) // 6
+
+
+# (name, the paper's rational form, the int form harness computes, the
+# parameter ranges): j >= 0 is conj2's term index, and conj4 needs k >= 1
+_BOX = range(-12, 13)
+_QEXPS = [
+    (
+        "conj2",
+        lambda j, ell: Fraction(ell * harness._c2(j) * ((4 * j + 1) * ell - 3), 6),
+        lambda j, ell: (4 * _c3(j) + 3 * harness._c2(j)) * harness._c2(ell)
+        + (2 * _c3(j) + harness._c2(j)) * ell,
+        (range(13), _BOX),
+    ),
+    (
+        "threeterm_ell, conj2_k2 q2",
+        lambda ell: Fraction(ell * (3 * ell - 1), 2),
+        lambda ell: harness._c2(2 * ell) - harness._c2(ell),
+        (_BOX,),
+    ),
+    (
+        "conj2_k2 q3",
+        lambda ell: Fraction(ell * (13 * ell - 3), 2),
+        lambda ell: 5 * ell * ell + 3 * harness._c2(ell),
+        (_BOX,),
+    ),
+    (
+        "gen_cassini",
+        lambda m, ell: Fraction(m * ell * ((m + 2) * ell - 1), 2),
+        lambda m, ell: harness._c2(m * ell) + m * ell * ell,
+        (_BOX, _BOX),
+    ),
+    (
+        "det_sq_q",
+        lambda n: Fraction((n + 1) * (3 * n - 4), 2),
+        lambda n: n * n + harness._c2(n) - 2,
+        (_BOX,),
+    ),
+    (
+        "conj4",
+        lambda n, k, ell: Fraction(
+            (ell * (n + k) - 1) * ell * (k * (k + 1) * (n - k) // 2 + 2 * math.comb(k + 1, 3)), 2
+        ),
+        _conj4_qexp,
+        (_BOX, range(1, 13), _BOX),
+    ),
+    (
+        "conj4_k1",
+        lambda n, ell: Fraction((ell * (n + 1) - 1) * (n - 1) * ell, 2),
+        lambda n, ell: harness._c2((n - 1) * ell) + ell * (n - 1) * ell,
+        (_BOX, _BOX),
+    ),
+    (
+        "conj4_k2",
+        lambda n, ell: Fraction((ell * (n + 2) - 1) * ell * (3 * n - 4), 2),
+        lambda n, ell: harness._c2(ell * (3 * n - 4)) + ell * (3 - n) * ell * (3 * n - 4),
+        (_BOX, _BOX),
+    ),
+]
+
+
 def test_conj2_prefactor_exponent_integrality():
-    # the ell=1 exponent algebra reduces to j(j-1)(2j-1)/6
-    for j in range(0, 6):
-        lhs = 1 * (j * (j - 1) // 2) * ((4 * j + 1) - 3)
-        assert lhs % 6 == 0 or (j * (j - 1) * (2 * j - 1)) % 6 == 0
-        assert lhs // 6 == j * (j - 1) * (2 * j - 1) // 6
+    """Each closed-form q exponent that harness computes in ints equals the
+    paper's rational form at every point of its box.  Each has degree at
+    most 4 in each variable and the box has at least 12 points a side, so
+    the two agree at every integer."""
+    for name, paper, exact, box in _QEXPS:
+        for args in itertools.product(*box):
+            assert paper(*args) == exact(*args), (name, args)
+
+
+def test_conj2_weights_are_the_papers_coefficients_cleared():
+    """w_j den_j = c_j prod_i den_i for each memoized weight w_j of conj2,
+    where den_i is the denominator of the q-fibonomial <k+1, i>_ell and c_j
+    the paper's monomial (-1)^(j + ell C(j,2)) s^(ell C(j,2))
+    q^(ell C(j,2)((4j+1) ell - 3)/6).  The residuals cannot see a factor
+    common to every weight, such as one more q on each."""
+    for k in (1, 2, 3):
+        for ell in (1, 2):
+            _, weights = harness._CONJ2_WEIGHTS[k, ell]
+            dens = [qcomb.qfibonomial_parts(k + 1, j, ell)[1] for j in range(k + 2)]
+            total = qcomb._prod(dens)
+            for j, (w, den) in enumerate(zip(weights, dens, strict=True)):
+                cj2 = j * (j - 1) // 2
+                qexp = Fraction(ell * cj2 * ((4 * j + 1) * ell - 3), 6)
+                c = monomial((-1) ** (j + ell * cj2), es=ell * cj2, eq=int(qexp))
+                assert qexp.denominator == 1 and w * den == c * total, (k, ell, j)
+
+
+# n = -4..8 (N for gen_cassini): the default grids stop at n >= k or n >= 1,
+# and below that a wrong floor division in a prefactor would part from the
+# paper's rational form; residual() does not filter by an entry's valid
+_LAURENT_FAMILIES = [
+    ("q_cassini", {}),
+    ("cassini_classical", {}),
+    ("det_sq_q", {}),
+    *(("conj4_k1", {"ell": ell}) for ell in (1, 2, 3)),
+    *(("conj4_k2", {"ell": ell}) for ell in (1, 2)),
+    *(("conj3", {"k": k}) for k in (1, 2, 3)),
+    *(("conj4", {"k": k, "ell": ell}) for k in (1, 2) for ell in (1, 2, 3)),
+    *(("det_classical_ell", {"k": k, "ell": ell}) for k in (1, 2, 3) for ell in (1, 2)),
+    *(("gen_cassini", {"m": m, "ell": ell}) for m in (0, 1, 2) for ell in (1, 2)),
+]
+
+
+def test_prefactors_at_negative_arguments():
+    cells = [
+        (id, dict(params, **{"N" if id == "gen_cassini" else "n": n}))
+        for id, params in _LAURENT_FAMILIES
+        for n in range(-4, 9)
+    ]
+    assert len(cells) == 377
+    for id, params in cells:
+        assert residual(id, **params).is_zero(), (id, params)
 
 
 def test_gen_cassini_reduces_to_euler_cassini():
@@ -218,7 +334,7 @@ def test_bad_params_is_error():
         (3, 2, False, False),
     ],
 )
-def test_power_det_falls_back_to_bareiss_on_a_zero_central_minor(k, n, classical, zero_inside):
+def test_power_det_equals_cofactor_expansion_at_a_zero_central_minor(k, n, classical, zero_inside):
     # the entries off the matrix's border are g(m)^k for m = n-k+2..n+k-2,
     # and g(0) = 0 for g = fib and g = qfib: with zero_inside, a central
     # minor vanishes, where Desnanot-Jacobi condensation would divide by
@@ -232,7 +348,7 @@ def test_power_det_falls_back_to_bareiss_on_a_zero_central_minor(k, n, classical
     assert harness._power_det(n, k, classical=classical) == explicit.det_cofactor()
 
 
-def test_det_table_rows_equal_condensation():
+def test_det_table_rows_equal_bareiss():
     # det_table's rows by the oracle, _power_det_bareiss; the 230-cell
     # comparison below stops at k = 4 (k = 5, 6 on the default engine only,
     # where Bareiss takes about 4 s on them)
@@ -287,7 +403,7 @@ _ORACLE_CELLS = [
 ]
 
 
-def test_factored_power_determinants_equal_condensation():
+def test_factored_power_determinants_equal_bareiss():
     assert len(_ORACLE_CELLS) == (230 if poly._FAST else 208)
     for cell in _ORACLE_CELLS:
         assert harness._power_det(*cell) == harness._power_det_bareiss(*cell), cell

@@ -377,7 +377,7 @@ power_det_cells = st.tuples(
 
 @_SETTINGS
 @given(power_det_cells)
-def test_condensation_matches_bareiss_on_the_explicit_matrix(cell):
+def test_factored_power_det_matches_bareiss_on_the_explicit_matrix(cell):
     assert _power_det(*cell) == _power_det_bareiss(*cell)
 
 
