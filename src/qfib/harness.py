@@ -68,7 +68,15 @@ from math import comb
 
 from .matrices import PolyMatrix
 from .poly import ONE, Poly, ZERO, dot, monomial
-from .qcomb import _SIGNED_FIBONOMIALS, Fac, _prod, binom_product, fac, qfibonomial_parts
+from .qcomb import (
+    _SIGNED_FIBONOMIALS,
+    Fac,
+    _prod,
+    _qfibonomial_den,
+    binom_product,
+    fac,
+    qfibonomial_parts,
+)
 from .sequences import (
     Memo,
     fib,
@@ -205,8 +213,8 @@ def _conj2_weights(k: int, ell: int) -> tuple[Poly, tuple[Poly, ...]]:
     terms of conj2, and w[j] = coeff_j * prod_{i != j} den_i clears term j,
     from prefix and suffix products of the denominators."""
     kk = k + 1
-    num, _ = qfibonomial_parts(kk, 0, ell)
-    dens = [qfibonomial_parts(kk, j, ell)[1] for j in range(kk + 1)]
+    num, den0 = qfibonomial_parts(kk, 0, ell)
+    dens = [den0, *(_qfibonomial_den(kk, j, ell) for j in range(1, kk + 1))]
     m = len(dens)
     pre = [ONE] * (m + 1)
     for i in range(m):

@@ -32,17 +32,20 @@ power recurrences, Euler-Cassini, the basis decomposition, the three-term
 recurrences, the 2 x 2 minors of the power determinants and each Bareiss
 step piv * a - lead * b, and dot never forms their products one by one.
 
-  * Products within _BLOCKED_PAIRS = 2048 term pairs add every term pair
+  * Products within _BLOCKED_PAIRS = 512 term pairs add every term pair
     into one dict and drop its zeros once (_dot_naive).
   * A larger product is a Kronecker substitution on the operands' blocks:
     the terms sharing (ex, es, ez), sorted by es and cached.  Each block's
     q-coefficients are packed into one big integer with a rigorously
     chosen limb width, so block products are single bigint
     multiplications, added into one accumulator of packed q-blocks for the
-    whole sum.  Packing and unpacking go through one bytes conversion per
-    block (balanced digits via a bias), so they cost time linear in the
-    block width.  A square (a * a, as built by __pow__) multiplies each
-    unordered block pair once and adds the product doubled.
+    whole sum.  A block of limbs up to 8 bytes wide packs and unpacks in a
+    fixed number of C calls: struct moves its balanced digits as two's
+    complement machine words, byte-plane slices fit a 3-, 5-, 6- or
+    7-byte limb to its word, and one xor with a bias of 2^(L-1) at every
+    limb turns two's complement limbs into the packed value and back.  A
+    square (a * a, as built by __pow__) multiplies each unordered block
+    pair once and adds the product doubled.
   * Above _PACKED_PAIRS term pairs (a square counting half), a product of
     operands with one block per s exponent (every q-Fibonacci power and
     every power-determinant minor, being homogeneous in deg x = 1, deg s =
@@ -69,11 +72,14 @@ the accumulator declines (a q-sparse operand, products too far apart in
 q), a * b runs the term dict and dot adds the products as Polys.  Every
 path keeps the product guards of a * b.
 
-The kernels' input and output run without a Python loop per coefficient:
-coefficients become digit text or limb bytes through map over a format or
-int.to_bytes, digits come back through re.findall and map(int, ...) or
-int.from_bytes, and term dicts are filled by dict.update.  Each coefficient
-still costs one C-level conversion on each crossing and one dict insert.
+The kernels' input and output run without a Python loop per coefficient.
+Limbs of at most 8 bytes cross as whole blocks, through struct.pack and
+struct.unpack; wider limbs, and coefficients beyond the balanced digits,
+cross as bytes through map over int.to_bytes, re.findall and
+int.from_bytes.  Decimal digits cross as text through map over a format,
+re.findall and map(int, ...), and term dicts are filled by dict.update.
+Each coefficient still costs one dict insert, and on every path but the
+machine words one C-level conversion on each crossing.
 s -> q^m s on a Poly that carries a block list moves each block to q^(lo +
 m*es), sharing its coefficient list, and fills the result the same way.
 Python loops per term remain outside the kernels: the dict engine, small
@@ -105,6 +111,7 @@ from __future__ import annotations
 
 import os
 import re
+import struct
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 from itertools import compress, repeat
@@ -734,8 +741,20 @@ def _div_naive(a: Poly, b: Poly) -> Poly:
 # width L bits (L chosen so no accumulated coefficient can reach the limb
 # boundary, making the packing a faithful ring map).
 
-# term pairs len(a) * len(b) above which products take a Kronecker kernel
-_BLOCKED_PAIRS = 2048
+# term pairs len(a) * len(b) above which products take a Kronecker kernel.
+# Measured (Python 3.11, 2-vCPU x86-64, catalog work_s of perfbench/run.py,
+# medians of 6 seeds, 3 s runs): 0.149 s at 2048, 0.141 at 1024, 0.138 at
+# 512, 0.141 at 256 and 128; in a second session 512 beat 256 and 1024 on
+# 6 and 5 of 6 seeds.  det_frontier work_s: 0.0139 s at 2048, 0.0116 at 512.
+_BLOCKED_PAIRS = 512
+
+# limb bytes -> (bytes, struct format) of the least machine word holding the
+# limb, the format with '<' so that no host byte order needs a branch; wider
+# limbs take the byte-string path
+_WORDS = {1: (1, "b"), 2: (2, "h"), 3: (4, "i"), 4: (4, "i"),
+          5: (8, "q"), 6: (8, "q"), 7: (8, "q"), 8: (8, "q")}
+# byte -> the byte that sign-extends it: 0x00 below 0x80, 0xff from 0x80 on
+_SIGN_BYTES = bytes(128) + b"\xff" * 128
 
 
 def _block_map(p: Poly):
@@ -832,16 +851,44 @@ def _from_acc(acc: dict, L: int) -> Poly:
 def _pack_coeffs(coeffs: list[int], L: int) -> int:
     """sum(c_i * 2^(L*i)) for |c_i| < 2^L; L must be a multiple of 8.
 
-    Signed blocks are packed as two unsigned byte strings (positive parts,
-    negative parts) and joined by one subtraction, so the cost is linear in
-    the block width."""
+    Balanced digits, c_i in [-2^(L-1), 2^(L-1)), in limbs of at most 8
+    bytes take a fixed number of C calls: struct writes each digit as its
+    two's complement in the least machine word holding a limb (_WORDS), a
+    limb narrower than its word drops the word's top byte planes (strided
+    bytearray slices), and the limbs u give the sum as u when no digit is
+    negative, else as (u ^ bias) - bias, bias holding 2^(L-1) at every
+    limb.  Wider limbs and wider coefficients take the byte-string path,
+    _pack_bytes."""
+    if not coeffs:
+        return 0
     nb = L // 8
+    word = _WORDS.get(nb)
+    least = min(coeffs)
+    half = 1 << (L - 1)
+    if word and -half <= least and max(coeffs) < half:
+        w, fmt = word
+        raw = struct.pack(f"<{len(coeffs)}{fmt}", *coeffs)
+        if w > nb:
+            raw = bytearray(raw)
+            for j in range(w - 1, nb - 1, -1):
+                del raw[j :: j + 1]
+        if least >= 0:
+            return int.from_bytes(raw, "little")
+        bias = int.from_bytes((bytes(nb - 1) + b"\x80") * len(coeffs), "little")
+        return (int.from_bytes(raw, "little") ^ bias) - bias
+    return _pack_bytes(coeffs, nb)
+
+
+def _pack_bytes(coeffs: list[int], nb: int) -> int:
+    """_pack_coeffs at limbs of nb bytes, any width: the positive and the
+    negative parts as two unsigned byte strings, joined by one subtraction
+    in time linear in the block width."""
 
     def limbs(cs) -> int:
         raw = b"".join(map(int.to_bytes, cs, repeat(nb), repeat("little")))
         return int.from_bytes(raw, "little")
 
-    if not coeffs or min(coeffs) >= 0:
+    if min(coeffs) >= 0:
         return limbs(coeffs)
     return limbs(map(max, coeffs, repeat(0))) - limbs(map(max, map(neg, coeffs), repeat(0)))
 
@@ -850,19 +897,44 @@ def _unpack_signed(acc: int, L: int) -> list[int]:
     """Balanced base-2^L digits of acc (digits in [-2^(L-1), 2^(L-1)), no
     trailing zeros); L must be a multiple of 8.
 
-    Adding 2^(L-1) to every digit position turns the balanced digits into
-    plain unsigned ones, which one to_bytes call exposes; subtracting the
-    bias from each sliced digit restores them.  A limb may hold any byte,
-    newline included, hence re.S."""
+    Adding bias = 2^(L-1) at every digit position turns the balanced digits
+    into unsigned ones, which one to_bytes call exposes.  Limbs of at most
+    8 bytes take a fixed number of C calls: the xor with the bias makes
+    each limb its digit's two's complement, a limb narrower than its
+    machine word (_WORDS) has the word's top byte planes filled with its
+    sign byte (one bytes.translate), and struct reads the words.  Wider
+    limbs take the byte-string path, _unpack_bytes."""
+    if not acc:
+        return []
     nb = L // 8
     n = acc.bit_length() // L + 2  # n balanced digits cover |acc| < 2^(L*(n-1))
     bias = int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
-    raw = (acc + bias).to_bytes(n * nb, "little")
-    limbs = map(int.from_bytes, re.findall(b".{%d}" % nb, raw, re.S), repeat("little"))
-    digits = list(map(sub, limbs, repeat(1 << (L - 1))))
+    word = _WORDS.get(nb)
+    if word:
+        w, fmt = word
+        raw = ((acc + bias) ^ bias).to_bytes(n * nb, "little")
+        if w > nb:
+            wide = bytearray(n * w)
+            for j in range(nb):
+                wide[j::w] = raw[j::nb]
+            sign = raw[nb - 1 :: nb].translate(_SIGN_BYTES)
+            for j in range(nb, w):
+                wide[j::w] = sign
+            raw = wide
+        digits = list(struct.unpack(f"<{n}{fmt}", raw))
+    else:
+        digits = _unpack_bytes((acc + bias).to_bytes(n * nb, "little"), nb)
     while digits and not digits[-1]:
         digits.pop()
     return digits
+
+
+def _unpack_bytes(raw: bytes, nb: int) -> list[int]:
+    """The limbs of raw, nb bytes each, less their bias 2^(8*nb - 1), at
+    any width: sliced by one regex, read and unbiased one by one.  A limb
+    may hold any byte, newline included, hence re.S."""
+    limbs = map(int.from_bytes, re.findall(b".{%d}" % nb, raw, re.S), repeat("little"))
+    return list(map(sub, limbs, repeat(1 << (8 * nb - 1))))
 
 
 def _mul_bound(a: Poly, b: Poly) -> int:
@@ -1164,14 +1236,18 @@ def _sum_products(terms: list) -> Poly | None:
     a product's size picks its kernel; a * b is the case of one pair.
 
     When no product exceeds _BLOCKED_PAIRS term pairs, every term pair is
-    added into one dict (_dot_naive).  The guard there compares the
+    added into one dict (_dot_naive): below that size the blocks' fixed
+    costs (a block map, a few C calls to pack and unpack each block, the
+    accumulator) outweigh what the bigint products save.  The guard there compares the
     operands' extents (Poly._extent) with _VAR_GUARD and runs the
     per-variable guard only on a pair whose extents sum past it: |lo_a +
     lo_b| and |hi_a + hi_b| stay within the extents' sum.
 
     Otherwise every product is added into one accumulator of packed
     q-blocks at a single limb width L, sized from the sum of the products'
-    coefficient bounds, and the sum is unpacked once, its block list cached
+    coefficient bounds, each operand block packed and each sum block
+    unpacked whole (_pack_coeffs, _unpack_signed); the sum is unpacked
+    once, its block list cached
     and its exponent ranges read off that list, which stays exact where the
     products cancel.  A product above _PACKED_PAIRS term pairs (a square,
     whose operands share one block list, counting half) adds the digits of

@@ -85,11 +85,14 @@ def qfibonomial_parts(k: int, j: int, ell: int = 1) -> tuple[Poly, Poly]:
         raise ValueError("qfibonomial needs ell >= 1")
     if not 0 <= j <= k:
         raise ValueError("qfibonomial needs 0 <= j <= k")
-    num = _prod(qfib(ell * i) for i in range(1, k + 1))
-    den = _prod(qfib(ell * i, shift=ell * (j - i)) for i in range(1, j + 1)) * _prod(
+    return _prod(qfib(ell * i) for i in range(1, k + 1)), _qfibonomial_den(k, j, ell)
+
+
+def _qfibonomial_den(k: int, j: int, ell: int) -> Poly:
+    """The denominator of qfibonomial_parts(k, j, ell), built alone."""
+    return _prod(qfib(ell * i, shift=ell * (j - i)) for i in range(1, j + 1)) * _prod(
         qfib(ell * i, shift=ell * j) for i in range(1, k - j + 1)
     )
-    return num, den
 
 
 def qfibonomial(k: int, j: int, ell: int = 1):

@@ -782,6 +782,27 @@ def test_a_corrupted_weight_fails_every_cell_of_its_parameters(monkeypatch):
     assert all(c.residual for c in rep.cells if c.status == "fail")
 
 
+def test_the_catalog_never_leaves_the_machine_word_limbs(monkeypatch):
+    """Every block the whole catalog packs or unpacks has limbs of at most
+    8 bytes and balanced digits, so none takes the byte-string path
+    (_pack_bytes, _unpack_bytes)."""
+    calls = {"_pack_coeffs": 0, "_unpack_signed": 0, "_pack_bytes": 0, "_unpack_bytes": 0}
+    for name in calls:
+        real = getattr(poly, name)
+
+        def spy(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(poly, name, spy)
+    # the packed forward fill calls the packer it imported
+    monkeypatch.setattr(sequences, "_pack_coeffs", poly._pack_coeffs)
+    assert sweep(list(CATALOG)).all_pass()
+    assert calls["_pack_bytes"] == calls["_unpack_bytes"] == 0
+    if poly._FAST:
+        assert calls["_pack_coeffs"] > 100 and calls["_unpack_signed"] > 100, calls
+
+
 def test_large_weighted_tails_take_the_sum_kernel(monkeypatch):
     calls = []
     real = poly._sum_products

@@ -419,30 +419,45 @@ def _strip(cs):
     return cs
 
 
-def test_pack_unpack_roundtrip_at_digit_extremes():
+def test_pack_unpack_roundtrip_at_digit_extremes(monkeypatch):
+    """Every limb width from 1 to 17 bytes, on the machine-word path (limbs
+    of at most 8 bytes, which must not leave it on balanced digits) and on
+    the byte-string path (_WORDS emptied): packing is the sum of the
+    shifted digits, and unpacking gives the digits back, trailing zeros
+    stripped."""
     rng = random.Random(61)
-    for L in (8, 16, 24, 64, 136):
-        lo, hi = -(1 << (L - 1)), (1 << (L - 1)) - 1
-        blocks = [
-            [lo],
-            [hi],
-            [lo, hi, lo, hi],
-            [hi, lo, 0, 0, lo],
-            [-1, lo, 1],  # 2^(2L-1) - 1: the top digit needs the carry
-            [1, hi, -1],
-            [lo] * 9,
-            [-1] * 7,
-            [0, 0, hi, 0],
-            [rng.randint(lo, -1) for _ in range(40)],
-            [rng.randint(lo, hi) for _ in range(60)],
-            [rng.choice((lo, hi, 0, -1, 1)) for _ in range(50)],
-            [rng.randint(0, hi) for _ in range(30)],
-        ]
-        for cs in blocks:
-            packed = _pack_coeffs(cs, L)
-            assert packed == sum(c << (L * i) for i, c in enumerate(cs))
-            assert _unpack_signed(packed, L) == _strip(cs)
-    assert _unpack_signed(0, 16) == []
+    slow = []
+    for name in ("_pack_bytes", "_unpack_bytes"):
+        real = getattr(poly, name)
+        monkeypatch.setattr(poly, name, lambda *args, real=real: slow.append(args) or real(*args))
+    for words in (poly._WORDS, {}):
+        monkeypatch.setattr(poly, "_WORDS", words)
+        for L in range(8, 137, 8):
+            lo, hi = -(1 << (L - 1)), (1 << (L - 1)) - 1
+            blocks = [
+                [lo],
+                [hi],
+                [-hi],
+                [lo, hi, lo, hi],
+                [hi, lo, 0, 0, lo],
+                [-hi, 0, hi, 0, 0],
+                [-1, lo, 1],  # 2^(2L-1) - 1: the top digit needs the carry
+                [1, hi, -1],
+                [lo] * 9,
+                [-1] * 7,
+                [0, 0, hi, 0],
+                [rng.randint(lo, -1) for _ in range(40)],
+                [rng.randint(lo, hi) for _ in range(60)],
+                [rng.choice((lo, hi, -hi, 0, -1, 1)) for _ in range(50)],
+                [rng.randint(0, hi) for _ in range(30)] + [0] * 3,
+            ]
+            slow.clear()
+            for cs in blocks:
+                packed = _pack_coeffs(cs, L)
+                assert packed == sum(c << (L * i) for i, c in enumerate(cs))
+                assert _unpack_signed(packed, L) == _strip(cs)
+            assert bool(slow) == (L > 64 or not words), L
+        assert _unpack_signed(0, 16) == []
 
 
 def test_pack_unpack_roundtrip_on_limbs_of_newline_nul_and_ff_bytes():
@@ -461,8 +476,9 @@ def test_pack_unpack_roundtrip_on_limbs_of_newline_nul_and_ff_bytes():
 
 
 def test_pack_coeffs_full_limb_magnitudes():
-    # the packer accepts |c| < 2^L, wider than the balanced digit range
-    for L in (8, 32):
+    # the packer accepts |c| < 2^L, wider than the balanced digit range, at
+    # machine-word, byte-plane and byte-string limb widths
+    for L in (8, 24, 32, 40, 56, 72):
         top = (1 << L) - 1
         for cs in ([top, -top, top], [-top, 0, -top], [top] * 4):
             assert _pack_coeffs(cs, L) == sum(c << (L * i) for i, c in enumerate(cs))
