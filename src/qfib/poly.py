@@ -1238,10 +1238,10 @@ def _sum_products(terms: list) -> Poly | None:
     When no product exceeds _BLOCKED_PAIRS term pairs, every term pair is
     added into one dict (_dot_naive): below that size the blocks' fixed
     costs (a block map, a few C calls to pack and unpack each block, the
-    accumulator) outweigh what the bigint products save.  The guard there compares the
-    operands' extents (Poly._extent) with _VAR_GUARD and runs the
-    per-variable guard only on a pair whose extents sum past it: |lo_a +
-    lo_b| and |hi_a + hi_b| stay within the extents' sum.
+    accumulator) outweigh what the bigint products save.  The guard there
+    compares the operands' extents (Poly._extent) with _VAR_GUARD and runs
+    the per-variable guard only on a pair whose extents sum past it:
+    |lo_a + lo_b| and |hi_a + hi_b| stay within the extents' sum.
 
     Otherwise every product is added into one accumulator of packed
     q-blocks at a single limb width L, sized from the sum of the products'
