@@ -21,8 +21,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
-from importlib import resources
 
 from . import harness, qcomb, sequences
 from .matrices import hoggatt, hoggatt_closed_form
@@ -73,6 +71,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _parse_at(text: str) -> dict:
+    from fractions import Fraction
+
     values = {}
     for piece in text.split(","):
         if "=" not in piece:
@@ -329,6 +329,8 @@ def _cmd_verify(args) -> int:
 def _golden_lines(name: str) -> list[str] | None:
     """Non-blank lines of a packaged golden file, or None if it is missing
     (callers report that as a mismatch)."""
+    from importlib import resources
+
     path = resources.files("qfib").joinpath(f"golden/{name}")
     try:
         text = path.read_text()
@@ -369,6 +371,8 @@ def _triangle_by_rule(rows: int, at: dict) -> list[list[Fraction]]:
     code shared with qcomb.fibonomial or Poly.evaluate.  A variable missing
     from `at` is taken as 0; where the evaluated rows printed, their
     entries do not depend on it."""
+    from fractions import Fraction
+
     x, s = at.get("x", Fraction(0)), at.get("s", Fraction(0))
     F = [Fraction(0), Fraction(1)]
     while len(F) <= rows:

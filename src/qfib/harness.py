@@ -62,8 +62,7 @@ from __future__ import annotations
 import marshal
 import os
 import time
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import comb
 
 from .matrices import PolyMatrix
@@ -505,15 +504,10 @@ def det_table(max_k: int) -> dict[int, Poly]:
 # fitter
 
 
-@dataclass(frozen=True)
-class MonomialCorrection:
+class MonomialCorrection(namedtuple("MonomialCorrection", "sign ex es eq ez", defaults=(0,) * 4)):
     """A signed monomial c * x^ex s^es q^eq z^ez with c in {+1, -1}."""
 
-    sign: int
-    ex: int = 0
-    es: int = 0
-    eq: int = 0
-    ez: int = 0
+    __slots__ = ()
 
     def as_poly(self) -> Poly:
         return monomial(self.sign, self.ex, self.es, self.eq, self.ez)
@@ -550,20 +544,32 @@ def fit_monomial_correction(lhs: Poly, rhs: Poly) -> MonomialCorrection:
 # catalog
 
 
-@dataclass(frozen=True)
-class IdentityEntry:
+class _DataclassFields:
+    """A namedtuple record's __dataclass_fields__, made on first read, so
+    that dataclasses.replace works on it (perfbench's span tracer swaps
+    CATALOG builders that way) and only a caller that reads it imports
+    dataclasses."""
+
+    def __get__(self, obj, cls):
+        from dataclasses import make_dataclass
+
+        return make_dataclass(cls.__name__, cls._fields).__dataclass_fields__
+
+
+class IdentityEntry(
+    namedtuple(
+        "IdentityEntry",
+        "id grid_spec builder sides valid fit_default summary",
+        defaults=(None, None, None, False, ""),
+    )
+):
     """One identity: its parameters are the keys of grid_spec, in order,
     each mapped to its default inclusive (lo, hi) range.  A one-sided
     identity registers builder, its residual; a two-sided one registers
     sides alone, (lhs, rhs), and its residual is lhs - rhs."""
 
-    id: str
-    grid_spec: dict
-    builder: Callable | None = None
-    sides: Callable | None = None
-    valid: Callable | None = None
-    fit_default: bool = False
-    summary: str = ""
+    __slots__ = ()
+    __dataclass_fields__ = _DataclassFields()
 
     @property
     def params(self) -> tuple[str, ...]:
@@ -762,14 +768,10 @@ def sides(id: str, **params):
 # sweep runner and report
 
 
-@dataclass
 class CellResult:
-    id: str
-    params: dict
-    status: str  # pass | fail | fitted
-    residual: str | None = None
-    correction: str | None = None
-    ms: float = 0.0
+    def __init__(self, id, params, status, residual=None, correction=None, ms=0.0):
+        self.id, self.params, self.status = id, params, status  # pass | fail | fitted
+        self.residual, self.correction, self.ms = residual, correction, ms
 
     def to_dict(self) -> dict:
         d = {"id": self.id, "params": dict(self.params), "status": self.status}
@@ -781,9 +783,9 @@ class CellResult:
         return d
 
 
-@dataclass
 class VerificationReport:
-    cells: list = field(default_factory=list)
+    def __init__(self, cells: list | None = None):
+        self.cells = [] if cells is None else cells
 
     @property
     def counts(self) -> dict:

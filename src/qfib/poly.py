@@ -113,7 +113,6 @@ import os
 import re
 import struct
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
-from fractions import Fraction
 from itertools import compress, repeat
 from math import isqrt
 from operator import mul, neg, sub
@@ -472,6 +471,8 @@ class Poly:
         raises PoleAtZero.  An int value of a variable with no negative
         exponent stays an int, so a polynomial in such values alone is
         summed in ints."""
+        from fractions import Fraction
+
         vals = [x, s, q, z]
         ranges = self._get_ranges()
         for i, v in enumerate(vals):

@@ -66,6 +66,51 @@ def test_closed_stdout_exits_141_without_traceback():
     assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, b"")
 
 
+def _bare_python(*args):
+    """A fresh sys.executable -S with only qfib's source on the path: -S
+    keeps site's .pth hooks from loading modules before qfib does."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qfib.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-S", *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+_NOT_AT_START = ("dataclasses", "inspect", "importlib.resources", "fractions")
+
+
+@pytest.mark.parametrize(
+    "module, unused",
+    [
+        ("qfib.cli", _NOT_AT_START),
+        ("qfib.harness", _NOT_AT_START),
+        ("qfib.sequences", ("fractions",)),
+    ],
+    ids=["cli", "harness", "sequences"],
+)
+def test_import_loads_no_module_that_only_some_commands_use(module, unused):
+    # the records are namedtuples or plain classes, and the golden files'
+    # resources and the Fractions of --at are imported where they are used
+    code = f"import sys, {module}; print([m for m in {unused!r} if m in sys.modules])"
+    proc = _bare_python("-c", code)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["tables", "det-table", "--max-k", "2"], "1\n2*q^3*s^2*x^2\n"),
+        (["coeff", "fibonomial", "5", "2", "--at", "x=1,s=1"], "15\n"),
+        (["coeff", "qfibonomial", "3", "1", "--at", "x=2,s=1,q=1/2"], "9/2\n"),
+        (["tables", "fibonomial-triangle", "--rows", "4", "--at", "x=1,s=1"],
+         "1\n1 1\n1 1 1\n1 2 2 1\n1 3 6 3 1\n"),
+    ],
+    ids=["det-table", "coeff-at", "coeff-at-q", "triangle-at"],
+)
+def test_commands_import_what_they_use_where_they_use_it(argv, out):
+    proc = _bare_python("-m", "qfib.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, out, "")
+
+
 def test_eval_qfib_negative_index(capsys):
     code, out, _ = run(capsys, "eval", "qfib", "-1")
     assert (code, out) == (EXIT_OK, "q*s^-1")

@@ -881,8 +881,6 @@ def test_corrupted_weights_give_byte_identical_residuals_on_both_engines():
 
 
 def test_sweep_fits_from_the_sides_it_checked(monkeypatch):
-    import dataclasses
-
     calls = []
 
     def off_by_q(n):
@@ -890,7 +888,7 @@ def test_sweep_fits_from_the_sides_it_checked(monkeypatch):
         det, closed = harness._q_cassini_sides(n)
         return det, closed * Q
 
-    entry = dataclasses.replace(CATALOG["q_cassini"], sides=off_by_q)
+    entry = CATALOG["q_cassini"]._replace(sides=off_by_q)
     monkeypatch.setitem(CATALOG, "q_cassini", entry)
     rep = sweep(["q_cassini"], overrides={"n": (2, 3)}, fit=True)
     assert [c.status for c in rep.cells] == ["fitted", "fitted"]
@@ -1078,10 +1076,8 @@ def test_report_json_roundtrip():
 
 
 def test_catalog_grids_cover_every_entry():
-    import dataclasses
-
     # an entry's parameters are its grid's keys, stored nowhere else
-    assert "params" not in {f.name for f in dataclasses.fields(IdentityEntry)}
+    assert "params" not in IdentityEntry._fields
     for id, entry in CATALOG.items():
         cells = entry.cells()
         assert cells, id
@@ -1092,6 +1088,21 @@ def test_catalog_grids_cover_every_entry():
         assert (entry.builder is None) == (entry.sides is not None), id
     lhs, rhs = sides("euler_cassini", k=2, n=3)
     assert residual("euler_cassini", k=2, n=3) == lhs - rhs
+
+
+def test_frozen_records_refuse_writes_and_replace_into_copies():
+    import dataclasses
+
+    entry = CATALOG["q_cassini"]
+    for record in (MonomialCorrection(1, eq=3), entry):
+        for name in (record._fields[-1], "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+    assert MonomialCorrection(1, eq=3)._replace(sign=-1) == MonomialCorrection(-1, 0, 0, 3)
+    # perfbench's span tracer swaps each builder in with dataclasses.replace
+    copy = dataclasses.replace(entry, summary="")
+    assert type(copy) is IdentityEntry and copy.summary == "" and entry.summary
+    assert copy._replace(summary=entry.summary) == entry
 
 
 def test_gf_limit_residual_is_series_zero():
