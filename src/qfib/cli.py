@@ -18,7 +18,6 @@ the canonical grammar, bit-exact, so reports are stable regression inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -311,6 +310,8 @@ def run_verify(args) -> tuple[harness.VerificationReport, str]:
     if not report.cells:  # a run that checks nothing must not pass
         raise _UsageError(f"these ranges select no cell of {', '.join(ids)}")
     if args.format == "json":
+        import json
+
         text = json.dumps(report.to_json_dict("verify"), indent=2, sort_keys=True)
     else:
         text = _report_text(report)

@@ -9,12 +9,12 @@ denominators, and the common numerator is multiplied back in only when the
 sum is nonzero (when the sum vanishes the product does too, so the
 returned residual is the fully cleared form either way).
 
-Every builder whose residual is a sum of products (the power
-recurrences, Euler-Cassini's determinant side, basis_decomp, the
-three-term recurrences, gf_limit and the 2 x 2 minors of _power_det)
-forms it as one poly.dot, which sums the products without building each
-as a Poly and picks its kernel by operand size; PolyMatrix.det does the
-same for each Bareiss step.
+Every residual or side that is a sum of products (the power recurrences,
+the three-term recurrences, gf_limit and _minor, the one 2 x 2 product
+difference g(N1) g(N2-t, q^t s) - g(N2) g(N1-t, q^t s) of sequence values
+that Euler-Cassini, basis_decomp, gen_cassini and the power determinants'
+minors all are) forms it as one poly.dot, which sums the products without
+building each as a Poly and picks its kernel by operand size.
 
 The power recurrences (power_rec_classical, conj2 and its bindings,
 conj2_k2) build their n-free parts once per parameter set: the common
@@ -28,25 +28,25 @@ minors from _MINORS[N1, N2, classical].  Every memo lives for the life of
 the process, so each forked child of a sweep fills its own copy; values
 are only ever added, each equal to what a fresh build would give.
 
-Two-sided identities (the determinant families and Euler-Cassini) are
-registered by their sides alone, e.g. (determinant side, closed-form side),
-with no builder; their residual is lhs - rhs, formed in _evaluate for
-residual() and sweeps alike.  A sweep builds the two sides once per cell
-and, when the residual is nonzero, hands the same pair to the monomial
-fitter, which recovers a correction factor when a closed form's prefactor
-is in doubt; entries flagged fit_default attempt the fit even when the
-sweep does not ask for fitting.
+Two-sided identities (the determinant families, Euler-Cassini and
+basis_decomp) are registered by their sides alone, e.g. (determinant side,
+closed-form side), with no builder; their residual is lhs - rhs, formed in
+_evaluate for residual() and sweeps alike.  A sweep builds the two sides
+once per cell and, when the residual is nonzero, hands the same pair to the
+monomial fitter, which recovers a correction factor when a closed form's
+prefactor is in doubt; entries flagged fit_default attempt the fit even
+when the sweep does not ask for fitting.
 
 All power determinants det(f(ell(n+i-j), q^(ell j) s)^k), q-analogue and
 classical, share _power_det, which builds them from their factorization
 through basis_decomp: a product of 2 x 2 minors of sequence values over a
 monomial.  _power_det_bareiss, Bareiss (PolyMatrix.det) on the explicit
-matrix, is the tests' oracle for it; gen_cassini's 2 x 2 determinant goes
-to Bareiss directly.
+matrix, is the tests' oracle for it; no catalog identity runs Bareiss.
 
 Each family has one builder.  A classical or ell = 1 identity that the
 paper states separately (conj1_f, conj3, det_power_classical) is a binding
-of its stride-ell family at ell = 1; the hand-simplified special cases
+of its stride-ell family at ell = 1, and basis_decomp is Euler-Cassini at
+(n - k, k) with its sides swapped; the hand-simplified special cases
 (q_cassini, det_sq_q, conj4_k1, ...) keep their own closed forms, so each
 is an independent check of its family's general closed form.
 
@@ -139,6 +139,16 @@ def _weighted_tails(weights, n: int, k: int, ell: int) -> Poly:
     )
 
 
+def _minor(N1: int, N2: int, classical: bool, t: int = 1) -> Poly:
+    """g(N1) g(N2-t, q^t s) - g(N2) g(N1-t, q^t s), g = qfib, or fib when
+    classical (q^t s is s at q = 1): at t = 1, by Euler-Cassini,
+    -_v(N1) f(N2-N1, q^N1 s), but computed from the sequence values, never
+    from that form."""
+    if classical:
+        return dot(((fib(N1), fib(N2 - t)), (fib(N2), -fib(N1 - t))))
+    return dot(((qfib(N1), qfib(N2 - t, shift=t)), (qfib(N2), -qfib(N1 - t, shift=t))))
+
+
 # --------------------------------------------------------------------------
 # residual builders
 
@@ -169,6 +179,8 @@ def conj1_f(n: int, k: int) -> Poly:
 def conj1_fibo(n: int, k: int) -> Poly:
     """The equivalent plain-argument form, obtained by transporting the
     shifted-argument residual through q -> 1/q, s -> q^(n-1) s."""
+    if k < 1:
+        raise BadParams("conj1_fibo needs k >= 1")
     return transform_T(conj1_f(n, k), n)
 
 
@@ -177,22 +189,17 @@ def _euler_cassini_sides(n: int, k: int) -> tuple[Poly, Poly]:
     = (-1)^k q^C(k,2) s^(k-1) f(n, q^k s)."""
     if k < 1:
         raise BadParams("euler_cassini needs k >= 1")
-    lhs = dot([(qfib(k - 1, shift=1), qfib(n + k)), (-qfib(k), qfib(n + k - 1, shift=1))])
-    return lhs, _v(k) * qfib(n, shift=k)
+    return _minor(n + k, k, False), _v(k) * qfib(n, shift=k)
 
 
-def basis_decomp(n: int, k: int) -> Poly:
-    """v(k) f(n-k, q^k s) - f(k-1,qs) f(n,s) + f(k,s) f(n-1,qs), with
-    v(k) = (-1)^k q^C(k,2) s^(k-1)."""
+def _basis_decomp_sides(n: int, k: int) -> tuple[Poly, Poly]:
+    """f(n-k, q^k s) in the f(n), f(n-1, qs) basis: v(k) f(n-k, q^k s)
+    = f(k-1,qs) f(n,s) - f(k,s) f(n-1,qs), with v(k) = (-1)^k q^C(k,2)
+    s^(k-1), is Euler-Cassini at (n - k, k) with its sides swapped."""
     if k < 1:
         raise BadParams("basis_decomp needs k >= 1")
-    return dot(
-        [
-            (_v(k), qfib(n - k, shift=k)),
-            (-qfib(k - 1, shift=1), qfib(n)),
-            (qfib(k), qfib(n - 1, shift=1)),
-        ]
-    )
+    det, closed = _euler_cassini_sides(n - k, k)
+    return closed, det
 
 
 def conj2(n: int, k: int, ell: int) -> Poly:
@@ -267,15 +274,11 @@ def threeterm_classical(n: int, ell: int) -> Poly:
 
 def _gen_cassini_sides(N: int, m: int, ell: int) -> tuple[Poly, Poly]:
     """Generalized two-row Cassini determinant for strided, shifted
-    q-Fibonacci values and its closed form."""
+    q-Fibonacci values, det [[f(N + (m+1) ell), f((m+1) ell)],
+    [f(N + m ell, q^ell s), f(m ell, q^ell s)]], and its closed form."""
     if ell < 1 or m < 0:
         raise BadParams("gen_cassini needs ell >= 1 and m >= 0")
-    det = PolyMatrix(
-        [
-            [qfib(N + (m + 1) * ell), qfib((m + 1) * ell)],
-            [qfib(N + m * ell, shift=ell), qfib(m * ell, shift=ell)],
-        ]
-    ).det()
+    det = _minor(N + (m + 1) * ell, (m + 1) * ell, False, ell)
     qexp = _c2(m * ell) + m * ell * ell  # m ell ((m + 2) ell - 1) / 2
     closed = monomial(_sign(m * ell - 1), es=m * ell, eq=qexp) * qfib(ell) * qfib(
         N, shift=(m + 1) * ell
@@ -333,15 +336,6 @@ def _conj2_k2_weights(ell: int) -> tuple[Poly, ...]:
 
 
 _CONJ2_K2_WEIGHTS = Memo(_conj2_k2_weights)
-
-
-def _minor(N1: int, N2: int, classical: bool) -> Poly:
-    """g(N1) g(N2-1, qs) - g(N2) g(N1-1, qs), g = qfib, or fib when classical
-    (qs is s at q = 1): by basis_decomp -_v(N1) f(N2-N1, q^N1 s), but
-    computed from the sequence values, never from that form."""
-    if classical:
-        return dot(((fib(N1), fib(N2 - 1)), (fib(N2), -fib(N1 - 1))))
-    return dot(((qfib(N1), qfib(N2 - 1, shift=1)), (qfib(N2), -qfib(N1 - 1, shift=1))))
 
 
 _MINORS = Memo(_minor)
@@ -627,7 +621,7 @@ CATALOG: dict[str, IdentityEntry] = {
         IdentityEntry(
             "basis_decomp",
             {"k": (1, 6), "n": (-4, 8)},
-            builder=basis_decomp,
+            sides=_basis_decomp_sides,
             summary="f(n-k, q^k s) in the f(n), f(n-1, qs) basis",
         ),
         IdentityEntry(

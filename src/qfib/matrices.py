@@ -7,9 +7,10 @@ special care.  Each step piv * a - lead * b is one poly.dot, and the first
 step's division by 1 is skipped.  det_cofactor is the independent oracle
 kept for cross-checking small dimensions.
 
-Bareiss computes the general determinants (gen_cassini, charpoly).  The
-harness computes the power determinants from their factorization into
-2 x 2 minors; det() on the explicit matrix is their test oracle.
+Bareiss computes charpoly's determinant.  The harness computes every
+catalog determinant from 2 x 2 minors of sequence values (gen_cassini's is
+one such minor); det() on the explicit matrix is the power determinants'
+test oracle.
 
 The Hoggatt matrix's eigenvalues are alpha^(k-j) beta^j, with alpha, beta
 the roots of t^2 = x t + s.  _alpha_beta maps x to alpha + beta and s to

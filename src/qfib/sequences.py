@@ -38,9 +38,9 @@ such a box, so limit identities are checked with ordinary Poly arithmetic.
 
 from __future__ import annotations
 
+from . import poly
 from .poly import (
     _BIAS,
-    _FAST,
     _MASK,
     _QSTEP,
     _SH_EQ,
@@ -152,13 +152,15 @@ def _extend(memo: dict, n: int, q_step: int) -> Poly:
     g(m) = x*g(m-1) + q^(q_step*(m-2))*s*g(m-2).
 
     memo holds a contiguous index range that includes 0 and 1; entries at
-    n >= 2 are _Packed on the default engine, the rest are Polys."""
+    n >= 2 are _Packed where a packed fill (poly._FAST, read at each fill)
+    made them, the rest are Polys."""
     if n not in memo:
-        if n > 1 and _FAST:
+        if n > 1 and poly._FAST:
             _fill_packed(memo, n, q_step)
         elif n > 1:
             for m in range(max(memo) + 1, n + 1):
-                memo[m] = X * memo[m - 1] + monomial(1, es=1, eq=q_step * (m - 2)) * memo[m - 2]
+                older, newer = (_extend(memo, i, q_step) for i in (m - 2, m - 1))
+                memo[m] = X * newer + monomial(1, es=1, eq=q_step * (m - 2)) * older
         else:
             for m in range(min(memo) - 1, n - 1, -1):
                 # g(m) = (g(m+2) - x g(m+1)) * q^(-q_step m) * s^(-1)

@@ -81,7 +81,7 @@ _NOT_AT_START = ("dataclasses", "inspect", "importlib.resources", "fractions")
 @pytest.mark.parametrize(
     "module, unused",
     [
-        ("qfib.cli", _NOT_AT_START),
+        ("qfib.cli", (*_NOT_AT_START, "json")),
         ("qfib.harness", _NOT_AT_START),
         ("qfib.sequences", ("fractions",)),
     ],
@@ -89,7 +89,8 @@ _NOT_AT_START = ("dataclasses", "inspect", "importlib.resources", "fractions")
 )
 def test_import_loads_no_module_that_only_some_commands_use(module, unused):
     # the records are namedtuples or plain classes, and the golden files'
-    # resources and the Fractions of --at are imported where they are used
+    # resources, the Fractions of --at and the json of verify --format json
+    # are imported where they are used
     code = f"import sys, {module}; print([m for m in {unused!r} if m in sys.modules])"
     proc = _bare_python("-c", code)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

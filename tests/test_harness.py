@@ -231,6 +231,20 @@ def test_gen_cassini_reduces_to_euler_cassini():
             assert gclosed == erhs
 
 
+def test_basis_decomp_is_euler_cassini_with_its_sides_swapped(monkeypatch):
+    """basis_decomp at (n, k) is Euler-Cassini at (n - k, k), its sides
+    swapped, and the three two-product ids form their 2 x 2 determinants as
+    minors of sequence values: a sweep of them runs no Bareiss."""
+    for k in range(1, 7):
+        for n in range(-4, 9):
+            lhs, rhs = sides("euler_cassini", n=n - k, k=k)
+            assert sides("basis_decomp", n=n, k=k) == (rhs, lhs), (n, k)
+    calls = []
+    monkeypatch.setattr(PolyMatrix, "det", lambda self: calls.append(self))
+    assert sweep(["euler_cassini", "basis_decomp", "gen_cassini"]).all_pass()
+    assert calls == []
+
+
 def test_threeterm_q1_specialization():
     # each cleared term specializes to fib(ell) times the classical term
     for ell in (1, 2, 3):
@@ -308,9 +322,46 @@ def test_conj3_k2_is_det_sq_q():
         assert sides("conj3", n=n, k=2) == sides("det_sq_q", n=n)
 
 
+# a cell outside each checked id's signature; the ids missing here take
+# every integer parameter
+_OUT_OF_SIGNATURE = {
+    "power_rec_classical": {"k": 0, "n": 5},
+    "conj1_f": {"k": 0, "n": 1},
+    "conj1_fibo": {"k": 0, "n": 1},
+    "euler_cassini": {"k": 0, "n": 1},
+    "basis_decomp": {"k": 0, "n": 1},
+    "conj2": {"k": 1, "ell": 0, "n": 3},
+    "threeterm_ell": {"ell": 0, "n": 3},
+    "threeterm_classical": {"ell": 0, "n": 3},
+    "gen_cassini": {"N": 1, "ell": 1, "m": -1},
+    "gf_limit": {"k": 0},
+    "conj2_k2": {"ell": 0, "n": 4},
+    "det_power_classical": {"k": 0, "n": 1},
+    "conj3": {"k": 0, "n": 1},
+    "conj4": {"ell": 0, "k": 1, "n": 1},
+    "conj4_k1": {"ell": 0, "n": 1},
+    "conj4_k2": {"ell": 0, "n": 2},
+    "det_classical_ell": {"ell": 1, "k": 0, "n": 1},
+}
+
+
+@pytest.mark.parametrize("id", sorted(_OUT_OF_SIGNATURE))
+def test_an_out_of_signature_cell_names_its_own_id(id):
+    """residual raises a BadParams that names the id asked for, not a
+    family it binds, and a sweep of the cell fails with that text."""
+    params = _OUT_OF_SIGNATURE[id]
+    with pytest.raises(BadParams, match=f"^{id} needs ") as raised:
+        residual(id, **params)
+    rep = sweep([id], overrides={p: (v, v) for p, v in params.items()})
+    [cell] = rep.cells
+    assert (cell.status, cell.residual) == ("fail", f"error: {raised.value}")
+
+
 def test_bad_params_is_error():
-    with pytest.raises(BadParams):
-        residual("euler_cassini", n=1, k=0)
+    unchecked = {"squares_classical", "cassini_classical", "q_cassini", "det_sq_q"}
+    assert set(_OUT_OF_SIGNATURE) == set(CATALOG) - unchecked
+    with pytest.raises(BadParams, match="^det_table needs max_k >= 1$"):
+        det_table(0)
     with pytest.raises(BadParams):
         residual("no_such_identity", n=1)
     with pytest.raises(BadParams):

@@ -671,6 +671,20 @@ def test_accumulated_products_match_naive_with_either_sign(monkeypatch, packed):
     assert len(calls) == (6 if packed else 0)
 
 
+def test_packed_product_drops_a_blocks_cancelled_top_digits():
+    # the s^1 block of the product sums s - q^5 s and q^3 s * q^2: its
+    # digits 1, 0, 0, 0, 0, 0 cancel to one, and the Poly read off them
+    # keeps the _from_blocks contract, every block's ends nonzero
+    a, b = parse("1 + q^3*s"), parse("q^2 + s - q^5*s")
+    got = _kernel(a, b, packed=True)
+    assert got == _naive(a, b) == parse("q^2 + s + q^3*s^2 - q^8*s^2")
+    assert [cs for es, _, _, cs in got._blocks if es == 1] == [[1]]
+    assert all(cs[0] and cs[-1] for _, _, _, cs in got._blocks)
+    fresh = Poly._raw(dict(got._t))
+    assert got._ranges == fresh._get_ranges()
+    assert got._blocks == _block_map(fresh)
+
+
 def test_large_power_takes_the_packed_kernel(monkeypatch):
     from qfib.sequences import qfib
 

@@ -248,6 +248,25 @@ def test_forward_fill_signed_seeds(seeds):
         assert _extend(memo, m, 1) == want[m], m
 
 
+def test_the_engine_is_read_at_each_fill(monkeypatch):
+    """With poly._FAST off, a fresh cache stores Polys at n >= 2, equal to
+    the packed fill's values, and a cache filled packed to 10 and then
+    extended to 14 on the dict engine equals the fresh one."""
+    reads = ("qfib", "fib", "lucas")
+    monkeypatch.setattr(poly, "_FAST", True)
+    mixed = SeqCache()
+    for name in reads:
+        getattr(mixed, name)(10)
+    monkeypatch.setattr(poly, "_FAST", False)
+    fresh = SeqCache()
+    for name in reads:
+        want = [getattr(fresh, name)(n) for n in range(15)]
+        assert [getattr(mixed, name)(n) for n in range(15)] == want, name
+        memo = getattr(mixed, "_" + name)
+        assert [type(memo[n]) for n in range(2, 15)] == [_Packed] * 9 + [Poly] * 4, name
+        assert {type(e) for e in getattr(fresh, "_" + name).values()} == {Poly}, name
+
+
 def test_limb_width_is_least_balanced():
     for b in range(0, 200):
         for bound in {(1 << b) - 1, 1 << b}:
