@@ -4,10 +4,10 @@ Every identity or conjecture is registered as an IdentityEntry whose
 parameters are the keys of its default grid and whose builder maps concrete
 parameters to a single exact residual; a zero residual certifies that
 instance.  Identities stated with polynomial-ratio coefficients are cleared
-first: each summand is multiplied by the product of the *other*
-denominators, and the common numerator is multiplied back in only when the
-sum is nonzero (when the sum vanishes the product does too, so the
-returned residual is the fully cleared form either way).
+first: conj2's q-fibonomials share their numerator and most of their
+denominators' factors f(ell i, q^t s), so each summand is multiplied by
+the least common multiple of the denominators over the common numerator,
+which leaves an n-free polynomial weight per summand.
 
 Every residual or side that is a sum of products (the power recurrences,
 the three-term recurrences, gf_limit and _minor, the one 2 x 2 product
@@ -17,16 +17,15 @@ minors all are) forms it as one poly.dot, which sums the products without
 building each as a Poly and picks its kernel by operand size.
 
 The power recurrences (power_rec_classical, conj2 and its bindings,
-conj2_k2) build their n-free parts once per parameter set: the common
-numerator and each term's cleared weight (coefficient times the other
-denominators) in the Memos _CONJ2_WEIGHTS[k, ell] and
-_CONJ2_K2_WEIGHTS[ell], the weights of power_rec_classical in
-qcomb._SIGNED_FIBONOMIALS[k + 1].  Their tails f(ell(n-j), q^(ell j) s)^k
-are the sequences' memoized powers f(m)^k moved by s -> q^(ell j) s
-(qfib_power, fib_power), and the power determinants read their 2 x 2
-minors from _MINORS[N1, N2, classical].  Every memo lives for the life of
-the process, so each forked child of a sweep fills its own copy; values
-are only ever added, each equal to what a fresh build would give.
+conj2_k2 among them) build their n-free parts once per parameter set: each
+term's cleared weight in the Memo _CONJ2_WEIGHTS[k, ell], the weights of
+power_rec_classical in qcomb._SIGNED_FIBONOMIALS[k + 1].  Their tails
+f(ell(n-j), q^(ell j) s)^k are the sequences' memoized powers f(m)^k moved
+by s -> q^(ell j) s (qfib_power, fib_power), and the power determinants
+read their 2 x 2 minors from _MINORS[N1, N2, classical].  Every memo
+lives for the life of the process, so each forked child of a sweep fills
+its own copy; values are only ever added, each equal to what a fresh build
+would give.
 
 Two-sided identities (the determinant families, Euler-Cassini and
 basis_decomp) are registered by their sides alone, e.g. (determinant side,
@@ -45,10 +44,11 @@ matrix, is the tests' oracle for it; no catalog identity runs Bareiss.
 
 Each family has one builder.  A classical or ell = 1 identity that the
 paper states separately (conj1_f, conj3, det_power_classical) is a binding
-of its stride-ell family at ell = 1, and basis_decomp is Euler-Cassini at
-(n - k, k) with its sides swapped; the hand-simplified special cases
-(q_cassini, det_sq_q, conj4_k1, ...) keep their own closed forms, so each
-is an independent check of its family's general closed form.
+of its stride-ell family at ell = 1, conj2_k2 is conj2 at k = 2, and
+basis_decomp is Euler-Cassini at (n - k, k) with its sides swapped; the
+hand-simplified special cases (q_cassini, det_sq_q, conj4_k1, ...) keep
+their own closed forms, so each is an independent check of its family's
+general closed form.
 
 Every closed form's monomial prefactor is computed in plain ints.  Each q
 exponent is an integer-valued polynomial in the parameters, written so that
@@ -66,15 +66,13 @@ from collections import namedtuple
 from math import comb
 
 from .matrices import PolyMatrix
-from .poly import ONE, Poly, ZERO, dot, monomial
+from .poly import ONE, Poly, dot, monomial
 from .qcomb import (
     _SIGNED_FIBONOMIALS,
     Fac,
     _prod,
-    _qfibonomial_den,
     binom_product,
     fac,
-    qfibonomial_parts,
 )
 from .sequences import (
     Memo,
@@ -207,35 +205,32 @@ def conj2(n: int, k: int, ell: int) -> Poly:
     stride-ell q-fibonomial coefficients; denominators cleared."""
     if k < 1 or ell < 1:
         raise BadParams("conj2 needs k >= 1 and ell >= 1")
-    num, weights = _CONJ2_WEIGHTS[k, ell]
-    total = _weighted_tails(weights, n, k, ell)
-    if total.is_zero():
-        return ZERO
-    return num * total
+    return _weighted_tails(_CONJ2_WEIGHTS[k, ell], n, k, ell)
 
 
-def _conj2_weights(k: int, ell: int) -> tuple[Poly, tuple[Poly, ...]]:
-    """(num, w): num is the q-fibonomial numerator common to the k + 2
-    terms of conj2, and w[j] = coeff_j * prod_{i != j} den_i clears term j,
-    from prefix and suffix products of the denominators."""
+def _conj2_weights(k: int, ell: int) -> tuple[Poly, ...]:
+    """w[j] = c_j L / den_j clears term j of conj2, where den_j is the
+    denominator of the q-fibonomial <k+1, j>_ell and L a common multiple of
+    them; den_0 equals the numerator common to the k + 2 terms, so the
+    numerator cancels.  Each den_j is a product of distinct factors
+    f(ell i, q^t s), written as keys (ell i, t): L is the product over the
+    union of the keys, their least common multiple as key sets, and
+    L / den_j the product over the keys den_j lacks."""
     kk = k + 1
-    num, den0 = qfibonomial_parts(kk, 0, ell)
-    dens = [den0, *(_qfibonomial_den(kk, j, ell) for j in range(1, kk + 1))]
-    m = len(dens)
-    pre = [ONE] * (m + 1)
-    for i in range(m):
-        pre[i + 1] = pre[i] * dens[i]
-    suf = [ONE] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suf[i] = suf[i + 1] * dens[i]
+    dens = [
+        {(ell * i, ell * (j - i)) for i in range(1, j + 1)}
+        | {(ell * i, ell * j) for i in range(1, kk - j + 1)}
+        for j in range(kk + 1)
+    ]
+    lcm = set().union(*dens)
     weights = []
-    for j in range(m):
+    for j, den in enumerate(dens):
         cj2, cj3 = _c2(j), comb(j, 3)
         # ell C(j,2) ((4j+1) ell - 3) / 6, with ell^2 = 2 C(ell,2) + ell
         qexp = (4 * cj3 + 3 * cj2) * _c2(ell) + (2 * cj3 + cj2) * ell
         coeff = monomial(_sign(j + ell * cj2), es=ell * cj2, eq=qexp)
-        weights.append(coeff * (pre[j] * suf[j + 1]))
-    return num, tuple(weights)
+        weights.append(coeff * _prod(qfib(m, shift=t) for m, t in sorted(lcm - den)))
+    return tuple(weights)
 
 
 _CONJ2_WEIGHTS = Memo(_conj2_weights)
@@ -313,29 +308,10 @@ def gf_limit(k: int) -> Poly:
 
 
 def conj2_k2(n: int, ell: int) -> Poly:
-    """The k = 2 case of the stride-ell power recurrence, cleared by the
-    product of its three distinct denominators."""
+    """The k = 2 case of the stride-ell power recurrence: conj2(n, 2, ell)."""
     if ell < 1:
         raise BadParams("conj2_k2 needs ell >= 1")
-    return _weighted_tails(_CONJ2_K2_WEIGHTS[ell], n, 2, ell)
-
-
-def _conj2_k2_weights(ell: int) -> tuple[Poly, ...]:
-    """The four n-free weights of conj2_k2."""
-    d1 = qfib(ell, shift=ell)
-    d2 = qfib(2 * ell, shift=ell)
-    d3 = qfib(ell, shift=2 * ell)
-    q2 = _c2(2 * ell) - _c2(ell)  # ell (3 ell - 1) / 2
-    q3 = 5 * ell * ell + 3 * _c2(ell)  # ell (13 ell - 3) / 2
-    return (
-        d1 * d2 * d3,
-        -(qfib(3 * ell) * qfib(2 * ell) * d3),
-        monomial(_sign(ell), es=ell, eq=q2) * qfib(3 * ell) * qfib(ell) * d2,
-        monomial(_sign(ell - 1), es=3 * ell, eq=q3) * qfib(ell) * qfib(2 * ell) * d1,
-    )
-
-
-_CONJ2_K2_WEIGHTS = Memo(_conj2_k2_weights)
+    return conj2(n, 2, ell)
 
 
 _MINORS = Memo(_minor)

@@ -8,7 +8,8 @@ divisible and is returned as a polynomial.  The q-fibonomial (with shifted s
 arguments in the denominator) is not guaranteed polynomial, so
 qfibonomial_parts returns the (numerator, denominator) pair and qfibonomial
 returns a Poly when exact division succeeds and the pair otherwise.  The
-verification harness always works with the cleared-denominator forms.
+verification harness clears conj2's q-fibonomials by a common multiple of
+their denominators, which it builds from the same factors f(ell i, q^t s).
 """
 
 from __future__ import annotations
@@ -85,14 +86,11 @@ def qfibonomial_parts(k: int, j: int, ell: int = 1) -> tuple[Poly, Poly]:
         raise ValueError("qfibonomial needs ell >= 1")
     if not 0 <= j <= k:
         raise ValueError("qfibonomial needs 0 <= j <= k")
-    return _prod(qfib(ell * i) for i in range(1, k + 1)), _qfibonomial_den(k, j, ell)
-
-
-def _qfibonomial_den(k: int, j: int, ell: int) -> Poly:
-    """The denominator of qfibonomial_parts(k, j, ell), built alone."""
-    return _prod(qfib(ell * i, shift=ell * (j - i)) for i in range(1, j + 1)) * _prod(
+    num = _prod(qfib(ell * i) for i in range(1, k + 1))
+    den = _prod(qfib(ell * i, shift=ell * (j - i)) for i in range(1, j + 1)) * _prod(
         qfib(ell * i, shift=ell * j) for i in range(1, k - j + 1)
     )
+    return num, den
 
 
 def qfibonomial(k: int, j: int, ell: int = 1):

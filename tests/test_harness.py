@@ -109,6 +109,33 @@ def _c3(j):
     return j * (j - 1) * (j - 2) // 6
 
 
+def _k2_q2(ell):
+    """ell (3 ell - 1) / 2, the q exponent of conj2's j = 2 coefficient at
+    k = 2 and of threeterm_ell's third."""
+    return harness._c2(2 * ell) - harness._c2(ell)
+
+
+def _k2_q3(ell):
+    """ell (13 ell - 3) / 2, the q exponent of conj2's j = 3 coefficient
+    at k = 2."""
+    return 5 * ell * ell + 3 * harness._c2(ell)
+
+
+def _conj2_k2_weights(ell):
+    """conj2's four weights at k = 2, cleared by hand: the three distinct
+    shifted denominators are d1 = f(ell, q^ell s), d2 = f(2 ell, q^ell s)
+    and d3 = f(ell, q^(2 ell) s)."""
+    d1 = qfib(ell, shift=ell)
+    d2 = qfib(2 * ell, shift=ell)
+    d3 = qfib(ell, shift=2 * ell)
+    return (
+        d1 * d2 * d3,
+        -(qfib(3 * ell) * qfib(2 * ell) * d3),
+        monomial((-1) ** ell, es=ell, eq=_k2_q2(ell)) * qfib(3 * ell) * qfib(ell) * d2,
+        monomial((-1) ** (ell - 1), es=3 * ell, eq=_k2_q3(ell)) * qfib(ell) * qfib(2 * ell) * d1,
+    )
+
+
 # (name, the paper's rational form, the int form harness computes, the
 # parameter ranges): j >= 0 is conj2's term index, and conj4 needs k >= 1
 _BOX = range(-12, 13)
@@ -123,13 +150,13 @@ _QEXPS = [
     (
         "threeterm_ell, conj2_k2 q2",
         lambda ell: Fraction(ell * (3 * ell - 1), 2),
-        lambda ell: harness._c2(2 * ell) - harness._c2(ell),
+        _k2_q2,
         (_BOX,),
     ),
     (
         "conj2_k2 q3",
         lambda ell: Fraction(ell * (13 * ell - 3), 2),
-        lambda ell: 5 * ell * ell + 3 * harness._c2(ell),
+        _k2_q3,
         (_BOX,),
     ),
     (
@@ -178,21 +205,49 @@ def test_conj2_prefactor_exponent_integrality():
 
 
 def test_conj2_weights_are_the_papers_coefficients_cleared():
-    """w_j den_j = c_j prod_i den_i for each memoized weight w_j of conj2,
-    where den_i is the denominator of the q-fibonomial <k+1, i>_ell and c_j
-    the paper's monomial (-1)^(j + ell C(j,2)) s^(ell C(j,2))
-    q^(ell C(j,2)((4j+1) ell - 3)/6).  The residuals cannot see a factor
-    common to every weight, such as one more q on each."""
+    """w_j den_j = c_j L for each memoized weight w_j of conj2, where den_j
+    is the denominator of the q-fibonomial <k+1, j>_ell, c_j the paper's
+    monomial (-1)^(j + ell C(j,2)) s^(ell C(j,2))
+    q^(ell C(j,2)((4j+1) ell - 3)/6) and L = w_0 den_0 (c_0 = 1), so each
+    den_j divides L.  The residuals cannot see a factor common to every
+    weight, such as one more q on each: w_0 = L / den_0 is a product of
+    q-Fibonacci values, each monic in x, so its top x coefficient is 1."""
     for k in (1, 2, 3):
         for ell in (1, 2):
-            _, weights = harness._CONJ2_WEIGHTS[k, ell]
+            weights = harness._CONJ2_WEIGHTS[k, ell]
             dens = [qcomb.qfibonomial_parts(k + 1, j, ell)[1] for j in range(k + 2)]
-            total = qcomb._prod(dens)
+            lcm = weights[0] * dens[0]
             for j, (w, den) in enumerate(zip(weights, dens, strict=True)):
                 cj2 = j * (j - 1) // 2
                 qexp = Fraction(ell * cj2 * ((4 * j + 1) * ell - 3), 6)
                 c = monomial((-1) ** (j + ell * cj2), es=ell * cj2, eq=int(qexp))
-                assert qexp.denominator == 1 and w * den == c * total, (k, ell, j)
+                assert qexp.denominator == 1 and w * den == c * lcm, (k, ell, j)
+            top = max(e[0] for e, _ in weights[0].terms())
+            lead = [(e[1:], c) for e, c in weights[0].terms() if e[0] == top]
+            assert lead == [((0, 0, 0), 1)], (k, ell, lead)
+
+
+def test_conj2_weights_at_k2_are_the_hand_cleared_ones():
+    """At k = 2 the denominators' least common multiple over the numerator
+    is d1 d2 d3, so conj2's memoized weights (which conj2_k2 reads) are
+    the hand-cleared ones, term for term."""
+    for ell in range(1, 5):
+        assert harness._CONJ2_WEIGHTS[2, ell] == _conj2_k2_weights(ell), ell
+
+
+@pytest.mark.parametrize("k, ell", [(1, 2), (2, 2), (2, 3), (3, 1)])
+def test_every_mutated_conj2_weight_fails_every_cell_it_reaches(monkeypatch, k, ell):
+    """Each weight w_j, in turn plus one, times q or negated, makes conj2
+    fail at exactly the n = -3..8 whose tail f(ell(n-j)) is nonzero."""
+    weights = harness._CONJ2_WEIGHTS[k, ell]
+    for j, w in enumerate(weights):
+        reached = [n for n in range(-3, 9) if not qfib(ell * (n - j)).is_zero()]
+        for bad in (w + 1, w * Q, -w):
+            monkeypatch.setitem(
+                harness._CONJ2_WEIGHTS, (k, ell), (*weights[:j], bad, *weights[j + 1 :])
+            )
+            failed = [n for n in range(-3, 9) if not harness.conj2(n, k, ell).is_zero()]
+            assert failed == reached, (j, bad)
 
 
 # n = -4..8 (N for gen_cassini): the default grids stop at n >= k or n >= 1,
@@ -681,7 +736,6 @@ def test_sweep_workers_match_serial():
 # every memo a builder reads, by name
 _MEMOS = {
     "conj2 weights": harness._CONJ2_WEIGHTS,
-    "conj2_k2 weights": harness._CONJ2_K2_WEIGHTS,
     "signed fibonomials": qcomb._SIGNED_FIBONOMIALS,
     "minors": harness._MINORS,
     "qfib powers": sequences._CACHE._qfib_powers,
@@ -752,10 +806,7 @@ _MEMO_KEYS = {
     "conj1_f": lambda k, n: _conj2_keys(k, 1, n),
     "conj1_fibo": lambda k, n: _conj2_keys(k, 1, n),
     "conj2": _conj2_keys,
-    "conj2_k2": lambda ell, n: {
-        "conj2_k2 weights": {ell},
-        "qfib powers": {(ell * (n - j), 2) for j in range(4)},
-    },
+    "conj2_k2": lambda ell, n: _conj2_keys(2, ell, n),
     **{
         id: lambda cell=cell, **c: {"minors": _minor_keys(*cell(**c))}
         for id, cell in _DET_CELLS.items()
@@ -821,15 +872,19 @@ def test_a_corrupted_minor_fails_exactly_the_cells_that_read_it(monkeypatch, eng
 
 
 def test_a_corrupted_weight_fails_every_cell_of_its_parameters(monkeypatch):
-    num, w = harness._CONJ2_WEIGHTS[2, 3]
-    monkeypatch.setitem(harness._CONJ2_WEIGHTS, (2, 3), (num, (w[0] + 1, *w[1:])))
-    w = harness._CONJ2_K2_WEIGHTS[2]
-    monkeypatch.setitem(harness._CONJ2_K2_WEIGHTS, 2, (*w[:3], w[3] + 1))
+    """conj2_k2 reads conj2's weights at (2, ell); a wrong w_3 passes at
+    n = 3, where its tail f(ell(n-3)) is f(0) = 0."""
+    w = harness._CONJ2_WEIGHTS[2, 3]
+    monkeypatch.setitem(harness._CONJ2_WEIGHTS, (2, 3), (w[0] + 1, *w[1:]))
+    w = harness._CONJ2_WEIGHTS[2, 2]
+    monkeypatch.setitem(harness._CONJ2_WEIGHTS, (2, 2), (*w[:3], w[3] + 1))
     rep = sweep(["conj2", "conj2_k2", "conj1_f"])
     failed = [(c.id, c.params) for c in rep.cells if c.status != "pass"]
-    assert failed == [("conj2", {"k": 2, "ell": 3, "n": n}) for n in range(3, 8)] + [
-        ("conj2_k2", {"ell": 2, "n": n}) for n in range(4, 8)
-    ]
+    assert failed == (
+        [("conj2", {"k": 2, "ell": 2, "n": n}) for n in range(4, 8)]
+        + [("conj2", {"k": 2, "ell": 3, "n": n}) for n in range(3, 8)]
+        + [("conj2_k2", {"ell": ell, "n": n}) for ell in (2, 3) for n in range(4, 8)]
+    )
     assert all(c.residual for c in rep.cells if c.status == "fail")
 
 
@@ -889,10 +944,10 @@ def test_large_weighted_tails_take_the_sum_kernel(monkeypatch):
 _CORRUPTED_SWEEP = """
 import json, sys
 from qfib import harness, poly
-num, w = harness._CONJ2_WEIGHTS[2, 3]
-harness._CONJ2_WEIGHTS[2, 3] = (num, (w[0] + 1, *w[1:]))
-w = harness._CONJ2_K2_WEIGHTS[2]
-harness._CONJ2_K2_WEIGHTS[2] = (*w[:3], w[3] + 1)
+w = harness._CONJ2_WEIGHTS[2, 3]
+harness._CONJ2_WEIGHTS[2, 3] = (w[0] + 1, *w[1:])
+w = harness._CONJ2_WEIGHTS[2, 2]
+harness._CONJ2_WEIGHTS[2, 2] = (*w[:3], w[3] + 1)
 kernel = poly._sum_products
 took = []
 
