@@ -2,9 +2,10 @@
 
 Laurent polynomial arithmetic over the integers, q-Fibonacci/Lucas
 sequence generators, (q-)fibonomial coefficients, fraction-free polynomial
-determinants with the Hoggatt matrix's eigenpairs checked in the same ring,
-and a verification harness that checks a catalog of identities and
-conjectures as exact zero residuals.
+determinants, the Hoggatt matrix and the closed form of its characteristic
+polynomial, and a verification harness that checks a catalog of identities
+and conjectures as exact zero residuals.  The checks of the Hoggatt
+matrix's eigenpairs and roots are in the tests (tests/hoggatt_checks.py).
 """
 
 from .poly import (

@@ -5,11 +5,12 @@ that disagrees with its golden file or finds it missing or malformed, a
 Hoggatt characteristic polynomial that disagrees with its closed form, or
 an evaluated fibonomial triangle that disagrees with the division-free
 rule <n,k> = F(k+1)<n-1,k> + s F(n-k-1)<n-1,k-1>), 2
-usage error (an --out path that cannot be opened is one; verify checks it
-before its sweep), 3 budget exceeded (a desk-scale bound, or an exponent
-that arithmetic pushed past the supported range), 4 internal error (an
-exact division that left a remainder, or a verify --jobs child process
-that died), 141 standard output closed early.
+usage error (an option that the command does not read is one, and so is an
+--out path that cannot be opened; verify checks both before its sweep), 3
+budget exceeded (a desk-scale bound, or an exponent that arithmetic pushed
+past the supported range), 4 internal error (an exact division that left a
+remainder, or a verify --jobs child process that died), 141 standard output
+closed early.
 Ranges are inclusive "a..b" (a single "a" works too); negative bounds must
 be attached with '=', e.g. --n=-2..6.  Polynomial output uses
 the canonical grammar, bit-exact, so reports are stable regression inputs.
@@ -145,10 +146,6 @@ def _emit(text: str, out: str | None) -> None:
             raise _StdoutClosed from None
 
 
-def _fraction_str(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
 # ------------------------------------------------------------------- eval
 
 
@@ -255,7 +252,7 @@ def _cmd_coeff(args) -> int:
         raise _UsageError(f"{where} has a pole at {args.at}") from None
     if not d:
         raise _UsageError(f"the denominator of {where} vanishes at {args.at}")
-    _emit(_fraction_str(n / d), args.out)
+    _emit(str(n / d), args.out)
     return EXIT_OK
 
 
@@ -296,6 +293,12 @@ def run_verify(args) -> tuple[harness.VerificationReport, str]:
         if id not in harness.CATALOG:
             raise _UsageError(f"unknown identity {id!r}")
     caps = {"k": args.max_k, "ell": args.max_ell}
+    taken = {p for id in ids for p in harness.CATALOG[id].params}
+    given = [(f"--{p}", p) for p in ranges]
+    given += [(f"--max-{p}", p) for p, cap in caps.items() if cap is not None]
+    for flag, p in given:
+        if p not in taken:
+            raise _UsageError(f"{flag} matches no parameter of {', '.join(ids)}")
     overrides = []
     for id in ids:
         over = {}
@@ -423,7 +426,7 @@ def _cmd_tables(args) -> int:
             entries = [qcomb.fibonomial(n, k) for k in range(n + 1)]
             if at:
                 values.append([e.evaluate(**at) for e in entries])
-                lines.append(" ".join(map(_fraction_str, values[-1])))
+                lines.append(" ".join(map(str, values[-1])))
             else:
                 row = [e.to_canonical_string() for e in entries]
                 rows.update(((str(n), str(k)), text) for k, text in enumerate(row))

@@ -63,14 +63,13 @@ import marshal
 import os
 import time
 from collections import namedtuple
-from math import comb
+from math import comb, prod
 
 from .matrices import PolyMatrix
 from .poly import ONE, Poly, dot, monomial
 from .qcomb import (
     _SIGNED_FIBONOMIALS,
     Fac,
-    _prod,
     binom_product,
     fac,
 )
@@ -125,16 +124,6 @@ def _c2(m: int) -> int:
 def _v(m: int, classical: bool = False) -> Poly:
     """v(m) = (-1)^m q^C(m,2) s^(m-1), at q = 1 when classical."""
     return monomial(_sign(m), es=m - 1, eq=0 if classical else _c2(m))
-
-
-def _weighted_tails(weights, n: int, k: int, ell: int) -> Poly:
-    """sum_j weights[j] * f(ell(n-j), q^(ell j) s)^k, one poly.dot: each
-    tail is the memoized power f(ell(n-j))^k under s -> q^(ell j) s, the
-    large weighted tails go into one accumulator of packed q-blocks, and
-    the sum is unpacked once."""
-    return dot(
-        [(w, qfib_power(ell * (n - j), k, shift=ell * j)) for j, w in enumerate(weights)]
-    )
 
 
 def _minor(N1: int, N2: int, classical: bool, t: int = 1) -> Poly:
@@ -202,10 +191,17 @@ def _basis_decomp_sides(n: int, k: int) -> tuple[Poly, Poly]:
 
 def conj2(n: int, k: int, ell: int) -> Poly:
     """Stride-ell power recurrence on the subsequence f(ell*n), with
-    stride-ell q-fibonomial coefficients; denominators cleared."""
+    stride-ell q-fibonomial coefficients; denominators cleared.  The
+    residual sum_j w[j] * f(ell(n-j), q^(ell j) s)^k is one poly.dot: each
+    tail is the memoized power f(ell(n-j))^k under s -> q^(ell j) s, the
+    large weighted tails go into one accumulator of packed q-blocks, and
+    the sum is unpacked once."""
     if k < 1 or ell < 1:
         raise BadParams("conj2 needs k >= 1 and ell >= 1")
-    return _weighted_tails(_CONJ2_WEIGHTS[k, ell], n, k, ell)
+    return dot(
+        [(w, qfib_power(ell * (n - j), k, shift=ell * j))
+         for j, w in enumerate(_CONJ2_WEIGHTS[k, ell])]
+    )
 
 
 def _conj2_weights(k: int, ell: int) -> tuple[Poly, ...]:
@@ -229,7 +225,7 @@ def _conj2_weights(k: int, ell: int) -> tuple[Poly, ...]:
         # ell C(j,2) ((4j+1) ell - 3) / 6, with ell^2 = 2 C(ell,2) + ell
         qexp = (4 * cj3 + 3 * cj2) * _c2(ell) + (2 * cj3 + cj2) * ell
         coeff = monomial(_sign(j + ell * cj2), es=ell * cj2, eq=qexp)
-        weights.append(coeff * _prod(qfib(m, shift=t) for m, t in sorted(lcm - den)))
+        weights.append(coeff * prod((qfib(m, shift=t) for m, t in sorted(lcm - den)), start=ONE))
     return tuple(weights)
 
 
@@ -348,7 +344,7 @@ def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
     while len(factors) > 1:
         odd = factors[-1:] if len(factors) % 2 else []
         factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + odd
-    return factors[0].exact_div(_prod(_v(m, classical) for m in cols) ** k)
+    return factors[0].exact_div(prod((_v(m, classical) for m in cols), start=ONE) ** k)
 
 
 def _power_det_bareiss(n: int, k: int, ell: int, classical: bool) -> Poly:
@@ -415,8 +411,8 @@ def _conj4_sides(n: int, k: int, ell: int) -> tuple[Poly, Poly]:
     det = _power_det(n, k, ell)
     closed = (
         _power_det_prefactor(n, k, ell)
-        * _prod(fac(k - j, shift=ell * j, ell=ell) for j in range(k))
-        * _prod(fac(k - j, shift=ell * (n + j), ell=ell) for j in range(k))
+        * prod((fac(k - j, shift=ell * j, ell=ell) for j in range(k)), start=ONE)
+        * prod((fac(k - j, shift=ell * (n + j), ell=ell) for j in range(k)), start=ONE)
     )
     return det, closed
 
@@ -456,8 +452,8 @@ def _det_classical_ell_sides(n: int, k: int, ell: int) -> tuple[Poly, Poly]:
     if k < 1 or ell < 1:
         raise BadParams("det_classical_ell needs k >= 1 and ell >= 1")
     det = _power_det(n, k, ell, classical=True)
-    closed = _power_det_prefactor(n, k, ell, classical=True) * _prod(
-        Fac(k - j, ell) ** 2 for j in range(k)
+    closed = _power_det_prefactor(n, k, ell, classical=True) * prod(
+        (Fac(k - j, ell) ** 2 for j in range(k)), start=ONE
     )
     return det, closed
 
@@ -494,20 +490,17 @@ def fit_monomial_correction(lhs: Poly, rhs: Poly) -> MonomialCorrection:
         raise ValueError("fit_monomial_correction needs nonzero inputs")
     if len(lhs) != len(rhs):
         raise NotProportional("term counts differ")
-    lt_l = max(lhs._t)
-    lt_r = max(rhs._t)
-    cl, cr = lhs._t[lt_l], rhs._t[lt_r]
+    # the lex-largest exponent tuples: a monomial factor keeps a term largest
+    (el, cl), (er, cr) = max(lhs.terms()), max(rhs.terms())
     if abs(cl) != abs(cr):
         raise NotProportional("leading coefficients differ by more than a sign")
     sign = 1 if (cl > 0) == (cr > 0) else -1
-    delta = lt_l - lt_r
-    for k, c in rhs._t.items():
-        if lhs._t.get(k + delta) != sign * c:
+    delta = [a - b for a, b in zip(el, er)]
+    lterms = dict(lhs.terms())
+    for e, c in rhs.terms():
+        if lterms.get(tuple(a + d for a, d in zip(e, delta))) != sign * c:
             raise NotProportional("terms do not map onto each other")
-    from .poly import _unpack, _ZKEY  # packed-key helpers
-
-    ex, es, eq, ez = _unpack(delta + _ZKEY)
-    return MonomialCorrection(sign, ex, es, eq, ez)
+    return MonomialCorrection(sign, *delta)
 
 
 # --------------------------------------------------------------------------
@@ -529,8 +522,8 @@ class _DataclassFields:
 class IdentityEntry(
     namedtuple(
         "IdentityEntry",
-        "id grid_spec builder sides valid fit_default summary",
-        defaults=(None, None, None, False, ""),
+        "id grid_spec builder sides valid fit_default",
+        defaults=(None, None, None, False),
     )
 ):
     """One identity: its parameters are the keys of grid_spec, in order,
@@ -568,98 +561,82 @@ CATALOG: dict[str, IdentityEntry] = {
             {"k": (1, 4), "n": (3, 12)},
             builder=power_rec_classical,
             valid=lambda k, n: n >= k + 2,
-            summary="power recurrence for F(n)^k",
         ),
         IdentityEntry(
             "squares_classical",
             {"n": (3, 30)},
             builder=squares_classical,
-            summary="Fibonacci squares recurrence at x=s=1",
         ),
         IdentityEntry(
             "conj1_f",
             {"k": (2, 3), "n": (-3, 8)},
             builder=conj1_f,
-            summary="q power recurrence, shifted arguments",
         ),
         IdentityEntry(
             "conj1_fibo",
             {"k": (2, 3), "n": (-3, 8)},
             builder=conj1_fibo,
-            summary="q power recurrence, plain arguments (transform image)",
         ),
         IdentityEntry(
             "euler_cassini",
             {"k": (1, 6), "n": (-4, 8)},
             sides=_euler_cassini_sides,
-            summary="q-Euler-Cassini two-product identity",
         ),
         IdentityEntry(
             "basis_decomp",
             {"k": (1, 6), "n": (-4, 8)},
             sides=_basis_decomp_sides,
-            summary="f(n-k, q^k s) in the f(n), f(n-1, qs) basis",
         ),
         IdentityEntry(
             "conj2",
             {"k": (1, 2), "ell": (1, 3), "n": (3, 7)},
             builder=conj2,
-            summary="stride-ell q power recurrence",
         ),
         IdentityEntry(
             "threeterm_ell",
             {"ell": (1, 4), "n": (3, 8)},
             builder=threeterm_ell,
-            summary="three-term recurrence for f(ell n)",
         ),
         IdentityEntry(
             "threeterm_classical",
             {"ell": (1, 4), "n": (3, 8)},
             builder=threeterm_classical,
-            summary="classical three-term recurrence for F(ell n)",
         ),
         IdentityEntry(
             "gen_cassini",
             {"N": (-3, 6), "ell": (1, 3), "m": (0, 3)},
             sides=_gen_cassini_sides,
-            summary="generalized strided Cassini determinant",
         ),
         IdentityEntry(
             "gf_limit",
             {"k": (1, 4)},
             builder=gf_limit,
-            summary="limit Euler-Cassini identity for F(s) mod (s^8, q^12)",
         ),
         IdentityEntry(
             "conj2_k2",
             {"ell": (1, 3), "n": (4, 7)},
             builder=conj2_k2,
-            summary="k=2 case of the stride-ell power recurrence",
         ),
         IdentityEntry(
             "cassini_classical",
             {"n": (1, 10)},
             sides=_cassini_classical_sides,
-            summary="Cassini determinant with s generalization",
         ),
         IdentityEntry(
             "det_power_classical",
             {"k": (1, 2), "n": (1, 6)},
             valid=lambda k, n: n >= k,
             sides=_det_power_classical_sides,
-            summary="classical power determinant closed form",
         ),
         IdentityEntry(
             "q_cassini",
             {"n": (1, 12)},
             sides=_q_cassini_sides,
-            summary="q-Cassini determinant",
         ),
         IdentityEntry(
             "det_sq_q",
             {"n": (2, 8)},
             sides=_det_sq_q_sides,
-            summary="3x3 squared q determinant closed form",
         ),
         IdentityEntry(
             "conj3",
@@ -667,7 +644,6 @@ CATALOG: dict[str, IdentityEntry] = {
             valid=lambda k, n: n >= k,
             sides=_conj3_sides,
             fit_default=True,
-            summary="shifted power determinant closed form",
         ),
         IdentityEntry(
             "conj4",
@@ -675,26 +651,22 @@ CATALOG: dict[str, IdentityEntry] = {
             valid=lambda ell, k, n: n >= k,
             sides=_conj4_sides,
             fit_default=True,
-            summary="stride-ell shifted power determinant closed form",
         ),
         IdentityEntry(
             "conj4_k1",
             {"ell": (1, 3), "n": (1, 6)},
             sides=_conj4_k1_sides,
-            summary="stride-ell determinant, k=1 case",
         ),
         IdentityEntry(
             "conj4_k2",
             {"ell": (1, 2), "n": (2, 5)},
             sides=_conj4_k2_sides,
-            summary="stride-ell determinant, k=2 case",
         ),
         IdentityEntry(
             "det_classical_ell",
             {"ell": (1, 2), "k": (1, 2), "n": (1, 5)},
             valid=lambda ell, k, n: n >= k,
             sides=_det_classical_ell_sides,
-            summary="q=1 stride-ell power determinant closed form",
         ),
     ]
 }

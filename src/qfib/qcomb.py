@@ -14,7 +14,7 @@ their denominators, which it builds from the same factors f(ell i, q^t s).
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, prod
 
 from .poly import ONE, NotDivisible, Poly, monomial
 from .sequences import Memo, fib, qfib
@@ -48,13 +48,6 @@ def qbinom(n: int, k: int) -> Poly:
 _QBINOM_COLUMNS = Memo(lambda k: {k: ONE})
 
 
-def _prod(factors) -> Poly:
-    total = ONE
-    for f in factors:
-        total = total * f
-    return total
-
-
 def fibonomial(n: int, k: int, ell: int = 1) -> Poly:
     """Fibonomial prod_{i<k} F((n-i) ell) / prod_{i<=k} F(i ell); always a
     polynomial in x and s.  ell = 1 is the classical fibonomial."""
@@ -62,8 +55,8 @@ def fibonomial(n: int, k: int, ell: int = 1) -> Poly:
         raise ValueError("fibonomial needs ell >= 1")
     if not 0 <= k <= n:
         raise ValueError("fibonomial needs 0 <= k <= n")
-    num = _prod(fib((n - i) * ell) for i in range(k))
-    den = _prod(fib(i * ell) for i in range(1, k + 1))
+    num = prod((fib((n - i) * ell) for i in range(k)), start=ONE)
+    den = prod((fib(i * ell) for i in range(1, k + 1)), start=ONE)
     return num.exact_div(den)
 
 
@@ -86,9 +79,9 @@ def qfibonomial_parts(k: int, j: int, ell: int = 1) -> tuple[Poly, Poly]:
         raise ValueError("qfibonomial needs ell >= 1")
     if not 0 <= j <= k:
         raise ValueError("qfibonomial needs 0 <= j <= k")
-    num = _prod(qfib(ell * i) for i in range(1, k + 1))
-    den = _prod(qfib(ell * i, shift=ell * (j - i)) for i in range(1, j + 1)) * _prod(
-        qfib(ell * i, shift=ell * j) for i in range(1, k - j + 1)
+    num = prod((qfib(ell * i) for i in range(1, k + 1)), start=ONE)
+    den = prod((qfib(ell * i, shift=ell * (j - i)) for i in range(1, j + 1)), start=ONE) * prod(
+        (qfib(ell * i, shift=ell * j) for i in range(1, k - j + 1)), start=ONE
     )
     return num, den
 
@@ -107,21 +100,18 @@ def fac(n: int, shift: int = 0, ell: int = 1) -> Poly:
     """fac(n) = f(ell) f(2 ell) ... f(n ell) with s -> q^shift s applied."""
     if n < 0 or ell < 1:
         raise ValueError("fac needs n >= 0 and ell >= 1")
-    return _prod(qfib(i * ell, shift=shift) for i in range(1, n + 1))
+    return prod((qfib(i * ell, shift=shift) for i in range(1, n + 1)), start=ONE)
 
 
 def Fac(n: int, ell: int = 1) -> Poly:
     """Fac(n) = F(ell) F(2 ell) ... F(n ell)."""
     if n < 0 or ell < 1:
         raise ValueError("Fac needs n >= 0 and ell >= 1")
-    return _prod(fib(i * ell) for i in range(1, n + 1))
+    return prod((fib(i * ell) for i in range(1, n + 1)), start=ONE)
 
 
 def binom_product(k: int) -> int:
     """prod_{j=0..k} C(k, j): 1, 1, 2, 9, 96, 2500, ... (A001142)."""
     if k < 0:
         raise ValueError("binom_product needs k >= 0")
-    total = 1
-    for j in range(k + 1):
-        total *= comb(k, j)
-    return total
+    return prod(comb(k, j) for j in range(k + 1))

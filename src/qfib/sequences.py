@@ -40,10 +40,6 @@ from __future__ import annotations
 
 from . import poly
 from .poly import (
-    _BIAS,
-    _MASK,
-    _QSTEP,
-    _SH_EQ,
     _SH_ES,
     _XSTEP,
     ONE,
@@ -113,16 +109,11 @@ class _Packed:
 
 
 def _seed_blocks(g: Poly, L: int) -> dict:
-    """g's blocks at limb width L, packed from its block list, or term by
-    term when g is too q-sparse to have one."""
-    bl = _block_map(g)
-    if bl:
-        return {base: [lo, _pack_coeffs(cs, L)] for _, base, lo, cs in bl}
-    acc: dict = {}
-    for k, c in g._t.items():
-        eq = ((k >> _SH_EQ) & _MASK) - _BIAS
-        _add_at(acc, k - eq * _QSTEP, eq, c, L)
-    return acc
+    """g's blocks at limb width L, packed from its block list.  A fill's
+    seed is ZERO, whose block list is empty, or a sequence value at an index
+    >= 0, whose blocks have no zero q coefficient between nonzero ones, so
+    _block_map never finds it too q-sparse."""
+    return {base: [lo, _pack_coeffs(cs, L)] for _, base, lo, cs in _block_map(g)}
 
 
 def _fill_packed(memo: dict, n: int, q_step: int) -> None:

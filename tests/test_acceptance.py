@@ -10,8 +10,9 @@ import math
 import random
 import time
 
+from hoggatt_checks import _alpha_beta, verify_prodinger
 from qfib.harness import CATALOG, det_table, residual, sweep
-from qfib.matrices import PolyMatrix, _alpha_beta, hoggatt, verify_prodinger
+from qfib.matrices import PolyMatrix, hoggatt
 from qfib.poly import ONE, Poly, Q, S, X, Z, ZERO, monomial, parse
 from qfib.qcomb import binom_product, fibonomial
 from qfib.sequences import (

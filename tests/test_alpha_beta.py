@@ -1,5 +1,5 @@
 """The quadratic extension Z[x, s^±, z^±][alpha]/(alpha^2 - x alpha - s),
-checked through its image under matrices._alpha_beta: x -> alpha + beta,
+checked through its image under hoggatt_checks._alpha_beta: x -> alpha + beta,
 s -> -alpha beta, with alpha in the x slot and beta in the q slot.  The
 element u + v alpha maps to image(u) + image(v) * X."""
 
@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from qfib.matrices import _alpha_beta as image
+from hoggatt_checks import _alpha_beta as image
 from qfib.poly import ONE, Poly, Q, S, X, Z, ZERO, monomial
 from qfib.sequences import fib, lucas
 

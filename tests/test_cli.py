@@ -379,6 +379,30 @@ def test_verify_selecting_no_cell_is_a_usage_error(capsys, argv, ids):
     assert err == f"error: these ranges select no cell of {ids}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["q_cassini", "--k", "1..2"], "--k matches no parameter of q_cassini"),
+        (["q_cassini", "--max-ell", "1"], "--max-ell matches no parameter of q_cassini"),
+        (["gf_limit", "--n", "1..2"], "--n matches no parameter of gf_limit"),
+        (
+            ["q_cassini", "gf_limit", "--N=-1..1"],
+            "--N matches no parameter of q_cassini, gf_limit",
+        ),
+        (["conj2", "--k", "1", "--max-k", "1", "--m", "0"], "--m matches no parameter of conj2"),
+    ],
+)
+def test_verify_option_no_named_identity_takes_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    # checked before the --out path and before any cell runs
+    cells = []
+    monkeypatch.setattr(harness, "_run_cell", lambda *a, **k: cells.append(a))
+    target = tmp_path / "no_such_dir" / "x.json"
+    code, out, err = run(capsys, "verify", *argv, "--out", str(target))
+    assert (code, out, err, cells) == (EXIT_USAGE, "", f"error: {message}\n", [])
+
+
 def test_verify_all_with_no_k_still_runs_the_cells_without_k(capsys):
     code, out, _ = run(capsys, "verify", "all", "--max-k", "0")
     assert code == EXIT_OK

@@ -4,17 +4,14 @@ import random
 
 import pytest
 
-from qfib import matrices
-from qfib.matrices import (
-    EntryUsesZ,
-    PolyMatrix,
+import hoggatt_checks
+from hoggatt_checks import (
     _alpha_beta,
-    hoggatt,
-    hoggatt_closed_form,
     prodinger_eigvec,
     root_product_residual,
     verify_prodinger,
 )
+from qfib.matrices import EntryUsesZ, PolyMatrix, hoggatt, hoggatt_closed_form
 from qfib.poly import ONE, NotDivisible, Poly, Q, S, X, Z, ZERO, monomial
 from qfib.qcomb import fibonomial
 from qfib.sequences import qfib
@@ -166,13 +163,13 @@ def test_prodinger_check_rejects_mutants(monkeypatch):
     for n, j in pairs:  # one component perturbed
         i = (n + j) % n
         monkeypatch.setattr(
-            matrices, "prodinger_eigvec",
+            hoggatt_checks, "prodinger_eigvec",
             lambda n, j: [e + ONE if r == i else e for r, e in enumerate(real(n, j))],
         )
         assert not verify_prodinger(n, j), (n, j)
     # u(n, n + 1 - j) belongs to alpha^(n-j) beta^(j-1): checking it against
     # alpha^(j-1) beta^(n-j) is the eigenvalue with its exponents swapped
-    monkeypatch.setattr(matrices, "prodinger_eigvec", lambda n, j: real(n, n + 1 - j))
+    monkeypatch.setattr(hoggatt_checks, "prodinger_eigvec", lambda n, j: real(n, n + 1 - j))
     for n, j in pairs:
         if 2 * j != n + 1:
             assert not verify_prodinger(n, j), (n, j)

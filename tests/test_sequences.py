@@ -232,7 +232,6 @@ def test_forward_fill_at_the_limb_bound(bits, sign):
         (X * (ONE + Q), -S),  # g(2) = q*s*x: its block's lowest digit cancels
         (X, -S),  # g(2) = 0: an empty block
         (monomial(-3, ex=2, eq=-4) + Q**3, S * Q - X),  # Laurent, signed, two bases per es
-        (ZERO, ONE - Q**5000),  # too q-sparse for a block list: packed term by term
     ],
 )
 def test_forward_fill_signed_seeds(seeds):
