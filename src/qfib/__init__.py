@@ -13,7 +13,6 @@ from .poly import (
     NotDivisible,
     ParseError,
     PoleAtZero,
-    exact_div,
     monomial,
     parse,
     ZERO,

@@ -6,7 +6,9 @@ Hoggatt characteristic polynomial that disagrees with its closed form, or
 an evaluated fibonomial triangle that disagrees with the division-free
 rule <n,k> = F(k+1)<n-1,k> + s F(n-k-1)<n-1,k-1>), 2
 usage error (an option that the command does not read is one, and so is an
---out path that cannot be opened; verify checks both before its sweep), 3
+--out path that cannot be opened; verify checks both before its sweep; a
+failed write to --out or to standard output, such as on a full disk, is
+one too), 3
 budget exceeded (a desk-scale bound, or an exponent that arithmetic pushed
 past the supported range), 4 internal error (an exact division that left a
 remainder, or a verify --jobs child process that died), 141 standard output
@@ -136,14 +138,24 @@ def _emit(text: str, out: str | None) -> None:
             fh = open(out, "w")
         except OSError as exc:
             raise _cannot_open(out, exc) from None
-        with fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:  # a full disk fails the write or the close
+            raise _UsageError(f"cannot write --out {out!r}: {exc.strerror}") from None
     else:
         try:
             print(text)
             sys.stdout.flush()  # a closed pipe raises here, not at exit
-        except BrokenPipeError:
-            raise _StdoutClosed from None
+        except OSError as exc:
+            # as the Python docs advise for a closed pipe: point stdout at
+            # devnull, so the flush at exit cannot raise again
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            if isinstance(exc, BrokenPipeError):
+                raise _StdoutClosed from None
+            raise _UsageError(f"cannot write standard output: {exc.strerror}") from None
 
 
 # ------------------------------------------------------------------- eval
@@ -537,10 +549,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _StdoutClosed:
-        # as the Python docs advise: point stdout at devnull, so the flush at
-        # exit cannot raise again, and exit without a traceback
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except _StdoutClosed:  # exit without a traceback
         return EXIT_BROKEN_PIPE
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -123,7 +123,6 @@ __all__ = [
     "ParseError",
     "PoleAtZero",
     "dot",
-    "exact_div",
     "monomial",
     "parse",
     "ZERO",
@@ -538,11 +537,6 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({self.to_canonical_string()!r})"
 
-    @classmethod
-    def parse(cls, text: str) -> "Poly":
-        """Inverse of to_canonical_string (accepts terms in any order)."""
-        return _Parser(text).parse()
-
 
 def _term_str(c: int, key: int) -> str:
     ex, es, eq, ez = _unpack(key)
@@ -559,98 +553,64 @@ def _term_str(c: int, key: int) -> str:
 
 
 # ------------------------------------------------------------------ parsing
+#
+# The grammar parse reads, which to_canonical_string writes:
+#
+#   poly   := [sign] term (sign term)*           sign := "+" | "-"
+#   term   := factor ("*" factor)*
+#   factor := digits | var ["^" ["-"] digits]    var  := "x" | "s" | "q" | "z"
+#
+# digits is \d+ (Unicode decimal digits too).  Blanks, spaces and tabs, may
+# stand before and after each sign, factor and "*", and between "^" and its
+# exponent, nowhere else.  A term may repeat a variable and a monomial may
+# repeat over terms: factors multiply and terms add.
+
+_BLANKS = re.compile(r"[ \t]*")
+_FACTOR = re.compile(r"[ \t]*(?:(\d+)|([xsqz])(?:(\^[ \t]*)(-?\d+)?)?)")
 
 
-class _Parser:
-    _INT = re.compile(r"\d+")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self):
-        t, n = self.text, len(self.text)
-        while self.pos < n and t[self.pos] in " \t":
-            self.pos += 1
-
-    def _peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _fail(self, message: str):
-        raise ParseError(message, self.pos)
-
-    def _int(self, signed: bool = False) -> int:
-        self._skip_ws()
-        start = self.pos
-        sign = 1
-        if signed and self._peek() == "-":
-            sign = -1
-            self.pos += 1
-        m = self._INT.match(self.text, self.pos)
-        if not m:
-            self.pos = start
-            self._fail("expected an integer")
-        self.pos = m.end()
-        return sign * int(m.group())
-
-    def parse(self) -> Poly:
-        total: dict[int, int] = {}
-        self._skip_ws()
-        if not self._peek():
-            self._fail("empty polynomial")
-        sign = 1
-        if self._peek() in "+-":
-            sign = -1 if self._peek() == "-" else 1
-            self.pos += 1
+def parse(text: str) -> Poly:
+    """The Poly that text writes in the grammar above: the inverse of
+    to_canonical_string, with terms and factors in any order.  ParseError
+    gives the position of the first character that does not fit; an
+    exponent past _EXP_LIMIT, in a factor or summed over a term, raises
+    ValueError."""
+    total: dict[int, int] = {}
+    pos = _BLANKS.match(text).end()
+    if pos == len(text):
+        raise ParseError("empty polynomial", pos)
+    sign = text[pos] if text[pos] in "+-" else ""
+    pos += len(sign)
+    while True:
+        coeff, exps = -1 if sign == "-" else 1, [0, 0, 0, 0]
         while True:
-            coeff, key = self._term()
-            c = sign * coeff
-            v = total.get(key, 0) + c
-            if v:
-                total[key] = v
+            m = _FACTOR.match(text, pos)
+            if m is None:
+                pos = _BLANKS.match(text, pos).end()
+                what = "a coefficient or variable"
+                if text[pos : pos + 1].isdigit():  # such as "²", a digit to isdigit, not to \d
+                    what = "an integer"
+                raise ParseError(f"expected {what}", pos)
+            digits, var, caret, e = m.groups()
+            if digits:
+                coeff *= int(digits)
+            elif caret and not e:
+                raise ParseError("expected an integer", m.end())
             else:
-                total.pop(key, None)
-            self._skip_ws()
-            ch = self._peek()
-            if not ch:
+                exps[_VARS.index(var)] += _check_exp(int(e)) if caret else 1
+            pos = _BLANKS.match(text, m.end()).end()
+            if not text.startswith("*", pos):
                 break
-            if ch == "+":
-                sign = 1
-            elif ch == "-":
-                sign = -1
-            else:
-                self._fail(f"unexpected character {ch!r}")
-            self.pos += 1
-        return Poly._raw(total)
-
-    def _term(self) -> tuple[int, int]:
-        coeff = 1
-        exps = {"x": 0, "s": 0, "q": 0, "z": 0}
-        saw_factor = False
-        while True:
-            self._skip_ws()
-            ch = self._peek()
-            if ch.isdigit():
-                coeff *= self._int()
-            elif ch and ch in "xsqz":
-                self.pos += 1
-                e = 1
-                if self._peek() == "^":
-                    self.pos += 1
-                    e = self._int(signed=True)
-                exps[ch] += _check_exp(e)
-            else:
-                self._fail("expected a coefficient or variable")
-            saw_factor = True
-            self._skip_ws()
-            if self._peek() == "*":
-                self.pos += 1
-                continue
-            break
-        if not saw_factor:
-            self._fail("empty term")
+            pos += 1
         # a term's factors may repeat a variable: check what they add up to
-        return coeff, _pack(*(_check_exp(exps[v]) for v in _VARS))
+        key = _pack(*map(_check_exp, exps))
+        total[key] = total.get(key, 0) + coeff
+        if pos == len(text):
+            return Poly._raw({k: c for k, c in total.items() if c})
+        sign = text[pos]
+        if sign not in "+-":
+            raise ParseError(f"unexpected character {sign!r}", pos)
+        pos += 1
 
 
 # --------------------------------------------------------- plain arithmetic
@@ -1298,14 +1258,6 @@ def _sum_products(terms: list) -> Poly | None:
 
 def monomial(coeff: int, ex: int = 0, es: int = 0, eq: int = 0, ez: int = 0) -> Poly:
     return Poly({(ex, es, eq, ez): coeff})
-
-
-def exact_div(a: Poly, b: Poly) -> Poly:
-    return a.exact_div(b)
-
-
-def parse(text: str) -> Poly:
-    return Poly.parse(text)
 
 
 ZERO = Poly()

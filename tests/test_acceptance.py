@@ -283,7 +283,7 @@ def test_criterion_11_property_suites():
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
         assert a + (-a) == ZERO
-        assert Poly.parse(a.to_canonical_string()) == a
+        assert parse(a.to_canonical_string()) == a
     for trial in range(200):
         n = rng.randint(2, 4)
         m = PolyMatrix(

@@ -1,5 +1,7 @@
 """CLI surface: output strings, exit codes, JSON schema, golden tables."""
 
+import errno
+import io
 import json
 import os
 import re
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import qfib
-from qfib import harness, qcomb, sequences
+from qfib import cli, harness, qcomb, sequences
 from qfib.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_INTERNAL,
@@ -590,8 +592,6 @@ def test_tables_triangle_symbolic_golden(capsys):
 
 
 def test_tables_golden_mismatch_reported(capsys, monkeypatch):
-    from qfib import cli
-
     monkeypatch.setattr(cli, "_golden_lines", lambda name: ["1\tnot*the*right*row"])
     code, out, _ = run(capsys, "tables", "det-table", "--max-k", "2")
     assert code == EXIT_VERIFY_FAIL
@@ -599,8 +599,6 @@ def test_tables_golden_mismatch_reported(capsys, monkeypatch):
 
 
 def test_tables_missing_golden_file_is_a_mismatch(capsys, monkeypatch):
-    from qfib import cli
-
     real = cli._golden_lines
     monkeypatch.setattr(cli, "_golden_lines", lambda name: real("no_such_" + name))
     code, out, _ = run(capsys, "tables", "det-table", "--max-k", "2")
@@ -612,8 +610,6 @@ def test_tables_missing_golden_file_is_a_mismatch(capsys, monkeypatch):
 
 
 def test_tables_det_table_missing_row_is_a_mismatch(capsys, monkeypatch):
-    from qfib import cli
-
     real = cli._golden_lines("det_table.txt")
     assert [line.split("\t", 1)[0] for line in real] == ["1", "2", "3", "4", "5"]
     monkeypatch.setattr(cli, "_golden_lines", lambda name: real[:2])
@@ -623,8 +619,6 @@ def test_tables_det_table_missing_row_is_a_mismatch(capsys, monkeypatch):
 
 
 def test_tables_triangle_missing_row_is_a_mismatch(capsys, monkeypatch):
-    from qfib import cli
-
     real = cli._golden_lines("fibonomial_triangle.txt")
     assert real[-1].startswith(f"{TRIANGLE_MAX_ROWS}\t{TRIANGLE_MAX_ROWS}\t")
     monkeypatch.setattr(cli, "_golden_lines", lambda name: real[:-1])
@@ -645,8 +639,6 @@ def test_tables_triangle_missing_row_is_a_mismatch(capsys, monkeypatch):
 )
 def test_tables_malformed_golden_line_is_a_mismatch(capsys, monkeypatch, argv, first):
     # a line with too few tab-separated fields, beside every real row
-    from qfib import cli
-
     real = cli._golden_lines
     monkeypatch.setattr(cli, "_golden_lines", lambda name: ["garbage", *real(name)])
     code, out, err = run(capsys, "tables", *argv)
@@ -687,8 +679,6 @@ def test_triangle_golden_matches_the_fibonomial_pascal_recurrence():
                     _pmul(F[k + 1], tri[(n - 1, k)]),
                     _pmul(_pmul(s, F[n - k - 1]), tri[(n - 1, k - 1)]),
                 )
-    from qfib import cli
-
     golden = {}
     for line in cli._golden_lines("fibonomial_triangle.txt"):
         n, k, text = line.split("\t")
@@ -778,6 +768,54 @@ def test_out_path_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys, argv)
     assert (code, out) == (EXIT_USAGE, "")
     assert err == f"error: cannot open --out {str(target)!r}: No such file or directory\n"
     assert not target.parent.exists()
+
+
+class _FakeFile(io.StringIO):
+    pass
+
+
+def _no_space(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+_WRITERS = pytest.mark.parametrize(
+    "argv",
+    [["eval", "fib", "5"], ["verify", "q_cassini", "--n", "2"]],
+    ids=["eval", "verify"],
+)
+
+
+@_WRITERS
+@pytest.mark.parametrize("failing", ["write", "close"])
+def test_failed_write_to_out_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, failing):
+    # a full disk fails the write, or the close, whose flush a short text
+    # waits for
+    def open_on_full_disk(path, mode):
+        fh = _FakeFile()
+        setattr(fh, failing, _no_space)
+        return fh
+
+    monkeypatch.setattr(cli, "open", open_on_full_disk, raising=False)
+    target = tmp_path / "out.txt"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: cannot write --out {str(target)!r}: No space left on device\n"
+
+
+@_WRITERS
+def test_failed_write_to_stdout_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # the failed stdout's descriptor is pointed at devnull, so the fake's
+    # is a scratch file's
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    stdout = _FakeFile()
+    stdout.write, stdout.fileno = _no_space, lambda: fd
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        code = main(argv)
+    finally:
+        os.close(fd)
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: cannot write standard output: No space left on device\n"
 
 
 def test_verify_checks_the_out_path_before_its_sweep(tmp_path, capsys, monkeypatch):

@@ -19,7 +19,6 @@ from qfib.poly import (
     X,
     Z,
     ZERO,
-    exact_div,
     monomial,
     parse,
     _block_map,
@@ -99,22 +98,22 @@ def test_pow_zero_is_one():
 
 def test_exact_div_product():
     num = (S + X**2) * (2 * S + X**2)
-    assert exact_div(num, S + X**2) == 2 * S + X**2
+    assert num.exact_div(S + X**2) == 2 * S + X**2
 
 
 def test_exact_div_monomial():
-    assert exact_div(monomial(1, eq=3, es=1), monomial(1, eq=1, es=1)) == Q**2
+    assert monomial(1, eq=3, es=1).exact_div(monomial(1, eq=1, es=1)) == Q**2
 
 
 def test_exact_div_remainder_raises():
     # x + 1 is no unit of the Laurent ring, and x^2 + s is 1 + s at x = -1
     with pytest.raises(NotDivisible):
-        exact_div(X**2 + S, X + ONE)
+        (X**2 + S).exact_div(X + ONE)
 
 
 def test_exact_div_by_zero():
     with pytest.raises(ZeroDivisionError):
-        exact_div(X, ZERO)
+        X.exact_div(ZERO)
 
 
 def test_subst_s_scale_examples():
@@ -180,20 +179,38 @@ def test_parse_examples():
     assert parse("15") == Poly(15)
     assert parse("-x + 1") == ONE - X
     assert parse("2*x*x") == 2 * X**2
-    with pytest.raises(ParseError):
-        parse("x^^2")
-    with pytest.raises(ParseError):
-        parse("")
-    with pytest.raises(ParseError):
-        parse("x +")
-    with pytest.raises(ParseError):
-        parse("y + 1")
-    err = None
-    try:
-        parse("x^^2")
-    except ParseError as exc:
-        err = exc
-    assert err.position == 2
+    # blanks may follow "^", but not stand between "-" and its digits
+    assert parse("x^ -2") == parse("x^\t-2") == monomial(1, ex=-2)
+    assert parse("٣*x") == 3 * X  # \d reads every Unicode decimal digit
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("", "empty polynomial", 0),
+        (" \t ", "empty polynomial", 3),
+        ("x +", "expected a coefficient or variable", 3),
+        ("+-x", "expected a coefficient or variable", 1),
+        ("2**x", "expected a coefficient or variable", 2),
+        ("x^", "expected an integer", 2),
+        ("x^-", "expected an integer", 2),
+        ("x^ - 2", "expected an integer", 3),
+        ("x^^2", "expected an integer", 2),
+        ("x ^2", "unexpected character '^'", 2),
+        ("x^²", "expected an integer", 2),
+        ("3 + ²", "expected an integer", 4),
+        ("1²", "unexpected character '²'", 1),
+        ("2x", "unexpected character 'x'", 1),
+        ("y + 1", "expected a coefficient or variable", 0),
+        ("x + 1)", "unexpected character ')'", 5),
+        ("x\n", "unexpected character '\\n'", 1),
+    ],
+)
+def test_parse_error_message_and_position(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == f"{message} (at position {position})"
+    assert info.value.position == position
 
 
 def test_int_coercion_and_equality():
@@ -281,21 +298,21 @@ def test_exact_div_recovers_factor():
         b = rand_poly(rng, rng.randint(1, 6))
         if a.is_zero() or b.is_zero():
             continue
-        assert exact_div(a * b, b) == a
+        assert (a * b).exact_div(b) == a
 
 
 def test_exact_div_returns_the_laurent_quotient():
     # division works in the Laurent ring: (x^2 + s)/x is x + s/x
-    assert exact_div(X**2 + S, X) == X + monomial(1, ex=-1, es=1)
-    assert exact_div(monomial(1, es=-2) * (X + S), monomial(1, es=-1)) == monomial(
+    assert (X**2 + S).exact_div(X) == X + monomial(1, ex=-1, es=1)
+    assert (monomial(1, es=-2) * (X + S)).exact_div(monomial(1, es=-1)) == monomial(
         1, es=-1
     ) * (X + S)
 
 
 def test_exact_div_coefficient_divisibility():
     with pytest.raises(NotDivisible):
-        exact_div(3 * X, Poly(2))
-    assert exact_div(6 * X**2 + 4 * X, 2 * X) == 3 * X + 2 * ONE
+        (3 * X).exact_div(Poly(2))
+    assert (6 * X**2 + 4 * X).exact_div(2 * X) == 3 * X + 2 * ONE
 
 
 def test_evaluate_is_ring_homomorphism():
@@ -365,7 +382,7 @@ def test_blocked_div_detects_nondivisible():
     with pytest.raises(NotDivisible):
         _div_naive(a, b)
     with pytest.raises(NotDivisible):
-        exact_div(a, b)
+        a.exact_div(b)
 
 
 def test_mul_dispatch_large():
@@ -382,7 +399,7 @@ def test_exact_div_laurent_divisor_ordinary_quotient():
         den = rand_poly(rng, rng.randint(1, 10), exp_lo=-5, exp_hi=5)
         if quot.is_zero() or den.is_zero():
             continue
-        assert exact_div(quot * den, den) == quot
+        assert (quot * den).exact_div(den) == quot
 
 
 def test_q_sparse_polys_fall_back_to_naive():
@@ -403,10 +420,10 @@ def test_exact_div_dispatch_large_dividend():
     den = rand_ordinary(rng, 40, exp_hi=8, cmax=40)
     prod = quot * den
     assert len(prod) > 400
-    assert exact_div(prod, den) == quot
+    assert prod.exact_div(den) == quot
     for bump in (ONE, Q**5 * S**3, -(X**2) * Q):
         with pytest.raises(NotDivisible):
-            exact_div(prod + bump, den)
+            (prod + bump).exact_div(den)
 
 
 # ------------------------------------------------- blocked-engine kernels

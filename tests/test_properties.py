@@ -1,5 +1,5 @@
 """Hypothesis property tests: the parse/print round trip on Laurent
-polynomials, the two facts that let gf_limit truncate once, at the end, the
+polynomials, parse on shuffled, non-canonical text, the two facts that let gf_limit truncate once, at the end, the
 packed product of s-lines against the plain product, exact division of
 Laurent polynomials on each kernel, the exponent ranges that each product
 and quotient path stores on its result, Bareiss against cofactor expansion
@@ -17,6 +17,7 @@ the working tree.
 
 import random
 import sys
+from math import prod
 from operator import add
 
 import pytest
@@ -65,6 +66,45 @@ orders = st.integers(0, 9)
 @given(laurent_polys)
 def test_canonical_string_round_trip(p):
     assert parse(p.to_canonical_string()) == p
+
+
+def _blanks(rng):
+    return "".join(rng.choice(" \t") for _ in range(rng.randrange(3)))
+
+
+_terms = st.lists(
+    st.tuples(
+        st.booleans(),  # negated
+        st.lists(st.integers(0, 10**6), max_size=3),  # coefficient factors
+        st.tuples(*[st.lists(st.integers(-9, 9), max_size=3)] * 4),  # x, s, q, z exponents
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@_SETTINGS
+@given(_terms, st.randoms(use_true_random=False))
+def test_parse_reads_terms_in_any_order_and_form(terms, rng):
+    # terms and factors shuffled, coefficients split into products, a
+    # variable repeated with exponents that add up, blanks wherever the
+    # grammar allows them: parse must give the Poly built from the terms
+    expected, texts = ZERO, []
+    for negated, coeffs, exps in terms:
+        expected += monomial((-1) ** negated * prod(coeffs), *map(sum, exps))
+        factors = [str(c) for c in coeffs]
+        for var, pieces in zip("xsqz", exps):
+            for e in pieces:
+                factors.append(var if e == 1 and rng.random() < 0.5 else f"{var}^{_blanks(rng)}{e}")
+        rng.shuffle(factors)
+        body = "*".join(_blanks(rng) + f + _blanks(rng) for f in factors or ["1"])
+        texts.append(("-" if negated else rng.choice(("", "+")), body))
+    rng.shuffle(texts)
+    text = _blanks(rng) + "".join(
+        (sign if i == 0 else _blanks(rng) + (sign or "+") + _blanks(rng)) + body
+        for i, (sign, body) in enumerate(texts)
+    )
+    assert parse(text) == expected
 
 
 @_SETTINGS
