@@ -203,10 +203,8 @@ def _cmd_eval(args) -> int:
         p = sequences.lucas(n)
     elif kind == "qfib":
         p = sequences.qfib(n, shift=0 if args.shift is None else args.shift)
-    elif kind == "qfib-neg-closed":
+    else:  # qfib-neg-closed, the last of argparse's choices
         p = sequences.qfib_neg_closed(n)
-    else:  # pragma: no cover - argparse restricts choices
-        raise _UsageError(f"unknown eval kind {kind!r}")
     _emit(p.to_canonical_string(), args.out)
     return EXIT_OK
 
@@ -241,12 +239,11 @@ def _coeff_value(kind: str, params: list[int], shift: int | None, ell: int | Non
         else:
             raise _UsageError("coeff fibonomial-ell needs: k j ell")
         return qcomb.fibonomial(k, j, e)
-    if kind == "fac":
-        if len(params) != 1:
-            raise _UsageError("coeff fac needs: n (plus --shift/--ell)")
-        shift = 0 if shift is None else shift
-        return qcomb.fac(params[0], shift=shift, ell=1 if ell is None else ell)
-    raise _UsageError(f"unknown coeff kind {kind!r}")  # pragma: no cover
+    # fac, the last of argparse's choices
+    if len(params) != 1:
+        raise _UsageError("coeff fac needs: n (plus --shift/--ell)")
+    shift = 0 if shift is None else shift
+    return qcomb.fac(params[0], shift=shift, ell=1 if ell is None else ell)
 
 
 def _cmd_coeff(args) -> int:
@@ -451,7 +448,7 @@ def _cmd_tables(args) -> int:
             mismatches = _golden_mismatches(
                 "triangle", "fibonomial_triangle.txt", "({},{})", rows
             )
-    elif kind == "hoggatt-charpoly":
+    else:  # hoggatt-charpoly, the last of argparse's choices
         n = args.n
         if n is None:
             raise _UsageError("tables hoggatt-charpoly needs n")
@@ -461,8 +458,6 @@ def _cmd_tables(args) -> int:
         lines = [charpoly.to_canonical_string()]
         if charpoly != hoggatt_closed_form(n):
             mismatches = [f"hoggatt-charpoly n={n}: closed form mismatch"]
-    else:  # pragma: no cover
-        raise _UsageError(f"unknown table kind {kind!r}")
     body = "\n".join(lines)
     if mismatches:
         body += "\n" + "\n".join(mismatches)

@@ -39,8 +39,7 @@ when the sweep does not ask for fitting.
 All power determinants det(f(ell(n+i-j), q^(ell j) s)^k), q-analogue and
 classical, share _power_det, which builds them from their factorization
 through basis_decomp: a product of 2 x 2 minors of sequence values over a
-monomial.  _power_det_bareiss, Bareiss (PolyMatrix.det) on the explicit
-matrix, is the tests' oracle for it; no catalog identity runs Bareiss.
+monomial; no catalog identity runs Bareiss.
 
 Each family has one builder.  A classical or ell = 1 identity that the
 paper states separately (conj1_f, conj3, det_power_classical) is a binding
@@ -65,7 +64,6 @@ import time
 from collections import namedtuple
 from math import comb, prod
 
-from .matrices import PolyMatrix
 from .poly import ONE, Poly, dot, monomial
 from .qcomb import (
     _SIGNED_FIBONOMIALS,
@@ -333,8 +331,7 @@ def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
     closed form, so the result rests only on basis_decomp and
     det(PQ) = det P det Q; cells and rows that share a minor read one
     value.  The minors are multiplied pairwise, so that both operands of
-    each product grow together.  _power_det_bareiss computes the same
-    determinant from the explicit matrix; the tests keep it as the oracle.
+    each product grow together.
     """
     cols = [ell * j for j in range(k + 1)]
     factors = [Poly(binom_product(k))]
@@ -345,18 +342,6 @@ def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
         odd = factors[-1:] if len(factors) % 2 else []
         factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + odd
     return factors[0].exact_div(prod((_v(m, classical) for m in cols), start=ONE) ** k)
-
-
-def _power_det_bareiss(n: int, k: int, ell: int, classical: bool) -> Poly:
-    """The power determinant of _power_det by Bareiss on the explicit matrix,
-    whose every division is exact (Sylvester's identity), a zero pivot
-    swapped for a nonzero one below it: the tests' oracle of _power_det."""
-
-    def entry(i, j):
-        m = ell * (n + i - j)
-        return (fib(m) if classical else qfib(m, shift=ell * j)) ** k
-
-    return PolyMatrix([[entry(i, j) for j in range(k + 1)] for i in range(k + 1)]).det()
 
 
 def _cassini_classical_sides(n: int) -> tuple[Poly, Poly]:
@@ -474,9 +459,6 @@ class MonomialCorrection(namedtuple("MonomialCorrection", "sign ex es eq ez", de
     """A signed monomial c * x^ex s^es q^eq z^ez with c in {+1, -1}."""
 
     __slots__ = ()
-
-    def as_poly(self) -> Poly:
-        return monomial(self.sign, self.ex, self.es, self.eq, self.ez)
 
     def __str__(self) -> str:
         mono = monomial(1, self.ex, self.es, self.eq, self.ez)

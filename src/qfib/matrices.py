@@ -4,13 +4,13 @@ det() runs fraction-free (Bareiss) elimination; every division it performs
 is exact by the Sylvester minor identity, in the Laurent ring that
 exact_div works in, so Laurent entries (negative sequence indices) need no
 special care.  Each step piv * a - lead * b is one poly.dot, and the first
-step's division by 1 is skipped.  det_cofactor is the independent oracle
-kept for cross-checking small dimensions.
+step's division by 1 is skipped.
 
-Bareiss computes charpoly's determinant.  The harness computes every
-catalog determinant from 2 x 2 minors of sequence values (gen_cassini's is
-one such minor); det() on the explicit matrix is the power determinants'
-test oracle.
+Bareiss computes charpoly's determinant, which tables hoggatt-charpoly
+prints.  The harness computes every catalog determinant from 2 x 2 minors
+of sequence values (gen_cassini's is one such minor); the tests keep
+cofactor expansion and Bareiss on the explicit power matrices as oracles
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -97,11 +97,6 @@ class PolyMatrix:
             prev = piv
         return work[n - 1][n - 1] * sign
 
-    def det_cofactor(self) -> Poly:
-        """Cofactor-expansion determinant; the small-dimension oracle."""
-        self._require_square()
-        return _cofactor(self._e)
-
     def charpoly(self) -> Poly:
         """det(z*I - M); entries must not involve z."""
         self._require_square()
@@ -115,20 +110,6 @@ class PolyMatrix:
             for i in range(n)
         ]
         return PolyMatrix(zi_minus).det()
-
-
-def _cofactor(rows) -> Poly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = ZERO
-    for j, head in enumerate(rows[0]):
-        if not head:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = head * _cofactor(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
 
 
 def hoggatt(n: int) -> PolyMatrix:

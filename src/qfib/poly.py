@@ -560,13 +560,13 @@ def _term_str(c: int, key: int) -> str:
 #   term   := factor ("*" factor)*
 #   factor := digits | var ["^" ["-"] digits]    var  := "x" | "s" | "q" | "z"
 #
-# digits is \d+ (Unicode decimal digits too).  Blanks, spaces and tabs, may
+# digits is [0-9]+: ASCII digits only.  Blanks, spaces and tabs, may
 # stand before and after each sign, factor and "*", and between "^" and its
 # exponent, nowhere else.  A term may repeat a variable and a monomial may
 # repeat over terms: factors multiply and terms add.
 
 _BLANKS = re.compile(r"[ \t]*")
-_FACTOR = re.compile(r"[ \t]*(?:(\d+)|([xsqz])(?:(\^[ \t]*)(-?\d+)?)?)")
+_FACTOR = re.compile(r"[ \t]*(?:(\d+)|([xsqz])(?:(\^[ \t]*)(-?\d+)?)?)", re.ASCII)
 
 
 def parse(text: str) -> Poly:
@@ -588,7 +588,7 @@ def parse(text: str) -> Poly:
             if m is None:
                 pos = _BLANKS.match(text, pos).end()
                 what = "a coefficient or variable"
-                if text[pos : pos + 1].isdigit():  # such as "²", a digit to isdigit, not to \d
+                if text[pos : pos + 1].isdigit():  # a non-ASCII digit, such as "²" or "٣"
                     what = "an integer"
                 raise ParseError(f"expected {what}", pos)
             digits, var, caret, e = m.groups()

@@ -62,7 +62,6 @@ __all__ = [
     "qfib",
     "qfib_power",
     "fib_power",
-    "qfib_explicit",
     "qfib_neg_closed",
     "transform_T",
     "truncate",
@@ -229,20 +228,6 @@ def qfib_power(n: int, k: int, shift: int = 0) -> Poly:
 
 def fib_power(n: int, k: int) -> Poly:
     return _CACHE.fib_power(n, k)
-
-
-def qfib_explicit(n: int) -> Poly:
-    """Closed-form sum over k of [n-1-k, k]_q q^(k^2) x^(n-1-2k) s^k."""
-    if n < 0:
-        raise ValueError("qfib_explicit is defined for n >= 0")
-    from .qcomb import qbinom
-
-    total = ZERO
-    k = 0
-    while 2 * k <= n - 1:
-        total = total + qbinom(n - 1 - k, k) * monomial(1, ex=n - 1 - 2 * k, es=k, eq=k * k)
-        k += 1
-    return total
 
 
 def qfib_neg_closed(n: int) -> Poly:

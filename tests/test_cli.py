@@ -1,5 +1,7 @@
-"""CLI surface: output strings, exit codes, JSON schema, golden tables."""
+"""CLI and package surface: output strings, exit codes, JSON schema, golden
+tables, start-up imports and public names."""
 
+import ast
 import errno
 import io
 import json
@@ -84,7 +86,7 @@ _NOT_AT_START = ("dataclasses", "inspect", "importlib.resources", "fractions")
     "module, unused",
     [
         ("qfib.cli", (*_NOT_AT_START, "json")),
-        ("qfib.harness", _NOT_AT_START),
+        ("qfib.harness", (*_NOT_AT_START, "qfib.matrices")),
         ("qfib.sequences", ("fractions",)),
     ],
     ids=["cli", "harness", "sequences"],
@@ -92,10 +94,40 @@ _NOT_AT_START = ("dataclasses", "inspect", "importlib.resources", "fractions")
 def test_import_loads_no_module_that_only_some_commands_use(module, unused):
     # the records are namedtuples or plain classes, and the golden files'
     # resources, the Fractions of --at and the json of verify --format json
-    # are imported where they are used
+    # are imported where they are used; the harness needs no matrix code
     code = f"import sys, {module}; print([m for m in {unused!r} if m in sys.modules])"
     proc = _bare_python("-c", code)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def _read_names(source: str) -> set[str]:
+    """The names that code reads: each Name and attribute, but not an
+    import, a def or class line's own name, or a string such as __all__'s."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_name_is_read_by_code_beyond_its_definition():
+    """Each name in a src/qfib module's __all__ is read in src/qfib, in
+    README's Library example or by the benchmark (perfbench/*.py): public
+    API that nothing runs, such as a test's reference implementation, is
+    kept in the tests."""
+    root = Path(__file__).resolve().parents[1]
+    modules = sorted(Path(qfib.__file__).parent.glob("*.py"))
+    library = (root / "README.md").read_text().split("\n## Library\n", 1)[1]
+    sources = [path.read_text() for path in modules + sorted((root / "perfbench").glob("*.py"))]
+    sources.append(re.search(r"```python\n(.*?)```", library, re.S).group(1))
+    read = set().union(*map(_read_names, sources))
+    unread = []
+    for path in modules:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                unread += [f"{path.stem}.{name}" for name in ast.literal_eval(node.value)
+                           if name not in read]
+    assert unread == []
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import det_cofactor, power_det_bareiss
 from qfib import harness, poly, qcomb, sequences
 from qfib.harness import (
     CATALOG,
@@ -451,44 +452,56 @@ def test_power_det_equals_cofactor_expansion_at_a_zero_central_minor(k, n, class
         return fib(n + i - j) ** k if classical else qfib(n + i - j, shift=j) ** k
 
     explicit = PolyMatrix([[entry(i, j) for j in range(k + 1)] for i in range(k + 1)])
-    assert harness._power_det(n, k, classical=classical) == explicit.det_cofactor()
+    assert harness._power_det(n, k, classical=classical) == det_cofactor(explicit)
 
 
 def test_det_table_rows_equal_bareiss():
-    # det_table's rows by the oracle, _power_det_bareiss; the 230-cell
+    # det_table's rows by the oracle, power_det_bareiss; the 230-cell
     # comparison below stops at k = 4 (k = 5, 6 on the default engine only,
     # where Bareiss takes about 4 s on them)
     top = 6 if poly._FAST else 4
-    rows = [harness._power_det_bareiss(k, k, 1, False) for k in range(1, top + 1)]
+    rows = [power_det_bareiss(k, k, 1, False) for k in range(1, top + 1)]
     assert rows == list(det_table(top).values())
 
 
 def test_no_production_entry_point_reaches_the_oracle(monkeypatch, capsys):
-    """Nothing in src/ calls the oracle, _power_det_bareiss: the whole
-    catalog on one worker, det_table(8) and the det-table command compute
-    every power determinant from its factorization."""
+    """No power determinant runs Bareiss (PolyMatrix.det), the elimination
+    of their oracle: the whole catalog on one worker, det_table(8) and the
+    det-table command compute every one from its factorization."""
     from qfib.cli import main
 
     calls = []
-    monkeypatch.setattr(harness, "_power_det_bareiss", lambda *args: calls.append(args))
+    real = PolyMatrix.det
+
+    def spy(matrix):
+        calls.append(matrix.rows)
+        return real(matrix)
+
+    monkeypatch.setattr(PolyMatrix, "det", spy)
     report = sweep(list(CATALOG), workers=1)
     assert report.cells and all(c.status == "pass" for c in report.cells)
     assert len(det_table(8)) == 8
     assert main(["tables", "det-table", "--max-k", "5", "--allow-slow"]) == 0
     capsys.readouterr()
     assert calls == []
+    # the spy sees Bareiss where a command runs it: charpoly's determinant
+    assert main(["tables", "hoggatt-charpoly", "3"]) == 0
+    capsys.readouterr()
+    assert calls == [3]
 
 
 def test_the_dict_engine_never_calls_the_kernel():
     code = (
+        "from oracles import power_det_bareiss\n"
         "from qfib import harness, poly\n"
         "calls = []\n"
         "poly._sum_products = lambda *args: calls.append(args)\n"
-        "harness._power_det_bareiss(4, 4, 1, False)\n"
+        "power_det_bareiss(4, 4, 1, False)\n"
         "harness.sweep(['conj2', 'conj2_k2'], overrides={'n': (6, 7)})\n"
         "print(poly._FAST, len(calls))\n"
     )
-    env = dict(os.environ, QFIB_NO_FAST="1", PYTHONPATH=str(Path(harness.__file__).parents[1]))
+    path = os.pathsep.join((str(Path(harness.__file__).parents[1]), str(Path(__file__).parent)))
+    env = dict(os.environ, QFIB_NO_FAST="1", PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
@@ -512,7 +525,7 @@ _ORACLE_CELLS = [
 def test_factored_power_determinants_equal_bareiss():
     assert len(_ORACLE_CELLS) == (230 if poly._FAST else 208)
     for cell in _ORACLE_CELLS:
-        assert harness._power_det(*cell) == harness._power_det_bareiss(*cell), cell
+        assert harness._power_det(*cell) == power_det_bareiss(*cell), cell
 
 
 _P = (1 << 61) - 1
@@ -587,7 +600,7 @@ def test_power_determinants_match_the_explicit_matrix_mod_p(n, k, ell, classical
 
 # ------------------------------------------------------- no forked levels
 # No power determinant forks a process: _power_det multiplies minors and
-# its oracle, _power_det_bareiss, eliminates serially.  These checks keep
+# its oracle, power_det_bareiss, eliminates serially.  These checks keep
 # the determinants in the calling process, where perfbench's spans can see
 # them.
 
@@ -614,7 +627,7 @@ def _spy_fork(monkeypatch, log=None):
 def test_no_level_is_forked_where_a_second_process_cannot_help(monkeypatch, case):
     import threading
 
-    want = harness._power_det_bareiss(4, 4, 1, False)
+    want = power_det_bareiss(4, 4, 1, False)
     forks = _spy_fork(monkeypatch)
     if case == "dict engine":  # what QFIB_NO_FAST=1 sets at import
         monkeypatch.setattr(poly, "_FAST", False)
@@ -626,7 +639,7 @@ def test_no_level_is_forked_where_a_second_process_cannot_help(monkeypatch, case
         thread.start()
     try:
         assert harness._power_det(4, 4) == want
-        assert harness._power_det_bareiss(4, 4, 1, False) == want
+        assert power_det_bareiss(4, 4, 1, False) == want
     finally:
         done.set()
     assert forks == []
@@ -686,7 +699,7 @@ def test_fit_signed_and_laurent():
     shifted = monomial(-1, es=-2, eq=5) * p
     corr = fit_monomial_correction(shifted, p)
     assert corr.sign == -1 and corr.es == -2 and corr.eq == 5
-    assert corr.as_poly() * p == shifted
+    assert monomial(corr.sign, corr.ex, corr.es, corr.eq, corr.ez) * p == shifted
 
 
 def test_fit_rejects_coefficient_scaling():

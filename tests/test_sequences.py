@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from oracles import qfib_explicit
 from qfib import poly, sequences
 from qfib.cli import _series_text, main
 from qfib.poly import (
@@ -29,7 +30,6 @@ from qfib.sequences import (
     gf_truncated,
     lucas,
     qfib,
-    qfib_explicit,
     qfib_neg_closed,
     transform_T,
     truncate,
