@@ -52,19 +52,6 @@ class PolyMatrix:
         i, j = key
         return self._e[i][j]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return self._e == other._e
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        body = "; ".join(
-            ", ".join(str(e) for e in row) for row in self._e
-        )
-        return f"PolyMatrix[{body}]"
-
     def _require_square(self):
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")

@@ -2,23 +2,32 @@
 
 Coefficients are Python ints, so arithmetic never overflows or rounds.
 Exponents may be negative on every variable.  A polynomial is stored as a
-dict mapping a packed monomial key to its coefficient; the packed key is a
-single int whose bit fields hold (ex, es, eq, ez) with fixed offsets, so
-that
+dict mapping a packed monomial key to its coefficient, or, when a kernel
+built it, as its block list alone (see below); the packed key is a single
+int whose bit fields hold (ex, es, eq, ez) with fixed offsets, so that
 
   * multiplying monomials is one integer addition (key_a + key_b - _ZKEY),
   * the natural int order on keys IS the lex order with priority
     x > s > q > z, a monomial order, which picks leading terms in exact
     division.
 
+A Poly built from a block list (_from_blocks: every kernel result, forward
+sequence memo entry, sum of _sum_products and substitution of such a Poly)
+is stored as that list, a _BlockPoly whose term dict is built only when
+something reads it: sums, differences, ==, negation, products with an int
+or a monomial, substitutions other than s -> q^m s, division by a
+monomial or term by term, evaluate and to_canonical_string.  The kernels,
+the size checks (the _len slot every constructor sets), terms() and the
+coefficient bounds read the blocks.  Blocks too q-sparse to keep
+(_dense_enough) become the term dict at once and are dropped.
+
 Each Poly caches its per-variable exponent ranges.  A product or an
 exact quotient carries them from birth: the guard that checks a product's
 (quotient's) exponents computes them as the sum (difference) of the
 operands' ranges, which is exact because the ring has no zero divisors.
-A Poly built from a block list (_from_blocks: every kernel result, forward
-sequence memo entry, sum of _sum_products and substitution of such a Poly)
-reads them off its blocks, whose ends are nonzero.  Other sums,
-differences and substitutions scan their keys for them when first asked.
+A Poly built from a block list reads them off its blocks, whose ends are
+nonzero.  Other sums, differences and substitutions scan their keys for
+them when first asked.
 
 The *display* order used by to_canonical_string is different (z desc,
 x desc, then s and q ascending) so that characteristic polynomials lead
@@ -61,9 +70,10 @@ on.  Its context traps Inexact and Rounded, so a rounding would raise
 rather than pass silently.  The accumulator sizes its limbs from the sum
 of the products' coefficient bounds, each the lesser of max|a| max|b|
 min(#a, #b) and the Cauchy-Schwarz bound |a|_2 |b|_2, and nothing is
-unpacked until the sum is whole; the result keeps its block list, so the
-next product it enters skips the scan.  A packed product of nonnegative
-operands, as every q-Fibonacci power is, has its coefficients in
+unpacked until the sum is whole; the result is stored as its block
+list, which the next product it enters reads without a scan.  A packed
+product of nonnegative operands, as every q-Fibonacci power is, has its
+coefficients in
 [0, bound] and takes plain digits, bound < 10^D; only a signed operand
 needs balanced ones, |c| <= bound < 10^D / 2, often a digit wider.  The
 product's balanced digits become plain ones by one Decimal addition of
@@ -77,17 +87,16 @@ Limbs of at most 8 bytes cross as whole blocks, through struct.pack and
 struct.unpack; wider limbs, and coefficients beyond the balanced digits,
 cross as bytes through map over int.to_bytes, re.findall and
 int.from_bytes.  Decimal digits cross as text through map over a format,
-re.findall and map(int, ...), and term dicts are filled by dict.update.
-Each coefficient still costs one dict insert, and on every path but the
-machine words one C-level conversion on each crossing.
-s -> q^m s on a Poly that carries a block list moves each block to q^(lo +
-m*es), sharing its coefficient list, and fills the result the same way.
+re.findall and map(int, ...).  A result's term dict, if it is ever
+read, is filled by dict.update, one insert per coefficient.  s -> q^m s
+on a Poly that carries a block list moves each block to q^(lo + m*es),
+sharing its coefficient list, and stores the result as the moved list.
 Python loops per term remain outside the kernels: the dict engine, small
-products and sums of them (_dot_naive), Poly sums and differences, substitutions of a
-Poly without a block list (the loop the dict engine runs, hence the
-oracle), the scan of a Poly built term by term into its blocks
-(_block_map; products carry theirs) and the lazy scan of its exponent
-ranges.
+products and sums of them (_dot_naive), Poly sums and differences,
+substitutions of a Poly without a block list (the loop the dict engine
+runs, hence the oracle), the scan of a Poly built term by term into its
+blocks (_block_map; kernel results are stored as theirs), terms() and the
+lazy scan of exponent ranges.
 
 Exact division works in the Laurent ring.  Least exponents add under
 products, so no term of an exact quotient a / b lies below low(a) - low(b)
@@ -113,7 +122,7 @@ import os
 import re
 import struct
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import isqrt
 from operator import mul, neg, sub
 
@@ -213,7 +222,7 @@ def _check_exp(e: int) -> int:
 class Poly:
     """Immutable sparse Laurent polynomial over the integers."""
 
-    __slots__ = ("_t", "_ranges", "_ext", "_cmax", "_n2", "_blocks")
+    __slots__ = ("_t", "_len", "_ranges", "_ext", "_cmax", "_n2", "_blocks")
 
     def __init__(self, terms: dict | int | None = None):
         """Build from {(ex, es, eq, ez): coeff} (zero coefficients dropped)
@@ -236,6 +245,7 @@ class Poly:
                 else:
                     del d[k]
         self._t = d
+        self._len = len(d)
         self._ranges = None
         self._ext = None
         self._cmax = None
@@ -248,6 +258,7 @@ class Poly:
         ranges when the caller knows them exactly."""
         p = cls.__new__(cls)
         p._t = d
+        p._len = len(d)
         p._ranges = ranges
         p._ext = None
         p._cmax = None
@@ -258,18 +269,18 @@ class Poly:
     # ---------------------------------------------------------------- basics
 
     def is_zero(self) -> bool:
-        return not self._t
+        return not self._len
 
     def __bool__(self) -> bool:
-        return bool(self._t)
+        return bool(self._len)
 
     def __len__(self) -> int:
-        return len(self._t)
+        return self._len
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             if other == 0:
-                return not self._t
+                return not self._len
             return self._t == {_ZKEY: other}
         if isinstance(other, Poly):
             return self._t == other._t
@@ -279,8 +290,15 @@ class Poly:
 
     def terms(self):
         """Iterate ((ex, es, eq, ez), coeff) pairs in no particular order."""
-        for k, c in self._t.items():
-            yield _unpack(k), c
+        if not self._blocks:
+            for k, c in self._t.items():
+                yield _unpack(k), c
+            return
+        for _, base, lo, cs in self._blocks:
+            ex, es, _, ez = _unpack(base)
+            for eq, c in enumerate(cs, lo):
+                if c:
+                    yield (ex, es, eq, ez), c
 
     def exponent_range(self, var: str) -> tuple[int, int]:
         """(min, max) exponent of `var` over the terms; (0, 0) if zero poly."""
@@ -289,7 +307,7 @@ class Poly:
     def _get_ranges(self):
         r = self._ranges
         if r is None:
-            if not self._t:
+            if not self._len:
                 r = ((0, 0),) * 4
             else:
                 keys = list(self._t)
@@ -311,17 +329,24 @@ class Poly:
             e = self._ext = max(-xl, xh, -sl, sh, -ql, qh, -zl, zh)
         return e
 
+    def _coeffs(self) -> list:
+        """The coefficients, as a list of sequences: the blocks' coefficient
+        lists (zeros between a block's ends included) or the term dict's
+        values."""
+        if self._blocks:
+            return [cs for *_, cs in self._blocks]
+        return [self._t.values()]
+
     def _coeff_stats(self) -> int:
         """max |coeff| (1 for the zero polynomial)."""
         if self._cmax is None:
-            self._cmax = max(map(abs, self._t.values()), default=1)
+            self._cmax = max(map(abs, chain.from_iterable(self._coeffs())), default=1)
         return self._cmax
 
     def _norm2(self) -> int:
         """The squared 2-norm, sum of coeff^2."""
         if self._n2 is None:
-            v = self._t.values()
-            self._n2 = sum(map(mul, v, v))
+            self._n2 = sum(sum(map(mul, v, v)) for v in self._coeffs())
         return self._n2
 
     # ------------------------------------------------------------ arithmetic
@@ -374,19 +399,18 @@ class Poly:
             return Poly._raw({k: c * other for k, c in self._t.items()}, self._ranges)
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self._t, other._t
-        if not a or not b:
+        if not self._len or not other._len:
             return ZERO
         r = _guard(self._get_ranges(), other._get_ranges(), 1, "product")
-        if len(a) == 1:
-            (ka, ca), = a.items()
-            return Poly._raw({ka + kb - _ZKEY: ca * cb for kb, cb in b.items()}, r)
-        if len(b) == 1:
-            (kb, cb), = b.items()
-            return Poly._raw({ka + kb - _ZKEY: ca * cb for ka, ca in a.items()}, r)
+        if self._len == 1:
+            (ka, ca), = self._t.items()
+            return Poly._raw({ka + kb - _ZKEY: ca * cb for kb, cb in other._t.items()}, r)
+        if other._len == 1:
+            (kb, cb), = other._t.items()
+            return Poly._raw({ka + kb - _ZKEY: ca * cb for ka, ca in self._t.items()}, r)
         out = _sum_products([(self, other)]) if _FAST else None
         if out is None:
-            out = _dot_naive(((a, b),))
+            out = _dot_naive(((self._t, other._t),))
         out._ranges = r
         return out
 
@@ -414,7 +438,7 @@ class Poly:
     def subst_s_scale(self, m: int) -> "Poly":
         """s -> q^m s: every term's q exponent grows by m times its s exponent."""
         self._guard_s_scale(m)
-        if m == 0 or not self._t:
+        if m == 0 or not self._len:
             return self
         if self._blocks:
             # sharing the coefficient lists is safe: no code mutates a block list
@@ -499,17 +523,17 @@ class Poly:
         division, or raise NotDivisible.  Least exponents add under
         products, so each term of q has exponents >= low(self) - low(b) per
         variable, and the kernels refuse any quotient term below that."""
-        if not isinstance(b, Poly) or not b._t:
+        if not isinstance(b, Poly) or not b._len:
             raise ZeroDivisionError("exact_div by the zero polynomial")
-        if not self._t:
+        if not self._len:
             return ZERO
         # an exact quotient spans (low(self) - low(b), high(self) - high(b))
         r = _guard(self._get_ranges(), b._get_ranges(), -1, "quotient")
-        if len(b) == 1:
+        if b._len == 1:
             out = _div_monomial(self, b)
         else:
             out = None
-            if _FAST and len(self._t) > 400:
+            if _FAST and self._len > 400:
                 out = _div_blocked(self, b)
             if out is None:
                 out = _div_naive(self, b)
@@ -536,6 +560,24 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.to_canonical_string()!r})"
+
+
+class _BlockPoly(Poly):
+    """A Poly stored as its block list (_from_blocks), its _t slot unset.
+    The first read of _t builds the term dict from the blocks, keeps it and
+    makes the object a plain Poly.  The hook is on this subclass, not on
+    Poly: CPython 3.11 specializes no attribute read on a class that
+    defines __getattr__, and on Poly that cost the catalog about 2% of its
+    work (perfbench/run.py, 2 x 8-10 seeds, 2-vCPU x86-64)."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name != "_t":
+            raise AttributeError(f"'Poly' object has no attribute {name!r}")
+        d = self._t = _block_terms(self._blocks)
+        self.__class__ = Poly
+        return d
 
 
 def _term_str(c: int, key: int) -> str:
@@ -761,20 +803,25 @@ def _dense_enough(width: int, terms: int) -> bool:
 
 
 def _from_blocks(blocks: list) -> Poly:
-    """The Poly whose _block_map is `blocks`, cached on it: [(es, base, lo,
+    """The Poly whose _block_map is `blocks`, stored as that list (a
+    _BlockPoly, its term dict built on first read): [(es, base, lo,
     coeffs)] sorted by es, no block empty, and each block's first and last
-    coefficients nonzero (as _block_map builds them).  So its exact
+    coefficients nonzero (as _block_map builds them).  Blocks too q-sparse
+    to keep become the term dict at once and are dropped.  The exact
     exponent ranges are read off the block list: x and z from the bases, s
     from the first and last blocks, q from the blocks' ends."""
-    out: dict[int, int] = {}
-    width = 0
-    for _, base, lo, cs in blocks:
+    width = zeros = 0
+    for *_, cs in blocks:
         width += len(cs)
-        first = base + lo * _QSTEP
-        keys = range(first, first + len(cs) * _QSTEP, _QSTEP)
-        out.update(compress(zip(keys, cs), cs))
-    p = Poly._raw(out)
-    p._blocks = blocks if _dense_enough(width, len(out)) else False
+        zeros += cs.count(0)
+    if _dense_enough(width, width - zeros):
+        p = _BlockPoly.__new__(_BlockPoly)
+        p._len = width - zeros
+        p._ranges = p._ext = p._cmax = p._n2 = None
+        p._blocks = blocks
+    else:
+        p = Poly._raw(_block_terms(blocks))
+        p._blocks = False
     if blocks:
         bases = [base for _, base, _, _ in blocks]
         z = [base & _MASK for base in bases]
@@ -785,6 +832,16 @@ def _from_blocks(blocks: list) -> Poly:
             (min(z) - _BIAS, max(z) - _BIAS),
         )
     return p
+
+
+def _block_terms(blocks: list) -> dict[int, int]:
+    """The term dict of a block list, in block order."""
+    d: dict[int, int] = {}
+    for _, base, lo, cs in blocks:
+        first = base + lo * _QSTEP
+        keys = range(first, first + len(cs) * _QSTEP, _QSTEP)
+        d.update(compress(zip(keys, cs), cs))
+    return d
 
 
 def _block(base: int, off: int, cs: list) -> tuple:
@@ -903,7 +960,7 @@ def _mul_bound(a: Poly, b: Poly) -> int:
     min(len a, len b) term products, and it is an inner product of a with a
     shifted reversal of b, so Cauchy-Schwarz bounds its square by
     |a|_2^2 * |b|_2^2."""
-    n = min(len(a._t), len(b._t))
+    n = min(a._len, b._len)
     return min(
         a._coeff_stats() * b._coeff_stats() * n, isqrt(a._norm2() * b._norm2())
     )
@@ -1126,11 +1183,11 @@ def _div_blocked(a: Poly, b: Poly) -> Poly | None:
     bmax = b._coeff_stats()
     # room for a's and b's coefficients (_pack_coeffs needs |c| < 2^L) plus
     # len(a) bits; on Bareiss steps the quotients fit and are certified
-    L = (max(amax, bmax).bit_length() + len(a._t).bit_length() + 2 + 7) & ~7
+    L = (max(amax, bmax).bit_length() + a._len.bit_length() + 2 + 7) & ~7
     quot = _div_blocked_at(a, b, L)
     if quot is None:
         return None
-    n = min(len(quot._t), len(b._t))
+    n = min(quot._len, b._len)
     return quot if _quotient_certified(quot._coeff_stats(), bmax, n, amax, L) else None
 
 
@@ -1181,7 +1238,7 @@ def dot(pairs) -> Poly:
     Where it declines, and under QFIB_NO_FAST=1, the products a * b are
     added as Polys, the tests' oracle.  Every product is guarded, so an
     out-of-range exponent raises the OverflowError of a * b."""
-    pairs = [(a, b) for a, b in pairs if a._t and b._t]  # a * b = 0 unguarded
+    pairs = [(a, b) for a, b in pairs if a._len and b._len]  # a * b = 0 unguarded
     if _FAST:
         total = _sum_products(pairs)
         if total is not None:
@@ -1219,7 +1276,7 @@ def _sum_products(terms: list) -> Poly | None:
     out-of-range exponent raises the OverflowError of a * b.  None, for the
     caller to multiply term by term, when an operand is too q-sparse to
     pack or the products' q ranges lie too far apart to share blocks."""
-    sizes = [len(a._t) * len(b._t) for a, b in terms]
+    sizes = [a._len * b._len for a, b in terms]
     if max(sizes, default=0) <= _BLOCKED_PAIRS:
         for a, b in terms:
             if a._extent() + b._extent() > _VAR_GUARD:

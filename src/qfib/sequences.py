@@ -16,15 +16,17 @@ shift-and-add per block: x* moves a block's base key, q^(m-2)*s* moves its
 q offset and its s exponent.  L is sized so no coefficient reaches a limb
 boundary: the exact l1 norms of the fill's two seeds, grown by
 |g(m)|_1 <= |g(m-1)|_1 + |g(m-2)|_1, bound every coefficient of the fill.
-A fill packs its two seeds afresh from their Polys, so each entry keeps
-its own L and a later, wider fill never reads an older entry's limbs.  An
-entry becomes a Poly, with its block list and exponent ranges cached for
-the product kernels, only when it is read.  A shifted read qfib(n, j) is
-built once per (n, j) and kept beside the unshifted memo; for a forward
-entry it moves the entry's blocks (Poly.subst_s_scale) rather than its
-terms.  Under QFIB_NO_FAST=1 the
-forward fill is the plain dict recurrence, the oracle the tests compare
-with; the backward fill (negative indices) always works on Polys.
+A fill packs its two seeds afresh from their Polys' block lists, which
+also give their l1 norms, so each entry keeps its own L and a later, wider
+fill never reads an older entry's limbs.  An entry becomes a Poly only
+when it is read, and then one stored as its block list with its exponent
+ranges (poly._from_blocks): the product kernels read those, and its term
+dict is built only if something else asks for it.  A shifted read
+qfib(n, j) is built once per (n, j) and kept beside the unshifted memo;
+for a forward entry it moves the entry's blocks (Poly.subst_s_scale)
+rather than its terms.  Under QFIB_NO_FAST=1 the forward fill is the
+plain dict recurrence, the oracle the tests compare with; the backward
+fill (negative indices) always works on Polys.
 
 Powers have a memo too, a Memo (the package's one get-or-build dict) of
 qfib(n) ** k and fib(n) ** k per (n, k), for the life of the SeqCache.  A
@@ -123,7 +125,7 @@ def _fill_packed(memo: dict, n: int, q_step: int) -> None:
     # a _Packed seed's Poly is built for this fill only, not kept
     seeds = [g if isinstance(g, Poly) else g._poly or g.build()
              for g in (memo[top - 1], memo[top])]
-    older, newer = (sum(map(abs, g._t.values())) for g in seeds)
+    older, newer = (sum(sum(map(abs, cs)) for *_, cs in _block_map(g)) for g in seeds)
     for _ in range(top, n):
         older, newer = newer, older + newer
     L = _limb(newer)

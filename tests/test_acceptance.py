@@ -12,9 +12,9 @@ import time
 
 from hoggatt_checks import _alpha_beta, verify_prodinger
 from oracles import det_cofactor
-from qfib.harness import CATALOG, det_table, residual, sweep
+from qfib.harness import det_table, residual, sweep
 from qfib.matrices import PolyMatrix, hoggatt
-from qfib.poly import ONE, Poly, Q, S, X, Z, ZERO, monomial, parse
+from qfib.poly import ONE, Poly, S, X, Z, ZERO, monomial, parse
 from qfib.qcomb import binom_product, fibonomial
 from qfib.sequences import (
     fib,

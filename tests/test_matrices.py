@@ -110,8 +110,10 @@ def test_charpoly_examples():
 
 
 def test_hoggatt_small():
-    assert hoggatt(1) == PolyMatrix([[ONE]])
-    assert hoggatt(2) == PolyMatrix([[ZERO, ONE], [S, X]])
+    for n, rows in ((1, [[ONE]]), (2, [[ZERO, ONE], [S, X]])):
+        m = hoggatt(n)
+        assert (m.rows, m.cols) == (n, n)
+        assert [[m[i, j] for j in range(n)] for i in range(n)] == rows
     with pytest.raises(ValueError):
         hoggatt(0)
 

@@ -1,5 +1,7 @@
 """Core polynomial ring: worked examples, properties, engine equivalence."""
 
+import copy
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -34,6 +36,7 @@ from qfib.poly import (
     _quotient_certified,
     _unpack_signed,
 )
+from qfib.sequences import SeqCache, _fill_packed
 
 
 def rand_poly(rng, nterms, exp_lo=-3, exp_hi=4, cmax=9):
@@ -798,3 +801,110 @@ def test_blocked_div_falls_back_when_the_quotient_outgrows_the_limb(monkeypatch)
     got = a.exact_div(b)
     assert len(widths) == poly._FAST
     assert got == _div_naive(a, b) == sum((Q**i for i in range(30)), ZERO) ** 10
+
+
+# ------------------------------------------- block-backed kernel results
+
+
+def _unread(p):
+    """Whether p's term dict is still unbuilt: its _t slot is unset."""
+    try:
+        Poly._t.__get__(p)
+    except AttributeError:
+        return True
+    return False
+
+
+def _kernel_results():
+    """A fresh result of each kernel path that stores a Poly as its block
+    list (_from_blocks), by path, on either engine."""
+    cache = SeqCache()
+    a = (X - Z * Q**2 + S * monomial(1, eq=-1)) * cache.qfib(14)
+    b = (ONE - Q) * cache.qfib(15, shift=1)
+    line = (ONE - Q) * cache.qfib(14)
+    memo = {0: ZERO, 1: ONE}
+    _fill_packed(memo, 30, 1)
+    return {
+        "packed product": _kernel(line, b, packed=True),
+        "packed square": _kernel(line, line, packed=True),
+        "accumulator": _kernel(a, b),
+        "blocked quotient": _div_blocked(_kernel(a, b), b),
+        "subst_s_scale": _kernel(a, b).subst_s_scale(-3),
+        "packed fill": memo[30].build(),
+    }
+
+
+@pytest.mark.parametrize("path", list(_kernel_results()))
+def test_kernel_results_read_their_blocks_until_the_term_dict_is_asked_for(path):
+    p = _kernel_results()[path]
+    assert _unread(p) and p._blocks and type(p) is poly._BlockPoly
+    got = (
+        sorted(p.terms()),
+        len(p),
+        bool(p),
+        p.is_zero(),
+        p._coeff_stats(),
+        p._norm2(),
+        [p.exponent_range(v) for v in "xsqz"],
+    )
+    assert _unread(p)
+    want = parse(p.to_canonical_string())
+    assert not _unread(p) and p._t == want._t and type(p) is Poly
+    assert got == (
+        sorted(want.terms()),
+        len(want),
+        True,
+        False,
+        want._coeff_stats(),
+        want._norm2(),
+        [want.exponent_range(v) for v in "xsqz"],
+    )
+
+
+def test_a_kernel_result_that_cancels_is_falsy():
+    a, b = _kernel_results()["accumulator"], (ONE - Q) * X
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_BLOCKED_PAIRS", 0)
+        got = poly._sum_products([(a, b), (-a, b)])
+    assert _unread(got) and got._blocks == []
+    assert not got and len(got) == 0 and got.is_zero() and got == 0
+    assert list(got.terms()) == [] and got._t == {}
+
+
+@pytest.mark.parametrize("path", list(_kernel_results()))
+def test_copies_of_an_unread_kernel_result_compare_equal(path):
+    p = _kernel_results()[path]
+    assert _unread(p)
+    for other in (copy.copy(p), pickle.loads(pickle.dumps(p))):
+        assert other == p and len(other) == len(p) and other._blocks == p._blocks
+        assert sorted(other.terms()) == sorted(p.terms())
+
+
+def _count_dict_builds(monkeypatch):
+    """The names _BlockPoly.__getattr__ is called with, as a list."""
+    calls = []
+    real = poly._BlockPoly.__getattr__
+
+    def spy(self, name):
+        calls.append(name)
+        return real(self, name)
+
+    monkeypatch.setattr(poly._BlockPoly, "__getattr__", spy)
+    return calls
+
+
+def test_products_build_no_term_dict(monkeypatch):
+    # qfib(n) ** k on the default engine, as the powers benchmark takes it,
+    # its terms read as the benchmark reads them, builds no term dict: not
+    # of the sequence entries, the squares, the products or the results
+    monkeypatch.setattr(poly, "_FAST", True)
+    calls = _count_dict_builds(monkeypatch)
+    cache = SeqCache()
+    got = cache.qfib(62) ** 2
+    assert calls == [] and len(got) == 37851
+    for d in (1, 2):
+        cache = SeqCache()
+        for base, k in ((40, 3), (60, 2), (30, 4), (25, 5)):
+            for n in (base - d, base + d):
+                assert sum(1 for _ in (cache.qfib(n) ** k).terms()) > 0
+    assert calls == []

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from qfib import qcomb
-from qfib.poly import ONE, NotDivisible, Poly, Q, S, X, monomial, parse
+from qfib.poly import ONE, NotDivisible, Poly, Q, S, X, monomial
 from qfib.qcomb import (
     Fac,
     binom_product,
