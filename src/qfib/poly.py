@@ -568,7 +568,8 @@ class _BlockPoly(Poly):
     makes the object a plain Poly.  The hook is on this subclass, not on
     Poly: CPython 3.11 specializes no attribute read on a class that
     defines __getattr__, and on Poly that cost the catalog about 2% of its
-    work (perfbench/run.py, 2 x 8-10 seeds, 2-vCPU x86-64)."""
+    work_s (perfbench/run.py, medians over 10 and 8 seeds in two sessions,
+    2-vCPU x86-64)."""
 
     __slots__ = ()
 
@@ -578,6 +579,10 @@ class _BlockPoly(Poly):
         d = self._t = _block_terms(self._blocks)
         self.__class__ = Poly
         return d
+
+    def __reduce__(self):
+        # copies and pickles carry the block list, leaving both dicts unbuilt
+        return _from_blocks, (self._blocks,)
 
 
 def _term_str(c: int, key: int) -> str:

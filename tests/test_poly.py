@@ -815,9 +815,13 @@ def _unread(p):
     return False
 
 
+_KERNEL_PATHS = ("packed product", "packed square", "accumulator", "blocked quotient",
+                 "subst_s_scale", "packed fill")
+
+
 def _kernel_results():
     """A fresh result of each kernel path that stores a Poly as its block
-    list (_from_blocks), by path, on either engine."""
+    list (_from_blocks), by path (_KERNEL_PATHS), on either engine."""
     cache = SeqCache()
     a = (X - Z * Q**2 + S * monomial(1, eq=-1)) * cache.qfib(14)
     b = (ONE - Q) * cache.qfib(15, shift=1)
@@ -834,7 +838,7 @@ def _kernel_results():
     }
 
 
-@pytest.mark.parametrize("path", list(_kernel_results()))
+@pytest.mark.parametrize("path", _KERNEL_PATHS)
 def test_kernel_results_read_their_blocks_until_the_term_dict_is_asked_for(path):
     p = _kernel_results()[path]
     assert _unread(p) and p._blocks and type(p) is poly._BlockPoly
@@ -871,16 +875,19 @@ def test_a_kernel_result_that_cancels_is_falsy():
     assert list(got.terms()) == [] and got._t == {}
 
 
-@pytest.mark.parametrize("path", list(_kernel_results()))
+@pytest.mark.parametrize("path", _KERNEL_PATHS)
 def test_copies_of_an_unread_kernel_result_compare_equal(path):
     p = _kernel_results()[path]
-    assert _unread(p)
-    for other in (copy.copy(p), pickle.loads(pickle.dumps(p))):
-        assert other == p and len(other) == len(p) and other._blocks == p._blocks
-        assert sorted(other.terms()) == sorted(p.terms())
+    copies = [pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)]
+    # a copy carries the block list: neither side builds its term dict
+    assert _unread(p) and all(_unread(other) for other in copies)
+    for other in copies:
+        assert other._blocks == p._blocks and other._ranges == p._get_ranges()
+        assert sorted(other.terms()) == sorted(p.terms()) and len(other) == len(p)
+        assert other == p
 
 
-def _count_dict_builds(monkeypatch):
+def _dict_builds(monkeypatch):
     """The names _BlockPoly.__getattr__ is called with, as a list."""
     calls = []
     real = poly._BlockPoly.__getattr__
@@ -898,7 +905,7 @@ def test_products_build_no_term_dict(monkeypatch):
     # its terms read as the benchmark reads them, builds no term dict: not
     # of the sequence entries, the squares, the products or the results
     monkeypatch.setattr(poly, "_FAST", True)
-    calls = _count_dict_builds(monkeypatch)
+    calls = _dict_builds(monkeypatch)
     cache = SeqCache()
     got = cache.qfib(62) ** 2
     assert calls == [] and len(got) == 37851
