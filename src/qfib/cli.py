@@ -212,20 +212,17 @@ def _cmd_eval(args) -> int:
 # ------------------------------------------------------------------ coeff
 
 
+# the coeff kinds that take two parameters, by name: the usage of each, and
+# the qcomb function of that name (looked up at each call)
+_COEFF_PAIRS = {"qbinom": "n k", "fibonomial": "n k", "qfibonomial": "k j"}
+
+
 def _coeff_value(kind: str, params: list[int], shift: int | None, ell: int | None):
     _reject_unread("coeff", kind, {"--shift": shift, "--ell": ell})
-    if kind == "qbinom":
+    if kind in _COEFF_PAIRS:
         if len(params) != 2:
-            raise _UsageError("coeff qbinom needs: n k")
-        return qcomb.qbinom(*params)
-    if kind == "fibonomial":
-        if len(params) != 2:
-            raise _UsageError("coeff fibonomial needs: n k")
-        return qcomb.fibonomial(*params)
-    if kind == "qfibonomial":
-        if len(params) != 2:
-            raise _UsageError("coeff qfibonomial needs: k j")
-        return qcomb.qfibonomial(*params)
+            raise _UsageError(f"coeff {kind} needs: {_COEFF_PAIRS[kind]}")
+        return getattr(qcomb, kind)(*params)
     if kind == "fibonomial-ell":
         if len(params) == 3:
             if ell is not None:

@@ -12,14 +12,15 @@ int whose bit fields hold (ex, es, eq, ez) with fixed offsets, so that
     division.
 
 A Poly built from a block list (_from_blocks: every kernel result, forward
-sequence memo entry, sum of _sum_products and substitution of such a Poly)
-is stored as that list, a _BlockPoly whose term dict is built only when
-something reads it: sums, differences, ==, negation, products with an int
-or a monomial, substitutions other than s -> q^m s, division by a
-monomial or term by term, evaluate and to_canonical_string.  The kernels,
-the size checks (the _len slot every constructor sets), terms() and the
-coefficient bounds read the blocks.  Blocks too q-sparse to keep
-(_dense_enough) become the term dict at once and are dropped.
+sequence memo entry on its first read, which replaces the entry's packed
+q-blocks, sum of _sum_products and substitution of such a Poly) is stored
+as that list, a _BlockPoly whose term dict is built only when something
+reads it: sums, differences, ==, negation, products with an int or a
+monomial, substitutions other than s -> q^m s, division by a monomial or
+term by term, evaluate and to_canonical_string.  The kernels, the size
+checks (the _len slot every constructor sets), terms() and the coefficient
+bounds read the blocks.  Blocks too q-sparse to keep (_dense_enough) become
+the term dict at once and are dropped.
 
 Each Poly caches its per-variable exponent ranges.  A product or an
 exact quotient carries them from birth: the guard that checks a product's
@@ -862,13 +863,7 @@ def _from_acc(acc: dict, L: int) -> Poly:
     """The Poly held by an accumulator of packed q-blocks (base -> [off, big]
     at limb width L, see _add_at) whose coefficients are below 2^(L-1) in
     magnitude, its block list cached."""
-    bl = []
-    for base, (off, big) in acc.items():
-        cs = _unpack_signed(big, L)
-        if cs:
-            bl.append(_block(base, off, cs))
-    bl.sort()
-    return _from_blocks(bl)
+    return _from_digits((base, off, _unpack_signed(big, L)) for base, (off, big) in acc.items())
 
 
 def _pack_coeffs(coeffs: list[int], L: int) -> int:
@@ -1084,15 +1079,16 @@ def _read_digits(text: str, D: int, p: int, w: int, bias: int) -> list[int]:
 
 
 def _from_digits(blocks) -> Poly:
-    """The Poly of _packed_product's blocks (base, lo, digits), its block
-    list cached.  A product block sums several block products, which may
-    cancel at its ends or throughout."""
+    """The Poly of the blocks (base, lo, digits), in any order, of
+    _packed_product or _from_acc, its block list cached.  A block may sum
+    several products, which can cancel at its ends or throughout."""
     bl = []
     for base, lo, digits in blocks:
         while digits and not digits[-1]:
             digits.pop()
         if digits:
             bl.append(_block(base, lo, digits))
+    bl.sort()
     return _from_blocks(bl)
 
 

@@ -9,24 +9,27 @@ f(n, x, q^j s) come from the substitution s -> q^j s, and transform_T is
 the q -> 1/q, s -> q^(n-1) s change of variables that maps plain-argument
 identities to shifted-argument ones.
 
-The forward fill (n >= 2) runs on packed q-blocks.  A memo entry is one big
-int per (ex, es, ez) block: the block's q coefficients in limbs of L bits, as
-poly._pack_coeffs lays them out.  One step of the recurrence is then one
-shift-and-add per block: x* moves a block's base key, q^(m-2)*s* moves its
-q offset and its s exponent.  L is sized so no coefficient reaches a limb
-boundary: the exact l1 norms of the fill's two seeds, grown by
-|g(m)|_1 <= |g(m-1)|_1 + |g(m-2)|_1, bound every coefficient of the fill.
-A fill packs its two seeds afresh from their Polys' block lists, which
-also give their l1 norms, so each entry keeps its own L and a later, wider
-fill never reads an older entry's limbs.  An entry becomes a Poly only
-when it is read, and then one stored as its block list with its exponent
-ranges (poly._from_blocks): the product kernels read those, and its term
-dict is built only if something else asks for it.  A shifted read
-qfib(n, j) is built once per (n, j) and kept beside the unshifted memo;
-for a forward entry it moves the entry's blocks (Poly.subst_s_scale)
-rather than its terms.  Under QFIB_NO_FAST=1 the forward fill is the
-plain dict recurrence, the oracle the tests compare with; the backward
-fill (negative indices) always works on Polys.
+The forward fill (n >= 2) runs on packed q-blocks.  Until its first read a
+forward entry is its fill's accumulator (acc, L): acc maps each (ex, es, ez)
+block's base key (its key at q^0) to [least q exponent, one big int of the
+block's q coefficients in limbs of L bits, as poly._pack_coeffs lays them
+out].  One step of the recurrence is then one shift-and-add per block: x*
+moves a block's base key, q^(m-2)*s* moves its q offset and its s exponent.
+L is sized so no coefficient reaches a limb boundary: the exact l1 norms of
+the fill's two seeds, grown by |g(m)|_1 <= |g(m-1)|_1 + |g(m-2)|_1, bound
+every coefficient of the fill.  A fill packs its two seeds afresh from their
+Polys' block lists, which also give their l1 norms (a seed still packed is
+unpacked for that fill and not kept), so each entry keeps its own L and a
+later, wider fill never reads an older entry's limbs.  The first read
+replaces the entry by its Poly, stored as its block list with its exponent
+ranges (poly._from_blocks), so an entry holds one form at a time: the
+product kernels read the blocks, and the term dict is built only if
+something else asks for it.  A shifted read qfib(n, j) is built once per
+(n, j) and kept beside the unshifted memo; for a forward entry it moves the
+entry's blocks (Poly.subst_s_scale) rather than its terms.  Under
+QFIB_NO_FAST=1 the forward fill is the plain dict recurrence, the oracle
+the tests compare with; the backward fill (negative indices) always works
+on Polys.
 
 Powers have a memo too, a Memo (the package's one get-or-build dict) of
 qfib(n) ** k and fib(n) ** k per (n, k), for the life of the SeqCache.  A
@@ -86,56 +89,28 @@ class Memo(dict):
         return value
 
 
-class _Packed:
-    """A forward memo entry as packed q-blocks: blocks maps each block's base
-    key (its key at q^0) to [least q exponent, packed coefficients] at limb
-    width L.  poly() builds the Poly on first read and keeps it.  Nothing
-    mutates blocks once the entry is stored."""
-
-    __slots__ = ("blocks", "L", "_poly")
-
-    def __init__(self, blocks: dict, L: int):
-        self.blocks = blocks
-        self.L = L
-        self._poly = None
-
-    def build(self) -> Poly:
-        """The entry as a new Poly, not kept."""
-        return _from_acc(self.blocks, self.L)
-
-    def poly(self) -> Poly:
-        if self._poly is None:
-            self._poly = self.build()
-        return self._poly
-
-
-def _seed_blocks(g: Poly, L: int) -> dict:
-    """g's blocks at limb width L, packed from its block list.  A fill's
-    seed is ZERO, whose block list is empty, or a sequence value at an index
-    >= 0, whose blocks have no zero q coefficient between nonzero ones, so
-    _block_map never finds it too q-sparse."""
-    return {base: [lo, _pack_coeffs(cs, L)] for _, base, lo, cs in _block_map(g)}
-
-
 def _fill_packed(memo: dict, n: int, q_step: int) -> None:
-    """memo[top + 1 .. n] as _Packed entries of one limb width, from memo's
-    two top entries by g(m) = x*g(m-1) + q^(q_step*(m-2))*s*g(m-2)."""
+    """memo[top + 1 .. n] as packed entries (acc, L) of one limb width, from
+    memo's two top entries by g(m) = x*g(m-1) + q^(q_step*(m-2))*s*g(m-2)."""
     _check_exp(q_step * (n - 2))  # the dict loop's largest q step
     top = max(memo)
-    # a _Packed seed's Poly is built for this fill only, not kept
-    seeds = [g if isinstance(g, Poly) else g._poly or g.build()
-             for g in (memo[top - 1], memo[top])]
+    # a seed still packed is built for this fill only, not kept
+    seeds = [_from_acc(*g) if type(g) is tuple else g for g in (memo[top - 1], memo[top])]
     older, newer = (sum(sum(map(abs, cs)) for *_, cs in _block_map(g)) for g in seeds)
     for _ in range(top, n):
         older, newer = newer, older + newer
     L = _limb(newer)
-    older, newer = (_seed_blocks(g, L) for g in seeds)
+    # a seed is ZERO, whose block list is empty, or a sequence value at an
+    # index >= 0, whose blocks have no zero q coefficient between nonzero
+    # ones, so _block_map never finds it too q-sparse
+    older, newer = ({base: [lo, _pack_coeffs(cs, L)] for _, base, lo, cs in _block_map(g)}
+                    for g in seeds)
     for m in range(top + 1, n + 1):
         acc = {base + _XSTEP: [lo, big] for base, (lo, big) in newer.items()}
         shift = q_step * (m - 2)
         for base, (lo, big) in older.items():
             _add_at(acc, base + _SSTEP, lo + shift, big, L)
-        memo[m] = _Packed(acc, L)
+        memo[m] = (acc, L)
         older, newer = newer, acc
 
 
@@ -144,8 +119,9 @@ def _extend(memo: dict, n: int, q_step: int) -> Poly:
     g(m) = x*g(m-1) + q^(q_step*(m-2))*s*g(m-2).
 
     memo holds a contiguous index range that includes 0 and 1; entries at
-    n >= 2 are _Packed where a packed fill (poly._FAST, read at each fill)
-    made them, the rest are Polys."""
+    n >= 2 that a packed fill (poly._FAST, read at each fill) made are its
+    accumulators (acc, L) until read, when their Polys replace them; the
+    rest are Polys."""
     if n not in memo:
         if n > 1 and poly._FAST:
             _fill_packed(memo, n, q_step)
@@ -158,7 +134,9 @@ def _extend(memo: dict, n: int, q_step: int) -> Poly:
                 # g(m) = (g(m+2) - x g(m+1)) * q^(-q_step m) * s^(-1)
                 memo[m] = (memo[m + 2] - X * memo[m + 1]) * monomial(1, es=-1, eq=-q_step * m)
     got = memo[n]
-    return got.poly() if isinstance(got, _Packed) else got
+    if type(got) is tuple:
+        got = memo[n] = _from_acc(*got)
+    return got
 
 
 class SeqCache:
@@ -167,10 +145,10 @@ class SeqCache:
     Entries are only ever written with the value a fresh recomputation
     would produce and Poly values are immutable, so concurrent readers
     (or forked sweep workers with their own copy) cannot observe anything a
-    pure function would not return.  Forward entries are stored packed
-    (see the module docstring) and never change once stored; the Poly an
-    accessor returns is built from that packed form alone, so readers that
-    race to build it get equal Polys, and whichever is kept is the value.
+    pure function would not return.  A forward entry is stored packed (see
+    the module docstring) and replaced by its Poly on its first read; that
+    Poly is built from the packed form alone, so readers that race to build
+    it get equal Polys, and whichever is stored last is the value.
     Shifted q-Fibonacci values, per (n, shift), and powers, per (n, k), are
     Memos built from the unshifted entries, which alone are in _qfib.
     """

@@ -287,8 +287,13 @@ def test_coeff_fac(capsys):
 
 
 def test_coeff_wrong_arity(capsys):
-    code, _, err = run(capsys, "coeff", "qbinom", "4")
-    assert code == EXIT_USAGE
+    for argv, usage in [
+        (["qbinom", "4"], "n k"),
+        (["fibonomial", "4", "2", "1"], "n k"),
+        (["qfibonomial", "5"], "k j"),
+    ]:
+        code, out, err = run(capsys, "coeff", *argv)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: coeff {argv[0]} needs: {usage}\n")
 
 
 def test_coeff_bad_at(capsys):

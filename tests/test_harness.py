@@ -1,5 +1,6 @@
 """Identity catalog: spot values, cross-consistency, fitter, sweeps."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -462,6 +463,26 @@ def test_det_table_rows_equal_bareiss():
     top = 6 if poly._FAST else 4
     rows = [power_det_bareiss(k, k, 1, False) for k in range(1, top + 1)]
     assert rows == list(det_table(top).values())
+
+
+# SHA-256 of det_table's rows 6-8 as canonical strings (39, 164 and 572 KiB)
+_DET_ROW_SHA256 = {
+    6: "b9abbf2f9e2fa3ae4fd70fc6cf2be91770ee21152fecbd28671759b904c8434d",
+    7: "32797057b75217cd37d424f77d69158f831040c7001ecba88da9f49c1f1e6768",
+    8: "afead608de900a9e4bc1e717ab42a81f5bee1efe6e71a6b5c5a24f6aaf780df0",
+}
+
+
+def test_det_table_rows_6_to_8_equal_the_conj3_closed_form():
+    """Rows 6-8, beyond the packaged golden rows and too large for the
+    Bareiss oracle here, against conjecture 3's closed form, a product of
+    qcomb.fac values that shares no code with _power_det's minors, and
+    pinned by their hashes.  Both engines run all three rows (about 1.6 s
+    on the dict engine)."""
+    rows = det_table(8)
+    for k, digest in _DET_ROW_SHA256.items():
+        assert residual("conj3", n=k, k=k).is_zero(), k
+        assert hashlib.sha256(rows[k].to_canonical_string().encode()).hexdigest() == digest, k
 
 
 def test_no_production_entry_point_reaches_the_oracle(monkeypatch, capsys):

@@ -24,6 +24,7 @@ from qfib.poly import (
     monomial,
     parse,
     _block_map,
+    _from_acc,
     _from_blocks,
     _div_blocked,
     _div_blocked_at,
@@ -834,7 +835,7 @@ def _kernel_results():
         "accumulator": _kernel(a, b),
         "blocked quotient": _div_blocked(_kernel(a, b), b),
         "subst_s_scale": _kernel(a, b).subst_s_scale(-3),
-        "packed fill": memo[30].build(),
+        "packed fill": _from_acc(*memo[30]),
     }
 
 

@@ -17,6 +17,8 @@ from qfib.poly import (
     X,
     ZERO,
     _block_map,
+    _BlockPoly,
+    _from_acc,
     _limb,
     monomial,
     parse,
@@ -25,7 +27,7 @@ from qfib.sequences import (
     Memo,
     SeqCache,
     _extend,
-    _Packed,
+    _fill_packed,
     fib,
     gf_truncated,
     lucas,
@@ -180,25 +182,41 @@ def _lucas_binomial(n):
 
 
 def _widths(memo):
-    return {e.L for e in memo.values() if isinstance(e, _Packed)}
+    """The limb widths of memo's entries that are still packed (acc, L)."""
+    return {e[1] for e in memo.values() if type(e) is tuple}
+
+
+def _packed(memo, indices):
+    """Whether each of memo's entries at indices is still packed."""
+    return [type(memo[n]) is tuple for n in indices]
 
 
 def test_forward_fill_in_steps_matches_oracles():
     fresh = SeqCache()
+    memos = (fresh._qfib, fresh._fib, fresh._lucas)
+    widths = [[] for _ in memos]
     checked = 0
     for stop in (20, 45, 90):
-        # one call fills each memo from its previous top to stop
+        # one call fills each memo from its previous top to stop and reads
+        # memo[stop]; the entries below it stay packed, at one width
         fresh.qfib(stop), fresh.fib(stop), fresh.lucas(stop)
+        if _FAST:
+            for memo, seen in zip(memos, widths):
+                unread = [n >= 2 for n in range(checked, stop)]
+                assert _packed(memo, range(checked, stop + 1)) == unread + [False]
+                assert type(memo[stop]) is _BlockPoly
+                (L,) = _widths(memo)
+                seen.append(L)
         for n in range(checked, stop + 1):
             assert fresh.qfib(n) == qfib_explicit(n), n
             assert fresh.fib(n) == _fib_binomial(n), n
             assert fresh.lucas(n) == _lucas_binomial(n), n
         checked = stop + 1
     if _FAST:
-        # the coefficients outgrow the first fills' limbs, so later fills
-        # packed their seeds wider: one width per fill
-        for memo in (fresh._qfib, fresh._fib, fresh._lucas):
-            assert len(_widths(memo)) == 3
+        # the coefficients outgrow the first fills' limbs, so each later
+        # fill packed its seeds wider
+        for seen in widths:
+            assert len(seen) == 3 and seen == sorted(set(seen)), seen
 
 
 def test_forward_fill_one_step_at_a_time():
@@ -215,12 +233,17 @@ def test_forward_fill_at_the_limb_bound(bits, sign):
     # the l1 bound, and 2^(8j-1) - 1 is the largest balanced digit of a limb
     c = sign * ((1 << bits) - 1)
     memo = {0: ZERO, 1: Poly(c)}
-    assert _extend(memo, 2, 1) == c * X
     if _FAST:
+        _fill_packed(memo, 2, 1)
         assert _widths(memo) == {_limb(abs(c))}
         if bits % 8 == 7:
             assert abs(c) == (1 << (_limb(abs(c)) - 1)) - 1
-    # a second fill packs the seed at 2 wider
+    assert _extend(memo, 2, 1) == c * X
+    # a second fill packs the seed at 2 at the width of its own bound,
+    # |g(9)|_1 <= 34 |c| from the seeds' l1 norms |c| and |c|
+    if _FAST:
+        _fill_packed(memo, 9, 1)
+        assert _widths(memo) == {_limb(34 * abs(c))}
     assert _extend(memo, 9, 1) == c * qfib(9)
     for n in range(3, 9):
         assert _extend(memo, n, 1) == c * qfib(n), n
@@ -250,7 +273,9 @@ def test_forward_fill_signed_seeds(seeds):
 def test_the_engine_is_read_at_each_fill(monkeypatch):
     """With poly._FAST off, a fresh cache stores Polys at n >= 2, equal to
     the packed fill's values, and a cache filled packed to 10 and then
-    extended to 14 on the dict engine equals the fresh one."""
+    extended to 14 on the dict engine equals the fresh one.  The packed
+    fill left 2..9 packed; the dict fill read its seeds 9 and 10 and
+    stored Polys."""
     reads = ("qfib", "fib", "lucas")
     monkeypatch.setattr(poly, "_FAST", True)
     mixed = SeqCache()
@@ -259,11 +284,39 @@ def test_the_engine_is_read_at_each_fill(monkeypatch):
     monkeypatch.setattr(poly, "_FAST", False)
     fresh = SeqCache()
     for name in reads:
+        getattr(mixed, name)(14)
+        memo = getattr(mixed, "_" + name)
+        assert _packed(memo, range(2, 15)) == [True] * 7 + [False] * 6, name
         want = [getattr(fresh, name)(n) for n in range(15)]
         assert [getattr(mixed, name)(n) for n in range(15)] == want, name
-        memo = getattr(mixed, "_" + name)
-        assert [type(memo[n]) for n in range(2, 15)] == [_Packed] * 9 + [Poly] * 4, name
         assert {type(e) for e in getattr(fresh, "_" + name).values()} == {Poly}, name
+
+
+def test_a_forward_entry_is_its_accumulator_until_read(monkeypatch):
+    """A packed fill stores each entry as its accumulator (acc, L); the
+    first read replaces the entry by its Poly and leaves the entries below
+    packed.  Fills whose seeds were read, or are still packed below a read
+    top, give the values of one cold fill."""
+    monkeypatch.setattr(poly, "_FAST", True)
+    cold = SeqCache()
+    cold.qfib(60)
+    want = [cold.qfib(n) for n in range(61)]
+    fresh = SeqCache()
+    memo = fresh._qfib
+    fresh.qfib(30)
+    assert type(memo[30]) is _BlockPoly
+    assert _packed(memo, range(2, 30)) == [True] * 28
+    acc, L = memo[29]
+    assert type(acc) is dict and _widths(memo) == {L}
+    assert _from_acc(acc, L) == want[29]
+    fresh.qfib(29)  # both seeds of the next fill read
+    fresh.qfib(45)
+    assert _packed(memo, range(29, 46)) == [False] * 2 + [True] * 14 + [False]
+    fresh.qfib(60)  # its seed at 44 still packed
+    assert _packed(memo, range(44, 61)) == [True, False] + [True] * 14 + [False]
+    got = [fresh.qfib(n) for n in range(61)]
+    assert not any(_packed(memo, range(61)))
+    assert got == want
 
 
 def test_limb_width_is_least_balanced():
