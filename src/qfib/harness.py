@@ -38,8 +38,8 @@ when the sweep does not ask for fitting.
 
 All power determinants det(f(ell(n+i-j), q^(ell j) s)^k), q-analogue and
 classical, share _power_det, which builds them from their factorization
-through basis_decomp: a product of 2 x 2 minors of sequence values over a
-monomial; no catalog identity runs Bareiss.
+through basis_decomp: a monomial times 2 x 2 minors of sequence values, with
+no division; no catalog identity runs Bareiss.
 
 Each family has one builder.  A classical or ell = 1 identity that the
 paper states separately (conj1_f, conj3, det_power_classical) is a binding
@@ -321,27 +321,29 @@ def _power_det(n: int, k: int, ell: int = 1, classical: bool = False) -> Poly:
     and g is qfib, or fib when classical.  Expanding the k-th power gives
     M diag(v(ell j)^k) = P diag(C(k, t)) Q with P_it = A_i^(k-t) B_i^t and
     Q_tj = alpha_j^(k-t) beta_j^t, two homogeneous Vandermonde matrices, so
-        det M = prod_t C(k, t) prod_{i<i'} (A_i B_i' - A_i' B_i)
+        det M = prod_t C(k, t) prod_j v(ell j)^-k
+                prod_{i<i'} (A_i B_i' - A_i' B_i)
                 prod_{j<j'} (alpha_j beta_j' - alpha_j' beta_j)
-                / prod_j v(ell j)^k
-    at every integer n, Laurent n included.  Both kinds of 2 x 2 minor are
-    _minor(N1, N2) = g(N1) g(N2-1, qs) - g(N2) g(N1-1, qs): a row minor at
-    (ell(n+i), ell(n+i')), a column minor at (ell j, ell j').  They are
-    computed from the sequence values and memoized, never taken from a
-    closed form, so the result rests only on basis_decomp and
-    det(PQ) = det P det Q; cells and rows that share a minor read one
-    value.  The minors are multiplied pairwise, so that both operands of
-    each product grow together.
+    at every integer n, Laurent n included: a monomial times the minors,
+    with no division.  Both kinds of 2 x 2 minor are _minor(N1, N2) =
+    g(N1) g(N2-1, qs) - g(N2) g(N1-1, qs): a row minor at (ell(n+i),
+    ell(n+i')), a column minor at (ell j, ell j').  They are computed from
+    the sequence values and memoized, never taken from a closed form, so
+    the result rests only on basis_decomp and det(PQ) = det P det Q; cells
+    and rows that share a minor read one value.  The minors are multiplied
+    pairwise, so that both operands of each product grow together.
     """
     cols = [ell * j for j in range(k + 1)]
-    factors = [Poly(binom_product(k))]
+    # prod_j v(ell j)^k has coefficient c = +-1: its inverse is c at the negated exponents
+    (exps, c), = (prod((_v(m, classical) for m in cols), start=ONE) ** k).terms()
+    factors = [monomial(c * binom_product(k), *(-e for e in exps))]
     for marks in ([ell * (n + i) for i in range(k + 1)], cols):
         for i, a in enumerate(marks):
             factors.extend(_MINORS[a, b, classical] for b in marks[i + 1 :])
     while len(factors) > 1:
         odd = factors[-1:] if len(factors) % 2 else []
         factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + odd
-    return factors[0].exact_div(prod((_v(m, classical) for m in cols), start=ONE) ** k)
+    return factors[0]
 
 
 def _cassini_classical_sides(n: int) -> tuple[Poly, Poly]:

@@ -215,7 +215,7 @@ class ParseError(ValueError):
 
 
 def _check_exp(e: int) -> int:
-    if not isinstance(e, int) or abs(e) > _EXP_LIMIT:
+    if isinstance(e, bool) or not isinstance(e, int) or abs(e) > _EXP_LIMIT:
         raise ValueError(f"exponent out of supported range: {e!r}")
     return e
 
@@ -534,6 +534,8 @@ class Poly:
             out = _div_monomial(self, b)
         else:
             out = None
+            # no benchmark workload divides here (the catalog's 18 divisions are
+            # small); coeff qfibonomial, large coeff fibonomial and Bareiss do
             if _FAST and self._len > 400:
                 out = _div_blocked(self, b)
             if out is None:

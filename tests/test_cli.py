@@ -2,6 +2,7 @@
 tables, start-up imports and public names."""
 
 import ast
+import contextlib
 import errno
 import io
 import json
@@ -51,7 +52,7 @@ def test_eval_fib4(capsys):
     assert (code, out) == (EXIT_OK, "x^3 + 2*s*x")
 
 
-def test_closed_stdout_exits_141_without_traceback():
+def test_closed_stdout_exits_141_without_traceback(capsys):
     # the pipe's read end is closed before the command starts, so its first
     # write fails with EPIPE, as when `| head -c 60` has read enough
     read_end, write_end = os.pipe()
@@ -68,6 +69,13 @@ def test_closed_stdout_exits_141_without_traceback():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, b"")
+    # and main in this process, on such a pipe: once the write fails,
+    # standard output points at devnull, so closing it cannot fail again
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as pipe, contextlib.redirect_stdout(pipe):
+        assert main(["eval", "lucas", "90"]) == EXIT_BROKEN_PIPE
+    assert capsys.readouterr().err == ""
 
 
 def _bare_python(*args):
@@ -291,6 +299,8 @@ def test_coeff_wrong_arity(capsys):
         (["qbinom", "4"], "n k"),
         (["fibonomial", "4", "2", "1"], "n k"),
         (["qfibonomial", "5"], "k j"),
+        (["fibonomial-ell", "2"], "k j ell"),
+        (["fac", "3", "1"], "n (plus --shift/--ell)"),
     ]:
         code, out, err = run(capsys, "coeff", *argv)
         assert (code, out, err) == (EXIT_USAGE, "", f"error: coeff {argv[0]} needs: {usage}\n")
@@ -299,6 +309,9 @@ def test_coeff_wrong_arity(capsys):
 def test_coeff_bad_at(capsys):
     code, _, err = run(capsys, "coeff", "fibonomial", "4", "2", "--at", "y=1")
     assert code == EXIT_USAGE
+    for at, message in [("x1", "bad assignment 'x1' in --at"), ("x=abc", "bad value 'abc' in --at")]:
+        code, out, err = run(capsys, "coeff", "fibonomial", "4", "2", "--at", at)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -399,6 +412,8 @@ def test_verify_unknown_id(capsys):
 def test_verify_bad_range(capsys):
     code, _, err = run(capsys, "verify", "q_cassini", "--n", "oops")
     assert code == EXIT_USAGE
+    code, out, err = run(capsys, "verify", "q_cassini", "--n", "5..3")
+    assert (code, out, err) == (EXIT_USAGE, "", "error: empty range '5..3'\n")
 
 
 @pytest.mark.parametrize(

@@ -485,6 +485,29 @@ def test_det_table_rows_6_to_8_equal_the_conj3_closed_form():
         assert hashlib.sha256(rows[k].to_canonical_string().encode()).hexdigest() == digest, k
 
 
+@pytest.mark.parametrize("engine", ["default", "dict"])
+def test_power_determinants_divide_nothing(monkeypatch, engine):
+    """_power_det multiplies its minors by the inverse of prod_j v(ell j)^k,
+    a signed monomial, and divides nothing: no exact_div over a sweep of
+    every determinant family or over det_table(8).  On the default engine
+    rows 5-8, packed products, keep their term dicts unbuilt."""
+    monkeypatch.setattr(poly, "_FAST", engine == "default")
+    calls = []
+    real = Poly.exact_div
+    monkeypatch.setattr(Poly, "exact_div", lambda a, b: calls.append(b) or real(a, b))
+    report = sweep(sorted(_DET_CELLS), workers=1)
+    assert len(report.cells) == 113 and report.all_pass()
+    rows = det_table(8)
+    assert calls == []
+    for k in range(5, 9):
+        try:
+            Poly._t.__get__(rows[k])  # the slot, without building it
+        except AttributeError:
+            assert poly._FAST, k
+        else:
+            assert not poly._FAST, k
+
+
 def test_no_production_entry_point_reaches_the_oracle(monkeypatch, capsys):
     """No power determinant runs Bareiss (PolyMatrix.det), the elimination
     of their oracle: the whole catalog on one worker, det_table(8) and the
@@ -732,6 +755,9 @@ def test_fit_rejects_coefficient_scaling():
 def test_fit_rejects_term_shuffle():
     with pytest.raises(NotProportional):
         fit_monomial_correction(parse("x^2 + 2*s"), parse("2*x^2 + s"))
+    # equal leading terms, so only the term-by-term map refuses
+    with pytest.raises(NotProportional, match="terms do not map onto each other"):
+        fit_monomial_correction(parse("x^2 + s"), parse("x^2 + 2*s"))
 
 
 # ------------------------------------------------------------------- sweep
@@ -1034,6 +1060,11 @@ def test_sweep_fits_from_the_sides_it_checked(monkeypatch):
     assert [c.status for c in rep.cells] == ["fitted", "fitted"]
     assert [c.correction for c in rep.cells] == ["+q^-1", "+q^-1"]
     assert calls == [2, 3]
+    # the report carries the correction in its text and JSON forms
+    from qfib.cli import _report_text
+
+    assert _report_text(rep).splitlines()[0].endswith(" correction=+q^-1")
+    assert [c["correction"] for c in rep.to_json_dict()["cells"]] == ["+q^-1", "+q^-1"]
     rep = sweep(["q_cassini"], overrides={"n": (2, 2)})
     assert rep.cells[0].status == "fail"
     det, closed = harness._q_cassini_sides(2)

@@ -241,6 +241,10 @@ def test_exponent_limit_guard():
     big = monomial(1, ex=1 << 20)
     with pytest.raises(OverflowError):
         big**8
+    # a bool is refused as an exponent, as it is as a coefficient
+    for build in (lambda: Poly({(True, 0, 0, 0): 1}), lambda: monomial(1, ex=True)):
+        with pytest.raises(ValueError, match=r"exponent out of supported range: True"):
+            build()
 
 
 def test_parse_checks_each_variables_exponent_summed_over_the_term():
@@ -418,6 +422,18 @@ def test_q_sparse_polys_fall_back_to_naive():
     b = Poly({(1, 0, 0, 0): 2, (0, 1, 5000, 0): 3})
     assert _kernel(a, b) is None
     assert a * b == _naive(a, b)
+    # a kernel result too q-sparse to keep as blocks (10,000 pairs to the
+    # accumulator, one block 5001 wide holding 2 terms) becomes its term
+    # dict, and a q-sparse 600-term dividend is divided term by term
+    run = sum((Q**i for i in range(5000)), ZERO)
+    line = (ONE - Q) * run
+    assert line == _naive(ONE - Q, run) == ONE - Q**5000
+    b = sum((X**i for i in range(300)), ZERO)
+    a = b * (ONE + Q**5000)
+    assert len(a) == 600 and _div_blocked(a, b) is None
+    assert a.exact_div(b) == _div_naive(a, b) == ONE + Q**5000
+    if poly._FAST:
+        assert line._blocks is False and a._blocks is False
 
 
 def test_exact_div_dispatch_large_dividend():
