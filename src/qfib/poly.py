@@ -74,11 +74,13 @@ min(#a, #b) and the Cauchy-Schwarz bound |a|_2 |b|_2, and nothing is
 unpacked until the sum is whole; the result is stored as its block
 list, which the next product it enters reads without a scan.  A packed
 product of nonnegative operands, as every q-Fibonacci power is, has its
-coefficients in
-[0, bound] and takes plain digits, bound < 10^D; only a signed operand
-needs balanced ones, |c| <= bound < 10^D / 2, often a digit wider.  The
-product's balanced digits become plain ones by one Decimal addition of
-10^D / 2 at every position, subtracted again from each digit read.  Where
+coefficients in [0, bound] and takes plain digits, bound < 10^D; only a
+signed operand needs balanced ones, |c| <= bound < 10^D / 2, often a
+digit wider.  Signed operands and their product share one rule: each
+position is written and read as c + 10^D / 2.  An operand is written so
+and less 10^D / 2 at every position by one Decimal subtraction; the
+product gains 10^D / 2 at every position by one Decimal addition, and
+each digit is read back less it.  Where
 the accumulator declines (a q-sparse operand, products too far apart in
 q), a * b runs the term dict and dot adds the products as Polys.  Every
 path keeps the product guards of a * b.
@@ -123,9 +125,9 @@ import os
 import re
 import struct
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
-from itertools import chain, compress, repeat
+from itertools import chain, compress, repeat, starmap
 from math import isqrt
-from operator import mul, neg, sub
+from operator import add, mul, neg, sub
 
 __all__ = [
     "Poly",
@@ -227,24 +229,18 @@ class Poly:
 
     def __init__(self, terms: dict | int | None = None):
         """Build from {(ex, es, eq, ez): coeff} (zero coefficients dropped)
-        or from a plain int constant.  Coefficients must be ints."""
+        or from a constant.  Coefficients must be ints, not bools."""
         d: dict[int, int] = {}
-        if isinstance(terms, int):
-            if terms:
-                d[_ZKEY] = terms
-        elif terms:
+        if terms is not None and not isinstance(terms, dict):
+            terms = {(0, 0, 0, 0): terms}
+        if terms:
             for exps, c in terms.items():
                 if isinstance(c, bool) or not isinstance(c, int):
                     raise TypeError(f"coefficient must be an int: {c!r}")
-                if not c:
-                    continue
-                ex, es, eq, ez = (_check_exp(e) for e in exps)
-                k = _pack(ex, es, eq, ez)
-                v = d.get(k, 0) + c
-                if v:
-                    d[k] = v
-                else:
-                    del d[k]
+                if c:
+                    # distinct exponent tuples within _EXP_LIMIT pack to distinct keys
+                    ex, es, eq, ez = (_check_exp(e) for e in exps)
+                    d[_pack(ex, es, eq, ez)] = c
         self._t = d
         self._len = len(d)
         self._ranges = None
@@ -418,7 +414,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Poly":
-        if not isinstance(e, int) or e < 0:
+        if isinstance(e, bool) or not isinstance(e, int) or e < 0:
             raise ValueError("polynomial powers require a nonnegative int")
         if not e:
             return ONE
@@ -442,8 +438,9 @@ class Poly:
         if m == 0 or not self._len:
             return self
         if self._blocks:
-            # sharing the coefficient lists is safe: no code mutates a block list
-            return _from_blocks([(es, base, lo + m * es, cs) for es, base, lo, cs in self._blocks])
+            # sharing the coefficient lists is safe: no code mutates a block
+            # list, and _block trims nothing from a block's nonzero ends
+            return _from_blocks([_block(base, lo + m * es, cs) for es, base, lo, cs in self._blocks])
         out = {}
         for k, c in self._t.items():
             es = ((k >> _SH_ES) & _MASK) - _BIAS
@@ -451,9 +448,10 @@ class Poly:
         return Poly._raw(out)
 
     def _guard_s_scale(self, m: int) -> None:
-        """ValueError unless m is an int; OverflowError when s -> q^m s could
-        push a q exponent past _VAR_GUARD (at a corner of the s, q box)."""
-        if not isinstance(m, int):
+        """ValueError unless m is an int, not a bool; OverflowError when
+        s -> q^m s could push a q exponent past _VAR_GUARD (at a corner of
+        the s, q box)."""
+        if isinstance(m, bool) or not isinstance(m, int):
             raise ValueError("shift must be an int")
         if m:
             (slo, shi), (qlo, qhi) = self._get_ranges()[1:3]
@@ -798,7 +796,7 @@ def _block_map(p: Poly):
             coeffs = [0] * (hi - lo + 1)
             for e, c in lst:
                 coeffs[e - lo] = c
-            bl.append((((base >> _SH_ES) & _MASK) - _BIAS, base, lo, coeffs))
+            bl.append(_block(base, lo, coeffs))
         bl.sort()
     p._blocks = bl
     return bl
@@ -814,7 +812,7 @@ def _from_blocks(blocks: list) -> Poly:
     """The Poly whose _block_map is `blocks`, stored as that list (a
     _BlockPoly, its term dict built on first read): [(es, base, lo,
     coeffs)] sorted by es, no block empty, and each block's first and last
-    coefficients nonzero (as _block_map builds them).  Blocks too q-sparse
+    coefficients nonzero (as _block builds them).  Blocks too q-sparse
     to keep become the term dict at once and are dropped.  The exact
     exponent ranges are read off the block list: x and z from the bases, s
     from the first and last blocks, q from the blocks' ends."""
@@ -852,9 +850,15 @@ def _block_terms(blocks: list) -> dict[int, int]:
     return d
 
 
-def _block(base: int, off: int, cs: list) -> tuple:
-    """The block (es, base, lo, coeffs) of the nonzero digits cs (no trailing
-    zeros) of q^off, q^(off+1), ... at base, its leading zeros dropped."""
+def _block(base: int, off: int, cs: list) -> tuple | None:
+    """The block (es, base, lo, coeffs) of the digits cs of q^off,
+    q^(off+1), ... at base, its zero ends dropped (trailing zeros popped
+    off cs itself); None when every digit is zero.  The one builder of a
+    block: es is read off base here alone."""
+    while cs and not cs[-1]:
+        cs.pop()
+    if not cs:
+        return None
     i = 0
     while not cs[i]:
         i += 1
@@ -914,8 +918,8 @@ def _pack_bytes(coeffs: list[int], nb: int) -> int:
 
 
 def _unpack_signed(acc: int, L: int) -> list[int]:
-    """Balanced base-2^L digits of acc (digits in [-2^(L-1), 2^(L-1)), no
-    trailing zeros); L must be a multiple of 8.
+    """Balanced base-2^L digits of acc (digits in [-2^(L-1), 2^(L-1)),
+    trailing zeros kept: _block drops them); L must be a multiple of 8.
 
     Adding bias = 2^(L-1) at every digit position turns the balanced digits
     into unsigned ones, which one to_bytes call exposes.  Limbs of at most
@@ -941,12 +945,8 @@ def _unpack_signed(acc: int, L: int) -> list[int]:
             for j in range(nb, w):
                 wide[j::w] = sign
             raw = wide
-        digits = list(struct.unpack(f"<{n}{fmt}", raw))
-    else:
-        digits = _unpack_bytes((acc + bias).to_bytes(n * nb, "little"), nb)
-    while digits and not digits[-1]:
-        digits.pop()
-    return digits
+        return list(struct.unpack(f"<{n}{fmt}", raw))
+    return _unpack_bytes((acc + bias).to_bytes(n * nb, "little"), nb)
 
 
 def _unpack_bytes(raw: bytes, nb: int) -> list[int]:
@@ -1039,59 +1039,47 @@ def _stride(ranges: list) -> int:
     )
 
 
-def _dec_pack(line: list, T: int, D: int, signed: bool) -> tuple[Decimal, int]:
+def _dec_pack(line: list, T: int, D: int, half: int) -> tuple[Decimal, int]:
     """(A, low) with A = sum c * t^(es*T + eq - low) over line's terms,
-    t = 10^D, low the least position and |c| < t.  A signed line is packed
-    as two digit strings, its positive and its negated negative part, and
-    joined by one subtraction."""
-    if not signed:
-        return _dec_digits(line, T, D, 0)
-    value, low = _dec_digits(line, T, D, 1)
-    return _EXACT.subtract(value, _dec_digits(line, T, D, -1)[0]), low
-
-
-def _dec_digits(line: list, T: int, D: int, sign: int) -> tuple[Decimal, int]:
-    """(sum max(sign*c, 0) * t^(es*T + eq - low), low) from one string of
-    D-digit chunks, most significant first; blocks are joined by runs of
-    zeros.  sign 0 writes the coefficients as they are, all nonnegative."""
+    t = 10^D, low the least position, for coefficients 0 <= c < t (half 0)
+    or balanced ones, |c| < half = t/2.  Each position from low to the top
+    one, the gaps between blocks included, is written as the D-digit chunk
+    of c + half, most significant first, and the text is parsed once; then
+    half is subtracted at every written position by one Decimal."""
     fmt = f"%0{D}d".__mod__
+    gap = fmt(half)
     runs: list[str] = []
     nxt = None  # the position of the last chunk written
     for es, _, lo, cs in reversed(line):
         start = es * T + lo
         if nxt is not None:
-            runs.append("0" * ((nxt - start - len(cs)) * D))
+            runs.append(gap * (nxt - start - len(cs)))
         nxt = start
         cs = reversed(cs)
-        if sign:
-            cs = map(max, map(neg, cs) if sign < 0 else cs, repeat(0))
-        runs.append("".join(map(fmt, cs)))
-    return Decimal("".join(runs)), nxt
+        runs.append("".join(map(fmt, map(add, cs, repeat(half)) if half else cs)))
+    text = "".join(runs)
+    if not half:
+        return Decimal(text), nxt
+    return _EXACT.subtract(Decimal(text), Decimal(gap * (len(text) // D))), nxt
 
 
-def _read_digits(text: str, D: int, p: int, w: int, bias: int) -> list[int]:
+def _read_digits(text: str, D: int, p: int, w: int, half: int) -> list[int]:
     """Digits p .. p + w - 1 in base 10^D of the nonnegative integer written
-    in text, least significant first, bias subtracted from each."""
+    in text, least significant first, each read as c + half (the rule
+    _dec_pack writes by), so half is subtracted from each."""
     end = max(len(text) - p * D, 0)
     chunks = re.findall(f".{{{D}}}", text[max(end - w * D, 0) : end].rjust(w * D, "0"))
     chunks.reverse()
-    if not bias:
+    if not half:
         return list(map(int, chunks))
-    return list(map(sub, map(int, chunks), repeat(bias)))
+    return list(map(sub, map(int, chunks), repeat(half)))
 
 
 def _from_digits(blocks) -> Poly:
     """The Poly of the blocks (base, lo, digits), in any order, of
     _packed_product or _from_acc, its block list cached.  A block may sum
     several products, which can cancel at its ends or throughout."""
-    bl = []
-    for base, lo, digits in blocks:
-        while digits and not digits[-1]:
-            digits.pop()
-        if digits:
-            bl.append(_block(base, lo, digits))
-    bl.sort()
-    return _from_blocks(bl)
+    return _from_blocks(sorted(filter(None, starmap(_block, blocks))))
 
 
 def _packed_product(la: list, lb: list, bound: int):
@@ -1103,7 +1091,10 @@ def _packed_product(la: list, lb: list, bound: int):
     within _MAX_DIGITS and the packed product is not mostly gaps.
 
     A product of nonnegative operands has plain digits, 0 <= c <= bound <
-    t; otherwise the digits are balanced, |c| <= bound < t / 2."""
+    t.  Otherwise the product and each signed operand take balanced digits
+    by one rule, |c| <= bound < half = t/2, each position written and read
+    as c + half (_dec_pack, _read_digits); an operand's coefficients never
+    exceed the product's bound."""
     neg_a = any(min(cs) < 0 for *_, cs in la)
     neg_b = neg_a if lb is la else any(min(cs) < 0 for *_, cs in lb)
     signed = neg_a or neg_b
@@ -1112,6 +1103,7 @@ def _packed_product(la: list, lb: list, bound: int):
     if bound >= _DIGITS_CAP:
         return None
     D = len(str(bound))
+    half = 5 * 10 ** (D - 1) if signed else 0
     blocks: dict[int, list] = {}  # es -> [base, lo, hi] of the product
     for ja, base_a, lo_a, ca in la:
         hi_a = lo_a + len(ca) - 1
@@ -1134,21 +1126,19 @@ def _packed_product(la: list, lb: list, bound: int):
         return None  # the blocks lie too far apart to pack densely
     # each transient is dropped before the next, larger one is built: the
     # product's digit string is the largest
-    A, low = _dec_pack(la, T, D, neg_a)
+    A, low = _dec_pack(la, T, D, half if neg_a else 0)
     if lb is la:
         prod = _EXACT.multiply(A, A)
         low *= 2
     else:
-        B, low_b = _dec_pack(lb, T, D, neg_b)
+        B, low_b = _dec_pack(lb, T, D, half if neg_b else 0)
         prod = _EXACT.multiply(A, B)
         low += low_b
         del B
     del A
-    half = 0
-    if signed:
-        # t/2 added at every position up to the top one turns the balanced
-        # digits into plain ones, each read back less t/2
-        half = 5 * 10 ** (D - 1)
+    if half:
+        # half added at every position up to the top one turns the balanced
+        # digits into plain ones, each read back less half
         top = ranges[-1][0] * T + ranges[-1][2] - low
         prod = _EXACT.add(prod, Decimal(str(half) * (top + 1)))
     text = str(prod)

@@ -121,7 +121,10 @@ def _extend(memo: dict, n: int, q_step: int) -> Poly:
     memo holds a contiguous index range that includes 0 and 1; entries at
     n >= 2 that a packed fill (poly._FAST, read at each fill) made are its
     accumulators (acc, L) until read, when their Polys replace them; the
-    rest are Polys."""
+    rest are Polys.  ValueError unless n is an int, not a bool: 1.0 and
+    True would read the entry at 1."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"sequence index must be an int: {n!r}")
     if n not in memo:
         if n > 1 and poly._FAST:
             _fill_packed(memo, n, q_step)
@@ -170,11 +173,12 @@ class SeqCache:
         return _extend(self._lucas, n, 0)
 
     def qfib(self, n: int, shift: int = 0) -> Poly:
+        # a shift that is no int (1.0 == 1, True == 1) must not read the
+        # int's entry: its build raises
+        if isinstance(shift, bool) or not isinstance(shift, int):
+            return self._qfib_shifted.build(n, shift)
         if not shift:
             return _extend(self._qfib, n, 1)
-        # a shift that is no int (1.0 == 1) must not read the int's entry
-        if not isinstance(shift, int):
-            return self._qfib_shifted.build(n, shift)
         return self._qfib_shifted[n, shift]
 
     def qfib_power(self, n: int, k: int, shift: int = 0) -> Poly:

@@ -485,6 +485,26 @@ def test_det_table_rows_6_to_8_equal_the_conj3_closed_form():
         assert hashlib.sha256(rows[k].to_canonical_string().encode()).hexdigest() == digest, k
 
 
+def test_det_table_row_9_packs_signed_lines(monkeypatch):
+    """Row 9 (29,771 terms) is the first det_table row whose packed products
+    take signed operands, written by _dec_pack with balanced digits (a
+    nonzero half).  The default engine is forced, since the dict engine
+    takes several seconds on this row; the row is pinned by its hash and
+    checked against conjecture 3's closed form."""
+    monkeypatch.setattr(poly, "_FAST", True)
+    halves = []
+    real = poly._dec_pack
+    monkeypatch.setattr(
+        poly, "_dec_pack", lambda line, T, D, half: halves.append(half) or real(line, T, D, half)
+    )
+    row = det_table(9)[9]
+    assert any(halves) and not all(halves), halves
+    assert len(row) == 29771
+    digest = hashlib.sha256(row.to_canonical_string().encode()).hexdigest()
+    assert digest == "cf8eb59713e2bca71e669e3d748e16284f4ec8f229bd29c3ab52bec6a4bc7e4e"
+    assert residual("conj3", n=9, k=9).is_zero()
+
+
 @pytest.mark.parametrize("engine", ["default", "dict"])
 def test_power_determinants_divide_nothing(monkeypatch, engine):
     """_power_det multiplies its minors by the inverse of prod_j v(ell j)^k,
@@ -1069,6 +1089,17 @@ def test_sweep_fits_from_the_sides_it_checked(monkeypatch):
     assert rep.cells[0].status == "fail"
     det, closed = harness._q_cassini_sides(2)
     assert rep.cells[0].residual == str(det - closed * Q)
+    # an entry flagged fit_default fits without the flag: conj3 off by q
+    assert CATALOG["conj3"].fit_default and not CATALOG["q_cassini"].fit_default
+
+    def conj3_off_by_q(n, k):
+        det, closed = harness._conj3_sides(n, k)
+        return det, closed * Q
+
+    monkeypatch.setitem(CATALOG, "conj3", CATALOG["conj3"]._replace(sides=conj3_off_by_q))
+    rep = sweep(["conj3"], overrides={"n": (2, 3), "k": (1, 2)})
+    assert [c.status for c in rep.cells] == ["fitted"] * 4
+    assert [c.correction for c in rep.cells] == ["+q^-1"] * 4
 
 
 def _stripped(report):

@@ -156,6 +156,17 @@ def test_seqcache_is_pure():
     with pytest.raises(ValueError):
         fresh.lucas(-1)
     assert sorted(fresh._lucas) == list(range(12))
+    # an index that is no int, or a bool, is refused by name before any
+    # memo is read or filled: 1.0 and True equal the key 1
+    memos = [dict(m) for m in (fresh._fib, fresh._lucas, fresh._qfib)]
+    for read in (fresh.qfib, fresh.fib, fresh.lucas):
+        for bad in (2.0, 2.5, 1.0, -1.5, True, False):
+            # lucas refuses a negative index first, in its own words
+            message = "lucas is defined for n >= 0" if read == fresh.lucas and bad < 0 else (
+                f"sequence index must be an int: {bad!r}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                read(bad)
+    assert [dict(m) for m in (fresh._fib, fresh._lucas, fresh._qfib)] == memos
 
 
 # ------------------------------------------- forward fill against oracles
@@ -375,8 +386,11 @@ def test_shifted_reads_are_memoized_and_match_the_per_term_substitution():
             assert got._get_ranges() == copy._get_ranges()
             assert fresh.qfib(n, shift=m) is got
     assert sorted(fresh._qfib) == list(range(-6, 41))
-    with pytest.raises(ValueError):
-        fresh.qfib(5, shift=1.0)  # equal to 1 as a key, still no int shift
+    for bad in (1.0, True, 0.0, False):  # equal to 1 or 0 as a key, still no int shift
+        with pytest.raises(ValueError, match="^shift must be an int$"):
+            fresh.qfib(5, shift=bad)
+        with pytest.raises(ValueError, match="^shift must be an int$"):
+            fresh.qfib(5).subst_s_scale(bad)
 
 
 @pytest.mark.parametrize("engine", ["default", "dict"])
