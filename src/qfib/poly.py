@@ -76,14 +76,14 @@ list, which the next product it enters reads without a scan.  A packed
 product of nonnegative operands, as every q-Fibonacci power is, has its
 coefficients in [0, bound] and takes plain digits, bound < 10^D; only a
 signed operand needs balanced ones, |c| <= bound < 10^D / 2, often a
-digit wider.  Signed operands and their product share one rule: each
-position is written and read as c + 10^D / 2.  An operand is written so
-and less 10^D / 2 at every position by one Decimal subtraction; the
-product gains 10^D / 2 at every position by one Decimal addition, and
-each digit is read back less it.  Where
-the accumulator declines (a q-sparse operand, products too far apart in
-q), a * b runs the term dict and dot adds the products as Polys.  Every
-path keeps the product guards of a * b.
+digit wider.  Signed operands and their product share one t/2 rule,
+t = 10^D: each position is written and read as the digit c + t/2.  An
+operand is written so, then one Decimal subtraction takes t/2 off every
+position; the product gains t/2 at every position by one Decimal
+addition, and each digit is read back less t/2.  Where the accumulator
+declines (a q-sparse operand, products too far apart in q), a * b runs
+the term dict and dot adds the products as Polys.  Every path keeps the
+product guards of a * b.
 
 The kernels' input and output run without a Python loop per coefficient.
 Limbs of at most 8 bytes cross as whole blocks, through struct.pack and
